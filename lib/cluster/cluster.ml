@@ -124,10 +124,7 @@ type stats = {
    domain. *)
 let current_mutator : string option ref = ref None
 
-let () =
-  Sp_sched.register_tls (fun () ->
-      let v = !current_mutator in
-      fun () -> current_mutator := v)
+let () = Sp_sched.register_tls current_mutator
 
 (* ------------------------------------------------------------------ *)
 (* Placement                                                           *)

@@ -11,12 +11,14 @@ let with_disabled f =
   enabled_flag := false;
   Fun.protect ~finally:(fun () -> enabled_flag := saved) f
 
-(* Channels are symmetric: one mapping serves both transfer directions. *)
-let channels : (int * int, unit) Hashtbl.t = Hashtbl.create 64
+(* Channels are symmetric: one mapping serves both transfer directions.
+   The key packs the ordered id pair into one int (ids stay far below
+   2^31), so the per-call [established] test allocates no tuple. *)
+let channels : (int, unit) Hashtbl.t = Hashtbl.create 64
 
 let channel_key a b =
   let ia = Sdomain.id a and ib = Sdomain.id b in
-  if ia <= ib then (ia, ib) else (ib, ia)
+  if ia <= ib then (ia lsl 31) lor ib else (ib lsl 31) lor ia
 
 let established a b = Hashtbl.mem channels (channel_key a b)
 let establish a b = Hashtbl.replace channels (channel_key a b) ()
@@ -35,7 +37,4 @@ let exit_scope () = decr scope_depth
    machine: another interleaved task must not see a transfer in flight
    (it would skip its own source copy).  Task-local, like the current
    domain in [Door]. *)
-let () =
-  Sp_sched.register_tls (fun () ->
-      let d = !scope_depth in
-      fun () -> scope_depth := d)
+let () = Sp_sched.register_tls scope_depth

@@ -6,10 +6,7 @@ let current () = !current_domain
    tasks are each inside their own call chain, and their save/restore
    pairs in [invoke] do not nest across a suspension.  Registering it as
    task-local makes the scheduler swap it on every switch. *)
-let () =
-  Sp_sched.register_tls (fun () ->
-      let d = !current_domain in
-      fun () -> current_domain := d)
+let () = Sp_sched.register_tls current_domain
 
 (* Under an [Sp_sched] run, the door-crossing cost into each domain is
    served by a small queueing station: a domain has a handful of server
@@ -21,13 +18,26 @@ let () =
 let door_servers = 4
 let stations : (string, Sp_sched.Station.t) Hashtbl.t = Hashtbl.create 32
 
+(* Crossings look their station up by domain id, which neither builds
+   nor hashes a string.  The [node/name] table behind it is what makes a
+   restarted domain (a fresh [Sdomain.t] under the old name) share its
+   predecessor's station. *)
+let station_by_id : (int, Sp_sched.Station.t) Hashtbl.t = Hashtbl.create 32
+
 let station_of target =
-  let key = Sdomain.node target ^ "/" ^ Sdomain.name target in
-  match Hashtbl.find_opt stations key with
-  | Some st -> st
-  | None ->
-      let st = Sp_sched.Station.create ~servers:door_servers ("door:" ^ key) in
-      Hashtbl.replace stations key st;
+  match Hashtbl.find station_by_id (Sdomain.id target) with
+  | st -> st
+  | exception Not_found ->
+      let key = Sdomain.node target ^ "/" ^ Sdomain.name target in
+      let st =
+        match Hashtbl.find_opt stations key with
+        | Some st -> st
+        | None ->
+            let st = Sp_sched.Station.create ~servers:door_servers ("door:" ^ key) in
+            Hashtbl.replace stations key st;
+            st
+      in
+      Hashtbl.replace station_by_id (Sdomain.id target) st;
       st
 
 (* Outside a scheduler task this is exactly [Simclock.advance]. *)
@@ -46,11 +56,22 @@ let charge_invocation target =
     serve_crossing target model.cross_domain_call_ns
   end
 
+(* The crossing helpers restore state with [match ... with exception]
+   rather than [Fun.protect], which would allocate a closure per call. *)
+let from domain f =
+  let saved = !current_domain in
+  current_domain := domain;
+  match f () with
+  | r ->
+      current_domain := saved;
+      r
+  | exception e ->
+      current_domain := saved;
+      raise e
+
 let invoke target f =
   charge_invocation target;
-  let saved = !current_domain in
-  current_domain := target;
-  Fun.protect ~finally:(fun () -> current_domain := saved) f
+  from target f
 
 (* Door invocations have no native error type, so injected failures
    surface as [Sp_fault.Injected] (and [Fail_stop] as [Sp_fault.Crash],
@@ -92,28 +113,32 @@ let check_alive target =
     raise (Sdomain.Dead_domain (Sdomain.name target))
   end
 
+(* The checks every crossing makes before [invoke] (plain or data)
+   charges and enters the target. *)
+let guarded invoke op target f =
+  Sp_sched.check_deadline ~on:op;
+  consult_fault op;
+  check_alive target;
+  if Sp_trace.enabled () then
+    Sp_trace.span ~op
+      ~src:(Sdomain.name !current_domain)
+      ~dst:(Sdomain.name target) ~node:(Sdomain.node target)
+      (fun () -> invoke target f)
+  else invoke target f
+
 (* Deadline enforcement lives at the door: every call boundary checks
    the ambient deadline (one ref read when unset), and the crossing's
    station wait is cancellable (see [Sp_sched.Station]), so a caller
    queued into a saturated domain gets [Deadline_exceeded] instead of
    waiting forever.  [?deadline_ns] scopes a fresh (or tighter) deadline
-   over just this call. *)
-let with_opt_deadline deadline_ns f =
+   over just this call; without one no closure is built. *)
+let with_opt_deadline invoke op deadline_ns target f =
   match deadline_ns with
-  | None -> f ()
-  | Some ns -> Sp_sched.with_deadline ~ns f
+  | None -> guarded invoke op target f
+  | Some ns -> Sp_sched.with_deadline ~ns (fun () -> guarded invoke op target f)
 
 let call ?(op = "invoke") ?deadline_ns target f =
-  with_opt_deadline deadline_ns (fun () ->
-      Sp_sched.check_deadline ~on:op;
-      consult_fault op;
-      check_alive target;
-      if Sp_trace.enabled () then
-        Sp_trace.span ~op
-          ~src:(Sdomain.name !current_domain)
-          ~dst:(Sdomain.name target) ~node:(Sdomain.node target)
-          (fun () -> invoke target f)
-      else invoke target f)
+  with_opt_deadline invoke op deadline_ns target f
 
 (* ------------------------------------------------------------------ *)
 (* Bulk data path (paper §6.4)                                         *)
@@ -150,34 +175,26 @@ let charge_data_invocation target =
     end
   end
 
+let leave_data saved scoped =
+  current_domain := saved;
+  if scoped then Bulk.exit_scope ()
+
 let data_invoke target f =
   charge_data_invocation target;
   let scoped = Bulk.enabled () && not (Sdomain.equal !current_domain target) in
   let saved = !current_domain in
   current_domain := target;
   if scoped then Bulk.enter_scope ();
-  Fun.protect
-    ~finally:(fun () ->
-      current_domain := saved;
-      if scoped then Bulk.exit_scope ())
-    f
+  match f () with
+  | r ->
+      leave_data saved scoped;
+      r
+  | exception e ->
+      leave_data saved scoped;
+      raise e
 
 let data_call ?(op = "invoke") ?deadline_ns target f =
-  with_opt_deadline deadline_ns (fun () ->
-      Sp_sched.check_deadline ~on:op;
-      consult_fault op;
-      check_alive target;
-      if Sp_trace.enabled () then
-        Sp_trace.span ~op
-          ~src:(Sdomain.name !current_domain)
-          ~dst:(Sdomain.name target) ~node:(Sdomain.node target)
-          (fun () -> data_invoke target f)
-      else data_invoke target f)
-
-let from domain f =
-  let saved = !current_domain in
-  current_domain := domain;
-  Fun.protect ~finally:(fun () -> current_domain := saved) f
+  with_opt_deadline data_invoke op deadline_ns target f
 
 let charge_kernel_call () =
   let model = Sp_sim.Cost_model.current () in

@@ -32,15 +32,42 @@ exception Deadline_exceeded of string
    current domain in [Sp_obj.Door], the bulk-transfer scope depth in
    [Sp_obj.Bulk] — are only correct per task: two interleaved clients
    are each in their own domain, and their save/restore pairs do not
-   nest across a suspension.  A library registers a [save] hook (capture
-   the value, return a restoring closure); the scheduler snapshots every
-   slot when a task suspends and reinstalls it when the task resumes.
-   New tasks start from the values at [run] entry, and the run restores
-   those same values on exit — normal or aborted. *)
-let tls_hooks : (unit -> unit -> unit) list ref = ref []
-let register_tls save = tls_hooks := save :: !tls_hooks
-let tls_snapshot () = List.map (fun save -> save ()) !tls_hooks
-let tls_restore snap = List.iter (fun restore -> restore ()) snap
+   nest across a suspension.  A library registers the ref itself.  Each
+   slot keeps one saved value per context: index 0 is the value at [run]
+   entry (the baseline), and task [t] saves at [t.t_seq + 1].  The
+   scheduler saves every slot when a task suspends and reinstalls it
+   when the task resumes; new tasks start from the baseline, and the run
+   restores it on exit — normal or aborted.  Saving and restoring write
+   array cells in place, so a task switch allocates nothing here. *)
+type tls_slot = Slot : { r : 'a ref; mutable saved : 'a array } -> tls_slot
+
+let tls_slots : tls_slot list ref = ref []
+let tls_baseline = 0
+let register_tls r = tls_slots := Slot { r; saved = [| !r |] } :: !tls_slots
+
+(* Top-level recursion, not [List.iter]: a closure over [i] would
+   allocate on every switch.  A slot's array grows (doubling) the first
+   time a context index past its end saves. *)
+let rec save_all i = function
+  | [] -> ()
+  | Slot s :: rest ->
+      let n = Array.length s.saved in
+      if i >= n then begin
+        let a = Array.make (max (i + 1) (2 * n)) !(s.r) in
+        Array.blit s.saved 0 a 0 n;
+        s.saved <- a
+      end;
+      s.saved.(i) <- !(s.r);
+      save_all i rest
+
+let rec restore_all i = function
+  | [] -> ()
+  | Slot s :: rest ->
+      s.r := s.saved.(i);
+      restore_all i rest
+
+let tls_save i = save_all i !tls_slots
+let tls_restore i = restore_all i !tls_slots
 
 (* ------------------------------------------------------------------ *)
 (* Per-op deadlines                                                    *)
@@ -55,10 +82,7 @@ let tls_restore snap = List.iter (fun restore -> restore ()) snap
    read. *)
 let cur_deadline : int option ref = ref None
 
-let () =
-  register_tls (fun () ->
-      let d = !cur_deadline in
-      fun () -> cur_deadline := d)
+let () = register_tls cur_deadline
 
 let deadline () = !cur_deadline
 
@@ -83,14 +107,22 @@ type task = {
   mutable t_kont : (unit, unit) ED.continuation option;
   mutable t_blocked_on : string;
   mutable t_joiners : (unit -> unit) list;
-  mutable t_ctx : (unit -> unit) list;  (* TLS snapshot while suspended *)
+  (* Built once per task, not per suspension: the waker handed to timers
+     and [suspend] registrations, and the ready-queue entry it pushes. *)
+  t_wake : unit -> unit;
+  t_resume : runnable;
 }
+
+and runnable = Start of task * (unit -> unit) | Resume of task
+
+(* The task's own cell in every TLS slot. *)
+let tls_ctx task = task.t_seq + 1
 
 type _ Effect.t +=
   | Wait : int -> unit Effect.t  (* service time: charged as busy *)
   | Sleep : int -> unit Effect.t  (* idle wait: time passes, no busy charge *)
   | Yield : unit Effect.t
-  | Suspend : (string * ((unit -> unit) -> unit)) -> unit Effect.t
+  | Suspend : string * ((unit -> unit) -> unit) -> unit Effect.t
 
 (* ------------------------------------------------------------------ *)
 (* Timer heap: binary min-heap on (wake time, insertion seq)           *)
@@ -157,8 +189,6 @@ end
 (* Scheduler state                                                     *)
 (* ------------------------------------------------------------------ *)
 
-type runnable = Start of task * (unit -> unit) | Resume of task
-
 type sched = {
   ready : runnable Queue.t;
   timers : Heap.t;
@@ -169,7 +199,6 @@ type sched = {
   mutable aborting : bool;
   mutable abort_exn : (exn * Printexc.raw_backtrace) option;
   tasks : (int, task) Hashtbl.t;
-  baseline : (unit -> unit) list;  (* TLS values at [run] entry *)
 }
 
 let cur : sched option ref = ref None
@@ -199,7 +228,7 @@ let fold_digest s id = s.digest <- ((s.digest * 1_000_003) + id + 1) land max_in
 let make_ready s task =
   if (not s.aborting) && not task.t_done then begin
     task.t_blocked_on <- "";
-    Queue.push (Resume task) s.ready
+    Queue.push task.t_resume s.ready
   end
 
 let finish s task res =
@@ -231,7 +260,7 @@ let handler s task =
                      now, wake when the wall clock has passed it. *)
                   Sp_sim.Sched_hook.note_busy ns;
                   Sp_trace.on_task_suspend ();
-                  task.t_ctx <- tls_snapshot ();
+                  tls_save (tls_ctx task);
                   task.t_kont <- Some k;
                   task.t_blocked_on <- "timer";
                   s.timer_seq <- s.timer_seq + 1;
@@ -239,7 +268,7 @@ let handler s task =
                     {
                       Heap.h_time = Sp_sim.Simclock.now () + ns;
                       h_seq = s.timer_seq;
-                      h_fire = (fun () -> make_ready s task);
+                      h_fire = task.t_wake;
                     }
                 end)
         | Sleep ns ->
@@ -251,7 +280,7 @@ let handler s task =
                      passes but the task was not doing work, so no busy
                      charge — it must not count as service time. *)
                   Sp_trace.on_task_suspend ();
-                  task.t_ctx <- tls_snapshot ();
+                  tls_save (tls_ctx task);
                   task.t_kont <- Some k;
                   task.t_blocked_on <- "sleep";
                   s.timer_seq <- s.timer_seq + 1;
@@ -259,7 +288,7 @@ let handler s task =
                     {
                       Heap.h_time = Sp_sim.Simclock.now () + ns;
                       h_seq = s.timer_seq;
-                      h_fire = (fun () -> make_ready s task);
+                      h_fire = task.t_wake;
                     }
                 end)
         | Yield ->
@@ -268,9 +297,9 @@ let handler s task =
                 if s.aborting then ED.continue k ()
                 else begin
                   Sp_trace.on_task_suspend ();
-                  task.t_ctx <- tls_snapshot ();
+                  tls_save (tls_ctx task);
                   task.t_kont <- Some k;
-                  Queue.push (Resume task) s.ready
+                  Queue.push task.t_resume s.ready
                 end)
         | Suspend (what, register) ->
             Some
@@ -278,10 +307,10 @@ let handler s task =
                 if s.aborting then ED.discontinue k Aborted
                 else begin
                   Sp_trace.on_task_suspend ();
-                  task.t_ctx <- tls_snapshot ();
+                  tls_save (tls_ctx task);
                   task.t_kont <- Some k;
                   task.t_blocked_on <- what;
-                  register (fun () -> make_ready s task)
+                  register task.t_wake
                 end)
         | _ -> None);
   }
@@ -289,18 +318,21 @@ let handler s task =
 let new_task s ?name fn =
   incr global_ids;
   let id = !global_ids in
-  let task =
+  (* Run-local ordinal: the digest must depend only on this run's
+     schedule, not on how many tasks earlier runs created. *)
+  let seq = Hashtbl.length s.tasks in
+  let name = match name with Some n -> n | None -> Printf.sprintf "t%d" id in
+  let rec task =
     {
       t_id = id;
-      (* Run-local ordinal: the digest must depend only on this run's
-         schedule, not on how many tasks earlier runs created. *)
-      t_seq = Hashtbl.length s.tasks;
-      t_name = (match name with Some n -> n | None -> Printf.sprintf "t%d" id);
+      t_seq = seq;
+      t_name = name;
       t_done = false;
       t_kont = None;
       t_blocked_on = "";
       t_joiners = [];
-      t_ctx = [];
+      t_wake = (fun () -> make_ready s task);
+      t_resume = Resume task;
     }
   in
   Hashtbl.replace s.tasks id task;
@@ -310,43 +342,46 @@ let new_task s ?name fn =
 
 let spawn ?name fn = (new_task (sched ()) ?name fn).t_id
 
-let dispatch s r =
-  (* [ctx] is the TLS image to run the task under: its own snapshot on
-     resume, the run-entry baseline on first start.  After the task
-     yields control back (suspended or finished), the baseline comes
-     back so the scheduler loop — and the next task's start — see clean
-     globals. *)
-  let run_in task ctx f =
-    s.switches <- s.switches + 1;
-    fold_digest s task.t_seq;
-    Sp_sim.Sched_hook.set_current task.t_id;
-    tls_restore ctx;
-    f ();
-    tls_restore s.baseline;
-    Sp_sim.Sched_hook.set_current Sp_sim.Sched_hook.main_ctx
-  in
-  match r with
+(* A task runs under its own TLS values: the baseline on first start,
+   its saved ones on resume.  After it hands control back (suspended or
+   finished), the baseline comes back so the scheduler loop — and the
+   next task's start — see clean globals. *)
+let enter s task ctx =
+  s.switches <- s.switches + 1;
+  fold_digest s task.t_seq;
+  Sp_sim.Sched_hook.set_current task.t_id;
+  tls_restore ctx
+
+let leave () =
+  tls_restore tls_baseline;
+  Sp_sim.Sched_hook.set_current Sp_sim.Sched_hook.main_ctx
+
+let dispatch s = function
   | Start (task, fn) ->
-      run_in task s.baseline (fun () ->
-          ED.match_with
-            (fun () ->
-              Sp_trace.span ~op:("task:" ^ task.t_name) ~src:"sched"
-                ~dst:("task:" ^ task.t_name) fn)
-            () (handler s task))
+      enter s task tls_baseline;
+      let body =
+        if Sp_trace.enabled () then (fun () ->
+          let label = "task:" ^ task.t_name in
+          Sp_trace.span ~op:label ~src:"sched" ~dst:label fn)
+        else fn
+      in
+      ED.match_with body () (handler s task);
+      leave ()
   | Resume task -> (
       match task.t_kont with
       | None -> ()  (* finished or aborted since it was enqueued *)
       | Some k ->
           task.t_kont <- None;
-          run_in task task.t_ctx (fun () ->
-              Sp_trace.on_task_resume ();
-              ED.continue k ()))
+          enter s task (tls_ctx task);
+          Sp_trace.on_task_resume ();
+          ED.continue k ();
+          leave ())
 
 (* Discontinue every still-blocked task so their [Fun.protect] finalizers
    run (releasing locks, closing trace frames) — the run's failure must
    not leak global state into the next run in the same process.  Each
-   task unwinds under its own TLS snapshot; [run]'s finally puts the
-   baseline back afterwards. *)
+   task unwinds under its own TLS values; [run] puts the baseline back
+   afterwards. *)
 let abort_all s =
   s.aborting <- true;
   Queue.clear s.ready;
@@ -357,7 +392,7 @@ let abort_all s =
       | Some k when not task.t_done ->
           task.t_kont <- None;
           Sp_sim.Sched_hook.set_current task.t_id;
-          tls_restore task.t_ctx;
+          tls_restore (tls_ctx task);
           (try ED.discontinue k Aborted with _ -> ());
           Sp_sim.Sched_hook.set_current Sp_sim.Sched_hook.main_ctx
       | _ -> ())
@@ -434,9 +469,9 @@ let run ?(seed = 0) fns =
       aborting = false;
       abort_exn = None;
       tasks = Hashtbl.create 64;
-      baseline = tls_snapshot ();
     }
   in
+  tls_save tls_baseline;
   incr run_epoch;
   let arr = Array.of_list fns in
   shuffle seed arr;
@@ -448,7 +483,7 @@ let run ?(seed = 0) fns =
       cur := None;
       Sp_sim.Sched_hook.advance_hook := None;
       Sp_sim.Sched_hook.set_current Sp_sim.Sched_hook.main_ctx;
-      tls_restore s.baseline)
+      tls_restore tls_baseline)
     (fun () -> loop s);
   { st_tasks = Hashtbl.length s.tasks; st_switches = s.switches; st_digest = s.digest }
 
@@ -546,7 +581,7 @@ module Station = struct
   }
 
   type t = {
-    s_name : string;
+    s_label : string;  (* ["station:" ^ name], built once: wait label, deadline payload *)
     s_servers : int;
     mutable s_busy : int;
     s_q : waiter Queue.t;
@@ -557,7 +592,7 @@ module Station = struct
 
   let create ?(servers = 1) name =
     if servers < 1 then invalid_arg "Sp_sched.Station.create: servers < 1";
-    { s_name = name; s_servers = servers; s_busy = 0; s_q = Queue.create ();
+    { s_label = "station:" ^ name; s_servers = servers; s_busy = 0; s_q = Queue.create ();
       s_served = 0; s_queued = 0; s_epoch = 0 }
 
   (* Drop slot/queue state a previous, aborted run left behind. *)
@@ -598,20 +633,21 @@ module Station = struct
                 end)
         | None -> ());
         let t0 = Sp_sim.Simclock.now () in
-        suspend ~on:("station:" ^ st.s_name) (fun wake ->
+        suspend ~on:st.s_label (fun wake ->
             w.w_wake <- wake;
             Queue.push w st.s_q);
         note_queue (Sp_sim.Simclock.now () - t0);
-        (* Raised before the protect below: we never acquired a slot, so
+        (* Raised before the service below: we never acquired a slot, so
            there is nothing to release. *)
-        if w.w_state = `Expired then
-          raise (Deadline_exceeded ("station:" ^ st.s_name))
+        if w.w_state = `Expired then raise (Deadline_exceeded st.s_label)
       end
       else st.s_busy <- st.s_busy + 1;
       (* Service time is real work: [advance] in a task charges busy. *)
-      Fun.protect
-        ~finally:(fun () -> release st)
-        (fun () -> Sp_sim.Simclock.advance ns)
+      match Sp_sim.Simclock.advance ns with
+      | () -> release st
+      | exception e ->
+          release st;
+          raise e
     end
 
   let stats st = (st.s_served, st.s_queued)
@@ -623,7 +659,7 @@ end
 
 module Rwlock = struct
   type t = {
-    rw_name : string;
+    rw_label : string;  (* ["rwlock:" ^ name], built once *)
     mutable readers : int list;  (* task ids holding read access *)
     mutable writer : int option;  (* task id holding write access *)
     rw_q : ([ `R | `W ] * int * (unit -> unit)) Queue.t;
@@ -632,7 +668,7 @@ module Rwlock = struct
   }
 
   let create name =
-    { rw_name = name; readers = []; writer = None; rw_q = Queue.create ();
+    { rw_label = "rwlock:" ^ name; readers = []; writer = None; rw_q = Queue.create ();
       rw_contended = 0; rw_epoch = 0 }
 
   let check_epoch t =
@@ -676,7 +712,7 @@ module Rwlock = struct
   let wait_turn t kind =
     t.rw_contended <- t.rw_contended + 1;
     let t0 = Sp_sim.Simclock.now () in
-    suspend ~on:("rwlock:" ^ t.rw_name) (fun wake ->
+    suspend ~on:t.rw_label (fun wake ->
         Queue.push (kind, me (), wake) t.rw_q);
     note_queue (Sp_sim.Simclock.now () - t0)
 

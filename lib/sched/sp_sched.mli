@@ -109,16 +109,18 @@ val deadline : unit -> int option
     passed.  One ref read when no deadline is set. *)
 val check_deadline : on:string -> unit
 
-(** [register_tls save] declares a global mutable as {e task-local}:
-    [save ()] captures its current value and returns a closure that
-    restores it.  The scheduler snapshots every registered slot when a
-    task suspends and reinstalls it when the task resumes, so state that
-    models per-activity context ([Sp_obj.Door]'s current domain, the
-    bulk-transfer scope depth) nests correctly under interleaving
-    instead of leaking between tasks.  Tasks start from the values at
-    [run] entry, and the run restores those values on exit — normal or
-    aborted.  Call once, at library initialisation. *)
-val register_tls : (unit -> unit -> unit) -> unit
+(** [register_tls r] declares the global [r] {e task-local}.  The slot
+    keeps one saved value per context: the value at [run] entry, and one
+    per task.  The scheduler saves [!r] into the task's cell when it
+    suspends and writes it back when it resumes, so state that models
+    per-activity context ([Sp_obj.Door]'s current domain, the
+    bulk-transfer scope depth, the ambient deadline) nests correctly
+    under interleaving instead of leaking between tasks.  Tasks start
+    from the run-entry value, and the run restores it on exit — normal
+    or aborted.  Saves and restores overwrite cells in place, so a task
+    switch allocates nothing for them.  Call once per ref, at library
+    initialisation. *)
+val register_tls : 'a ref -> unit
 
 (** Write-once synchronization cell. *)
 module Ivar : sig

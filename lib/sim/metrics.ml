@@ -30,210 +30,117 @@ type snapshot = {
   avail_degraded : int;
 }
 
-let zero =
+(* The live counters are one [int array], bumped in place: an increment
+   sits on every door crossing and must not allocate.  Slot [i] holds the
+   [i]th [snapshot] field; [names], [to_array] and [of_array] are the one
+   place that order is written down, and everything generic over the
+   counters (snapshot, diff, add, pp) goes through them. *)
+let names =
+  [| "cross_domain_calls"; "local_calls"; "kernel_calls"; "page_faults"; "page_ins";
+     "page_outs"; "disk_reads"; "disk_writes"; "net_messages"; "net_bytes";
+     "coherency_actions"; "attr_fetches"; "faults_injected"; "net_retries";
+     "checksum_failures"; "integrity_repairs"; "bulk_handoffs"; "bulk_copies";
+     "bulk_setups"; "readahead_hits"; "readahead_wasted"; "name_cache_hits";
+     "name_cache_misses"; "name_cache_negative_hits"; "queue_ns"; "avail_shed";
+     "avail_retried"; "avail_failed"; "avail_degraded" |]
+
+let to_array s =
+  [| s.cross_domain_calls; s.local_calls; s.kernel_calls; s.page_faults; s.page_ins;
+     s.page_outs; s.disk_reads; s.disk_writes; s.net_messages; s.net_bytes;
+     s.coherency_actions; s.attr_fetches; s.faults_injected; s.net_retries;
+     s.checksum_failures; s.integrity_repairs; s.bulk_handoffs; s.bulk_copies;
+     s.bulk_setups; s.readahead_hits; s.readahead_wasted; s.name_cache_hits;
+     s.name_cache_misses; s.name_cache_negative_hits; s.queue_ns; s.avail_shed;
+     s.avail_retried; s.avail_failed; s.avail_degraded |]
+
+let of_array a =
   {
-    cross_domain_calls = 0;
-    local_calls = 0;
-    kernel_calls = 0;
-    page_faults = 0;
-    page_ins = 0;
-    page_outs = 0;
-    disk_reads = 0;
-    disk_writes = 0;
-    net_messages = 0;
-    net_bytes = 0;
-    coherency_actions = 0;
-    attr_fetches = 0;
-    faults_injected = 0;
-    net_retries = 0;
-    checksum_failures = 0;
-    integrity_repairs = 0;
-    bulk_handoffs = 0;
-    bulk_copies = 0;
-    bulk_setups = 0;
-    readahead_hits = 0;
-    readahead_wasted = 0;
-    name_cache_hits = 0;
-    name_cache_misses = 0;
-    name_cache_negative_hits = 0;
-    queue_ns = 0;
-    avail_shed = 0;
-    avail_retried = 0;
-    avail_failed = 0;
-    avail_degraded = 0;
+    cross_domain_calls = a.(0); local_calls = a.(1); kernel_calls = a.(2);
+    page_faults = a.(3); page_ins = a.(4); page_outs = a.(5); disk_reads = a.(6);
+    disk_writes = a.(7); net_messages = a.(8); net_bytes = a.(9);
+    coherency_actions = a.(10); attr_fetches = a.(11); faults_injected = a.(12);
+    net_retries = a.(13); checksum_failures = a.(14); integrity_repairs = a.(15);
+    bulk_handoffs = a.(16); bulk_copies = a.(17); bulk_setups = a.(18);
+    readahead_hits = a.(19); readahead_wasted = a.(20); name_cache_hits = a.(21);
+    name_cache_misses = a.(22); name_cache_negative_hits = a.(23); queue_ns = a.(24);
+    avail_shed = a.(25); avail_retried = a.(26); avail_failed = a.(27);
+    avail_degraded = a.(28);
   }
 
-let state = ref zero
+let counters = Array.make (Array.length names) 0
+let get i = counters.(i)
+let add_to i n = counters.(i) <- counters.(i) + n
+let bump i = add_to i 1
 
-let cross_domain_calls () = !state.cross_domain_calls
-let net_messages () = !state.net_messages
-let net_bytes () = !state.net_bytes
+let cross_domain_calls () = get 0
+let net_messages () = get 8
+let net_bytes () = get 9
+let faults_injected () = get 12
+let net_retries () = get 13
+let checksum_failures () = get 14
+let integrity_repairs () = get 15
+let bulk_handoffs () = get 16
+let bulk_copies () = get 17
+let bulk_setups () = get 18
+let readahead_hits () = get 19
+let readahead_wasted () = get 20
+let name_cache_hits () = get 21
+let name_cache_misses () = get 22
+let name_cache_negative_hits () = get 23
+let queue_ns () = get 24
+let avail_shed () = get 25
+let avail_retried () = get 26
+let avail_failed () = get 27
+let avail_degraded () = get 28
 
-let incr_cross_domain_calls () =
-  state := { !state with cross_domain_calls = !state.cross_domain_calls + 1 }
+let incr_cross_domain_calls () = bump 0
+let incr_local_calls () = bump 1
+let incr_kernel_calls () = bump 2
+let incr_page_faults () = bump 3
+let incr_page_ins () = bump 4
+let incr_page_outs () = bump 5
+let incr_disk_reads () = bump 6
+let incr_disk_writes () = bump 7
+let incr_net_messages () = bump 8
+let add_net_bytes n = add_to 9 n
+let incr_coherency_actions () = bump 10
+let incr_attr_fetches () = bump 11
+let incr_faults_injected () = bump 12
+let incr_net_retries () = bump 13
+let incr_checksum_failures () = bump 14
+let incr_integrity_repairs () = bump 15
+let incr_bulk_handoffs () = bump 16
+let incr_bulk_copies () = bump 17
+let incr_bulk_setups () = bump 18
+let incr_readahead_hits () = bump 19
+let incr_readahead_wasted () = bump 20
+let incr_name_cache_hits () = bump 21
+let incr_name_cache_misses () = bump 22
+let incr_name_cache_negative_hits () = bump 23
+let add_queue_ns n = add_to 24 n
+let incr_avail_shed () = bump 25
+let incr_avail_retried () = bump 26
+let incr_avail_failed () = bump 27
+let incr_avail_degraded () = bump 28
 
-let incr_local_calls () = state := { !state with local_calls = !state.local_calls + 1 }
-let incr_kernel_calls () = state := { !state with kernel_calls = !state.kernel_calls + 1 }
-let incr_page_faults () = state := { !state with page_faults = !state.page_faults + 1 }
-let incr_page_ins () = state := { !state with page_ins = !state.page_ins + 1 }
-let incr_page_outs () = state := { !state with page_outs = !state.page_outs + 1 }
-let incr_disk_reads () = state := { !state with disk_reads = !state.disk_reads + 1 }
-let incr_disk_writes () = state := { !state with disk_writes = !state.disk_writes + 1 }
-let incr_net_messages () = state := { !state with net_messages = !state.net_messages + 1 }
-let add_net_bytes n = state := { !state with net_bytes = !state.net_bytes + n }
+(* A fresh record each time: spans keep snapshots, so a snapshot must
+   never see later increments. *)
+let snapshot () = of_array counters
+let zero = of_array (Array.make (Array.length names) 0)
 
-let incr_coherency_actions () =
-  state := { !state with coherency_actions = !state.coherency_actions + 1 }
+let map2 f a b =
+  let a = to_array a and b = to_array b in
+  of_array (Array.mapi (fun i x -> f x b.(i)) a)
 
-let incr_attr_fetches () = state := { !state with attr_fetches = !state.attr_fetches + 1 }
-
-let faults_injected () = !state.faults_injected
-let net_retries () = !state.net_retries
-
-let incr_faults_injected () =
-  state := { !state with faults_injected = !state.faults_injected + 1 }
-
-let incr_net_retries () = state := { !state with net_retries = !state.net_retries + 1 }
-let checksum_failures () = !state.checksum_failures
-let integrity_repairs () = !state.integrity_repairs
-
-let incr_checksum_failures () =
-  state := { !state with checksum_failures = !state.checksum_failures + 1 }
-
-let incr_integrity_repairs () =
-  state := { !state with integrity_repairs = !state.integrity_repairs + 1 }
-
-let bulk_handoffs () = !state.bulk_handoffs
-let bulk_copies () = !state.bulk_copies
-let bulk_setups () = !state.bulk_setups
-let readahead_hits () = !state.readahead_hits
-let readahead_wasted () = !state.readahead_wasted
-let incr_bulk_handoffs () = state := { !state with bulk_handoffs = !state.bulk_handoffs + 1 }
-let incr_bulk_copies () = state := { !state with bulk_copies = !state.bulk_copies + 1 }
-let incr_bulk_setups () = state := { !state with bulk_setups = !state.bulk_setups + 1 }
-let incr_readahead_hits () = state := { !state with readahead_hits = !state.readahead_hits + 1 }
-
-let incr_readahead_wasted () =
-  state := { !state with readahead_wasted = !state.readahead_wasted + 1 }
-
-let name_cache_hits () = !state.name_cache_hits
-let name_cache_misses () = !state.name_cache_misses
-let name_cache_negative_hits () = !state.name_cache_negative_hits
-
-let incr_name_cache_hits () =
-  state := { !state with name_cache_hits = !state.name_cache_hits + 1 }
-
-let incr_name_cache_misses () =
-  state := { !state with name_cache_misses = !state.name_cache_misses + 1 }
-
-let incr_name_cache_negative_hits () =
-  state :=
-    { !state with name_cache_negative_hits = !state.name_cache_negative_hits + 1 }
-
-let queue_ns () = !state.queue_ns
-let add_queue_ns n = state := { !state with queue_ns = !state.queue_ns + n }
-
-let avail_shed () = !state.avail_shed
-let avail_retried () = !state.avail_retried
-let avail_failed () = !state.avail_failed
-let avail_degraded () = !state.avail_degraded
-let incr_avail_shed () = state := { !state with avail_shed = !state.avail_shed + 1 }
-let incr_avail_retried () = state := { !state with avail_retried = !state.avail_retried + 1 }
-let incr_avail_failed () = state := { !state with avail_failed = !state.avail_failed + 1 }
-
-let incr_avail_degraded () =
-  state := { !state with avail_degraded = !state.avail_degraded + 1 }
-
-let snapshot () = !state
-
-let diff ~before ~after =
-  {
-    cross_domain_calls = after.cross_domain_calls - before.cross_domain_calls;
-    local_calls = after.local_calls - before.local_calls;
-    kernel_calls = after.kernel_calls - before.kernel_calls;
-    page_faults = after.page_faults - before.page_faults;
-    page_ins = after.page_ins - before.page_ins;
-    page_outs = after.page_outs - before.page_outs;
-    disk_reads = after.disk_reads - before.disk_reads;
-    disk_writes = after.disk_writes - before.disk_writes;
-    net_messages = after.net_messages - before.net_messages;
-    net_bytes = after.net_bytes - before.net_bytes;
-    coherency_actions = after.coherency_actions - before.coherency_actions;
-    attr_fetches = after.attr_fetches - before.attr_fetches;
-    faults_injected = after.faults_injected - before.faults_injected;
-    net_retries = after.net_retries - before.net_retries;
-    checksum_failures = after.checksum_failures - before.checksum_failures;
-    integrity_repairs = after.integrity_repairs - before.integrity_repairs;
-    bulk_handoffs = after.bulk_handoffs - before.bulk_handoffs;
-    bulk_copies = after.bulk_copies - before.bulk_copies;
-    bulk_setups = after.bulk_setups - before.bulk_setups;
-    readahead_hits = after.readahead_hits - before.readahead_hits;
-    readahead_wasted = after.readahead_wasted - before.readahead_wasted;
-    name_cache_hits = after.name_cache_hits - before.name_cache_hits;
-    name_cache_misses = after.name_cache_misses - before.name_cache_misses;
-    name_cache_negative_hits =
-      after.name_cache_negative_hits - before.name_cache_negative_hits;
-    queue_ns = after.queue_ns - before.queue_ns;
-    avail_shed = after.avail_shed - before.avail_shed;
-    avail_retried = after.avail_retried - before.avail_retried;
-    avail_failed = after.avail_failed - before.avail_failed;
-    avail_degraded = after.avail_degraded - before.avail_degraded;
-  }
-
-let add a b =
-  {
-    cross_domain_calls = a.cross_domain_calls + b.cross_domain_calls;
-    local_calls = a.local_calls + b.local_calls;
-    kernel_calls = a.kernel_calls + b.kernel_calls;
-    page_faults = a.page_faults + b.page_faults;
-    page_ins = a.page_ins + b.page_ins;
-    page_outs = a.page_outs + b.page_outs;
-    disk_reads = a.disk_reads + b.disk_reads;
-    disk_writes = a.disk_writes + b.disk_writes;
-    net_messages = a.net_messages + b.net_messages;
-    net_bytes = a.net_bytes + b.net_bytes;
-    coherency_actions = a.coherency_actions + b.coherency_actions;
-    attr_fetches = a.attr_fetches + b.attr_fetches;
-    faults_injected = a.faults_injected + b.faults_injected;
-    net_retries = a.net_retries + b.net_retries;
-    checksum_failures = a.checksum_failures + b.checksum_failures;
-    integrity_repairs = a.integrity_repairs + b.integrity_repairs;
-    bulk_handoffs = a.bulk_handoffs + b.bulk_handoffs;
-    bulk_copies = a.bulk_copies + b.bulk_copies;
-    bulk_setups = a.bulk_setups + b.bulk_setups;
-    readahead_hits = a.readahead_hits + b.readahead_hits;
-    readahead_wasted = a.readahead_wasted + b.readahead_wasted;
-    name_cache_hits = a.name_cache_hits + b.name_cache_hits;
-    name_cache_misses = a.name_cache_misses + b.name_cache_misses;
-    name_cache_negative_hits =
-      a.name_cache_negative_hits + b.name_cache_negative_hits;
-    queue_ns = a.queue_ns + b.queue_ns;
-    avail_shed = a.avail_shed + b.avail_shed;
-    avail_retried = a.avail_retried + b.avail_retried;
-    avail_failed = a.avail_failed + b.avail_failed;
-    avail_degraded = a.avail_degraded + b.avail_degraded;
-  }
-
-let reset () = state := zero
+let diff ~before ~after = map2 ( - ) after before
+let add a b = map2 ( + ) a b
+let reset () = Array.fill counters 0 (Array.length counters) 0
 
 let pp ppf s =
-  Format.fprintf ppf
-    "@[<v>cross_domain_calls=%d local_calls=%d kernel_calls=%d@ \
-     page_faults=%d page_ins=%d page_outs=%d@ \
-     disk_reads=%d disk_writes=%d@ \
-     net_messages=%d net_bytes=%d@ \
-     coherency_actions=%d attr_fetches=%d@ \
-     faults_injected=%d net_retries=%d@ \
-     checksum_failures=%d integrity_repairs=%d@ \
-     bulk_handoffs=%d bulk_copies=%d bulk_setups=%d@ \
-     readahead_hits=%d readahead_wasted=%d@ \
-     name_cache_hits=%d name_cache_misses=%d name_cache_negative_hits=%d@ \
-     queue_ns=%d@ \
-     avail_shed=%d avail_retried=%d avail_failed=%d avail_degraded=%d@]"
-    s.cross_domain_calls s.local_calls s.kernel_calls s.page_faults s.page_ins
-    s.page_outs s.disk_reads s.disk_writes s.net_messages s.net_bytes
-    s.coherency_actions s.attr_fetches s.faults_injected s.net_retries
-    s.checksum_failures s.integrity_repairs s.bulk_handoffs s.bulk_copies
-    s.bulk_setups s.readahead_hits s.readahead_wasted s.name_cache_hits
-    s.name_cache_misses s.name_cache_negative_hits s.queue_ns s.avail_shed
-    s.avail_retried s.avail_failed s.avail_degraded
+  Format.fprintf ppf "@[<hov>";
+  Array.iteri
+    (fun i v ->
+      if i > 0 then Format.pp_print_space ppf ();
+      Format.fprintf ppf "%s=%d" names.(i) v)
+    (to_array s);
+  Format.fprintf ppf "@]"

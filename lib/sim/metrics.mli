@@ -3,7 +3,11 @@
     Tests use counter snapshots to assert structural properties that the
     paper states qualitatively — e.g. "when the coherency layer caches data
     there are no calls to the lower layer", or "local page traffic does not
-    involve DFS". *)
+    involve DFS".
+
+    The live counters are bumped in place, so an increment never
+    allocates; a {!snapshot} is an immutable copy taken at a measurement
+    boundary. *)
 
 type snapshot = {
   cross_domain_calls : int;
@@ -99,7 +103,8 @@ val incr_avail_retried : unit -> unit
 val incr_avail_failed : unit -> unit
 val incr_avail_degraded : unit -> unit
 
-(** Capture the current counter values. *)
+(** Copy the current counter values.  The copy never changes afterwards
+    (trace spans keep snapshots). *)
 val snapshot : unit -> snapshot
 
 (** The all-zero snapshot. *)

@@ -27,12 +27,14 @@ let main_busy = ref 0
 let task_busy : (int, int ref) Hashtbl.t = Hashtbl.create 64
 let total_busy_ns = ref 0
 
+(* [Hashtbl.find], not [find_opt]: [note_busy] runs on every wait and
+   must not allocate an option to return an existing cell. *)
 let busy_cell id =
   if id < 0 then main_busy
   else
-    match Hashtbl.find_opt task_busy id with
-    | Some r -> r
-    | None ->
+    match Hashtbl.find task_busy id with
+    | r -> r
+    | exception Not_found ->
         let r = ref 0 in
         Hashtbl.replace task_busy id r;
         r

@@ -47,6 +47,22 @@ let test_door_from () =
       Alcotest.(check bool) "back to user" true
         (Sp_obj.Sdomain.equal Sp_obj.Door.user_domain (Sp_obj.Door.current ())))
 
+(* An untraced cross-domain crossing outside a run allocates nothing of
+   its own: counters bump in place, no [Fun.protect] closure, no
+   deadline closure, no bulk-channel key. *)
+let test_door_crossing_allocates_nothing () =
+  Util.in_world (fun () ->
+      let server = Sp_obj.Sdomain.create "alloc-server" in
+      let body () = () in
+      let call () = Sp_obj.Door.call ~op:"test.call" server body in
+      let data_call () = Sp_obj.Door.data_call ~op:"test.data" server body in
+      Alcotest.(check (float 0.)) "Door.call minor words per call" 0.
+        (Util.minor_words_per_call call);
+      Alcotest.(check (float 0.)) "Door.data_call minor words per call" 0.
+        (Util.minor_words_per_call data_call);
+      (* Two passes of 1,000 calls each per helper. *)
+      Alcotest.(check int) "every call crossed" 4_000 (Sp_sim.Metrics.cross_domain_calls ()))
+
 type Sp_obj.Exten.t += Test_ext_a of int | Test_ext_b of string
 
 let test_narrow () =
@@ -67,5 +83,7 @@ let suite =
     Alcotest.test_case "door restores domain on exn" `Quick test_door_restores_domain;
     Alcotest.test_case "door charges cost model" `Quick test_door_costs_charged;
     Alcotest.test_case "door from" `Quick test_door_from;
+    Alcotest.test_case "door crossing allocates nothing" `Quick
+      test_door_crossing_allocates_nothing;
     Alcotest.test_case "exten narrow" `Quick test_narrow;
   ]

@@ -189,6 +189,111 @@ let test_mutex_serializes () =
       ignore (Sched.run [ task; task; task ]);
       Alcotest.(check int) "three holders serialize" 1_500 (C.now () - t0))
 
+(* --- task-local slots --- *)
+
+module Door = Sp_obj.Door
+module Sdomain = Sp_obj.Sdomain
+
+(* A slot owned by this suite, to check the [register_tls] contract on a
+   ref no library helper saves and restores around its own scope. *)
+let probe = ref 0
+let () = Sched.register_tls probe
+
+(* What a task can observe of its task-local state. *)
+let locals () =
+  (Door.current (), Sp_obj.Bulk.in_scope (), Sched.deadline (), !probe)
+
+let same_locals (d1, s1, dl1, p1) (d2, s2, dl2, p2) =
+  Sdomain.equal d1 d2 && s1 = s2 && dl1 = dl2 && p1 = p2
+
+(* Two interleaved tasks in different domains — one inside a data call
+   (bulk scope) under a deadline, one inside a plain call with none —
+   each see their own domain, scope, deadline and probe after every kind
+   of suspension: busy wait, idle sleep, yield, a station queue. *)
+let test_task_locals_survive_interleaving () =
+  Util.in_world (fun () ->
+      let st = Sched.Station.create ~servers:1 "t_tls_station" in
+      let suspensions =
+        [ (fun () -> C.advance 10); (fun () -> Sched.sleep 7); Sched.yield;
+          (fun () -> Sched.Station.serve st 5) ]
+      in
+      let checks = ref 0 and mismatches = ref [] in
+      let client ~name ~home ~server ~call ~mark ~deadline_ns () =
+        Door.from home (fun () ->
+            let body () =
+              call server (fun () ->
+                  probe := mark;
+                  let mine = locals () in
+                  List.iter
+                    (fun suspend ->
+                      for _ = 1 to 3 do
+                        suspend ();
+                        incr checks;
+                        if not (same_locals mine (locals ())) then
+                          mismatches := name :: !mismatches
+                      done)
+                    suspensions)
+            in
+            match deadline_ns with
+            | Some ns -> Sched.with_deadline ~ns body
+            | None -> body ())
+      in
+      let a =
+        client ~name:"a" ~home:(Sdomain.create "t_tls_home_a")
+          ~server:(Sdomain.create "t_tls_srv_a")
+          ~call:(fun d f -> Door.data_call d f)
+          ~mark:1 ~deadline_ns:(Some 1_000_000_000)
+      and b =
+        client ~name:"b" ~home:(Sdomain.create "t_tls_home_b")
+          ~server:(Sdomain.create "t_tls_srv_b")
+          ~call:(fun d f -> Door.call d f)
+          ~mark:2 ~deadline_ns:None
+      in
+      probe := 5;
+      let entry = locals () in
+      let stats = Sched.run [ a; b ] in
+      Alcotest.(check int) "every suspension checked" 24 !checks;
+      Alcotest.(check (list string)) "no task saw another's locals" [] !mismatches;
+      Alcotest.(check bool) "the tasks interleaved" true (stats.Sched.st_switches >= 24);
+      Alcotest.(check bool) "run-entry values back after the run" true
+        (same_locals entry (locals ()));
+      probe := 0)
+
+(* A run that aborts while a task is parked inside a door call — with
+   its own domain, scope, deadline and probe set — leaves all of them at
+   their run-entry values, here deliberately not the defaults. *)
+let test_task_locals_restored_after_abort () =
+  Util.in_world (fun () ->
+      let app = Sdomain.create "t_tls_app" and srv = Sdomain.create "t_tls_srv" in
+      let far = Sdomain.create "t_tls_far" in
+      let iv : unit Sched.Ivar.t = Sched.Ivar.create () in
+      let parked = ref false in
+      let victim () =
+        Door.from far (fun () ->
+            Sched.with_deadline ~ns:1_000 (fun () ->
+                Door.data_call app (fun () ->
+                    probe := 7;
+                    parked := true;
+                    Sched.Ivar.read iv)))
+      in
+      let killer () =
+        probe := 9;
+        C.advance 100;
+        failwith "boom"
+      in
+      Door.from app (fun () ->
+          Sched.with_deadline ~ns:1_000_000 (fun () ->
+              Door.data_call srv (fun () ->
+                  probe := 5;
+                  let entry = locals () in
+                  (match Sched.run [ victim; killer ] with
+                  | _ -> Alcotest.fail "expected the run to abort"
+                  | exception Failure _ -> ());
+                  Alcotest.(check bool) "victim was parked in its door call" true !parked;
+                  Alcotest.(check bool) "run-entry values restored" true
+                    (same_locals entry (locals ())))));
+      probe := 0)
+
 (* --- determinism --- *)
 
 (* Order-sensitive hash of every stored block (raw device reads: no
@@ -297,6 +402,10 @@ let suite =
       test_rwlock_no_writer_starvation;
     Alcotest.test_case "rwlock reentrant" `Quick test_rwlock_reentrant;
     Alcotest.test_case "mutex serializes" `Quick test_mutex_serializes;
+    Alcotest.test_case "task locals survive interleaving" `Quick
+      test_task_locals_survive_interleaving;
+    Alcotest.test_case "task locals restored after abort" `Quick
+      test_task_locals_restored_after_abort;
     qcheck_same_seed_same_run;
     Alcotest.test_case "concurrent rpc retries overlap" `Quick
       test_concurrent_retries_overlap;

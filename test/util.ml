@@ -35,5 +35,21 @@ let fresh_disk ?(blocks = 2048) ?label () =
   Sp_sfs.Disk_layer.mkfs disk;
   disk
 
+(* Minor-heap words [f] allocates per call, averaged over [n] calls.  A
+   first pass warms up first-use state (table growth, lazily created
+   channels), and the cost of the measuring loop itself — an empty
+   loop — is subtracted. *)
+let minor_words_per_call ?(n = 1_000) f =
+  let measure g =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      g ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  ignore (measure f);
+  let base = measure ignore in
+  (measure f -. base) /. float_of_int n
+
 let qcheck_case ?count name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ?count ~name gen prop)
