@@ -194,111 +194,92 @@ let run_fsck ops journal crash_at no_recover verify_checksums =
   print_endline (fsck_summary problems);
   if problems = [] then 0 else 1
 
-(* --- springfs crash --- *)
+(* --- springfs crash | scrub | failover | dfs-sweep --- *)
+
+(* Each sweep subcommand selects a scenario; [Sp_sweep] runs it, prints
+   the verdict line (plus one FIRST-FAILURE line if a point failed) and
+   decides the exit code: 0 pass, 1 verdict failure.  Usage errors exit
+   2 before anything runs. *)
+let at_least min (flag, v) =
+  if v < min then (
+    Format.eprintf "springfs: %s must be at least %d (got %d)@." flag min v;
+    exit 2)
 
 let run_crash ops seed stride clients sync_heavy no_journal no_checksums torn
     expect_inconsistent =
-  if stride < 1 then (
-    Format.eprintf "springfs: --stride must be at least 1 (got %d)@." stride;
-    exit 2);
-  if ops < 1 then (
-    Format.eprintf "springfs: --ops must be at least 1 (got %d)@." ops;
-    exit 2);
-  if clients < 1 then (
-    Format.eprintf "springfs: --clients must be at least 1 (got %d)@." clients;
-    exit 2);
-  let journal = not no_journal in
+  List.iter (at_least 1) [ ("--stride", stride); ("--ops", ops); ("--clients", clients) ];
   let checksums = not no_checksums in
-  let report =
-    Sp_sfs.Crash_sweep.sweep ~stride ~torn ~checksums ~clients ~sync_heavy
-      ~journal ~ops ~seed ()
+  let s =
+    Sp_sfs.Crash_sweep.scenario ~torn ~checksums ~clients ~sync_heavy
+      ~journal:(not no_journal) ~ops ~seed ()
   in
-  Format.printf "%a@." Sp_sfs.Crash_sweep.pp_report report;
-  print_endline (Sp_sfs.Crash_sweep.summary report);
-  let open Sp_sfs.Crash_sweep in
-  (* Checksum-detected damage is still damage — a journaled volume must
-     recover to a state where nothing is flagged; only the inverted mode
-     treats detection as the expected (good) outcome. *)
-  let failures = report.rp_lost + report.rp_corrupt + report.rp_detected in
-  if expect_inconsistent then
-    if failures = 0 then begin
-      Format.eprintf
-        "springfs: expected the sweep to find damage but every point survived@.";
-      1
-    end
-    else if torn && checksums && report.rp_detected = 0 then begin
-      (* With checksums on, a torn unjournaled write must be positively
-         detected, not merely lost. *)
-      Format.eprintf
-        "springfs: torn sweep found damage but checksums never detected it@.";
-      1
-    end
-    else begin
-      Format.printf "sweep found inconsistent states, as expected without a journal@.";
-      0
-    end
-  else if failures = 0 then 0
-  else begin
-    Format.eprintf
-      "springfs: %d crash point(s) lost synced data, left the volume \
-       inconsistent, or tripped block checksums@."
-      failures;
-    1
-  end
-
-(* --- springfs scrub --- *)
+  (* Checksum-detected damage is still damage: a journaled volume must
+     recover to a state where nothing is flagged.  The inverted arm needs
+     damage — and with torn writes and checksums on, damage the checksums
+     positively detected, not merely lost. *)
+  let expect =
+    if not expect_inconsistent then Sp_sweep.Clean
+    else if torn && checksums then Sp_sweep.Some_in [ "detected" ]
+    else Sp_sweep.Some_in s.Sp_sweep.failing
+  in
+  Sp_sweep.finish expect [ Sp_sweep.run ~stride s ]
 
 let run_scrub ops seed stride clients no_checksums mirror expect_undetected =
-  if stride < 1 then (
-    Format.eprintf "springfs: --stride must be at least 1 (got %d)@." stride;
-    exit 2);
-  if ops < 1 then (
-    Format.eprintf "springfs: --ops must be at least 1 (got %d)@." ops;
-    exit 2);
-  if clients < 1 then (
-    Format.eprintf "springfs: --clients must be at least 1 (got %d)@." clients;
-    exit 2);
-  let checksums = not no_checksums in
+  List.iter (at_least 1) [ ("--stride", stride); ("--ops", ops); ("--clients", clients) ];
   let module CS = Sp_integrity.Corruption_sweep in
-  let reports =
-    List.map
-      (fun kind ->
-        CS.sweep ~stride ~checksums ~mirror ~clients ~kind ~ops ~seed ())
-      [ CS.Bitrot; CS.Misdirected; CS.Lost ]
-  in
-  List.iter
-    (fun r ->
-      Format.printf "%a@." CS.pp_report r;
-      print_endline (CS.summary r))
-    reports;
-  let silent = List.fold_left (fun acc r -> acc + r.CS.cr_silent) 0 reports in
-  if expect_undetected then
-    if silent = 0 then begin
-      Format.eprintf
-        "springfs: expected silent corruption without checksums but every point \
-         was absorbed or detected@.";
-      1
-    end
-    else begin
-      Format.printf "sweep served corrupt bytes silently, as expected without checksums@.";
-      0
-    end
-  else if silent = 0 then 0
-  else begin
-    Format.eprintf "springfs: %d injection point(s) served corrupt data undetected@."
-      silent;
-    1
-  end
+  Sp_sweep.finish
+    (if expect_undetected then Sp_sweep.Some_in [ "silent" ] else Sp_sweep.Clean)
+    (List.map
+       (fun kind ->
+         Sp_sweep.run ~stride
+           (CS.scenario ~checksums:(not no_checksums) ~mirror ~clients ~kind
+              ~ops ~seed ()))
+       [ CS.Bitrot; CS.Misdirected; CS.Lost ])
+
+let run_failover ops seed stride clients deadline_ms no_supervisor
+    expect_unavailable =
+  List.iter (at_least 1) [ ("--stride", stride); ("--ops", ops); ("--clients", clients) ];
+  Option.iter (fun d -> at_least 1 ("--deadline-ms", d)) deadline_ms;
+  (* The default SLO scales with offered load: queueing alone makes tail
+     latency grow roughly linearly in the client count (see `scale`), so a
+     fixed deadline would fail on queue depth rather than on failover. *)
+  let deadline_ms = Option.value deadline_ms ~default:(max 1000 (100 * clients)) in
+  Sp_sweep.finish
+    (if expect_unavailable then Sp_sweep.Every "unavailable" else Sp_sweep.Clean)
+    [
+      Sp_sweep.run ~stride
+        (Sp_failover.Layer_crash_sweep.scenario ~supervised:(not no_supervisor)
+           ~clients ~op_deadline_ns:(deadline_ms * 1_000_000) ~ops ~seed ());
+    ]
+
+let run_dfs_sweep nodes clients ops seed stride partition no_leases deadline_ms
+    expect_unavailable =
+  List.iter (at_least 1) [ ("--nodes", nodes); ("--clients", clients) ];
+  if partition && clients < 2 then (
+    Format.eprintf "springfs: --partition needs at least 2 clients@.";
+    exit 2);
+  List.iter (at_least 1) [ ("--stride", stride); ("--ops", ops) ];
+  Option.iter (fun d -> at_least 1 ("--deadline-ms", d)) deadline_ms;
+  (* Load-scaled SLO like `failover`, but much looser: a cluster op is
+     an RPC into a shard whose device serves clients/nodes closed-loop
+     queues through two journaled twins behind a mirror, and a store
+     restart replays both journals before the first retried op lands —
+     the op tail under a kill runs to seconds, not the failover sweep's
+     hundreds of milliseconds. *)
+  let deadline_ms = Option.value deadline_ms ~default:(max 3000 (1000 * clients)) in
+  let lease_ns = if no_leases then 0 else Sp_cluster.Cluster.default_lease_ns in
+  Sp_sweep.finish
+    (if expect_unavailable then Sp_sweep.Every "unavailable" else Sp_sweep.Clean)
+    [
+      Sp_sweep.run ~stride
+        (Sp_cluster.Shard_crash_sweep.scenario ~partition ~lease_ns
+           ~op_deadline_ns:(deadline_ms * 1_000_000) ~nodes ~clients ~ops ~seed ());
+    ]
 
 (* --- springfs scale --- *)
 
 let run_scale clients budget seed dir_heavy sync_heavy stack check =
-  if clients < 1 then (
-    Format.eprintf "springfs: --clients must be at least 1 (got %d)@." clients;
-    exit 2);
-  if budget < 1 then (
-    Format.eprintf "springfs: --budget must be at least 1 (got %d)@." budget;
-    exit 2);
+  List.iter (at_least 1) [ ("--clients", clients); ("--budget", budget) ];
   if sync_heavy && (dir_heavy || stack = `Deep) then (
     Format.eprintf
       "springfs: --sync-heavy runs the base stack and op mix (drop \
@@ -353,154 +334,6 @@ let run_scale clients budget seed dir_heavy sync_heavy stack check =
     1
   end
   else 0
-
-(* --- springfs failover --- *)
-
-let run_failover ops seed stride clients deadline_ms no_supervisor
-    expect_unavailable =
-  if stride < 1 then (
-    Format.eprintf "springfs: --stride must be at least 1 (got %d)@." stride;
-    exit 2);
-  if ops < 1 then (
-    Format.eprintf "springfs: --ops must be at least 1 (got %d)@." ops;
-    exit 2);
-  if clients < 1 then (
-    Format.eprintf "springfs: --clients must be at least 1 (got %d)@." clients;
-    exit 2);
-  (match deadline_ms with
-  | Some d when d < 1 ->
-      Format.eprintf "springfs: --deadline-ms must be at least 1 (got %d)@." d;
-      exit 2
-  | _ -> ());
-  (* The default SLO scales with offered load: queueing alone makes tail
-     latency grow roughly linearly in the client count (see `scale`), so a
-     fixed deadline would fail on queue depth rather than on failover. *)
-  let deadline_ms =
-    match deadline_ms with Some d -> d | None -> max 1000 (100 * clients)
-  in
-  let supervised = not no_supervisor in
-  let report =
-    Sp_failover.Layer_crash_sweep.sweep ~stride ~supervised ~clients
-      ~op_deadline_ns:(deadline_ms * 1_000_000) ~ops ~seed ()
-  in
-  Format.printf "%a@." Sp_failover.Layer_crash_sweep.pp_report report;
-  print_endline (Sp_failover.Layer_crash_sweep.summary report);
-  let open Sp_failover.Layer_crash_sweep in
-  if expect_unavailable then
-    if
-      report.fr_unavailable = report.fr_points
-      && report.fr_points > 0
-      && report.fr_lost = 0 && report.fr_corrupt = 0
-    then begin
-      Format.printf
-        "every crash point left the stack unavailable, as expected without a \
-         supervisor@.";
-      0
-    end
-    else begin
-      Format.eprintf
-        "springfs: expected every point unavailable, got served=%d \
-         unavailable=%d lost=%d corrupt=%d@."
-        report.fr_served report.fr_unavailable report.fr_lost report.fr_corrupt;
-      1
-    end
-  else begin
-    let failures = report.fr_unavailable + report.fr_lost + report.fr_corrupt in
-    if failures = 0 then 0
-    else begin
-      (match report.fr_first_bad with
-      | Some (layer, op, msg) ->
-          Format.eprintf "springfs: first failure: layer %s, op %d: %s@." layer
-            op msg
-      | None -> ());
-      Format.eprintf
-        "springfs: %d crash point(s) became unavailable, lost synced data, or \
-         left the volume inconsistent@."
-        failures;
-      1
-    end
-  end
-
-(* --- springfs dfs-sweep --- *)
-
-let run_dfs_sweep nodes clients ops seed stride partition no_leases deadline_ms
-    expect_unavailable =
-  if nodes < 1 then (
-    Format.eprintf "springfs: --nodes must be at least 1 (got %d)@." nodes;
-    exit 2);
-  if clients < 1 then (
-    Format.eprintf "springfs: --clients must be at least 1 (got %d)@." clients;
-    exit 2);
-  if partition && clients < 2 then (
-    Format.eprintf "springfs: --partition needs at least 2 clients@.";
-    exit 2);
-  if stride < 1 then (
-    Format.eprintf "springfs: --stride must be at least 1 (got %d)@." stride;
-    exit 2);
-  if ops < 1 then (
-    Format.eprintf "springfs: --ops must be at least 1 (got %d)@." ops;
-    exit 2);
-  (match deadline_ms with
-  | Some d when d < 1 ->
-      Format.eprintf "springfs: --deadline-ms must be at least 1 (got %d)@." d;
-      exit 2
-  | _ -> ());
-  (* Load-scaled SLO like `failover`, but much looser: a cluster op is
-     an RPC into a shard whose device serves clients/nodes closed-loop
-     queues through two journaled twins behind a mirror, and a store
-     restart replays both journals before the first retried op lands —
-     the op tail under a kill runs to seconds, not the failover sweep's
-     hundreds of milliseconds. *)
-  let deadline_ms =
-    match deadline_ms with Some d -> d | None -> max 3000 (1000 * clients)
-  in
-  let lease_ns = if no_leases then 0 else Sp_cluster.Cluster.default_lease_ns in
-  let report =
-    Sp_cluster.Shard_crash_sweep.sweep ~stride ~partition ~lease_ns
-      ~op_deadline_ns:(deadline_ms * 1_000_000) ~nodes ~clients ~ops ~seed ()
-  in
-  Format.printf "%a@." Sp_cluster.Shard_crash_sweep.pp_report report;
-  print_endline (Sp_cluster.Shard_crash_sweep.summary report);
-  let open Sp_cluster.Shard_crash_sweep in
-  if expect_unavailable then
-    if
-      report.dr_unavailable = report.dr_points
-      && report.dr_points > 0
-      && report.dr_lost = 0 && report.dr_corrupt = 0
-    then begin
-      Format.printf
-        "every point left the partitioned client without warm service, as \
-         expected without leases@.";
-      0
-    end
-    else begin
-      (match report.dr_first_bad with
-      | Some (mode, at, msg) ->
-          Format.eprintf "springfs: first failure: %s, boundary %d: %s@." mode
-            at msg
-      | None -> ());
-      Format.eprintf
-        "springfs: expected every point unavailable, got served=%d \
-         unavailable=%d lost=%d corrupt=%d@."
-        report.dr_served report.dr_unavailable report.dr_lost report.dr_corrupt;
-      1
-    end
-  else begin
-    let failures = report.dr_unavailable + report.dr_lost + report.dr_corrupt in
-    if failures = 0 then 0
-    else begin
-      (match report.dr_first_bad with
-      | Some (mode, at, msg) ->
-          Format.eprintf "springfs: first failure: %s, boundary %d: %s@." mode
-            at msg
-      | None -> ());
-      Format.eprintf
-        "springfs: %d sweep point(s) lost data, served stale bindings, or \
-         went unavailable@."
-        failures;
-      1
-    end
-  end
 
 (* --- springfs versions --- *)
 
@@ -600,9 +433,7 @@ let run_ls layers dir files =
 (* --- springfs profile --- *)
 
 let run_profile scenario layers ops size trace_out capacity =
-  if capacity < 2 then (
-    Format.eprintf "springfs: --capacity must be at least 2 (got %d)@." capacity;
-    exit 2);
+  at_least 2 ("--capacity", capacity);
   let layers = if layers = [] then [ "coherency"; "compfs" ] else layers in
   let run () =
     match scenario with
@@ -725,53 +556,43 @@ let fsck_cmd =
   Cmd.v (Cmd.info "fsck" ~doc)
     Term.(const run_fsck $ ops $ journal $ crash_at $ no_recover $ verify_checksums)
 
+(* The sweep subcommands' options. *)
+let int_opt name default docv doc =
+  Arg.(value & opt int default & info [ name ] ~docv ~doc)
+
+let flag_opt name doc = Arg.(value & flag & info [ name ] ~doc)
+
+let deadline_opt doc =
+  Arg.(value & opt (some int) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
+
 let crash_cmd =
-  let ops =
-    Arg.(value & opt int 40 & info [ "ops" ] ~docv:"N" ~doc:"Workload operations per run.")
-  in
-  let seed =
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic workload/fault seed.")
-  in
+  let ops = int_opt "ops" 40 "N" "Workload operations per run." in
+  let seed = int_opt "seed" 7 "SEED" "Deterministic workload/fault seed." in
   let stride =
-    Arg.(
-      value & opt int 1
-      & info [ "stride" ] ~docv:"K" ~doc:"Crash at every K-th device write (default every write).")
+    int_opt "stride" 1 "K" "Crash at every K-th device write (default every write)."
   in
   let clients =
-    Arg.(
-      value & opt int 1
-      & info [ "clients" ] ~docv:"C"
-          ~doc:"Run the workload as C concurrently scheduled clients ($(docv) \
-                operations each); recovery is verified against per-file \
-                version histories.")
+    int_opt "clients" 1 "C"
+      "Run the workload as C concurrently scheduled clients ($(docv) \
+       operations each); recovery is verified against per-file version \
+       histories."
   in
   let sync_heavy =
-    Arg.(
-      value & flag
-      & info [ "sync-heavy" ]
-          ~doc:"Sync every 2 ops instead of 5, so crash points land inside \
-                commit (and, with --clients, group-commit leader/follower) \
-                windows.")
+    flag_opt "sync-heavy"
+      "Sync every 2 ops instead of 5, so crash points land inside commit \
+       (and, with --clients, group-commit leader/follower) windows."
   in
-  let no_journal =
-    Arg.(value & flag & info [ "no-journal" ] ~doc:"Format without a journal (expect damage).")
-  in
+  let no_journal = flag_opt "no-journal" "Format without a journal (expect damage)." in
   let no_checksums =
-    Arg.(
-      value & flag
-      & info [ "no-checksums" ]
-          ~doc:"Format without the per-block checksum region (damage the \
-                structural fsck cannot see then goes undetected).")
+    flag_opt "no-checksums"
+      "Format without the per-block checksum region (damage the structural \
+       fsck cannot see then goes undetected)."
   in
-  let torn =
-    Arg.(value & flag & info [ "torn" ] ~doc:"Make the crashing write a torn (partial) write.")
-  in
+  let torn = flag_opt "torn" "Make the crashing write a torn (partial) write." in
   let expect_inconsistent =
-    Arg.(
-      value & flag
-      & info [ "expect-inconsistent" ]
-          ~doc:"Invert the verdict: exit 0 only if the sweep finds at least one \
-                lost or corrupt state (for exercising the injector without a journal).")
+    flag_opt "expect-inconsistent"
+      "Invert the verdict: exit 0 only if the sweep finds at least one lost \
+       or corrupt state (for exercising the injector without a journal)."
   in
   let doc =
     "sweep fail-stop crashes over every device write of a workload and verify \
@@ -783,45 +604,30 @@ let crash_cmd =
       $ no_checksums $ torn $ expect_inconsistent)
 
 let scrub_cmd =
-  let ops =
-    Arg.(value & opt int 14 & info [ "ops" ] ~docv:"N" ~doc:"Workload operations per run.")
-  in
-  let seed =
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic workload/fault seed.")
-  in
+  let ops = int_opt "ops" 14 "N" "Workload operations per run." in
+  let seed = int_opt "seed" 7 "SEED" "Deterministic workload/fault seed." in
   let stride =
-    Arg.(
-      value & opt int 1
-      & info [ "stride" ] ~docv:"K"
-          ~doc:"Inject at every K-th device I/O (default every one).")
+    int_opt "stride" 1 "K" "Inject at every K-th device I/O (default every one)."
   in
   let clients =
-    Arg.(
-      value & opt int 1
-      & info [ "clients" ] ~docv:"C"
-          ~doc:"Run the workload as C concurrently scheduled clients ($(docv) \
-                operations each).")
+    int_opt "clients" 1 "C"
+      "Run the workload as C concurrently scheduled clients ($(docv) \
+       operations each)."
   in
   let no_checksums =
-    Arg.(
-      value & flag
-      & info [ "no-checksums" ]
-          ~doc:"Format without the per-block checksum region (bit rot in file \
-                data is then served silently).")
+    flag_opt "no-checksums"
+      "Format without the per-block checksum region (bit rot in file data is \
+       then served silently)."
   in
   let mirror =
-    Arg.(
-      value & flag
-      & info [ "mirror" ]
-          ~doc:"Run the workload through a mirror of two volumes and corrupt \
-                the primary twin (expect self-healing repairs).")
+    flag_opt "mirror"
+      "Run the workload through a mirror of two volumes and corrupt the \
+       primary twin (expect self-healing repairs)."
   in
   let expect_undetected =
-    Arg.(
-      value & flag
-      & info [ "expect-undetected" ]
-          ~doc:"Invert the verdict: exit 0 only if the sweep served corrupt \
-                bytes silently at least once (the checksums-off control).")
+    flag_opt "expect-undetected"
+      "Invert the verdict: exit 0 only if the sweep served corrupt bytes \
+       silently at least once (the checksums-off control)."
   in
   let doc =
     "sweep silent-corruption faults (bit rot, misdirected writes, lost writes) \
@@ -834,47 +640,30 @@ let scrub_cmd =
       $ expect_undetected)
 
 let failover_cmd =
-  let ops =
-    Arg.(value & opt int 40 & info [ "ops" ] ~docv:"N" ~doc:"Workload operations per run.")
-  in
-  let seed =
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic workload seed.")
-  in
-  let stride =
-    Arg.(
-      value & opt int 1
-      & info [ "stride" ] ~docv:"K"
-          ~doc:"Kill at every K-th op boundary (default every op).")
-  in
+  let ops = int_opt "ops" 40 "N" "Workload operations per run." in
+  let seed = int_opt "seed" 7 "SEED" "Deterministic workload seed." in
+  let stride = int_opt "stride" 1 "K" "Kill at every K-th op boundary (default every op)." in
   let clients =
-    Arg.(
-      value & opt int 1
-      & info [ "clients" ] ~docv:"C"
-          ~doc:"Run the workload as C concurrent scheduler clients; the kill \
-                lands at a global op boundary while the others keep calling \
-                through Sp_avail deadlines and retries.")
+    int_opt "clients" 1 "C"
+      "Run the workload as C concurrent scheduler clients; the kill lands at \
+       a global op boundary while the others keep calling through Sp_avail \
+       deadlines and retries."
   in
   let deadline_ms =
-    Arg.(
-      value & opt (some int) None
-      & info [ "deadline-ms" ] ~docv:"MS"
-          ~doc:"Per-operation deadline (virtual milliseconds) enforced in \
-                concurrent mode; an overrun fails the point.  Defaults to \
-                max(1000, 100 x clients), since queueing makes tail latency \
-                scale with the client count.")
+    deadline_opt
+      "Per-operation deadline (virtual milliseconds) enforced in concurrent \
+       mode; an overrun fails the point.  Defaults to max(1000, 100 x \
+       clients), since queueing makes tail latency scale with the client \
+       count."
   in
   let no_supervisor =
-    Arg.(
-      value & flag
-      & info [ "no-supervisor" ]
-          ~doc:"Run the same kills against an unsupervised stack (expect unavailable).")
+    flag_opt "no-supervisor"
+      "Run the same kills against an unsupervised stack (expect unavailable)."
   in
   let expect_unavailable =
-    Arg.(
-      value & flag
-      & info [ "expect-unavailable" ]
-          ~doc:"Invert the verdict: exit 0 only if every crash point left the \
-                stack unavailable (the unsupervised control).")
+    flag_opt "expect-unavailable"
+      "Invert the verdict: exit 0 only if every crash point left the stack \
+       unavailable (the unsupervised control)."
   in
   let doc =
     "sweep layer-domain fail-stops over every (layer, op) point of a workload \
@@ -886,60 +675,35 @@ let failover_cmd =
       $ no_supervisor $ expect_unavailable)
 
 let dfs_sweep_cmd =
-  let nodes =
-    Arg.(
-      value & opt int 3
-      & info [ "nodes" ] ~docv:"N" ~doc:"Shard server nodes in the cluster.")
-  in
+  let nodes = int_opt "nodes" 3 "N" "Shard server nodes in the cluster." in
   let clients =
-    Arg.(
-      value & opt int 4
-      & info [ "clients" ] ~docv:"C"
-          ~doc:"Concurrent scheduler clients, one lease cache each.")
+    int_opt "clients" 4 "C" "Concurrent scheduler clients, one lease cache each."
   in
-  let ops =
-    Arg.(
-      value & opt int 48
-      & info [ "ops" ] ~docv:"N" ~doc:"Total workload op budget per point.")
-  in
-  let seed =
-    Arg.(value & opt int 11 & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic workload seed.")
-  in
+  let ops = int_opt "ops" 48 "N" "Total workload op budget per point." in
+  let seed = int_opt "seed" 11 "SEED" "Deterministic workload seed." in
   let stride =
-    Arg.(
-      value & opt int 7
-      & info [ "stride" ] ~docv:"K"
-          ~doc:"Fault at every K-th global op boundary (1 = all of them).")
+    int_opt "stride" 7 "K" "Fault at every K-th global op boundary (1 = all of them)."
   in
   let partition =
-    Arg.(
-      value & flag
-      & info [ "partition" ]
-          ~doc:"Instead of killing shard domains, cut the network between a \
-                rotating victim client and the hot shard: warm lease-held \
-                service must continue until the lease expires, then fail \
-                loudly, never stalely.")
+    flag_opt "partition"
+      "Instead of killing shard domains, cut the network between a rotating \
+       victim client and the hot shard: warm lease-held service must continue \
+       until the lease expires, then fail loudly, never stalely."
   in
   let no_leases =
-    Arg.(
-      value & flag
-      & info [ "no-leases" ]
-          ~doc:"Run leaseless (no client caching): the control arm.  With \
-                --partition, every point is expected unavailable.")
+    flag_opt "no-leases"
+      "Run leaseless (no client caching): the control arm.  With --partition, \
+       every point is expected unavailable."
   in
   let deadline_ms =
-    Arg.(
-      value & opt (some int) None
-      & info [ "deadline-ms" ] ~docv:"MS"
-          ~doc:"Per-operation deadline (virtual milliseconds).  Defaults to \
-                max(1000, 100 x clients).")
+    deadline_opt
+      "Per-operation deadline (virtual milliseconds).  Defaults to max(3000, \
+       1000 x clients)."
   in
   let expect_unavailable =
-    Arg.(
-      value & flag
-      & info [ "expect-unavailable" ]
-          ~doc:"Invert the verdict: exit 0 only if every point ended \
-                unavailable (the leaseless partition control).")
+    flag_opt "expect-unavailable"
+      "Invert the verdict: exit 0 only if every point ended unavailable (the \
+       leaseless partition control)."
   in
   let doc =
     "sweep shard-node kills (or client partitions) over every strided op \

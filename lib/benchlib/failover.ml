@@ -104,23 +104,24 @@ type avail_row = {
 
 let avail_row ~clients =
   let r =
-    Sp_failover.Layer_crash_sweep.sweep ~stride:clients ~clients
-      ~op_deadline_ns:(max 1_000_000_000 (clients * 100_000_000))
-      ~ops:16 ~seed:7 ()
+    Sp_sweep.run ~stride:clients
+      (Sp_failover.Layer_crash_sweep.scenario ~clients
+         ~op_deadline_ns:(max 1_000_000_000 (clients * 100_000_000))
+         ~ops:16 ~seed:7 ())
   in
-  let open Sp_failover.Layer_crash_sweep in
+  let counter = Sp_sweep.counter r.Sp_sweep.counters in
   {
     a_clients = clients;
-    a_points = r.fr_points;
-    a_served = r.fr_served;
-    a_lost = r.fr_lost;
-    a_corrupt = r.fr_corrupt;
-    a_op_served = r.fr_op_served;
-    a_retried = r.fr_op_retried;
-    a_shed = r.fr_op_shed;
-    a_failed = r.fr_op_failed;
-    a_deadline_misses = r.fr_deadline_misses;
-    a_recover_ns = r.fr_max_recover_ns;
+    a_points = r.Sp_sweep.points;
+    a_served = Sp_sweep.count r "served";
+    a_lost = Sp_sweep.count r "lost";
+    a_corrupt = Sp_sweep.count r "corrupt";
+    a_op_served = counter "op_served";
+    a_retried = counter "retried";
+    a_shed = counter "shed";
+    a_failed = counter "failed";
+    a_deadline_misses = counter "deadline_misses";
+    a_recover_ns = counter "worst_gap_ns";
   }
 
 let avail () = List.map (fun c -> avail_row ~clients:c) [ 10; 64; 1000 ]

@@ -36,43 +36,7 @@ module Sname = Sp_naming.Sname
 module Net = Sp_dfs.Net
 module Rng = Sp_fault.Rng
 module Simclock = Sp_sim.Simclock
-
-
-type outcome =
-  | Served
-  | Unavailable of string
-  | Lost of string
-  | Corrupt of string
-
-type report = {
-  dr_nodes : int;
-  dr_clients : int;
-  dr_ops : int;  (* per-client ops *)
-  dr_seed : int;
-  dr_lease_ns : int;
-  dr_partition : bool;
-  dr_points : int;
-  dr_served : int;
-  dr_unavailable : int;
-  dr_lost : int;
-  dr_corrupt : int;
-  dr_restarts : int;
-  dr_warm_hits : int;  (* opens served from lease caches, zero messages *)
-  dr_cold_opens : int;
-  dr_inval_sent : int;  (* invalidation pushes delivered *)
-  dr_inval_shed : int;  (* pushes shed (breaker open) or lost to the net *)
-  dr_inval_lapsed : int;  (* pushes skipped: holder's lease already over *)
-  dr_stale_blocked : int;  (* cache entries refused: lease lapsed *)
-  dr_stale_serves : int;  (* warm serves past the lease bound: must be 0 *)
-  dr_wrong_shard : int;  (* shard-map re-fetches *)
-  dr_op_served : int;
-  dr_op_retried : int;
-  dr_op_shed : int;
-  dr_op_failed : int;
-  dr_deadline_misses : int;
-  dr_max_recover_ns : int;  (* worst kill -> first-served-again gap *)
-  dr_first_bad : (string * int * string) option;  (* mode, point, message *)
-}
+module Live = Sp_sweep.Live
 
 let slots = 8
 let slot_bytes = 512
@@ -102,12 +66,6 @@ type wrec = {
   w_data : bytes;
 }
 
-(* Same sizing rationale as Layer_crash_sweep's policy: the retry
-   series must keep probing past a journal-replay remount. *)
-let policy =
-  Sp_avail.Backoff.make ~base_ns:2_000_000 ~max_delay_ns:50_000_000
-    ~max_attempts:16 ()
-
 let client_breaker k = "dsw:c" ^ string_of_int k
 
 (* ------------------------------------------------------------------ *)
@@ -116,8 +74,10 @@ let client_breaker k = "dsw:c" ^ string_of_int k
 
 (* Fixed cluster/client names every point: layer registries are keyed
    by instance name, so rebuilt points replace their predecessors
-   instead of accumulating. *)
-let setup ~net ~nodes ~clients ~lease_ns =
+   instead of accumulating.  The network is per point too, so its
+   retry-jitter rng never carries one point's history into the next. *)
+let setup ~nodes ~clients ~lease_ns ~seed =
+  let net = Net.create ~seed () in
   let t = Cluster.make ~name:"dsw" ~lease_ns ~net ~nodes () in
   let cls =
     Array.init clients (fun k -> Cluster.connect t ~node:("c" ^ string_of_int k))
@@ -234,15 +194,9 @@ let fsck_all t =
       List.iter
         (fun (disk, twin) ->
           if !problem = None then
-            match Sp_sfs.Fsck.check disk with
-            | [] -> ()
-            | p :: rest ->
-                problem :=
-                  Some
-                    (Format.asprintf "shard %d twin %s: %a%s" i twin
-                       Sp_sfs.Fsck.pp_problem p
-                       (if rest = [] then ""
-                        else Printf.sprintf " (+%d more)" (List.length rest))))
+            Option.iter
+              (fun m -> problem := Some (Printf.sprintf "shard %d twin %s: %s" i twin m))
+              (Sp_sfs.Fsck.summary (Sp_sfs.Fsck.check disk)))
         [ (a, "a"); (b, "b") ]
     end
   done;
@@ -250,240 +204,183 @@ let fsck_all t =
 
 let sum_client_stats cls =
   Array.fold_left
-    (fun (w, c, inv, ws, sb, ss) cl ->
+    (fun (w, c, ws, sb, ss) cl ->
       let s = Cluster.client_stats cl in
       ( w + s.Cluster.cs_warm_hits + s.Cluster.cs_negative_hits,
         c + s.Cluster.cs_cold_opens,
-        inv + s.Cluster.cs_invalidations,
         ws + s.Cluster.cs_wrong_shard,
         sb + s.Cluster.cs_stale_blocked,
         ss + s.Cluster.cs_stale_serves ))
-    (0, 0, 0, 0, 0, 0) cls
+    (0, 0, 0, 0, 0) cls
 
-type point_result = {
-  pr_outcome : outcome;
-  pr_restarts : int;
-  pr_warm : int;
-  pr_cold : int;
-  pr_inval_sent : int;
-  pr_inval_shed : int;
-  pr_inval_lapsed : int;
-  pr_stale_blocked : int;
-  pr_stale_serves : int;
-  pr_wrong_shard : int;
-  pr_op_served : int;
-  pr_op_retried : int;
-  pr_op_shed : int;
-  pr_op_failed : int;
-  pr_deadline_misses : int;
-  pr_recover_ns : int;
-}
+
+(* ------------------------------------------------------------------ *)
+(* Shared point machinery                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A fresh cluster with every client breaker closed, plus the setup-time
+   check of the lease fast path. *)
+let prepare ~nodes ~clients ~lease_ns ~seed =
+  let t, cls = setup ~nodes ~clients ~lease_ns ~seed in
+  for k = 0 to clients - 1 do
+    Sp_avail.Breaker.reset (client_breaker k)
+  done;
+  let setup_bad = if lease_ns > 0 then warm_zero_message_check cls else None in
+  (t, cls, setup_bad)
+
+let loud = function
+  | Net.Timeout m -> Some ("net: " ^ m)
+  | Cluster.Wrong_shard c -> Some ("wrong shard not converged: " ^ c)
+  | _ -> None
+
+(* One client op under the availability contract; the backoff jitter is
+   seeded per client and per boundary. *)
+let client_op live ~seed ~deadline_ns k f =
+  Live.call live ~name:(client_breaker k) ~deadline_ns
+    ~rng:(Rng.create (seed + ((k + 1) * 104729) + Live.boundaries live))
+    f
+
+(* Baseline: setup wrote and synced every slot (seq 0, event 0). *)
+let baseline_recs clients =
+  Array.init clients (fun k ->
+      List.init slots (fun slot ->
+          { w_slot = slot; w_seq = 0; w_done = 0; w_data = slot_data k slot 0 }))
+
+let slot_write live ~op recs cls k wl =
+  let w_seq = Live.tick live in
+  let slot = Rng.int wl slots in
+  let r = { w_slot = slot; w_seq; w_done = -1; w_data = slot_data k slot w_seq } in
+  recs.(k) <- r :: recs.(k);
+  match
+    op k (fun () ->
+        (* re-resolve every attempt: a proxy minted by a dead
+           incarnation must not be retried into *)
+        let f = Cluster.open_file cls.(k) (file_path k) in
+        ignore (File.write f ~pos:(r.w_slot * slot_bytes) r.w_data))
+  with
+  | Some () -> r.w_done <- Live.tick live
+  | None -> ()
+
+(* Remove/create/write, made idempotent by hand because an availability
+   retry re-executes the closure whole. *)
+let recreate cl p data () =
+  (try Cluster.remove cl p with Fserr.No_such_file _ -> ());
+  let f =
+    try Cluster.create cl p with Fserr.Already_exists _ -> Cluster.open_file cl p
+  in
+  ignore (File.write f ~pos:0 data)
+
+(* Run the client tasks, heal, make every shard durable, and judge: an
+   escaped failure, a broken setup check, a loud client op, and only
+   then the mode's own [oracle]. *)
+let conclude t ~nodes ~seed ~live ~setup_bad tasks oracle =
+  Fun.protect ~finally:(fun () -> teardown t) @@ fun () ->
+  match
+    ignore (Sp_sched.run ~seed tasks);
+    Sp_fault.disarm ();
+    for i = 0 to nodes - 1 do
+      Sp_supervise.call (fun () -> Stackable.sync (Cluster.shard_top t i))
+    done
+  with
+  | exception Fserr.Dead_domain who -> Live.Unavailable who
+  | exception Sp_supervise.Give_up msg -> Live.Unavailable msg
+  | exception Fserr.Io_error m -> Live.Lost ("io: " ^ m)
+  | () -> (
+      match (setup_bad, Live.loud_failure live) with
+      | Some m, _ -> Live.Corrupt m
+      | None, Some m -> Live.Unavailable m
+      | None, None -> oracle ())
+
+let point_counters t cls live ~stale_obs =
+  let warm, cold, ws, sb, ss = sum_client_stats cls in
+  let cs = Cluster.stats t in
+  let sum n = Sp_sweep.Sum n in
+  [
+    ("restarts", sum (Cluster.restarts t));
+    ("warm", sum warm);
+    ("cold", sum cold);
+    ("inval_sent", sum cs.Cluster.s_inval_sent);
+    ("inval_shed", sum cs.Cluster.s_inval_shed);
+    ("inval_lapsed", sum cs.Cluster.s_inval_lapsed);
+    ("stale_blocked", sum sb);
+    ("stale_served", sum (ss + stale_obs));
+    ("wrong_shard", sum ws);
+  ]
+  @ Live.counters live
 
 (* ------------------------------------------------------------------ *)
 (* Kill mode                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let run_point_kill ~net ~nodes ~clients ~cops ~lease_ns ~seed ~kill_at
+let run_point_kill ~nodes ~clients ~cops ~lease_ns ~seed ~kill_at
     ~victim_shard ~store ~deadline_ns =
-  let t, cls = setup ~net ~nodes ~clients ~lease_ns in
-  for k = 0 to clients - 1 do
-    Sp_avail.Breaker.reset (client_breaker k)
-  done;
-  let m0 = Sp_sim.Metrics.snapshot () in
-  let setup_bad = if lease_ns > 0 then warm_zero_message_check cls else None in
-  let recs = Array.make clients [] in
-  (* baseline: setup wrote and synced every slot (seq 0, event 0) *)
-  for k = 0 to clients - 1 do
-    recs.(k) <-
-      List.init slots (fun slot ->
-          { w_slot = slot; w_seq = 0; w_done = 0; w_data = slot_data k slot 0 })
-  done;
+  let t, cls, setup_bad = prepare ~nodes ~clients ~lease_ns ~seed in
+  let live =
+    Live.create ~at:kill_at
+      ~fault:(fun () -> Cluster.kill_shard ~store t victim_shard)
+      ~restarts:(fun () -> Cluster.restarts t)
+      ~loud
+  in
+  let op = client_op live ~seed ~deadline_ns in
+  let recs = baseline_recs clients in
   let cut = Array.make clients 0 in
-  let ev = ref 0 in
-  let boundary = ref 0 in
-  let killed = ref false in
-  let recovery_ev = ref (-1) in
-  let t_kill = ref 0 in
-  let t_recover = ref (-1) in
-  let op_served = ref 0 in
-  let deadline_misses = ref 0 in
-  let first_err = ref None in
-  let note_err m = if !first_err = None then first_err := Some m in
-  let maybe_kill () =
-    incr boundary;
-    if (not !killed) && !boundary = kill_at then begin
-      killed := true;
-      t_kill := Simclock.now ();
-      Cluster.kill_shard ~store t victim_shard
-    end
-  in
-  let note_success () =
-    incr op_served;
-    if !killed && !t_recover < 0 then t_recover := Simclock.now ();
-    if !killed && !recovery_ev < 0 && Cluster.restarts t > 0 then
-      recovery_ev := !ev
-  in
-  let catch_op k f =
-    match
-      Sp_avail.call ~name:(client_breaker k) ~policy ~deadline_ns
-        ~rng:(Rng.create (seed + ((k + 1) * 104729) + !boundary))
-        f
-    with
-    | v -> Some v
-    | exception Fserr.Timed_out _ ->
-        incr deadline_misses;
-        None
-    | exception Sp_avail.Unavailable m ->
-        note_err ("unavailable: " ^ m);
-        None
-    | exception Fserr.Io_error m ->
-        note_err ("io: " ^ m);
-        None
-    | exception Fserr.Checksum_error m ->
-        note_err ("checksum: " ^ m);
-        None
-    | exception Net.Timeout m ->
-        note_err ("net: " ^ m);
-        None
-    | exception Cluster.Wrong_shard c ->
-        note_err ("wrong shard not converged: " ^ c);
-        None
-  in
   let client_task k () =
     let wl = Rng.create (seed + ((k + 1) * 7919)) in
     Sp_sched.sleep (k * 1_000);
     for i = 1 to cops do
-      maybe_kill ();
+      Live.boundary live;
       if i mod 3 = 0 then begin
         (* durable cut for this client's shard *)
-        let s0 = !ev in
-        match catch_op k (fun () -> Cluster.sync_path cls.(k) (dir_path k)) with
-        | Some () ->
-            note_success ();
-            if not !killed then cut.(k) <- max cut.(k) s0
+        let s0 = Live.events live in
+        match op k (fun () -> Cluster.sync_path cls.(k) (dir_path k)) with
+        | Some () -> if not (Live.fired live) then cut.(k) <- max cut.(k) s0
         | None -> ()
       end
-      else if i mod 8 = 5 && clients > 1 then begin
+      else if i mod 8 = 5 && clients > 1 then
         (* warm/cold open of a neighbour's hot file: the read side of
            the invalidation protocol.  The neighbour's recreate is a
            remove/create/write sequence, so a racing reader legally sees
            No_such_file or a still-empty file — only a torn marker (a
            length strictly between 0 and the marker size) is damage. *)
         let n = (k + 1) mod clients in
-        match
-          catch_op k (fun () ->
-              match Cluster.open_file cls.(k) (hot_file n) with
-              | f ->
-                  let d = File.read_all f in
-                  let len = Bytes.length d in
-                  if len <> 0 && len <> marker_bytes then
-                    raise (Fserr.Io_error "torn hot marker")
-              | exception Fserr.No_such_file _ -> ())
-        with
-        | Some () -> note_success ()
-        | None -> ()
-      end
-      else if i mod 8 = 7 then begin
+        ignore
+          (op k (fun () ->
+               match Cluster.open_file cls.(k) (hot_file n) with
+               | f ->
+                   let d = File.read_all f in
+                   let len = Bytes.length d in
+                   if len <> 0 && len <> marker_bytes then
+                     raise (Fserr.Io_error "torn hot marker")
+               | exception Fserr.No_such_file _ -> ()))
+      else if i mod 8 = 7 then
         (* recreate own hot file: drives invalidation pushes to every
-           registered neighbour.  The closure is made idempotent by
-           hand because an availability retry re-executes it whole. *)
-        let seq = i in
-        match
-          catch_op k (fun () ->
-              (try Cluster.remove cls.(k) (hot_file k)
-               with Fserr.No_such_file _ -> ());
-              let f =
-                try Cluster.create cls.(k) (hot_file k)
-                with Fserr.Already_exists _ -> Cluster.open_file cls.(k) (hot_file k)
-              in
-              ignore (File.write f ~pos:0 (marker k seq)))
-        with
-        | Some () -> note_success ()
-        | None -> ()
-      end
-      else begin
-        incr ev;
-        let slot = Rng.int wl slots in
-        let r =
-          { w_slot = slot; w_seq = !ev; w_done = -1; w_data = slot_data k slot !ev }
-        in
-        recs.(k) <- r :: recs.(k);
-        match
-          catch_op k (fun () ->
-              (* re-resolve every attempt: a proxy minted by a dead
-                 incarnation must not be retried into *)
-              let f = Cluster.open_file cls.(k) (file_path k) in
-              ignore (File.write f ~pos:(r.w_slot * slot_bytes) r.w_data))
-        with
-        | Some () ->
-            incr ev;
-            r.w_done <- !ev;
-            note_success ()
-        | None -> ()
-      end
+           registered neighbour *)
+        ignore (op k (recreate cls.(k) (hot_file k) (marker k i)))
+      else slot_write live ~op recs cls k wl
     done
   in
   let outcome =
-    Fun.protect ~finally:(fun () -> teardown t) @@ fun () ->
-    match
-      ignore (Sp_sched.run ~seed (List.init clients (fun k -> client_task k)));
-      (* final durable cut, server-side *)
-      for i = 0 to nodes - 1 do
-        Sp_supervise.call (fun () -> Stackable.sync (Cluster.shard_top t i))
-      done
-    with
-    | exception Fserr.Dead_domain who -> Unavailable who
-    | exception Sp_supervise.Give_up msg -> Unavailable msg
-    | exception Fserr.Io_error m -> Lost ("io: " ^ m)
-    | () -> (
-        if !t_recover < 0 && !killed then t_recover := Simclock.now ();
-        let warm, _, _, _, _, stale_serves = sum_client_stats cls in
-        match (setup_bad, !first_err, !deadline_misses) with
-        | Some m, _, _ -> Corrupt m
-        | None, Some m, _ -> Unavailable m
-        | None, None, n when n > 0 ->
-            Unavailable (Printf.sprintf "%d ops overran their deadline" n)
-        | None, None, _ -> (
-            if stale_serves > 0 then
-              Lost (Printf.sprintf "%d warm serves past the lease bound" stale_serves)
-            else if not !killed then
-              Corrupt "kill point beyond the executed boundaries"
-            else
-              let safe_after = if !recovery_ev >= 0 then !recovery_ev else max_int in
-              match verify_slots t recs cut ~safe_after with
-              | Some msg -> Lost msg
-              | None -> (
-                  match fsck_all t with
-                  | Some msg -> Corrupt msg
-                  | None ->
-                      if Cluster.restarts t = 0 then
-                        Corrupt "supervisor never restarted anything"
-                      else if lease_ns > 0 && warm = 0 then
-                        Corrupt "leases enabled but no warm hit was ever served"
-                      else Served)))
+    conclude t ~nodes ~seed ~live ~setup_bad (List.init clients client_task)
+      (fun () ->
+        let warm, _, _, _, stale_serves = sum_client_stats cls in
+        if stale_serves > 0 then
+          Live.Lost (Printf.sprintf "%d warm serves past the lease bound" stale_serves)
+        else if not (Live.fired live) then
+          Live.Corrupt "kill point beyond the executed boundaries"
+        else
+          match verify_slots t recs cut ~safe_after:(Live.safe_after live) with
+          | Some msg -> Live.Lost msg
+          | None -> (
+              match fsck_all t with
+              | Some msg -> Live.Corrupt msg
+              | None ->
+                  if Cluster.restarts t = 0 then
+                    Live.Corrupt "supervisor never restarted anything"
+                  else if lease_ns > 0 && warm = 0 then
+                    Live.Corrupt "leases enabled but no warm hit was ever served"
+                  else Live.Served))
   in
-  let m1 = Sp_sim.Metrics.snapshot () in
-  let d = Sp_sim.Metrics.diff ~before:m0 ~after:m1 in
-  let warm, cold, _inv, ws, sb, ss = sum_client_stats cls in
-  let cs = Cluster.stats t in
-  {
-    pr_outcome = outcome;
-    pr_restarts = Cluster.restarts t;
-    pr_warm = warm;
-    pr_cold = cold;
-    pr_inval_sent = cs.Cluster.s_inval_sent;
-    pr_inval_shed = cs.Cluster.s_inval_shed;
-    pr_inval_lapsed = cs.Cluster.s_inval_lapsed;
-    pr_stale_blocked = sb;
-    pr_stale_serves = ss;
-    pr_wrong_shard = ws;
-    pr_op_served = !op_served;
-    pr_op_retried = d.Sp_sim.Metrics.avail_retried;
-    pr_op_shed = d.Sp_sim.Metrics.avail_shed;
-    pr_op_failed = d.Sp_sim.Metrics.avail_failed;
-    pr_deadline_misses = !deadline_misses;
-    pr_recover_ns = (if !t_recover >= 0 then !t_recover - !t_kill else 0);
-  }
+  (outcome, point_counters t cls live ~stale_obs:0)
 
 (* ------------------------------------------------------------------ *)
 (* Partition mode                                                      *)
@@ -492,21 +389,28 @@ let run_point_kill ~net ~nodes ~clients ~cops ~lease_ns ~seed ~kill_at
 let probe_gap_ns = 3_000_000
 let probes = 20
 
-let run_point_partition ~net ~nodes ~clients ~cops ~lease_ns ~seed ~arm_at
+let run_point_partition ~nodes ~clients ~cops ~lease_ns ~seed ~arm_at
     ~victim ~deadline_ns =
-  let t, cls = setup ~net ~nodes ~clients ~lease_ns in
-  for k = 0 to clients - 1 do
-    Sp_avail.Breaker.reset (client_breaker k)
-  done;
-  let m0 = Sp_sim.Metrics.snapshot () in
-  let setup_bad = if lease_ns > 0 then warm_zero_message_check cls else None in
+  let t, cls, setup_bad = prepare ~nodes ~clients ~lease_ns ~seed in
   let hot_shard = Cluster.owner t hot_dir in
+  let live =
+    Live.create ~at:arm_at
+      ~fault:(fun () ->
+        Sp_fault.arm
+          (Sp_fault.plan ~seed
+             (Sp_fault.partition
+                ~a:("c" ^ string_of_int victim)
+                ~b:(Cluster.shard_node t hot_shard))))
+      ~restarts:(fun () -> Cluster.restarts t)
+      ~loud
+  in
+  let op = client_op live ~seed ~deadline_ns in
   let mutator = (victim + 1) mod clients in
   (* the victim must hold cached bindings for the probe files before
      the cut lands *)
   (* Best-effort cache warming: the partition can arm (another task's
-     [bump]) while the victim is suspended inside one of these opens, so
-     a network failure here is a benign race, not a verdict. *)
+     boundary) while the victim is suspended inside one of these opens,
+     so a network failure here is a benign race, not a verdict. *)
   let prime () =
     List.iter
       (fun p ->
@@ -515,109 +419,40 @@ let run_point_partition ~net ~nodes ~clients ~cops ~lease_ns ~seed ~arm_at
       [ hot_x; hot_y ]
   in
   prime ();
-  let recs = Array.make clients [] in
-  for k = 0 to clients - 1 do
-    recs.(k) <-
-      List.init slots (fun slot ->
-          { w_slot = slot; w_seq = 0; w_done = 0; w_data = slot_data k slot 0 })
-  done;
+  let recs = baseline_recs clients in
   let cut = Array.make clients 0 in
-  let ev = ref 0 in
-  let boundary = ref 0 in
-  let armed = ref false in
   let mutated = ref 0 in
   let warm_in_part = ref 0 in
   let stale_obs = ref 0 in
   let post_heal_bad = ref None in
-  let op_served = ref 0 in
-  let deadline_misses = ref 0 in
-  let first_err = ref None in
-  let note_err m = if !first_err = None then first_err := Some m in
-  let bump () =
-    incr boundary;
-    if (not !armed) && !boundary = arm_at then begin
-      armed := true;
-      Sp_fault.arm
-        (Sp_fault.plan ~seed
-           (Sp_fault.partition
-              ~a:("c" ^ string_of_int victim)
-              ~b:(Cluster.shard_node t hot_shard)))
-    end
-  in
-  let catch_op k f =
-    match
-      Sp_avail.call ~name:(client_breaker k) ~policy ~deadline_ns
-        ~rng:(Rng.create (seed + ((k + 1) * 104729) + !boundary))
-        f
-    with
-    | v ->
-        incr op_served;
-        Some v
-    | exception Fserr.Timed_out _ ->
-        incr deadline_misses;
-        None
-    | exception Sp_avail.Unavailable m ->
-        note_err ("unavailable: " ^ m);
-        None
-    | exception Fserr.Io_error m ->
-        note_err ("io: " ^ m);
-        None
-    | exception Net.Timeout m ->
-        note_err ("net: " ^ m);
-        None
-  in
-  let slot_write k wl =
-    incr ev;
-    let slot = Rng.int wl slots in
-    let r = { w_slot = slot; w_seq = !ev; w_done = -1; w_data = slot_data k slot !ev } in
-    recs.(k) <- r :: recs.(k);
-    match
-      catch_op k (fun () ->
-          let f = Cluster.open_file cls.(k) (file_path k) in
-          ignore (File.write f ~pos:(r.w_slot * slot_bytes) r.w_data))
-    with
-    | Some () ->
-        incr ev;
-        r.w_done <- !ev
-    | None -> ()
-  in
-  let recreate k p data =
-    catch_op k (fun () ->
-        (try Cluster.remove cls.(k) p with Fserr.No_such_file _ -> ());
-        let f =
-          try Cluster.create cls.(k) p
-          with Fserr.Already_exists _ -> Cluster.open_file cls.(k) p
-        in
-        ignore (File.write f ~pos:0 data))
-  in
   let mutate () =
     (* two mutations of victim-cached bindings: the first push times
        out against the partition and trips the breaker, the second
        sheds on the open breaker *)
-    ignore (recreate mutator hot_x (marker 101 1));
+    ignore (op mutator (recreate cls.(mutator) hot_x (marker 101 1)));
     mutated := 1;
-    ignore (recreate mutator hot_y (marker 102 2));
+    ignore (op mutator (recreate cls.(mutator) hot_y (marker 102 2)));
     mutated := 2
   in
   let normal_task k () =
     let wl = Rng.create (seed + ((k + 1) * 7919)) in
     Sp_sched.sleep (k * 1_000);
     for i = 1 to cops do
-      bump ();
-      if k = mutator && !armed && !mutated < 2 then mutate ()
+      Live.boundary live;
+      if k = mutator && Live.fired live && !mutated < 2 then mutate ()
       else if i mod 3 = 0 then (
-        let s0 = !ev in
-        match catch_op k (fun () -> Cluster.sync_path cls.(k) (dir_path k)) with
+        let s0 = Live.events live in
+        match op k (fun () -> Cluster.sync_path cls.(k) (dir_path k)) with
         | Some () -> cut.(k) <- max cut.(k) s0
         | None -> ())
-      else slot_write k wl
+      else slot_write live ~op recs cls k wl
     done;
     (* the mutator may exhaust its loop before the cut lands: keep it
        alive (bounded) so the partition always gets its mutations *)
     if k = mutator then begin
       let rec grace n =
         if !mutated < 2 && n > 0 then
-          if !armed then mutate ()
+          if Live.fired live then mutate ()
           else begin
             Sp_sched.sleep 2_000_000;
             grace (n - 1)
@@ -631,19 +466,19 @@ let run_point_partition ~net ~nodes ~clients ~cops ~lease_ns ~seed ~arm_at
     (* pre-cut: keep the hot-shard lease fresh with a real RPC per op
        (warm hits don't renew — they never reach the server) *)
     let pre = ref 0 in
-    while (not !armed) && !pre < cops * 4 do
+    while (not (Live.fired live)) && !pre < cops * 4 do
       incr pre;
-      bump ();
-      if not !armed then begin
+      Live.boundary live;
+      if not (Live.fired live) then begin
         (* lease renewal, same benign race as [prime]: the loop itself
            is the retry, so a failure mid-arm must not dirty the
-           verdict through [catch_op]'s first-error note *)
+           verdict through a loud-failure note *)
         (try Cluster.sync_path cls.(victim) hot_dir
          with Fserr.Io_error _ | Net.Timeout _ -> ());
         prime ()
       end
     done;
-    if !armed then begin
+    if Live.fired live then begin
       let expiry = Cluster.lease_deadline cls.(victim) hot_shard in
       for _ = 1 to probes do
         Sp_sched.sleep probe_gap_ns;
@@ -680,7 +515,7 @@ let run_point_partition ~net ~nodes ~clients ~cops ~lease_ns ~seed ~arm_at
       (* post-heal: the (stale, lease-lapsed) entries must fall cold
          and serve the mutated content *)
       if !mutated >= 2 then
-      List.iter
+        List.iter
           (fun (p, want, what) ->
             match Cluster.open_file cls.(victim) p with
             | f ->
@@ -695,238 +530,88 @@ let run_point_partition ~net ~nodes ~clients ~cops ~lease_ns ~seed ~arm_at
           [ (hot_x, marker 101 1, "hot/x"); (hot_y, marker 102 2, "hot/y") ]
     end
   in
+  let tasks =
+    List.init clients (fun k -> if k = victim then victim_task else normal_task k)
+  in
   let outcome =
-    Fun.protect ~finally:(fun () -> teardown t) @@ fun () ->
-    match
-      ignore
-        (Sp_sched.run ~seed
-           (List.init clients (fun k ->
-                if k = victim then victim_task else normal_task k)));
-      Sp_fault.disarm ();
-      for i = 0 to nodes - 1 do
-        Sp_supervise.call (fun () -> Stackable.sync (Cluster.shard_top t i))
-      done
-    with
-    | exception Fserr.Dead_domain who -> Unavailable who
-    | exception Fserr.Io_error m -> Lost ("io: " ^ m)
-    | () -> (
-        let _, _, _, _, _, stale_serves = sum_client_stats cls in
+    conclude t ~nodes ~seed ~live ~setup_bad tasks (fun () ->
+        let _, _, _, _, stale_serves = sum_client_stats cls in
         let vstats = Cluster.client_stats cls.(victim) in
         let cstats = Cluster.stats t in
         let shed = cstats.Cluster.s_inval_shed + cstats.Cluster.s_inval_lapsed in
-        match (setup_bad, !first_err, !deadline_misses) with
-        | Some m, _, _ -> Corrupt m
-        | None, Some m, _ -> Unavailable m
-        | None, None, n when n > 0 ->
-            Unavailable (Printf.sprintf "%d ops overran their deadline" n)
-        | None, None, _ ->
-            if not !armed then Corrupt "partition never armed (sweep config)"
-            else if !mutated < 2 then Corrupt "mutator never fired"
-            else if stale_serves > 0 || !stale_obs > 0 then
-              Lost
-                (Printf.sprintf "%d warm serves past the lease bound"
-                   (stale_serves + !stale_obs))
-            else if !post_heal_bad <> None then Lost (Option.get !post_heal_bad)
-            else (
-              match verify_slots t recs cut ~safe_after:(-1) with
-              | Some msg -> Lost msg
-              | None -> (
-                  match fsck_all t with
-                  | Some msg -> Corrupt msg
-                  | None ->
-                      if lease_ns = 0 then
-                        if !warm_in_part = 0 then
-                          Unavailable
-                            "leaseless client had no warm service while partitioned"
-                        else Lost "leaseless client served warm data"
-                      else if !warm_in_part = 0 then
-                        Unavailable "no warm service while partitioned"
-                      else if vstats.Cluster.cs_stale_blocked = 0 then
-                        Corrupt "lease expiry valve never fired"
-                      else if shed = 0 then
-                        Corrupt
-                          "no invalidation push was shed, lost or \
-                           lease-lapsed"
-                      else Served)))
+        if not (Live.fired live) then Live.Corrupt "partition never armed (sweep config)"
+        else if !mutated < 2 then Live.Corrupt "mutator never fired"
+        else if stale_serves > 0 || !stale_obs > 0 then
+          Live.Lost
+            (Printf.sprintf "%d warm serves past the lease bound"
+               (stale_serves + !stale_obs))
+        else if !post_heal_bad <> None then Live.Lost (Option.get !post_heal_bad)
+        else
+          match verify_slots t recs cut ~safe_after:(-1) with
+          | Some msg -> Live.Lost msg
+          | None -> (
+              match fsck_all t with
+              | Some msg -> Live.Corrupt msg
+              | None ->
+                  if lease_ns = 0 then
+                    if !warm_in_part = 0 then
+                      Live.Unavailable
+                        "leaseless client had no warm service while partitioned"
+                    else Live.Lost "leaseless client served warm data"
+                  else if !warm_in_part = 0 then
+                    Live.Unavailable "no warm service while partitioned"
+                  else if vstats.Cluster.cs_stale_blocked = 0 then
+                    Live.Corrupt "lease expiry valve never fired"
+                  else if shed = 0 then
+                    Live.Corrupt
+                      "no invalidation push was shed, lost or lease-lapsed"
+                  else Live.Served))
   in
-  let m1 = Sp_sim.Metrics.snapshot () in
-  let d = Sp_sim.Metrics.diff ~before:m0 ~after:m1 in
-  let warm, cold, _inv, ws, sb, ss = sum_client_stats cls in
-  let cs = Cluster.stats t in
-  {
-    pr_outcome = outcome;
-    pr_restarts = Cluster.restarts t;
-    pr_warm = warm;
-    pr_cold = cold;
-    pr_inval_sent = cs.Cluster.s_inval_sent;
-    pr_inval_shed = cs.Cluster.s_inval_shed;
-    pr_inval_lapsed = cs.Cluster.s_inval_lapsed;
-    pr_stale_blocked = sb;
-    pr_stale_serves = ss + !stale_obs;
-    pr_wrong_shard = ws;
-    pr_op_served = !op_served;
-    pr_op_retried = d.Sp_sim.Metrics.avail_retried;
-    pr_op_shed = d.Sp_sim.Metrics.avail_shed;
-    pr_op_failed = d.Sp_sim.Metrics.avail_failed;
-    pr_deadline_misses = !deadline_misses;
-    pr_recover_ns = 0;
-  }
+  (outcome, point_counters t cls live ~stale_obs:!stale_obs)
 
 (* ------------------------------------------------------------------ *)
 (* The sweep                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let sweep ?(stride = 1) ?(partition = false) ?(lease_ns = Cluster.default_lease_ns)
+let scenario ?(partition = false) ?(lease_ns = Cluster.default_lease_ns)
     ?(op_deadline_ns = 1_000_000_000) ~nodes ~clients ~ops ~seed () =
-  if stride < 1 then invalid_arg "Shard_crash_sweep.sweep: stride must be >= 1";
-  if clients < 1 then invalid_arg "Shard_crash_sweep.sweep: clients must be >= 1";
-  if nodes < 1 then invalid_arg "Shard_crash_sweep.sweep: nodes must be >= 1";
+  if clients < 1 then invalid_arg "Shard_crash_sweep: clients must be >= 1";
+  if nodes < 1 then invalid_arg "Shard_crash_sweep: nodes must be >= 1";
   if partition && clients < 2 then
-    invalid_arg "Shard_crash_sweep.sweep: partition mode needs >= 2 clients";
-  let net = Net.create ~seed () in
+    invalid_arg "Shard_crash_sweep: partition mode needs >= 2 clients";
   let cops = max 8 (ops / clients) in
   let boundaries = clients * cops in
   (* partition points must land while enough client ops remain for the
      mutator and the window to play out *)
   let limit = if partition then max 1 (boundaries / 2) else boundaries in
-  let served = ref 0
-  and unavailable = ref 0
-  and lost = ref 0
-  and corrupt = ref 0
-  and points = ref 0
-  and restarts = ref 0
-  and warm = ref 0
-  and cold = ref 0
-  and inval_sent = ref 0
-  and inval_shed = ref 0
-  and inval_lapsed = ref 0
-  and stale_blocked = ref 0
-  and stale_serves = ref 0
-  and wrong_shard = ref 0
-  and op_served = ref 0
-  and op_retried = ref 0
-  and op_shed = ref 0
-  and op_failed = ref 0
-  and deadline_misses = ref 0
-  and max_recover = ref 0 in
-  let first_bad = ref None in
-  let bad mode at msg = if !first_bad = None then first_bad := Some (mode, at, msg) in
-  let at = ref 1 in
-  let pt = ref 0 in
-  while !at <= limit do
-    incr points;
-    let mode, r =
-      if partition then begin
-        let victim = !pt mod clients in
-        ( Printf.sprintf "partition:c%d" victim,
-          run_point_partition ~net ~nodes ~clients ~cops ~lease_ns ~seed
-            ~arm_at:!at ~victim ~deadline_ns:op_deadline_ns )
-      end
-      else begin
-        let victim_shard = !pt mod nodes in
-        let store = !pt land 1 = 1 in
-        ( Printf.sprintf "kill:n%d.%s" victim_shard (if store then "store" else "dfs"),
-          run_point_kill ~net ~nodes ~clients ~cops ~lease_ns ~seed ~kill_at:!at
-            ~victim_shard ~store ~deadline_ns:op_deadline_ns )
-      end
-    in
-    (match r.pr_outcome with
-    | Served -> incr served
-    | Unavailable msg ->
-        incr unavailable;
-        bad mode !at ("unavailable: " ^ msg)
-    | Lost msg ->
-        incr lost;
-        bad mode !at msg
-    | Corrupt msg ->
-        incr corrupt;
-        bad mode !at msg);
-    restarts := !restarts + r.pr_restarts;
-    warm := !warm + r.pr_warm;
-    cold := !cold + r.pr_cold;
-    inval_sent := !inval_sent + r.pr_inval_sent;
-    inval_shed := !inval_shed + r.pr_inval_shed;
-    inval_lapsed := !inval_lapsed + r.pr_inval_lapsed;
-    stale_blocked := !stale_blocked + r.pr_stale_blocked;
-    stale_serves := !stale_serves + r.pr_stale_serves;
-    wrong_shard := !wrong_shard + r.pr_wrong_shard;
-    op_served := !op_served + r.pr_op_served;
-    op_retried := !op_retried + r.pr_op_retried;
-    op_shed := !op_shed + r.pr_op_shed;
-    op_failed := !op_failed + r.pr_op_failed;
-    deadline_misses := !deadline_misses + r.pr_deadline_misses;
-    if r.pr_recover_ns > !max_recover then max_recover := r.pr_recover_ns;
-    at := !at + stride;
-    incr pt
-  done;
   {
-    dr_nodes = nodes;
-    dr_clients = clients;
-    dr_ops = cops;
-    dr_seed = seed;
-    dr_lease_ns = lease_ns;
-    dr_partition = partition;
-    dr_points = !points;
-    dr_served = !served;
-    dr_unavailable = !unavailable;
-    dr_lost = !lost;
-    dr_corrupt = !corrupt;
-    dr_restarts = !restarts;
-    dr_warm_hits = !warm;
-    dr_cold_opens = !cold;
-    dr_inval_sent = !inval_sent;
-    dr_inval_shed = !inval_shed;
-    dr_inval_lapsed = !inval_lapsed;
-    dr_stale_blocked = !stale_blocked;
-    dr_stale_serves = !stale_serves;
-    dr_wrong_shard = !wrong_shard;
-    dr_op_served = !op_served;
-    dr_op_retried = !op_retried;
-    dr_op_shed = !op_shed;
-    dr_op_failed = !op_failed;
-    dr_deadline_misses = !deadline_misses;
-    dr_max_recover_ns = !max_recover;
-    dr_first_bad = !first_bad;
+    Sp_sweep.label = "DFS-SWEEP";
+    params =
+      [
+        ("mode", if partition then "partition" else "kill");
+        ("nodes", string_of_int nodes);
+        ("clients", string_of_int clients);
+        ("leases", Sp_sweep.on_off (lease_ns > 0));
+      ];
+    trailer = [ ("seed", string_of_int seed); ("ops", string_of_int ops) ];
+    classes = Live.classes;
+    failing = Live.failing;
+    axes = [ ("boundary", limit) ];
+    run =
+      (fun { Sp_sweep.index; at; _ } ->
+        let where, (outcome, counters) =
+          if partition then
+            let victim = index mod clients in
+            ( Printf.sprintf "partition:c%d" victim,
+              run_point_partition ~nodes ~clients ~cops ~lease_ns ~seed
+                ~arm_at:at ~victim ~deadline_ns:op_deadline_ns )
+          else
+            let victim_shard = index mod nodes and store = index land 1 = 1 in
+            ( Printf.sprintf "kill:n%d.%s" victim_shard
+                (if store then "store" else "dfs"),
+              run_point_kill ~nodes ~clients ~cops ~lease_ns ~seed ~kill_at:at
+                ~victim_shard ~store ~deadline_ns:op_deadline_ns )
+        in
+        let v = Live.verdict (outcome, counters) in
+        { v with Sp_sweep.msg = where ^ ": " ^ v.Sp_sweep.msg });
   }
-
-let summary r =
-  Printf.sprintf
-    "DFS-SWEEP mode=%s nodes=%d clients=%d leases=%s points=%d served=%d \
-     unavailable=%d lost=%d corrupt=%d restarts=%d warm=%d cold=%d \
-     inval_sent=%d inval_shed=%d inval_lapsed=%d stale_blocked=%d \
-     stale_served=%d \
-     wrong_shard=%d op_served=%d retried=%d shed=%d failed=%d \
-     deadline_misses=%d"
-    (if r.dr_partition then "partition" else "kill")
-    r.dr_nodes r.dr_clients
-    (if r.dr_lease_ns > 0 then "on" else "off")
-    r.dr_points r.dr_served r.dr_unavailable r.dr_lost r.dr_corrupt
-    r.dr_restarts r.dr_warm_hits r.dr_cold_opens r.dr_inval_sent r.dr_inval_shed
-    r.dr_inval_lapsed r.dr_stale_blocked r.dr_stale_serves r.dr_wrong_shard
-    r.dr_op_served r.dr_op_retried r.dr_op_shed r.dr_op_failed
-    r.dr_deadline_misses
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>shard %s sweep: nodes=%d clients=%d ops/client=%d seed=%d leases=%s@,\
-     points: %d (every %s boundary, strided)@,\
-     served %d   unavailable %d   lost %d   corrupt %d@,\
-     restarts %d   worst kill->served gap %.1f ms@,\
-     cache: %d warm (zero-message) / %d cold opens, %d stale-blocked, %d \
-     stale-served@,\
-     invalidations: %d pushed, %d shed, %d lease-lapsed; shard-map \
-     re-fetches %d@,\
-     ops: %d served (%d retried, %d shed, %d failed, %d deadline misses)@]"
-    (if r.dr_partition then "partition" else "crash")
-    r.dr_nodes r.dr_clients r.dr_ops r.dr_seed
-    (if r.dr_lease_ns > 0 then
-       Printf.sprintf "on (%.0f ms)" (float_of_int r.dr_lease_ns /. 1e6)
-     else "off")
-    r.dr_points
-    (if r.dr_partition then "partition-arm" else "kill")
-    r.dr_served r.dr_unavailable r.dr_lost r.dr_corrupt r.dr_restarts
-    (float_of_int r.dr_max_recover_ns /. 1e6)
-    r.dr_warm_hits r.dr_cold_opens r.dr_stale_blocked r.dr_stale_serves
-    r.dr_inval_sent r.dr_inval_shed r.dr_inval_lapsed r.dr_wrong_shard
-    r.dr_op_served r.dr_op_retried r.dr_op_shed r.dr_op_failed
-    r.dr_deadline_misses

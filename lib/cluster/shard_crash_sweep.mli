@@ -22,49 +22,15 @@
     content observed after healing.  With [lease_ns = 0] every point
     must end [Unavailable] — the leaseless control. *)
 
-type outcome =
-  | Served
-  | Unavailable of string  (** no warm service / a loud failure escaped *)
-  | Lost of string  (** a pinned slot value, or lease safety, was violated *)
-  | Corrupt of string  (** fsck damage, or the harness contract broke *)
-
-type report = {
-  dr_nodes : int;
-  dr_clients : int;
-  dr_ops : int;  (** per-client ops actually run *)
-  dr_seed : int;
-  dr_lease_ns : int;
-  dr_partition : bool;
-  dr_points : int;
-  dr_served : int;
-  dr_unavailable : int;
-  dr_lost : int;
-  dr_corrupt : int;
-  dr_restarts : int;
-  dr_warm_hits : int;  (** opens served from lease caches, zero messages *)
-  dr_cold_opens : int;
-  dr_inval_sent : int;
-  dr_inval_shed : int;
-  dr_inval_lapsed : int;
-      (** pushes skipped because the holder's lease had already lapsed *)
-  dr_stale_blocked : int;  (** cache entries refused: lease lapsed *)
-  dr_stale_serves : int;  (** warm serves past the lease bound — must be 0 *)
-  dr_wrong_shard : int;  (** shard-map re-fetches *)
-  dr_op_served : int;
-  dr_op_retried : int;
-  dr_op_shed : int;
-  dr_op_failed : int;
-  dr_deadline_misses : int;
-  dr_max_recover_ns : int;  (** worst kill -> first-served-again gap *)
-  dr_first_bad : (string * int * string) option;  (** mode, point, message *)
-}
-
-(** Sweep every (strided) global op boundary.  [ops] is the total op
-    budget; each client runs [max 8 (ops / clients)] ops.
-    [op_deadline_ns] (default 1s virtual) bounds every client op
-    through [Sp_avail.call]. *)
-val sweep :
-  ?stride:int ->
+(** The sweep over every (strided) global op boundary (axis [boundary]),
+    for {!Sp_sweep.run}.  [ops] is the total op budget; each client runs
+    [max 8 (ops / clients)] ops.  The point's index picks the victim:
+    the shard (and, alternately, its DFS front or storage level) in kill
+    mode, the client in partition mode.  [op_deadline_ns] (default 1s
+    virtual) bounds every client op through [Sp_avail.call].  Classes
+    [served] and the failing [unavailable], [lost], [corrupt]; a
+    failure message starts with the victim, e.g. [kill:n1.store]. *)
+val scenario :
   ?partition:bool ->
   ?lease_ns:int ->
   ?op_deadline_ns:int ->
@@ -73,9 +39,4 @@ val sweep :
   ops:int ->
   seed:int ->
   unit ->
-  report
-
-(** One-line machine-readable verdict (CI greps this). *)
-val summary : report -> string
-
-val pp_report : Format.formatter -> report -> unit
+  Sp_sweep.scenario

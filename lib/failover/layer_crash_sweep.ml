@@ -29,36 +29,7 @@ module File = Sp_core.File
 module Sname = Sp_naming.Sname
 module Rng = Sp_fault.Rng
 module DL = Sp_sfs.Disk_layer
-
-type outcome =
-  | Served
-  | Unavailable of string
-  | Lost of string
-  | Corrupt of string
-
-type report = {
-  fr_supervised : bool;
-  fr_ops : int;
-  fr_seed : int;
-  fr_clients : int;
-  fr_layers : string list;
-  fr_points : int;
-  fr_served : int;
-  fr_unavailable : int;
-  fr_lost : int;
-  fr_corrupt : int;
-  fr_restarts : int;  (* level rebuilds across all points *)
-  fr_reconciled_clean : int;  (* clean pages dropped and refetched *)
-  fr_reconciled_lost : int;  (* dirty unsynced pages lost *)
-  (* Concurrent-mode per-op availability accounting (zero for clients=1). *)
-  fr_op_served : int;  (* client ops that completed *)
-  fr_op_retried : int;  (* of which only after availability retry *)
-  fr_op_shed : int;  (* ops fast-failed by an open breaker *)
-  fr_op_failed : int;  (* ops that surfaced a loud failure *)
-  fr_deadline_misses : int;  (* ops that overran their deadline *)
-  fr_max_recover_ns : int;  (* worst kill -> first-served-again gap *)
-  fr_first_bad : (string * int * string) option;  (* layer, op, message *)
-}
+module Live = Sp_sweep.Live
 
 let disk_blocks = 2048
 let root = Sname.of_components []
@@ -310,14 +281,17 @@ let exact_match st actual =
 (* One crash point                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* The stack's own per-point counters, ahead of the live-client ones. *)
+let stack_counters st live =
+  let clean, lost = Sp_vm.Vmm.reconciled st.vmm in
+  ("restarts", Sp_sweep.Sum (Sp_supervise.restarts st.sup))
+  :: ("reconciled", Sp_sweep.Pair (clean, lost))
+  :: live
+
 let run_point ~supervised ~layer ~ops ~seed ~kill_at =
   let st = build_sim ~supervised () in
   let rng = Rng.create seed in
   let finish () = Sp_supervise.unsupervise st.sup in
-  let stats () =
-    let clean, lost = Sp_vm.Vmm.reconciled st.vmm in
-    (Sp_supervise.restarts st.sup, clean, lost)
-  in
   let outcome =
     Fun.protect ~finally:finish @@ fun () ->
     match
@@ -337,7 +311,7 @@ let run_point ~supervised ~layer ~ops ~seed ~kill_at =
       | None -> check_floor st (read_back st)
     in
     (match floor with
-    | Some msg -> Error (Lost msg)
+    | Some msg -> Error (Live.Lost msg)
     | None ->
         adopt st (read_back st);
         for i = kill_at to ops do
@@ -345,25 +319,21 @@ let run_point ~supervised ~layer ~ops ~seed ~kill_at =
         done;
         do_sync st;
         if supervised && Sp_supervise.restarts st.sup = restarts0 then
-          Error (Corrupt (layer ^ ": supervisor never restarted anything"))
+          Error (Live.Corrupt (layer ^ ": supervisor never restarted anything"))
         else Ok ())
     with
     | Error o -> o
-    | exception Sp_core.Fserr.Dead_domain who -> Unavailable who
-    | exception Sp_supervise.Give_up msg -> Unavailable msg
+    | exception Sp_core.Fserr.Dead_domain who -> Live.Unavailable who
+    | exception Sp_supervise.Give_up msg -> Live.Unavailable msg
     | Ok () -> (
-        match Sp_sfs.Fsck.check st.disk with
-        | p :: rest ->
-            Corrupt
-              (Format.asprintf "%a%s" Sp_sfs.Fsck.pp_problem p
-                 (if rest = [] then ""
-                  else Printf.sprintf " (+%d more)" (List.length rest)))
-        | [] -> (
+        match Sp_sfs.Fsck.summary (Sp_sfs.Fsck.check st.disk) with
+        | Some problem -> Live.Corrupt problem
+        | None -> (
             match exact_match st (read_back st) with
-            | Some msg -> Lost msg
-            | None -> Served))
+            | Some msg -> Live.Lost msg
+            | None -> Live.Served))
   in
-  (outcome, stats ())
+  (outcome, stack_counters st Live.no_counters)
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent crash points                                             *)
@@ -404,96 +374,44 @@ let conc_max_pos = 4096
 let conc_max_write = 1024
 let conc_breaker = "lcs"
 
-(* Retry policy sized to the stack's real restart window: under
-   [paper_1993] rebuilding the disk layer replays the journal (~10 disk
-   IOs, ~130ms virtual), so the backoff series must keep probing well
-   past that — cumulative raw sleep is ~560ms over 16 attempts, and
-   jitter only shortens it to no less than half.  The default policy's
-   ~16ms budget (tuned for a dead *domain*, not a remount) would exhaust
-   mid-restart and trip the breaker on a stack that is coming back. *)
-let conc_policy =
-  Sp_avail.Backoff.make ~base_ns:2_000_000 ~max_delay_ns:50_000_000
-    ~max_attempts:16 ()
-
-type conc_result = {
-  cr_outcome : outcome;
-  cr_restarts : int;
-  cr_rec_clean : int;
-  cr_rec_lost : int;
-  cr_op_served : int;
-  cr_op_retried : int;
-  cr_op_shed : int;
-  cr_op_failed : int;
-  cr_deadline_misses : int;
-  cr_recover_ns : int;
-}
-
 let run_point_concurrent ~supervised ~layer ~clients ~cops ~seed ~kill_at
     ~deadline_ns =
   let st = build_sim ~clients ~supervised () in
   Sp_avail.Breaker.reset conc_breaker;
-  let m0 = Sp_sim.Metrics.snapshot () in
+  let live =
+    Live.create ~at:kill_at
+      ~fault:(fun () ->
+        Sp_obj.Sdomain.kill
+          (Sp_supervise.current st.sup layer).Stackable.sfs_domain)
+      ~restarts:(fun () -> Sp_supervise.restarts st.sup)
+      ~loud:(fun _ -> None)
+  in
   let paths =
     Array.init clients (fun k -> Sname.of_components [ "c" ^ string_of_int k ])
   in
   let recs = Array.make clients [] in
   (* newest-first *)
-  let ev = ref 0 in
   let cut_ev = ref 0 in
-  let killed = ref false in
-  let recovery_ev = ref (-1) in
-  let boundary = ref 0 in
-  let t_kill = ref 0 in
-  let t_recover = ref (-1) in
-  let op_served = ref 0 in
-  let deadline_misses = ref 0 in
-  let first_err = ref None in
-  let note_err m = if !first_err = None then first_err := Some m in
-  let maybe_kill () =
-    incr boundary;
-    if (not !killed) && !boundary = kill_at then begin
-      killed := true;
-      t_kill := Sp_sim.Simclock.now ();
-      Sp_obj.Sdomain.kill
-        (Sp_supervise.current st.sup layer).Stackable.sfs_domain
-    end
-  in
-  let note_success () =
-    incr op_served;
-    if !killed && !t_recover < 0 then t_recover := Sp_sim.Simclock.now ();
-    (* Recovery completed once an op succeeds with the restart counted:
-       ops started after this watermark resolve through the rebuilt
-       incarnations and their effects can no longer die with the old
-       ones. *)
-    if !killed && !recovery_ev < 0 && Sp_supervise.restarts st.sup > 0 then
-      recovery_ev := !ev
-  in
   let client k () =
     let wl = Rng.create (seed + ((k + 1) * 7919)) in
     let bo = Rng.create (seed + ((k + 1) * 104729)) in
     (* Stagger arrivals so kill boundaries interleave clients. *)
     Sp_sched.sleep (k * 1_000);
     for i = 1 to cops do
-      maybe_kill ();
+      Live.boundary live;
       if i mod 4 = 0 then begin
         (* Durable cut: only a sync that completed before the kill
            guarantees pre-sync-start writes survived it. *)
-        let s0 = !ev in
+        let s0 = Live.events live in
         match
-          Sp_avail.call ~name:conc_breaker ~policy:conc_policy ~deadline_ns
-            ~rng:bo (fun () -> Stackable.sync st.fs)
+          Live.call live ~name:conc_breaker ~rng:bo ~deadline_ns (fun () ->
+              Stackable.sync st.fs)
         with
-        | () ->
-            note_success ();
-            if not !killed then cut_ev := max !cut_ev s0
-        | exception Sp_core.Fserr.Timed_out _ -> incr deadline_misses
-        | exception Sp_avail.Unavailable m -> note_err m
-        | exception Sp_core.Fserr.Io_error m -> note_err ("io: " ^ m)
-        | exception Sp_core.Fserr.Checksum_error m ->
-            note_err ("checksum: " ^ m)
+        | Some () -> if not (Live.fired live) then cut_ev := max !cut_ev s0
+        | None -> ()
       end
       else begin
-        incr ev;
+        let w_seq = Live.tick live in
         let pos = Rng.int wl conc_max_pos in
         let len = 1 + Rng.int wl conc_max_write in
         let base = Rng.int wl 256 in
@@ -503,28 +421,20 @@ let run_point_concurrent ~supervised ~layer ~clients ~cops ~seed ~kill_at
             w_len = len;
             w_data =
               Bytes.init len (fun j -> Char.chr ((base + j) land 0xff));
-            w_seq = !ev;
+            w_seq;
             w_done = -1;
           }
         in
         recs.(k) <- r :: recs.(k);
         match
-          Sp_avail.call ~name:conc_breaker ~policy:conc_policy ~deadline_ns
-            ~rng:bo (fun () ->
+          Live.call live ~name:conc_breaker ~rng:bo ~deadline_ns (fun () ->
               (* Re-resolve the file every attempt: a handle minted by a
                  dead incarnation must not be retried into. *)
               let f = Stackable.open_file st.fs paths.(k) in
               ignore (File.write f ~pos:r.w_pos r.w_data))
         with
-        | () ->
-            incr ev;
-            r.w_done <- !ev;
-            note_success ()
-        | exception Sp_core.Fserr.Timed_out _ -> incr deadline_misses
-        | exception Sp_avail.Unavailable m -> note_err m
-        | exception Sp_core.Fserr.Io_error m -> note_err ("io: " ^ m)
-        | exception Sp_core.Fserr.Checksum_error m ->
-            note_err ("checksum: " ^ m)
+        | Some () -> r.w_done <- Live.tick live
+        | None -> ()
       end
     done
   in
@@ -536,11 +446,7 @@ let run_point_concurrent ~supervised ~layer ~clients ~cops ~seed ~kill_at
     (* Writes started after this event are immune to the crash: with no
        kill nothing is vulnerable; with a kill but no observed recovery
        (unsupervised control) every post-kill write stays vulnerable. *)
-    let safe_after =
-      if not !killed then -1
-      else if !recovery_ev >= 0 then !recovery_ev
-      else max_int
-    in
+    let safe_after = Live.safe_after live in
     Array.iteri
       (fun k rl ->
         let name = "c" ^ string_of_int k in
@@ -597,181 +503,54 @@ let run_point_concurrent ~supervised ~layer ~clients ~cops ~seed ~kill_at
          the kill). *)
       Stackable.sync st.fs
     with
-    | exception Sp_core.Fserr.Dead_domain who -> Unavailable who
-    | exception Sp_supervise.Give_up msg -> Unavailable msg
-    | exception Sp_core.Fserr.Io_error m -> Lost ("io: " ^ m)
-    | exception Sp_core.Fserr.Checksum_error m -> Lost ("checksum: " ^ m)
+    | exception Sp_core.Fserr.Dead_domain who -> Live.Unavailable who
+    | exception Sp_supervise.Give_up msg -> Live.Unavailable msg
+    | exception Sp_core.Fserr.Io_error m -> Live.Lost ("io: " ^ m)
+    | exception Sp_core.Fserr.Checksum_error m -> Live.Lost ("checksum: " ^ m)
     | () -> (
-        if !t_recover < 0 && !killed then
-          t_recover := Sp_sim.Simclock.now ();
-        match (!first_err, !deadline_misses) with
-        | Some m, _ -> Unavailable m
-        | None, n when n > 0 ->
-            Unavailable (Printf.sprintf "%d ops overran their deadline" n)
-        | None, _ -> (
+        match Live.loud_failure live with
+        | Some m -> Live.Unavailable m
+        | None -> (
             match verify () with
-            | Some msg -> Lost msg
+            | Some msg -> Live.Lost msg
             | None -> (
-                match Sp_sfs.Fsck.check st.disk with
-                | p :: rest ->
-                    Corrupt
-                      (Format.asprintf "%a%s" Sp_sfs.Fsck.pp_problem p
-                         (if rest = [] then ""
-                          else Printf.sprintf " (+%d more)" (List.length rest)))
-                | [] ->
+                match Sp_sfs.Fsck.summary (Sp_sfs.Fsck.check st.disk) with
+                | Some problem -> Live.Corrupt problem
+                | None ->
                     if supervised && Sp_supervise.restarts st.sup = 0 then
-                      Corrupt (layer ^ ": supervisor never restarted anything")
-                    else Served)))
+                      Live.Corrupt (layer ^ ": supervisor never restarted anything")
+                    else Live.Served)))
   in
-  let m1 = Sp_sim.Metrics.snapshot () in
-  let d = Sp_sim.Metrics.diff ~before:m0 ~after:m1 in
-  let clean, lost = Sp_vm.Vmm.reconciled st.vmm in
-  {
-    cr_outcome = outcome;
-    cr_restarts = Sp_supervise.restarts st.sup;
-    cr_rec_clean = clean;
-    cr_rec_lost = lost;
-    cr_op_served = !op_served;
-    cr_op_retried = d.Sp_sim.Metrics.avail_retried;
-    cr_op_shed = d.Sp_sim.Metrics.avail_shed;
-    cr_op_failed = d.Sp_sim.Metrics.avail_failed;
-    cr_deadline_misses = !deadline_misses;
-    cr_recover_ns = (if !t_recover >= 0 then !t_recover - !t_kill else 0);
-  }
+  (outcome, stack_counters st (Live.counters live))
 
 (* ------------------------------------------------------------------ *)
 (* The sweep                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let sweep ?(stride = 1) ?(supervised = true) ?(clients = 1)
+let scenario ?(supervised = true) ?(clients = 1)
     ?(op_deadline_ns = 1_000_000_000) ~ops ~seed () =
-  if stride < 1 then invalid_arg "Layer_crash_sweep.sweep: stride must be >= 1";
-  if clients < 1 then invalid_arg "Layer_crash_sweep.sweep: clients must be >= 1";
-  let served = ref 0
-  and unavailable = ref 0
-  and lost = ref 0
-  and corrupt = ref 0
-  and points = ref 0
-  and restarts = ref 0
-  and rec_clean = ref 0
-  and rec_lost = ref 0
-  and op_served = ref 0
-  and op_retried = ref 0
-  and op_shed = ref 0
-  and op_failed = ref 0
-  and deadline_misses = ref 0
-  and max_recover = ref 0 in
-  let first_bad = ref None in
-  let bad layer at msg =
-    if !first_bad = None then first_bad := Some (layer, at, msg)
-  in
+  if clients < 1 then invalid_arg "Layer_crash_sweep: clients must be >= 1";
   (* Concurrent mode sweeps *global* op boundaries (clients * per-client
      ops); single-client mode keeps the original per-op workload. *)
   let cops = max 2 (ops / clients) in
   let boundaries = if clients = 1 then ops else clients * cops in
-  List.iter
-    (fun layer ->
-      let kill_at = ref 1 in
-      while !kill_at <= boundaries do
-        incr points;
-        let outcome =
-          if clients = 1 then begin
-            let outcome, (rs, rc, rl) =
-              run_point ~supervised ~layer ~ops ~seed ~kill_at:!kill_at
-            in
-            restarts := !restarts + rs;
-            rec_clean := !rec_clean + rc;
-            rec_lost := !rec_lost + rl;
-            outcome
-          end
-          else begin
-            let r =
-              run_point_concurrent ~supervised ~layer ~clients ~cops ~seed
-                ~kill_at:!kill_at ~deadline_ns:op_deadline_ns
-            in
-            restarts := !restarts + r.cr_restarts;
-            rec_clean := !rec_clean + r.cr_rec_clean;
-            rec_lost := !rec_lost + r.cr_rec_lost;
-            op_served := !op_served + r.cr_op_served;
-            op_retried := !op_retried + r.cr_op_retried;
-            op_shed := !op_shed + r.cr_op_shed;
-            op_failed := !op_failed + r.cr_op_failed;
-            deadline_misses := !deadline_misses + r.cr_deadline_misses;
-            if r.cr_recover_ns > !max_recover then
-              max_recover := r.cr_recover_ns;
-            r.cr_outcome
-          end
-        in
-        (match outcome with
-        | Served -> incr served
-        | Unavailable msg ->
-            incr unavailable;
-            bad layer !kill_at ("unavailable: " ^ msg)
-        | Lost msg ->
-            incr lost;
-            bad layer !kill_at msg
-        | Corrupt msg ->
-            incr corrupt;
-            bad layer !kill_at msg);
-        kill_at := !kill_at + stride
-      done)
-    layer_names;
   {
-    fr_supervised = supervised;
-    fr_ops = ops;
-    fr_seed = seed;
-    fr_clients = clients;
-    fr_layers = layer_names;
-    fr_points = !points;
-    fr_served = !served;
-    fr_unavailable = !unavailable;
-    fr_lost = !lost;
-    fr_corrupt = !corrupt;
-    fr_restarts = !restarts;
-    fr_reconciled_clean = !rec_clean;
-    fr_reconciled_lost = !rec_lost;
-    fr_op_served = !op_served;
-    fr_op_retried = !op_retried;
-    fr_op_shed = !op_shed;
-    fr_op_failed = !op_failed;
-    fr_deadline_misses = !deadline_misses;
-    fr_max_recover_ns = !max_recover;
-    fr_first_bad = !first_bad;
+    Sp_sweep.label = "LAYER-CRASH-SWEEP";
+    params =
+      [
+        ("supervised", Sp_sweep.on_off supervised);
+        ("clients", string_of_int clients);
+        ("layers", string_of_int (List.length layer_names));
+      ];
+    trailer = [ ("seed", string_of_int seed); ("ops", string_of_int ops) ];
+    classes = Live.classes;
+    failing = Live.failing;
+    axes = List.map (fun layer -> (layer, boundaries)) layer_names;
+    run =
+      (fun { Sp_sweep.axis = layer; at = kill_at; _ } ->
+        Live.verdict
+          (if clients = 1 then run_point ~supervised ~layer ~ops ~seed ~kill_at
+           else
+             run_point_concurrent ~supervised ~layer ~clients ~cops ~seed
+               ~kill_at ~deadline_ns:op_deadline_ns));
   }
-
-let summary r =
-  Printf.sprintf
-    "LAYER-CRASH-SWEEP supervised=%s clients=%d layers=%d points=%d served=%d \
-     unavailable=%d lost=%d corrupt=%d restarts=%d reconciled=%d+%d \
-     op_served=%d retried=%d shed=%d failed=%d deadline_misses=%d"
-    (if r.fr_supervised then "on" else "off")
-    r.fr_clients (List.length r.fr_layers) r.fr_points r.fr_served
-    r.fr_unavailable r.fr_lost r.fr_corrupt r.fr_restarts
-    r.fr_reconciled_clean r.fr_reconciled_lost r.fr_op_served r.fr_op_retried
-    r.fr_op_shed r.fr_op_failed r.fr_deadline_misses
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>layer crash sweep: supervised=%s ops=%d seed=%d clients=%d@,\
-     layers: %s@,\
-     crash points: %d (every op boundary of every layer)@,\
-     served %d   unavailable %d   lost %d   corrupt %d@,\
-     level restarts %d   pages reconciled %d clean / %d lost@]"
-    (if r.fr_supervised then "on" else "off")
-    r.fr_ops r.fr_seed r.fr_clients
-    (String.concat " -> " r.fr_layers)
-    r.fr_points r.fr_served r.fr_unavailable r.fr_lost r.fr_corrupt
-    r.fr_restarts r.fr_reconciled_clean r.fr_reconciled_lost;
-  if r.fr_clients > 1 then
-    Format.fprintf ppf
-      "@,client ops: %d served (%d retried through restart)   %d shed   \
-       %d failed   %d deadline misses@,\
-       worst kill -> served-again gap: %.3f ms"
-      r.fr_op_served r.fr_op_retried r.fr_op_shed r.fr_op_failed
-      r.fr_deadline_misses
-      (float_of_int r.fr_max_recover_ns /. 1e6);
-  match r.fr_first_bad with
-  | None -> ()
-  | Some (layer, at, msg) ->
-      Format.fprintf ppf "@,first failure: %s killed before op %d: %s" layer at
-        msg

@@ -30,68 +30,32 @@
     its deadline, fsck is clean, and the supervisor actually
     restarted. *)
 
-type outcome =
-  | Served  (** restarted, no synced byte lost, exact final state, clean fsck *)
-  | Unavailable of string  (** a [Dead_domain] (or budget [Give_up]) escaped *)
-  | Lost of string  (** a synced byte (or file) did not survive *)
-  | Corrupt of string  (** fsck problems, or supervised but never restarted *)
-
-type report = {
-  fr_supervised : bool;
-  fr_ops : int;
-  fr_seed : int;
-  fr_clients : int;
-  fr_layers : string list;
-  fr_points : int;
-  fr_served : int;
-  fr_unavailable : int;
-  fr_lost : int;
-  fr_corrupt : int;
-  fr_restarts : int;  (** level rebuilds across all points *)
-  fr_reconciled_clean : int;  (** clean pages dropped and refetched *)
-  fr_reconciled_lost : int;  (** dirty unsynced pages reported lost *)
-  fr_op_served : int;  (** concurrent mode: client ops completed *)
-  fr_op_retried : int;  (** of which only after availability retry *)
-  fr_op_shed : int;  (** ops fast-failed by an open circuit breaker *)
-  fr_op_failed : int;  (** ops that surfaced a loud failure *)
-  fr_deadline_misses : int;  (** ops that overran their deadline *)
-  fr_max_recover_ns : int;  (** worst kill -> first-served-again gap *)
-  fr_first_bad : (string * int * string) option;  (** layer, op, message *)
-}
-
-(** The layers swept, bottom to top. *)
-val layer_names : string list
-
 (** One crash point: kill [layer] before op [kill_at] (1-based) of an
-    [ops]-op workload.  Returns the outcome and this point's
-    [(restarts, reconciled_clean, reconciled_lost)]. *)
+    [ops]-op workload.  Returns the outcome and this point's counters
+    ([restarts], [reconciled] clean+lost pages, and the live-client
+    counters, all zero here). *)
 val run_point :
   supervised:bool ->
   layer:string ->
   ops:int ->
   seed:int ->
   kill_at:int ->
-  outcome * (int * int * int)
+  Sp_sweep.Live.outcome * (string * Sp_sweep.count) list
 
-(** Sweep every (layer, op boundary) pair; [stride] thins the op
-    boundaries tested (default 1 = all of them).  [clients] (default 1)
-    switches to the concurrent mode described above, with per-client ops
+(** The sweep over every (layer, op boundary) pair, one axis per layer
+    bottom to top, for {!Sp_sweep.run}.  [clients] (default 1) switches
+    to the concurrent mode described above, with per-client ops
     [max 2 (ops / clients)] and global boundaries [clients * that];
     [op_deadline_ns] (default 1s virtual — several times the worst
     observed restart window under [paper_1993], so it bounds hangs
     without failing ops that legitimately ride through a restart) is the
-    per-op deadline enforced through [Sp_avail.call]. *)
-val sweep :
-  ?stride:int ->
+    per-op deadline enforced through [Sp_avail.call].  Classes [served]
+    and the failing [unavailable], [lost], [corrupt]. *)
+val scenario :
   ?supervised:bool ->
   ?clients:int ->
   ?op_deadline_ns:int ->
   ops:int ->
   seed:int ->
   unit ->
-  report
-
-(** One-line machine-readable verdict (CI greps this). *)
-val summary : report -> string
-
-val pp_report : Format.formatter -> report -> unit
+  Sp_sweep.scenario

@@ -26,22 +26,6 @@ type outcome =
   | Repaired
   | Silent of string
 
-type report = {
-  cr_kind : kind;
-  cr_checksums : bool;
-  cr_mirror : bool;
-  cr_clients : int;
-  cr_ops : int;
-  cr_seed : int;
-  cr_io : int;
-  cr_points : int;
-  cr_absorbed : int;
-  cr_detected : int;
-  cr_repaired : int;
-  cr_silent : int;
-  cr_first_silent : (int * string) option;
-}
-
 let kind_name = function
   | Bitrot -> "bitrot"
   | Misdirected -> "misdirected"
@@ -263,13 +247,9 @@ let run_point ?(checksums = true) ?(mirror = false) ?(clients = 1) ~kind ~ops
             if Sp_mirrorfs.Mirrorfs.repairs m > 0 then Repaired else Absorbed)
     | None -> (
         let disk = List.hd s.s_disks in
-        match Fsck.check ~verify_checksums:checksums disk with
-        | p :: rest ->
-            Detected
-              (Format.asprintf "fsck: %a%s" Fsck.pp_problem p
-                 (if rest = [] then ""
-                  else Printf.sprintf " (+%d more)" (List.length rest)))
-        | [] -> (
+        match Fsck.summary (Fsck.check ~verify_checksums:checksums disk) with
+        | Some problem -> Detected ("fsck: " ^ problem)
+        | None -> (
             let fs2 = Disk_layer.mount ~name:(s.s_label ^ "-v") disk in
             match compare_expected s.s_sim fs2 with
             | Some divergence -> Silent divergence
@@ -279,72 +259,31 @@ let run_point ?(checksums = true) ?(mirror = false) ?(clients = 1) ~kind ~ops
   | outcome -> outcome
   | exception e when loud e -> Detected (Sp_core.Fserr.to_string e)
 
-let sweep ?(stride = 1) ?(checksums = true) ?(mirror = false) ?(clients = 1)
-    ~kind ~ops ~seed () =
-  if stride < 1 then invalid_arg "Corruption_sweep.sweep: stride must be >= 1";
+let scenario ?(checksums = true) ?(mirror = false) ?(clients = 1) ~kind ~ops
+    ~seed () =
   let io = workload_io ~checksums ~mirror ~clients ~kind ~ops ~seed () in
-  let absorbed = ref 0 and detected = ref 0 and repaired = ref 0 and silent = ref 0 in
-  let points = ref 0 in
-  let first_silent = ref None in
-  let at = ref 1 in
-  while !at <= io do
-    incr points;
-    (match run_point ~checksums ~mirror ~clients ~kind ~ops ~seed ~at:!at () with
-    | Absorbed -> incr absorbed
-    | Detected _ -> incr detected
-    | Repaired -> incr repaired
-    | Silent msg ->
-        incr silent;
-        if !first_silent = None then first_silent := Some (!at, msg));
-    at := !at + stride
-  done;
   {
-    cr_kind = kind;
-    cr_checksums = checksums;
-    cr_mirror = mirror;
-    cr_clients = clients;
-    cr_ops = ops;
-    cr_seed = seed;
-    cr_io = io;
-    cr_points = !points;
-    cr_absorbed = !absorbed;
-    cr_detected = !detected;
-    cr_repaired = !repaired;
-    cr_silent = !silent;
-    cr_first_silent = !first_silent;
+    Sp_sweep.label = "SCRUB-SWEEP";
+    params =
+      [
+        ("kind", kind_name kind);
+        ("checksums", Sp_sweep.on_off checksums);
+        ("mirror", Sp_sweep.on_off mirror);
+      ]
+      @ if clients > 1 then [ ("clients", string_of_int clients) ] else [];
+    trailer =
+      [ ("seed", string_of_int seed); ("ops", string_of_int ops); ("io", string_of_int io) ];
+    classes = [ "absorbed"; "detected"; "repaired"; "silent" ];
+    failing = [ "silent" ];
+    axes = [ (kind_name kind, io) ];
+    run =
+      (fun p ->
+        let cls, msg =
+          match run_point ~checksums ~mirror ~clients ~kind ~ops ~seed ~at:p.Sp_sweep.at () with
+          | Absorbed -> ("absorbed", "")
+          | Detected m -> ("detected", m)
+          | Repaired -> ("repaired", "")
+          | Silent m -> ("silent", m)
+        in
+        { Sp_sweep.cls; msg; counters = [] });
   }
-
-let pp_outcome ppf = function
-  | Absorbed -> Format.fprintf ppf "absorbed"
-  | Detected msg -> Format.fprintf ppf "detected (%s)" msg
-  | Repaired -> Format.fprintf ppf "repaired"
-  | Silent msg -> Format.fprintf ppf "SILENT (%s)" msg
-
-let summary r =
-  Printf.sprintf
-    "SCRUB-SWEEP kind=%s checksums=%s mirror=%s%s points=%d absorbed=%d \
-     detected=%d repaired=%d silent=%d"
-    (kind_name r.cr_kind)
-    (if r.cr_checksums then "on" else "off")
-    (if r.cr_mirror then "on" else "off")
-    (if r.cr_clients > 1 then Printf.sprintf " clients=%d" r.cr_clients else "")
-    r.cr_points r.cr_absorbed r.cr_detected r.cr_repaired r.cr_silent
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>corruption sweep: kind=%s checksums=%s mirror=%s clients=%d ops=%d \
-     seed=%d@,\
-     device %s swept: %d (%d injection points)@,\
-     absorbed %d   detected %d   repaired %d   silent %d@]"
-    (kind_name r.cr_kind)
-    (if r.cr_checksums then "on" else "off")
-    (if r.cr_mirror then "on" else "off")
-    r.cr_clients r.cr_ops r.cr_seed
-    (match point_of r.cr_kind with "disk.read" -> "reads" | _ -> "writes")
-    r.cr_io r.cr_points r.cr_absorbed r.cr_detected r.cr_repaired r.cr_silent;
-  match r.cr_first_silent with
-  | Some (at, msg) ->
-      Format.fprintf ppf "@,first silent corruption at %s %d: %s"
-        (match point_of r.cr_kind with "disk.read" -> "read" | _ -> "write")
-        at msg
-  | None -> ()

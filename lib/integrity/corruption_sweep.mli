@@ -35,22 +35,6 @@ type outcome =
       (** read-back content differs from what was written and nothing
           complained — the failure checksums exist to rule out *)
 
-type report = {
-  cr_kind : kind;
-  cr_checksums : bool;
-  cr_mirror : bool;
-  cr_clients : int;  (** concurrent clients (1 = the classic serial sweep) *)
-  cr_ops : int;  (** operations, per client when [cr_clients > 1] *)
-  cr_seed : int;
-  cr_io : int;  (** device I/Os of the faulted kind in the workload *)
-  cr_points : int;  (** injection points actually swept *)
-  cr_absorbed : int;
-  cr_detected : int;
-  cr_repaired : int;
-  cr_silent : int;
-  cr_first_silent : (int * string) option;
-}
-
 val kind_name : kind -> string
 
 (** Device I/Os (reads for {!Bitrot}, writes otherwise) the workload
@@ -70,14 +54,10 @@ val run_point :
   ?checksums:bool -> ?mirror:bool -> ?clients:int -> kind:kind -> ops:int ->
   seed:int -> at:int -> unit -> outcome
 
-(** Sweep injection points [1, 1+stride, ...] across the workload. *)
-val sweep :
-  ?stride:int -> ?checksums:bool -> ?mirror:bool -> ?clients:int ->
-  kind:kind -> ops:int -> seed:int -> unit -> report
-
-val pp_outcome : Format.formatter -> outcome -> unit
-val pp_report : Format.formatter -> report -> unit
-
-(** One-line machine-readable summary, e.g.
-    ["SCRUB-SWEEP kind=bitrot checksums=on mirror=off points=63 absorbed=11 detected=52 repaired=0 silent=0"]. *)
-val summary : report -> string
+(** The sweep over every device I/O of the faulted kind (the axis is
+    named after the kind), for {!Sp_sweep.run}.  Classes [absorbed],
+    [detected], [repaired] and the failing [silent]; verdict line e.g.
+    ["SCRUB-SWEEP kind=bitrot checksums=on mirror=off points=11 absorbed=0 detected=11 repaired=0 silent=0 seed=7 ops=14 io=11"]. *)
+val scenario :
+  ?checksums:bool -> ?mirror:bool -> ?clients:int -> kind:kind -> ops:int ->
+  seed:int -> unit -> Sp_sweep.scenario

@@ -6,23 +6,6 @@ module Rng = Sp_fault.Rng
 
 type outcome = Survived | Lost of string | Corrupt of string | Detected of string
 
-type report = {
-  rp_journal : bool;
-  rp_torn : bool;
-  rp_checksums : bool;
-  rp_sync_heavy : bool;
-  rp_clients : int;
-  rp_ops : int;
-  rp_seed : int;
-  rp_writes : int;
-  rp_points : int;
-  rp_survived : int;
-  rp_lost : int;
-  rp_corrupt : int;
-  rp_detected : int;
-  rp_first_bad : (int * string) option;
-}
-
 let disk_blocks = 1024
 let root = Sname.of_components []
 let n_files = 6
@@ -83,11 +66,8 @@ let remove_step st rng =
     Hashtbl.remove st.expected name
   end
 
-(* [sync_every]: ops between the periodic syncs.  The default (5) is the
-   classic sweep; the sync-heavy mode (2) makes crash points land inside
-   commit windows far more often — with concurrent clients that means
-   inside the leader/follower group-commit protocol. *)
-let run_ops ?(sync_every = 5) st rng ops =
+(* [sync_every]: ops between the periodic syncs. *)
+let run_ops ~sync_every st rng ops =
   for i = 1 to ops do
     (match Rng.int rng 12 with
     | 10 -> remove_step st rng
@@ -99,13 +79,6 @@ let run_ops ?(sync_every = 5) st rng ops =
 
 let label ~journal ~seed =
   Printf.sprintf "crashsweep-%c%d" (if journal then 'j' else 'r') seed
-
-let setup ~journal ~checksums ~seed =
-  let lbl = label ~journal ~seed in
-  let disk = Disk.create ~label:lbl ~blocks:disk_blocks () in
-  Disk_layer.mkfs ~journal ~checksums disk;
-  let fs = Disk_layer.mount ~name:lbl disk in
-  (disk, { fs; expected = Hashtbl.create 8; synced = []; pending = None })
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent-client mode                                              *)
@@ -192,7 +165,7 @@ let cremove_step world fs rng k =
       Stackable.remove fs (Sname.of_components [ name ]);
       hist_push h Absent
 
-let run_clients ?(sync_every = 5) world fs ~clients ~ops ~seed =
+let run_clients ~sync_every world fs ~clients ~ops ~seed =
   let client k () =
     let rng = Rng.create (seed + ((k + 1) * 7919)) in
     for i = 1 to ops do
@@ -257,81 +230,6 @@ let matches_world world fs2 =
                      h.floor h.n))
         world None
 
-let setup_concurrent ~journal ~checksums ~seed =
-  let lbl = label ~journal ~seed in
-  let disk = Disk.create ~label:lbl ~blocks:(2 * disk_blocks) () in
-  Disk_layer.mkfs ~journal ~checksums disk;
-  let fs = Disk_layer.mount ~name:lbl disk in
-  (disk, fs, Hashtbl.create 32)
-
-let workload_writes_concurrent ~sync_every ~checksums ~journal ~clients ~ops
-    ~seed () =
-  let disk, fs, world = setup_concurrent ~journal ~checksums ~seed in
-  let before = (Disk.stats disk).writes in
-  run_clients ~sync_every world fs ~clients ~ops ~seed;
-  (Disk.stats disk).writes - before
-
-let run_point_concurrent ~torn ~checksums ~sync_every ~journal ~clients ~ops
-    ~seed ~crash_at () =
-  let disk, fs, world = setup_concurrent ~journal ~checksums ~seed in
-  let plan =
-    Sp_fault.plan ~seed:(seed + crash_at)
-      [
-        Sp_fault.rule ~point:"disk.write"
-          ~label:(label ~journal ~seed)
-          ~after:(crash_at - 1) ~count:1
-          (if torn then Sp_fault.Torn_write_crash else Sp_fault.Fail_stop);
-      ]
-  in
-  (match
-     Sp_fault.with_plan plan (fun () ->
-         run_clients ~sync_every world fs ~clients ~ops ~seed)
-   with
-  | () -> ()
-  | exception Sp_fault.Crash _ -> ());
-  ignore (Disk_layer.recover disk);
-  let pp_first p rest =
-    Format.asprintf "%a%s" Fsck.pp_problem p
-      (if rest = [] then "" else Printf.sprintf " (+%d more)" (List.length rest))
-  in
-  let structural, mismatches =
-    List.partition
-      (function Fsck.Checksum_mismatch _ -> false | _ -> true)
-      (Fsck.check ~verify_checksums:checksums disk)
-  in
-  match structural with
-  | p :: rest -> Corrupt (pp_first p rest)
-  | [] -> (
-      match mismatches with
-      | p :: rest -> Detected (pp_first p rest)
-      | [] -> (
-          match
-            let fs2 =
-              Disk_layer.mount ~name:(label ~journal ~seed ^ "-re") disk
-            in
-            match matches_world world fs2 with
-            | None -> Survived
-            | Some msg -> Lost msg
-          with
-          | outcome -> outcome
-          | exception Sp_core.Fserr.Checksum_error msg -> Detected msg))
-
-let sync_interval sync_heavy = if sync_heavy then 2 else 5
-
-let workload_writes ?(checksums = true) ?(clients = 1) ?(sync_heavy = false)
-    ~journal ~ops ~seed () =
-  if clients < 1 then invalid_arg "Crash_sweep: clients must be >= 1";
-  let sync_every = sync_interval sync_heavy in
-  if clients > 1 then
-    workload_writes_concurrent ~sync_every ~checksums ~journal ~clients ~ops
-      ~seed ()
-  else begin
-    let disk, st = setup ~journal ~checksums ~seed in
-    let before = (Disk.stats disk).writes in
-    run_ops ~sync_every st (Rng.create seed) ops;
-    (Disk.stats disk).writes - before
-  end
-
 (* [matches fs2 snap] checks the remounted volume holds exactly the
    files of [snap] with exactly their contents; returns a description of
    the first divergence, or [None] on an exact match. *)
@@ -360,15 +258,56 @@ let matches fs2 snap =
                 else "")))
       snap
 
+(* The serial oracle: the remounted volume must equal one of the two
+   consistent cuts a write-ahead journal guarantees. *)
+let matches_cuts st fs2 =
+  let cuts =
+    (match st.pending with Some s -> [ ("in-flight sync", s) ] | None -> [])
+    @ [ ("last sync", st.synced) ]
+  in
+  if List.exists (fun (_, s) -> matches fs2 s = None) cuts then None
+  else
+    match cuts with
+    | (which, s) :: _ ->
+        Some
+          (Printf.sprintf "vs %s: %s" which
+             (Option.value ~default:"?" (matches fs2 s)))
+    | [] -> Some "no snapshot to compare"
+
+(* A fresh volume with the workload ready to run and the oracle that
+   judges the recovered volume against the workload's own record.
+   [sync_heavy] syncs every 2 ops instead of 5, so crash points land
+   inside commit windows far more often — with concurrent clients that
+   means inside the leader/follower group-commit protocol. *)
+let build ~checksums ~clients ~sync_heavy ~journal ~ops ~seed =
+  if clients < 1 then invalid_arg "Crash_sweep: clients must be >= 1";
+  let sync_every = if sync_heavy then 2 else 5 in
+  let lbl = label ~journal ~seed in
+  let blocks = if clients > 1 then 2 * disk_blocks else disk_blocks in
+  let disk = Disk.create ~label:lbl ~blocks () in
+  Disk_layer.mkfs ~journal ~checksums disk;
+  let fs = Disk_layer.mount ~name:lbl disk in
+  if clients > 1 then
+    let world = Hashtbl.create 32 in
+    ( disk,
+      (fun () -> run_clients ~sync_every world fs ~clients ~ops ~seed),
+      matches_world world )
+  else
+    let st = { fs; expected = Hashtbl.create 8; synced = []; pending = None } in
+    (disk, (fun () -> run_ops ~sync_every st (Rng.create seed) ops), matches_cuts st)
+
+let workload_writes ?(checksums = true) ?(clients = 1) ?(sync_heavy = false)
+    ~journal ~ops ~seed () =
+  let disk, workload, _ = build ~checksums ~clients ~sync_heavy ~journal ~ops ~seed in
+  let before = (Disk.stats disk).writes in
+  workload ();
+  (Disk.stats disk).writes - before
+
 let run_point ?(torn = false) ?(checksums = true) ?(clients = 1)
     ?(sync_heavy = false) ~journal ~ops ~seed ~crash_at () =
-  if clients < 1 then invalid_arg "Crash_sweep: clients must be >= 1";
-  let sync_every = sync_interval sync_heavy in
-  if clients > 1 then
-    run_point_concurrent ~torn ~checksums ~sync_every ~journal ~clients ~ops
-      ~seed ~crash_at ()
-  else
-  let disk, st = setup ~journal ~checksums ~seed in
+  let disk, workload, oracle =
+    build ~checksums ~clients ~sync_heavy ~journal ~ops ~seed
+  in
   let plan =
     Sp_fault.plan ~seed:(seed + crash_at)
       [
@@ -378,129 +317,57 @@ let run_point ?(torn = false) ?(checksums = true) ?(clients = 1)
           (if torn then Sp_fault.Torn_write_crash else Sp_fault.Fail_stop);
       ]
   in
-  (match
-     Sp_fault.with_plan plan (fun () ->
-         run_ops ~sync_every st (Rng.create seed) ops)
-   with
+  (match Sp_fault.with_plan plan workload with
   | () -> ()
   | exception Sp_fault.Crash _ -> ());
   ignore (Disk_layer.recover disk);
-  let pp_first p rest =
-    Format.asprintf "%a%s" Fsck.pp_problem p
-      (if rest = [] then "" else Printf.sprintf " (+%d more)" (List.length rest))
-  in
   let structural, mismatches =
     List.partition
       (function Fsck.Checksum_mismatch _ -> false | _ -> true)
       (Fsck.check ~verify_checksums:checksums disk)
   in
-  match structural with
-  | p :: rest -> Corrupt (pp_first p rest)
-  | [] -> (
-      match mismatches with
-      | p :: rest ->
-          (* The graph still parses, but checksums prove blocks hold the
-             wrong bytes — the positive detection a torn unjournaled
-             write gets with checksums on. *)
-          Detected (pp_first p rest)
-      | [] -> (
-          (* Checksum errors during remount or reading back (metadata the
-             structural pass could not attribute) also count as positive
-             detection, never as silently-served data. *)
-          match
-            let fs2 = Disk_layer.mount ~name:(label ~journal ~seed ^ "-re") disk in
-            let cuts =
-              (match st.pending with
-              | Some s -> [ ("in-flight sync", s) ]
-              | None -> [])
-              @ [ ("last sync", st.synced) ]
-            in
-            if List.exists (fun (_, s) -> matches fs2 s = None) cuts then Survived
-            else
-              match cuts with
-              | (which, s) :: _ ->
-                  Lost
-                    (Printf.sprintf "vs %s: %s" which
-                       (Option.value ~default:"?" (matches fs2 s)))
-              | [] -> Lost "no snapshot to compare"
-          with
-          | outcome -> outcome
-          | exception Sp_core.Fserr.Checksum_error msg -> Detected msg))
+  match (Fsck.summary structural, Fsck.summary mismatches) with
+  | Some msg, _ -> Corrupt msg
+  | None, Some msg ->
+      (* The graph still parses, but checksums prove blocks hold the
+         wrong bytes — the positive detection a torn unjournaled write
+         gets with checksums on. *)
+      Detected msg
+  | None, None -> (
+      (* Checksum errors during remount or reading back (metadata the
+         structural pass could not attribute) also count as positive
+         detection, never as silently-served data. *)
+      match oracle (Disk_layer.mount ~name:(label ~journal ~seed ^ "-re") disk) with
+      | None -> Survived
+      | Some msg -> Lost msg
+      | exception Sp_core.Fserr.Checksum_error msg -> Detected msg)
 
-let sweep ?(stride = 1) ?(torn = false) ?(checksums = true) ?(clients = 1)
+let scenario ?(torn = false) ?(checksums = true) ?(clients = 1)
     ?(sync_heavy = false) ~journal ~ops ~seed () =
-  if stride < 1 then invalid_arg "Crash_sweep.sweep: stride must be >= 1";
-  let writes =
-    workload_writes ~checksums ~clients ~sync_heavy ~journal ~ops ~seed ()
-  in
-  let survived = ref 0 and lost = ref 0 and corrupt = ref 0 and detected = ref 0 in
-  let points = ref 0 in
-  let first_bad = ref None in
-  let crash_at = ref 1 in
-  while !crash_at <= writes do
-    incr points;
-    (match
-       run_point ~torn ~checksums ~clients ~sync_heavy ~journal ~ops ~seed
-         ~crash_at:!crash_at ()
-     with
-    | Survived -> incr survived
-    | Lost msg ->
-        incr lost;
-        if !first_bad = None then first_bad := Some (!crash_at, msg)
-    | Corrupt msg ->
-        incr corrupt;
-        if !first_bad = None then first_bad := Some (!crash_at, msg)
-    | Detected msg ->
-        incr detected;
-        if !first_bad = None then first_bad := Some (!crash_at, msg));
-    crash_at := !crash_at + stride
-  done;
+  let writes = workload_writes ~checksums ~clients ~sync_heavy ~journal ~ops ~seed () in
+  let flag name on = if on then [ (name, "on") ] else [] in
   {
-    rp_journal = journal;
-    rp_torn = torn;
-    rp_checksums = checksums;
-    rp_sync_heavy = sync_heavy;
-    rp_clients = clients;
-    rp_ops = ops;
-    rp_seed = seed;
-    rp_writes = writes;
-    rp_points = !points;
-    rp_survived = !survived;
-    rp_lost = !lost;
-    rp_corrupt = !corrupt;
-    rp_detected = !detected;
-    rp_first_bad = !first_bad;
+    Sp_sweep.label = "CRASH-SWEEP";
+    params =
+      [ ("journal", Sp_sweep.on_off journal); ("checksums", Sp_sweep.on_off checksums) ]
+      @ flag "torn" torn @ flag "sync-heavy" sync_heavy
+      @ if clients > 1 then [ ("clients", string_of_int clients) ] else [];
+    trailer =
+      [ ("seed", string_of_int seed); ("ops", string_of_int ops); ("io", string_of_int writes) ];
+    classes = [ "survived"; "lost"; "corrupt"; "detected" ];
+    failing = [ "lost"; "corrupt"; "detected" ];
+    axes = [ ("write", writes) ];
+    run =
+      (fun p ->
+        let cls, msg =
+          match
+            run_point ~torn ~checksums ~clients ~sync_heavy ~journal ~ops ~seed
+              ~crash_at:p.Sp_sweep.at ()
+          with
+          | Survived -> ("survived", "")
+          | Lost m -> ("lost", m)
+          | Corrupt m -> ("corrupt", m)
+          | Detected m -> ("detected", m)
+        in
+        { Sp_sweep.cls; msg; counters = [] });
   }
-
-let pp_outcome ppf = function
-  | Survived -> Format.fprintf ppf "survived"
-  | Lost msg -> Format.fprintf ppf "lost (%s)" msg
-  | Corrupt msg -> Format.fprintf ppf "corrupt (%s)" msg
-  | Detected msg -> Format.fprintf ppf "detected (%s)" msg
-
-let summary r =
-  Printf.sprintf
-    "CRASH-SWEEP journal=%s checksums=%s%s%s points=%d survived=%d lost=%d corrupt=%d \
-     detected=%d"
-    (if r.rp_journal then "on" else "off")
-    (if r.rp_checksums then "on" else "off")
-    (if r.rp_torn then " torn=on" else "")
-    ((if r.rp_sync_heavy then " sync-heavy=on" else "")
-    ^ if r.rp_clients > 1 then Printf.sprintf " clients=%d" r.rp_clients else "")
-    r.rp_points r.rp_survived r.rp_lost r.rp_corrupt r.rp_detected
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>crash sweep: journal=%s torn=%s checksums=%s%s clients=%d ops=%d seed=%d@,\
-     device writes swept: %d (%d crash points)@,\
-     survived %d   lost %d   corrupt %d   checksum-detected %d@]"
-    (if r.rp_journal then "on" else "off")
-    (if r.rp_torn then "on" else "off")
-    (if r.rp_checksums then "on" else "off")
-    (if r.rp_sync_heavy then " sync-heavy" else "")
-    r.rp_clients r.rp_ops r.rp_seed r.rp_writes r.rp_points r.rp_survived
-    r.rp_lost r.rp_corrupt r.rp_detected;
-  match r.rp_first_bad with
-  | None -> ()
-  | Some (at, msg) ->
-      Format.fprintf ppf "@,first failure at write %d: %s" at msg

@@ -27,25 +27,6 @@ type outcome =
       (** structure parses, but block checksums flagged wrong bytes — the
           damage was positively detected, never silently served *)
 
-type report = {
-  rp_journal : bool;
-  rp_torn : bool;
-  rp_checksums : bool;
-  rp_sync_heavy : bool;
-      (** sync every 2 ops instead of 5 — crash points land inside commit
-          (and, concurrently, group-commit leader/follower) windows *)
-  rp_clients : int;  (** concurrent clients (1 = the classic serial sweep) *)
-  rp_ops : int;  (** operations, per client when [rp_clients > 1] *)
-  rp_seed : int;
-  rp_writes : int;  (** device writes the full workload performs *)
-  rp_points : int;  (** crash points actually swept *)
-  rp_survived : int;
-  rp_lost : int;
-  rp_corrupt : int;
-  rp_detected : int;  (** points where only checksums caught the damage *)
-  rp_first_bad : (int * string) option;  (** first failing crash point *)
-}
-
 (** Device writes the workload performs after mount (an exclusive upper
     bound for useful crash points).  [checksums] (default true) formats
     the volume with a checksum region, which changes the write count.
@@ -76,15 +57,10 @@ val run_point :
   ?torn:bool -> ?checksums:bool -> ?clients:int -> ?sync_heavy:bool ->
   journal:bool -> ops:int -> seed:int -> crash_at:int -> unit -> outcome
 
-(** Sweep crash points [1, 1+stride, ...] up to the workload's write
-    count (default [stride] 1). *)
-val sweep :
-  ?stride:int -> ?torn:bool -> ?checksums:bool -> ?clients:int ->
-  ?sync_heavy:bool -> journal:bool -> ops:int -> seed:int -> unit -> report
-
-val pp_outcome : Format.formatter -> outcome -> unit
-val pp_report : Format.formatter -> report -> unit
-
-(** One-line machine-readable summary, e.g.
-    ["CRASH-SWEEP journal=on checksums=on points=163 survived=163 lost=0 corrupt=0 detected=0"]. *)
-val summary : report -> string
+(** The sweep over every device write of the workload (axis [write]),
+    for {!Sp_sweep.run}.  Classes [survived], and the failing [lost],
+    [corrupt] and [detected]; verdict line e.g.
+    ["CRASH-SWEEP journal=on checksums=on points=134 survived=134 lost=0 corrupt=0 detected=0 seed=7 ops=30 io=134"]. *)
+val scenario :
+  ?torn:bool -> ?checksums:bool -> ?clients:int -> ?sync_heavy:bool ->
+  journal:bool -> ops:int -> seed:int -> unit -> Sp_sweep.scenario

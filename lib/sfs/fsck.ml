@@ -30,6 +30,13 @@ let pp_problem ppf = function
   | Dir_index (ino, what) ->
       Format.fprintf ppf "inode %d directory index: %s" ino what
 
+let summary = function
+  | [] -> None
+  | p :: rest ->
+      Some
+        (Format.asprintf "%a%s" pp_problem p
+           (if rest = [] then "" else Printf.sprintf " (+%d more)" (List.length rest)))
+
 (* The checker reads the device directly; it never goes through a mount. *)
 let check ?(verify_checksums = false) disk =
   let layout = Layout.decode_superblock (Sp_blockdev.Disk.read disk 0) in

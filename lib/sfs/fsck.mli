@@ -25,6 +25,9 @@ type problem =
 
 val pp_problem : Format.formatter -> problem -> unit
 
+(** ["first problem (+N more)"] for a non-empty list, [None] for []. *)
+val summary : problem list -> string option
+
 (** Run the check.  Returns [] for a consistent volume.  With
     [~verify_checksums:true] every in-use covered block (metadata plus
     referenced data blocks) is also hashed and compared against the

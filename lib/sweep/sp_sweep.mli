@@ -1,0 +1,170 @@
+(** The sweep engine shared by the fault-injection harnesses
+    ([Sp_sfs.Crash_sweep], [Sp_integrity.Corruption_sweep],
+    [Sp_failover.Layer_crash_sweep], [Sp_cluster.Shard_crash_sweep]).
+
+    A {!scenario} knows how to build a fresh world, run its workload with
+    one fault injected at point [k], and judge the result.  The engine
+    owns everything around that: strided enumeration of the points over
+    one or more axes, the tally of outcome classes, first-failure
+    capture, summing the per-point counters, the one-line verdict, and
+    the exit code.
+
+    Verdict-line grammar (one line per report, tokens separated by one
+    space):
+    {v LABEL param=v ... points=N class=n ... counter=n ... trailer=v ... v}
+    Classes print in declared order; a {!Pair} counter prints as [a+b].
+    A failing sweep adds exactly one line,
+    {v FIRST-FAILURE axis=A at=K class=C: message v}
+    for the earliest point that fell in a failing class. *)
+
+(** A per-point counter and how points combine: {!Sum} and {!Pair} add
+    up across points, {!Max} keeps the largest. *)
+type count = Sum of int | Pair of int * int | Max of int
+
+(** One injection point: the [at]-th (1-based) position on [axis];
+    [index] numbers the points of the whole sweep from 0 in the order
+    they run. *)
+type point = { axis : string; index : int; at : int }
+
+(** What the scenario's oracle made of one point. *)
+type verdict = {
+  cls : string;  (** one of the scenario's [classes] *)
+  msg : string;  (** why, for a failing class *)
+  counters : (string * count) list;  (** same names, same order, every point *)
+}
+
+type scenario = {
+  label : string;  (** first token of the verdict line *)
+  params : (string * string) list;  (** tokens between the label and [points=] *)
+  trailer : (string * string) list;  (** tokens after the counters *)
+  classes : string list;  (** every outcome class, in verdict-line order *)
+  failing : string list;  (** the classes that make a point fail *)
+  axes : (string * int) list;  (** axis name and its last point, swept in order *)
+  run : point -> verdict;
+}
+
+type report = {
+  label : string;
+  params : (string * string) list;
+  points : int;
+  tally : (string * int) list;  (** points per class, declared order *)
+  counters : (string * count) list;  (** combined over every point *)
+  trailer : (string * string) list;
+  failing : string list;
+  first_failure : (point * verdict) option;  (** earliest failing point *)
+}
+
+(** Sweep points [1, 1+stride, ...] up to each axis's bound, axis after
+    axis.  Raises [Invalid_argument] if [stride < 1] or a verdict names
+    an undeclared class or changes the counter names. *)
+val run : stride:int -> scenario -> report
+
+(** ["on"] / ["off"], the spelling of boolean verdict-line params. *)
+val on_off : bool -> string
+
+(** Points that fell in [cls] (0 for an undeclared class). *)
+val count : report -> string -> int
+
+(** Points that fell in any failing class. *)
+val failures : report -> int
+
+(** The value of a named counter ([a+b] for a {!Pair}).  Raises
+    [Not_found]. *)
+val counter : (string * count) list -> string -> int
+
+(** A verdict-line param or trailer value.  Raises [Not_found]. *)
+val param : report -> string -> string
+
+val verdict_line : report -> string
+val failure_line : report -> string option
+
+(** The exit-code contract, over one or more reports summed together. *)
+type expect =
+  | Clean  (** no point fell in a failing class *)
+  | Some_in of string list
+      (** at least one point fell in one of these classes (the inverted
+          controls that prove an injector can do damage) *)
+  | Every of string  (** at least one point, and every point in this class *)
+
+(** 0 when [expect] holds, 1 when it does not. *)
+val exit_code : expect -> report list -> int
+
+(** Print each report's verdict line, then the first failure line of the
+    first report that has one, then — on stderr, only when [expect]
+    fails — why.  Returns {!exit_code}. *)
+val finish : expect -> report list -> int
+
+(** Live-load bookkeeping for a point whose fault lands while concurrent
+    client tasks keep calling through [Sp_avail.call]: the global op
+    boundary that fires the fault, the event watermark at which recovery
+    was first observed, the worst fault -> served-again gap, and the
+    client-op counters. *)
+module Live : sig
+  (** A live-load point's outcome. *)
+  type outcome =
+    | Served  (** recovered, nothing lost, every check clean *)
+    | Unavailable of string  (** a loud failure, or no service at all *)
+    | Lost of string  (** durable data or lease safety did not survive *)
+    | Corrupt of string  (** fsck damage, or the scenario's contract broke *)
+
+  (** The classes ([served] and the failing [unavailable], [lost],
+      [corrupt]) and verdict of a live-load point. *)
+  val classes : string list
+
+  val failing : string list
+  val verdict : outcome * (string * count) list -> verdict
+
+  type t
+
+  (** [create ~at ~fault ~restarts ~loud] fires [fault] at the [at]-th
+      {!boundary}.  [restarts] reads the supervisor's restart count
+      (recovery is observed on the first success after it turns
+      positive).  A client op that raises [Sp_avail.Unavailable],
+      [Io_error], [Checksum_error], or any exception [loud] describes,
+      is a loud failure; [Timed_out] is a deadline miss.  Snapshots the
+      metrics, so create it just before the clients start. *)
+  val create :
+    at:int -> fault:(unit -> unit) -> restarts:(unit -> int) ->
+    loud:(exn -> string option) -> t
+
+  (** Count one global op boundary, firing the fault on the [at]-th. *)
+  val boundary : t -> unit
+
+  (** Whether the fault has fired. *)
+  val fired : t -> bool
+
+  (** Advance the global event counter and return its new value. *)
+  val tick : t -> int
+
+  (** The current event counter. *)
+  val events : t -> int
+
+  (** Boundaries counted so far. *)
+  val boundaries : t -> int
+
+  (** [call t ~name ~rng ~deadline_ns f] runs one client op under
+      [Sp_avail.call] with the sweep's backoff policy: [Some v] on
+      success (counted served), [None] on a deadline miss or a loud
+      failure (counted; the first message kept). *)
+  val call :
+    t -> name:string -> rng:Sp_fault.Rng.t -> deadline_ns:int ->
+    (unit -> 'a) -> 'a option
+
+  (** Writes started after this event are immune to the fault: [-1] if
+      it never fired, the recovery watermark if recovery was observed,
+      [max_int] otherwise. *)
+  val safe_after : t -> int
+
+  (** Call once the clients are done.  Closes the recovery gap if no op
+      was served after the fault, and returns the first loud failure, or
+      the number of deadline misses, if any op had one. *)
+  val loud_failure : t -> string option
+
+  (** [op_served], [retried], [shed], [failed], [deadline_misses] and
+      [worst_gap_ns] (fault -> first served op). *)
+  val counters : t -> (string * count) list
+
+  (** The same counters with every value zero (points with no live
+      clients). *)
+  val no_counters : (string * count) list
+end

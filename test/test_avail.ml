@@ -261,16 +261,16 @@ let test_breaker_half_open_single_probe () =
 let test_concurrent_sweep_smoke () =
   Util.in_world ~model:Sp_sim.Cost_model.paper_1993 (fun () ->
       let r =
-        Sp_failover.Layer_crash_sweep.sweep ~stride:16 ~clients:2 ~ops:4
-          ~seed:3 ()
+        Sp_sweep.run ~stride:16
+          (Sp_failover.Layer_crash_sweep.scenario ~clients:2 ~ops:4 ~seed:3 ())
       in
-      let open Sp_failover.Layer_crash_sweep in
-      Alcotest.(check int) "one point per layer" 4 r.fr_points;
-      Alcotest.(check int) "all served" r.fr_points r.fr_served;
-      Alcotest.(check int) "no synced byte lost" 0 r.fr_lost;
-      Alcotest.(check int) "volume stayed clean" 0 r.fr_corrupt;
-      Alcotest.(check int) "no deadline overruns" 0 r.fr_deadline_misses;
-      Alcotest.(check bool) "restarts observed" true (r.fr_restarts > 0))
+      let counter = Sp_sweep.counter r.Sp_sweep.counters in
+      Alcotest.(check int) "one point per layer" 4 r.Sp_sweep.points;
+      Alcotest.(check int) "all served" r.Sp_sweep.points (Sp_sweep.count r "served");
+      Alcotest.(check int) "no synced byte lost" 0 (Sp_sweep.count r "lost");
+      Alcotest.(check int) "volume stayed clean" 0 (Sp_sweep.count r "corrupt");
+      Alcotest.(check int) "no deadline overruns" 0 (counter "deadline_misses");
+      Alcotest.(check bool) "restarts observed" true (counter "restarts" > 0))
 
 let suite =
   [

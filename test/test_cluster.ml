@@ -210,30 +210,34 @@ let test_storm_sheds_through_breaker () =
 (* A small concurrent smoke of the sweep itself, kill and partition. *)
 let test_shard_sweep_smoke () =
   Util.in_world ~model:Sp_sim.Cost_model.paper_1993 (fun () ->
-      let open Sp_cluster.Shard_crash_sweep in
       let r =
-        sweep ~stride:24 ~op_deadline_ns:10_000_000_000 ~nodes:2 ~clients:2
-          ~ops:16 ~seed:5 ()
+        Sp_sweep.run ~stride:24
+          (Sp_cluster.Shard_crash_sweep.scenario ~op_deadline_ns:10_000_000_000
+             ~nodes:2 ~clients:2 ~ops:16 ~seed:5 ())
       in
-      Alcotest.(check bool) "kill points ran" true (r.dr_points >= 1);
-      Alcotest.(check int) "all kill points served" r.dr_points r.dr_served;
-      Alcotest.(check int) "zero stale serves" 0 r.dr_stale_serves;
-      Alcotest.(check bool) "restarts observed" true (r.dr_restarts > 0);
-      Alcotest.(check bool) "warm hits observed" true (r.dr_warm_hits > 0))
+      let counter = Sp_sweep.counter r.Sp_sweep.counters in
+      Alcotest.(check bool) "kill points ran" true (r.Sp_sweep.points >= 1);
+      Alcotest.(check int) "all kill points served" r.Sp_sweep.points
+        (Sp_sweep.count r "served");
+      Alcotest.(check int) "zero stale serves" 0 (counter "stale_served");
+      Alcotest.(check bool) "restarts observed" true (counter "restarts" > 0);
+      Alcotest.(check bool) "warm hits observed" true (counter "warm" > 0))
 
 let test_shard_sweep_partition_smoke () =
   Util.in_world ~model:Sp_sim.Cost_model.paper_1993 (fun () ->
-      let open Sp_cluster.Shard_crash_sweep in
       let r =
-        sweep ~stride:24 ~partition:true ~op_deadline_ns:10_000_000_000
-          ~nodes:2 ~clients:2 ~ops:16 ~seed:5 ()
+        Sp_sweep.run ~stride:24
+          (Sp_cluster.Shard_crash_sweep.scenario ~partition:true
+             ~op_deadline_ns:10_000_000_000 ~nodes:2 ~clients:2 ~ops:16 ~seed:5 ())
       in
-      Alcotest.(check bool) "partition points ran" true (r.dr_points >= 1);
-      Alcotest.(check int) "all partition points served" r.dr_points r.dr_served;
-      Alcotest.(check int) "zero stale serves" 0 r.dr_stale_serves;
+      let counter = Sp_sweep.counter r.Sp_sweep.counters in
+      Alcotest.(check bool) "partition points ran" true (r.Sp_sweep.points >= 1);
+      Alcotest.(check int) "all partition points served" r.Sp_sweep.points
+        (Sp_sweep.count r "served");
+      Alcotest.(check int) "zero stale serves" 0 (counter "stale_served");
       Alcotest.(check bool)
         "pushes were shed, lost or lease-lapsed" true
-        (r.dr_inval_shed + r.dr_inval_lapsed > 0))
+        (counter "inval_shed" + counter "inval_lapsed" > 0))
 
 let suite =
   [

@@ -67,24 +67,24 @@ let test_crash_mid_commit_recovers () =
 
 let test_journaled_sweep_survives () =
   Util.in_world (fun () ->
-      let r = CS.sweep ~stride:3 ~journal:true ~ops:14 ~seed:11 () in
-      Alcotest.(check bool) "swept something" true (r.CS.rp_points > 5);
-      Alcotest.(check int) "no synced write lost" 0 r.CS.rp_lost;
-      Alcotest.(check int) "no corruption" 0 r.CS.rp_corrupt;
-      Alcotest.(check int) "all survived" r.CS.rp_points r.CS.rp_survived)
+      let r = Sp_sweep.run ~stride:3 (CS.scenario ~journal:true ~ops:14 ~seed:11 ()) in
+      Alcotest.(check bool) "swept something" true (r.Sp_sweep.points > 5);
+      Alcotest.(check int) "no synced write lost" 0 (Sp_sweep.count r "lost");
+      Alcotest.(check int) "no corruption" 0 (Sp_sweep.count r "corrupt");
+      Alcotest.(check int) "all survived" r.Sp_sweep.points (Sp_sweep.count r "survived"))
 
 let test_torn_journaled_sweep_survives () =
   Util.in_world (fun () ->
-      let r = CS.sweep ~stride:5 ~torn:true ~journal:true ~ops:14 ~seed:11 () in
-      Alcotest.(check int) "torn commits recovered everywhere" r.CS.rp_points
-        r.CS.rp_survived)
+      let r = Sp_sweep.run ~stride:5 (CS.scenario ~torn:true ~journal:true ~ops:14 ~seed:11 ()) in
+      Alcotest.(check int) "torn commits recovered everywhere" r.Sp_sweep.points
+        (Sp_sweep.count r "survived"))
 
 let test_unjournaled_sweep_finds_damage () =
   Util.in_world (fun () ->
-      let r = CS.sweep ~stride:1 ~journal:false ~ops:20 ~seed:11 () in
+      let r = Sp_sweep.run ~stride:1 (CS.scenario ~journal:false ~ops:20 ~seed:11 ()) in
       Alcotest.(check bool) "sweep demonstrates inconsistency without a journal" true
-        (r.CS.rp_lost + r.CS.rp_corrupt + r.CS.rp_detected >= 1);
-      Alcotest.(check bool) "and reports where" true (r.CS.rp_first_bad <> None))
+        (Sp_sweep.failures r >= 1);
+      Alcotest.(check bool) "and reports where" true (r.Sp_sweep.first_failure <> None))
 
 let test_torn_unjournaled_checksums_detect () =
   (* A torn write on an unjournaled volume can shear a block in a way the
@@ -92,13 +92,13 @@ let test_torn_unjournaled_checksums_detect () =
      come back Detected (or honestly Lost/Corrupt) — never a clean
      Survived serving sheared bytes as good data. *)
   Util.in_world (fun () ->
-      let r = CS.sweep ~stride:2 ~torn:true ~journal:false ~ops:20 ~seed:11 () in
+      let r = Sp_sweep.run ~stride:2 (CS.scenario ~torn:true ~journal:false ~ops:20 ~seed:11 ()) in
       Alcotest.(check bool) "checksums positively detect torn writes" true
-        (r.CS.rp_detected >= 1))
+        (Sp_sweep.count r "detected" >= 1))
 
 let test_sweep_deterministic () =
   Util.in_world (fun () ->
-      let run () = CS.sweep ~stride:2 ~journal:false ~ops:16 ~seed:23 () in
+      let run () = Sp_sweep.run ~stride:2 (CS.scenario ~journal:false ~ops:16 ~seed:23 ()) in
       let a = run () and b = run () in
       Alcotest.(check bool) "identical seed, identical report" true (a = b))
 
@@ -116,13 +116,13 @@ let qcheck_random_crash_point_survives =
 
 let test_concurrent_sweep_survives () =
   Util.in_world (fun () ->
-      let r = CS.sweep ~stride:11 ~clients:8 ~journal:true ~ops:4 ~seed:7 () in
-      Alcotest.(check int) "eight clients" 8 r.CS.rp_clients;
-      Alcotest.(check bool) "swept some points" true (r.CS.rp_points >= 5);
-      Alcotest.(check int) "nothing lost" 0 r.CS.rp_lost;
-      Alcotest.(check int) "nothing corrupt" 0 r.CS.rp_corrupt;
-      Alcotest.(check int) "nothing merely detected" 0 r.CS.rp_detected;
-      Alcotest.(check int) "all survived" r.CS.rp_points r.CS.rp_survived)
+      let r = Sp_sweep.run ~stride:11 (CS.scenario ~clients:8 ~journal:true ~ops:4 ~seed:7 ()) in
+      Alcotest.(check string) "eight clients" "8" (Sp_sweep.param r "clients");
+      Alcotest.(check bool) "swept some points" true (r.Sp_sweep.points >= 5);
+      Alcotest.(check int) "nothing lost" 0 (Sp_sweep.count r "lost");
+      Alcotest.(check int) "nothing corrupt" 0 (Sp_sweep.count r "corrupt");
+      Alcotest.(check int) "nothing merely detected" 0 (Sp_sweep.count r "detected");
+      Alcotest.(check int) "all survived" r.Sp_sweep.points (Sp_sweep.count r "survived"))
 
 let qcheck_concurrent_crash_point_survives =
   let gen = QCheck2.Gen.(pair (int_range 1 10_000) (int_range 0 10_000)) in

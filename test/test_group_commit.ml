@@ -154,15 +154,15 @@ let qcheck_single_client_equivalence =
 let test_sync_heavy_concurrent_sweep () =
   Util.in_world ~model:delay_model (fun () ->
       let r =
-        CS.sweep ~stride:7 ~clients:3 ~sync_heavy:true ~journal:true ~ops:4
-          ~seed:11 ()
+        Sp_sweep.run ~stride:7
+          (CS.scenario ~clients:3 ~sync_heavy:true ~journal:true ~ops:4 ~seed:11 ())
       in
-      Alcotest.(check bool) "sync-heavy" true r.CS.rp_sync_heavy;
-      Alcotest.(check bool) "swept some points" true (r.CS.rp_points >= 5);
-      Alcotest.(check int) "nothing lost" 0 r.CS.rp_lost;
-      Alcotest.(check int) "nothing corrupt" 0 r.CS.rp_corrupt;
-      Alcotest.(check int) "nothing merely detected" 0 r.CS.rp_detected;
-      Alcotest.(check int) "all survived" r.CS.rp_points r.CS.rp_survived)
+      Alcotest.(check string) "sync-heavy" "on" (Sp_sweep.param r "sync-heavy");
+      Alcotest.(check bool) "swept some points" true (r.Sp_sweep.points >= 5);
+      Alcotest.(check int) "nothing lost" 0 (Sp_sweep.count r "lost");
+      Alcotest.(check int) "nothing corrupt" 0 (Sp_sweep.count r "corrupt");
+      Alcotest.(check int) "nothing merely detected" 0 (Sp_sweep.count r "detected");
+      Alcotest.(check int) "all survived" r.Sp_sweep.points (Sp_sweep.count r "survived"))
 
 let suite =
   [

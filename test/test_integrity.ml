@@ -196,45 +196,56 @@ let test_mirror_self_heals_both_twins () =
 let test_sweep_checksums_catch_everything () =
   List.iter
     (fun kind ->
-      let r = CS.sweep ~stride:4 ~kind ~ops:10 ~seed:7 () in
+      let r = Sp_sweep.run ~stride:4 (CS.scenario ~kind ~ops:10 ~seed:7 ()) in
       Alcotest.(check int)
         (Printf.sprintf "no silent corruption (%s)" (CS.kind_name kind))
-        0 r.CS.cr_silent;
+        0 (Sp_sweep.count r "silent");
       Alcotest.(check bool)
         (Printf.sprintf "sweep visited points (%s)" (CS.kind_name kind))
-        true (r.CS.cr_points > 0))
+        true (r.Sp_sweep.points > 0))
     [ CS.Bitrot; CS.Misdirected; CS.Lost ]
 
 let test_sweep_mirror_repairs () =
-  let r = CS.sweep ~stride:2 ~mirror:true ~kind:CS.Misdirected ~ops:14 ~seed:7 () in
-  Alcotest.(check int) "no silent corruption through the mirror" 0 r.CS.cr_silent;
-  Alcotest.(check bool) "mirror healed at least one point" true (r.CS.cr_repaired > 0)
+  let r =
+    Sp_sweep.run ~stride:2
+      (CS.scenario ~mirror:true ~kind:CS.Misdirected ~ops:14 ~seed:7 ())
+  in
+  Alcotest.(check int) "no silent corruption through the mirror" 0
+    (Sp_sweep.count r "silent");
+  Alcotest.(check bool) "mirror healed at least one point" true
+    (Sp_sweep.count r "repaired" > 0)
 
 let test_sweep_control_without_checksums () =
   (* The control that proves the harness can see silent corruption at
      all: with the checksum region off, bit rot in file data is served
      back without complaint. *)
-  let r = CS.sweep ~stride:1 ~checksums:false ~kind:CS.Bitrot ~ops:20 ~seed:7 () in
+  let r =
+    Sp_sweep.run ~stride:1
+      (CS.scenario ~checksums:false ~kind:CS.Bitrot ~ops:20 ~seed:7 ())
+  in
   Alcotest.(check bool) "bit rot served silently without checksums" true
-    (r.CS.cr_silent > 0);
+    (Sp_sweep.count r "silent" > 0);
   Alcotest.(check bool) "and the report names the first silent point" true
-    (r.CS.cr_first_silent <> None)
+    (r.Sp_sweep.first_failure <> None)
 
 let test_sweep_deterministic () =
-  let run () = CS.summary (CS.sweep ~stride:4 ~kind:CS.Misdirected ~ops:10 ~seed:3 ()) in
+  let run () =
+    Sp_sweep.verdict_line
+      (Sp_sweep.run ~stride:4 (CS.scenario ~kind:CS.Misdirected ~ops:10 ~seed:3 ()))
+  in
   Alcotest.(check string) "same seed, same report" (run ()) (run ())
 
 let test_concurrent_sweep_nothing_silent () =
   Util.in_world (fun () ->
       List.iter
         (fun kind ->
-          let r = CS.sweep ~stride:9 ~clients:8 ~kind ~ops:6 ~seed:7 () in
-          Alcotest.(check int) "eight clients" 8 r.CS.cr_clients;
+          let r = Sp_sweep.run ~stride:9 (CS.scenario ~clients:8 ~kind ~ops:6 ~seed:7 ()) in
+          Alcotest.(check string) "eight clients" "8" (Sp_sweep.param r "clients");
           Alcotest.(check bool)
             (CS.kind_name kind ^ ": swept some points")
-            true (r.CS.cr_points >= 4);
+            true (r.Sp_sweep.points >= 4);
           Alcotest.(check int) (CS.kind_name kind ^ ": nothing silent") 0
-            r.CS.cr_silent)
+            (Sp_sweep.count r "silent"))
         [ CS.Bitrot; CS.Misdirected; CS.Lost ])
 
 (* ---------------- qcheck: single-bit flips never get through ------- *)

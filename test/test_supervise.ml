@@ -267,18 +267,19 @@ let test_dfs_server_reconnect () =
 
 let test_sweep_point () =
   Util.in_world (fun () ->
-      let outcome, (restarts, _, _) =
+      let outcome, counters =
         LCS.run_point ~supervised:true ~layer:"lcs.crypt" ~ops:6 ~seed:3
           ~kill_at:3
       in
-      Alcotest.(check bool) "supervised point served" true (outcome = LCS.Served);
-      Alcotest.(check bool) "supervisor restarted" true (restarts > 0);
+      Alcotest.(check bool) "supervised point served" true (outcome = Sp_sweep.Live.Served);
+      Alcotest.(check bool) "supervisor restarted" true
+        (Sp_sweep.counter counters "restarts" > 0);
       let outcome, _ =
         LCS.run_point ~supervised:false ~layer:"lcs.crypt" ~ops:6 ~seed:3
           ~kill_at:3
       in
       Alcotest.(check bool) "unsupervised point unavailable" true
-        (match outcome with LCS.Unavailable _ -> true | _ -> false))
+        (match outcome with Sp_sweep.Live.Unavailable _ -> true | _ -> false))
 
 let suite =
   [
