@@ -1,16 +1,18 @@
 (* An LRU name cache with negative entries.
 
-   Entries live in [table]; recency is an integer stamp bumped on every
-   touch, and eviction scans for the minimum — exact LRU semantics with
-   O(1) hits, paying O(capacity) only on the (capacity-bounded) evict.
-   A negative entry records that a name was unbound when last walked, so
-   repeated failing lookups also skip the context chain.
+   Entries live in [table] and on an intrusive doubly linked recency
+   list (oldest first, behind the [lru] sentinel): a touch moves the
+   entry to the newest end and eviction pops the oldest, both O(1) —
+   exact LRU.  A negative entry records that a name was unbound when
+   last walked, so repeated failing lookups also skip the context chain.
 
    Coherence: the cache subscribes to {!Name_coherence} at creation.
    Component broadcasts (bind/rebind/unbind anywhere) drop every entry
-   whose path mentions the component; the restart fence is checked
-   lazily — an entry stamped under an older epoch is discarded on
-   lookup, so objects minted from a dead domain incarnation never hit. *)
+   whose path mentions the component, found through the reverse index
+   [by_comp] (component -> key -> entry) in O(matches); the restart
+   fence is checked lazily — an entry stamped under an older epoch is
+   discarded on lookup, so objects minted from a dead domain
+   incarnation never hit. *)
 
 type stats = {
   hits : int;
@@ -20,68 +22,101 @@ type stats = {
 }
 
 type entry = {
+  key : string;
   value : (Context.obj, string) result;  (* [Error msg]: cached Unbound *)
   components : string list;
   epoch : int;  (* Name_coherence fence epoch at insert *)
-  mutable stamp : int;  (* recency; larger = more recent *)
+  mutable older : entry;  (* recency neighbours; the sentinel closes the ring *)
+  mutable newer : entry;
 }
 
 type t = {
   table : (string, entry) Hashtbl.t;
+  by_comp : (string, (string, entry) Hashtbl.t) Hashtbl.t;
+  lru : entry;  (* sentinel: [lru.newer] is the oldest entry *)
   capacity : int;
-  mutable clock : int;
   mutable hits : int;
   mutable misses : int;
   mutable invalidations : int;
   mutable negative_hits : int;
 }
 
-let drop_where t pred =
-  let doomed =
-    Hashtbl.fold (fun k e acc -> if pred e then k :: acc else acc) t.table []
-  in
+let unlink e =
+  e.older.newer <- e.newer;
+  e.newer.older <- e.older
+
+let link_newest t e =
+  e.newer <- t.lru;
+  e.older <- t.lru.older;
+  t.lru.older.newer <- e;
+  t.lru.older <- e
+
+let drop t e =
+  Hashtbl.remove t.table e.key;
+  unlink e;
   List.iter
-    (fun k ->
-      Hashtbl.remove t.table k;
-      t.invalidations <- t.invalidations + 1)
-    doomed
+    (fun c ->
+      match Hashtbl.find_opt t.by_comp c with
+      | Some keys ->
+          Hashtbl.remove keys e.key;
+          if Hashtbl.length keys = 0 then Hashtbl.remove t.by_comp c
+      | None -> ())
+    e.components
+
+let invalidate_entry t e =
+  drop t e;
+  t.invalidations <- t.invalidations + 1
+
+let drop_component t c =
+  match Hashtbl.find_opt t.by_comp c with
+  | None -> ()
+  | Some keys ->
+      List.iter (invalidate_entry t) (Hashtbl.fold (fun _ e acc -> e :: acc) keys [])
 
 let create ~capacity () =
+  let rec lru =
+    { key = ""; value = Error ""; components = []; epoch = 0; older = lru; newer = lru }
+  in
   let t =
     {
       table = Hashtbl.create capacity;
+      by_comp = Hashtbl.create capacity;
+      lru;
       capacity;
-      clock = 0;
       hits = 0;
       misses = 0;
       invalidations = 0;
       negative_hits = 0;
     }
   in
-  Name_coherence.subscribe (fun component ->
-      drop_where t (fun e -> List.mem component e.components));
+  Name_coherence.subscribe (drop_component t);
   t
 
 let touch t e =
-  t.clock <- t.clock + 1;
-  e.stamp <- t.clock
-
-let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun k e acc ->
-        match acc with
-        | Some (_, s) when s <= e.stamp -> acc
-        | _ -> Some (k, e.stamp))
-      t.table None
-  in
-  match victim with Some (k, _) -> Hashtbl.remove t.table k | None -> ()
+  unlink e;
+  link_newest t e
 
 let insert t key components value =
-  if Hashtbl.length t.table >= t.capacity then evict_lru t;
-  t.clock <- t.clock + 1;
-  Hashtbl.replace t.table key
-    { value; components; epoch = Name_coherence.epoch (); stamp = t.clock }
+  if Hashtbl.length t.table >= t.capacity && t.lru.newer != t.lru then drop t t.lru.newer;
+  (* a concurrent miss on the same name may have inserted it meanwhile *)
+  Option.iter (drop t) (Hashtbl.find_opt t.table key);
+  let rec e =
+    { key; value; components; epoch = Name_coherence.epoch (); older = e; newer = e }
+  in
+  Hashtbl.replace t.table key e;
+  link_newest t e;
+  List.iter
+    (fun c ->
+      let keys =
+        match Hashtbl.find_opt t.by_comp c with
+        | Some keys -> keys
+        | None ->
+            let keys = Hashtbl.create 1 in
+            Hashtbl.replace t.by_comp c keys;
+            keys
+      in
+      Hashtbl.replace keys key e)
+    components
 
 let trace_instant kind key =
   if Sp_trace.enabled () then
@@ -92,10 +127,9 @@ let resolve t ?principal root name =
   let live =
     match Hashtbl.find_opt t.table key with
     | Some e when e.epoch = Name_coherence.epoch () -> Some e
-    | Some _ ->
+    | Some e ->
         (* cached before the last supervised restart: fence it out *)
-        Hashtbl.remove t.table key;
-        t.invalidations <- t.invalidations + 1;
+        invalidate_entry t e;
         None
     | None -> None
   in
@@ -126,13 +160,13 @@ let resolve t ?principal root name =
           raise (Context.Unbound msg))
 
 let invalidate t name =
-  let key = Sname.to_string name in
-  if Hashtbl.mem t.table key then begin
-    t.invalidations <- t.invalidations + 1;
-    Hashtbl.remove t.table key
-  end
+  Option.iter (invalidate_entry t) (Hashtbl.find_opt t.table (Sname.to_string name))
 
-let clear t = Hashtbl.reset t.table
+let clear t =
+  Hashtbl.reset t.table;
+  Hashtbl.reset t.by_comp;
+  t.lru.older <- t.lru;
+  t.lru.newer <- t.lru
 
 let stats t =
   {

@@ -681,13 +681,16 @@ module Rwlock = struct
 
   let me () = Sp_sim.Sched_hook.current ()
 
-  let holds t id = t.writer = Some id || List.mem id t.readers
+  (* Matched rather than compared with [Some id], so a grant check
+     allocates nothing and skips polymorphic compare. *)
+  let is_writer t id = match t.writer with Some w -> w = id | None -> false
+  let holds t id = is_writer t id || List.mem id t.readers
 
   let held_write t =
     in_task ()
     &&
     (check_epoch t;
-     t.writer = Some (me ()))
+     is_writer t (me ()))
 
   (* Admission is strict FIFO: a queued writer blocks readers that arrive
      after it, so a steady reader stream cannot starve the writer. *)
@@ -750,7 +753,7 @@ module Rwlock = struct
 
   let with_write t f =
     if not (in_task ()) then f ()
-    else if (check_epoch t; t.writer = Some (me ())) then f ()
+    else if (check_epoch t; is_writer t (me ())) then f ()
       (* reentrant write *)
     else if List.mem (me ()) t.readers then
       (* Upgrade would self-deadlock behind our own read hold; the grant

@@ -1,5 +1,7 @@
 let bs = Sp_blockdev.Disk.block_size
 
+module Itbl = Hashtbl.Make (Int)
+
 (* Group-commit window (see [flush_all]): the leader that opened it
    seals it when its commit-delay expires; syncs arriving before the
    seal park on [gw_done] and are covered by the leader's transaction. *)
@@ -24,9 +26,10 @@ type fs = {
       (* flat-directory entry cache: with the i-node cache, lets open and
          stat run without disk I/O (paper Table 2 note).  Indexed
          directories bypass it and use [dirblk] instead. *)
-  dirblk : (int * int, bytes) Hashtbl.t;
-      (* (dir inode, file block) -> block cache for indexed directories,
-         write-through: warm index lookups cost no disk I/O *)
+  dirblk : bytes Itbl.t Itbl.t;
+      (* dir inode -> file block -> block cache for indexed directories,
+         write-through: warm index lookups cost no disk I/O, and freeing
+         an inode drops only its own blocks *)
   indcache : (int, bytes) Hashtbl.t;
       (* indirect-block cache (write-through): metadata, like the i-node
          cache, so sequential data I/O does not thrash the head between
@@ -175,7 +178,9 @@ let ensure_block fs ino inode n =
    leaving a hole (reads return zeros).  Index rebuilds punch the old
    extent out this way after the root flips. *)
 let punch_file_block fs ino inode fb =
-  Hashtbl.remove fs.dirblk (ino, fb);
+  (match Itbl.find fs.dirblk ino with
+   | blks -> Itbl.remove blks fb
+   | exception Not_found -> ());
   let dirty () = Inode.mark_dirty fs.icache ino in
   if fb < Layout.n_direct then begin
     let b = inode.Inode.direct.(fb) in
@@ -403,11 +408,12 @@ let set_length fs ino len =
     Inode.mark_dirty fs.icache ino
   end
 
+let file_key fs ino = Printf.sprintf "%s/ino%d" fs.name ino
+
 let free_inode fs ino =
   (* The file's identity dies here: tear down every pager-cache channel so
      a later file reusing this inode cannot alias stale caches. *)
-  Sp_vm.Pager_lib.destroy_key fs.channels
-    ~key:(Printf.sprintf "%s/ino%d" fs.name ino);
+  Sp_vm.Pager_lib.destroy_key fs.channels ~key:(file_key fs ino);
   let inode = Inode.get fs.icache ino in
   free_blocks_from fs ino inode ~from_block:0;
   inode.Inode.kind <- Inode.Free;
@@ -418,9 +424,7 @@ let free_inode fs ino =
   Hashtbl.remove fs.files ino;
   Hashtbl.remove fs.ctxs ino;
   Hashtbl.remove fs.dcache ino;
-  Hashtbl.filter_map_inplace
-    (fun (i, _) data -> if i = ino then None else Some data)
-    fs.dirblk
+  Itbl.remove fs.dirblk ino
 
 (* ------------------------------------------------------------------ *)
 (* Directories                                                         *)
@@ -456,13 +460,22 @@ let dir_entries_at fs ino inode =
    [dcache]), writes route through the journalled dev so index updates
    commit atomically with everything else.  [Index] never mutates a
    block it read, so the cache hands out its bytes directly. *)
+let dir_blocks fs ino =
+  match Itbl.find fs.dirblk ino with
+  | blks -> blks
+  | exception Not_found ->
+      let blks = Itbl.create 8 in
+      Itbl.replace fs.dirblk ino blks;
+      blks
+
 let dir_block fs ino inode fb =
-  match Hashtbl.find_opt fs.dirblk (ino, fb) with
-  | Some data -> data
-  | None ->
+  let blks = dir_blocks fs ino in
+  match Itbl.find blks fb with
+  | data -> data
+  | exception Not_found ->
       let b = file_block fs inode fb in
       let data = if b = 0 then Bytes.make bs '\000' else Journal.read fs.dev b in
-      Hashtbl.replace fs.dirblk (ino, fb) data;
+      Itbl.replace blks fb data;
       data
 
 let dir_io fs ino inode =
@@ -471,7 +484,7 @@ let dir_io fs ino inode =
     write =
       (fun fb data ->
         let b = ensure_block fs ino inode fb in
-        Hashtbl.replace fs.dirblk (ino, fb) data;
+        Itbl.replace (dir_blocks fs ino) fb data;
         Journal.write fs.dev b data);
   }
 
@@ -579,8 +592,6 @@ let dir_entry_count fs ino inode =
 (* ------------------------------------------------------------------ *)
 (* Pager / memory objects                                              *)
 (* ------------------------------------------------------------------ *)
-
-let file_key fs ino = Printf.sprintf "%s/ino%d" fs.name ino
 
 let make_pager fs ino =
   let get_attr () = Inode.to_attr (Inode.get fs.icache ino) in
@@ -1039,7 +1050,7 @@ let mount ?(node = "local") ?domain ?(dir_index = true) ?(group_commit = true)
       files = Hashtbl.create 32;
       ctxs = Hashtbl.create 8;
       dcache = Hashtbl.create 8;
-      dirblk = Hashtbl.create 8;
+      dirblk = Itbl.create 8;
       indcache = Hashtbl.create 8;
       dir_index;
       lock = Sp_sched.Mutex.create ("sfs:" ^ name);
@@ -1082,7 +1093,7 @@ let mount ?(node = "local") ?domain ?(dir_index = true) ?(group_commit = true)
         Hashtbl.reset fs.files;
         Inode.drop fs.icache;
         Hashtbl.reset fs.dcache;
-        Hashtbl.reset fs.dirblk;
+        Itbl.reset fs.dirblk;
         Hashtbl.reset fs.indcache);
   }
 

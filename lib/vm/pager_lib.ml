@@ -7,19 +7,44 @@ type channel = {
   ch_cache : Vm_types.cache_object;
 }
 
-type t = { mutable next_id : int; table : (string * string, channel) Hashtbl.t }
+(* Two indexes over the live channels: by id, and by key — each key
+   maps to its channels in ascending id (bind) order, so a bind finds
+   its (manager, key) slot in the key's short list and every per-op
+   lookup costs O(channels of that key), never O(all channels). *)
+type t = {
+  mutable next_id : int;
+  by_id : (int, channel) Hashtbl.t;
+  by_key : (string, channel list) Hashtbl.t;
+}
 
-let create () = { next_id = 0; table = Hashtbl.create 16 }
+let create () = { next_id = 0; by_id = Hashtbl.create 16; by_key = Hashtbl.create 16 }
+
+let channels_for_key t ~key =
+  match Hashtbl.find t.by_key key with chs -> chs | exception Not_found -> []
+
+let find t ~id = Hashtbl.find_opt t.by_id id
+
+let remove t id =
+  match Hashtbl.find t.by_id id with
+  | exception Not_found -> ()
+  | ch -> (
+      Hashtbl.remove t.by_id id;
+      match List.filter (fun c -> c.ch_id <> id) (channels_for_key t ~key:ch.ch_key) with
+      | [] -> Hashtbl.remove t.by_key ch.ch_key
+      | rest -> Hashtbl.replace t.by_key ch.ch_key rest)
 
 let bind t ~key ~make_pager (manager : Vm_types.cache_manager) =
-  let slot = (manager.cm_id, key) in
   let existing =
-    match Hashtbl.find_opt t.table slot with
+    match
+      List.find_opt
+        (fun ch -> String.equal ch.ch_manager_id manager.cm_id)
+        (channels_for_key t ~key)
+    with
     | Some ch when not (Sp_obj.Sdomain.alive ch.ch_cache.Vm_types.c_domain) ->
         (* Same manager identity, dead serving domain: the manager's
            previous incarnation crashed and a restarted one is binding
            again.  Fence the stale channel and connect afresh. *)
-        Hashtbl.remove t.table slot;
+        remove t ch.ch_id;
         None
     | found -> found
   in
@@ -43,28 +68,15 @@ let bind t ~key ~make_pager (manager : Vm_types.cache_manager) =
           ch_cache = cache;
         }
       in
-      Hashtbl.replace t.table slot ch;
+      Hashtbl.replace t.by_id id ch;
+      (* [id] is the largest yet: appending keeps the list ascending. *)
+      Hashtbl.replace t.by_key key (channels_for_key t ~key @ [ ch ]);
       { Vm_types.cr_key = key; cr_channel_id = ch.ch_id }
 
-let channels_for_key t ~key =
-  Hashtbl.fold
-    (fun (_, k) ch acc -> if String.equal k key then ch :: acc else acc)
-    t.table []
-
-let channels t = Hashtbl.fold (fun _ ch acc -> ch :: acc) t.table []
-
-let find t ~id =
-  Hashtbl.fold
-    (fun _ ch acc -> if ch.ch_id = id then Some ch else acc)
-    t.table None
-
-let remove t id =
-  let slot =
-    Hashtbl.fold
-      (fun slot ch acc -> if ch.ch_id = id then Some slot else acc)
-      t.table None
-  in
-  Option.iter (Hashtbl.remove t.table) slot
+let channels t =
+  List.sort
+    (fun a b -> Int.compare a.ch_id b.ch_id)
+    (Hashtbl.fold (fun _ ch acc -> ch :: acc) t.by_id [])
 
 (* Incarnation fencing: a channel whose cache object is served by a
    fail-stopped domain belongs to a pre-crash incarnation of the cache
@@ -86,9 +98,12 @@ let live_cache t ~id =
   match find t ~id with None -> None | Some ch -> cache_if_live t ch
 
 let live_channels_for_key t ~key =
-  List.filter
-    (fun ch -> Option.is_some (cache_if_live t ch))
-    (channels_for_key t ~key)
+  let chs = channels_for_key t ~key in
+  (* every attribute fetch lands here: with all domains alive, hand back
+     the indexed list itself rather than a filtered copy *)
+  if List.for_all (fun ch -> Sp_obj.Sdomain.alive ch.ch_cache.Vm_types.c_domain) chs
+  then chs
+  else List.filter (fun ch -> Option.is_some (cache_if_live t ch)) chs
 
 let destroy_key t ~key =
   List.iter
@@ -103,7 +118,8 @@ let destroy_key t ~key =
    table is cleared first to keep reentrant callbacks away from it. *)
 let destroy_all t =
   let chs = channels t in
-  Hashtbl.reset t.table;
+  Hashtbl.reset t.by_id;
+  Hashtbl.reset t.by_key;
   List.iter (fun ch -> Vm_types.destroy_cache ch.ch_cache) chs
 
-let channel_count t = Hashtbl.length t.table
+let channel_count t = Hashtbl.length t.by_id

@@ -5,7 +5,14 @@
     object connection for the memory object at the given [cache manager].
     If there is no connection, the pager contacts the [manager], and the two
     exchange pager and cache objects."  Every file-system layer embeds one
-    registry. *)
+    registry.
+
+    The registry indexes channels by id and by key, so every per-op
+    operation costs O(1) or O(channels of one key), never O(all
+    channels); only {!channels} and {!destroy_all} walk everything.
+    Channel ids are assigned in bind order, and every list this module
+    returns is in ascending id order — deterministic, so coherency
+    actions that range over a key's channels run in a fixed order. *)
 
 type channel = {
   ch_id : int;
@@ -34,11 +41,11 @@ val bind :
   Vm_types.cache_manager ->
   Vm_types.cache_rights
 
-(** All live channels caching [key] — the set a coherency protocol ranges
-    over. *)
+(** All live channels caching [key], in ascending id (bind) order — the
+    set a coherency protocol ranges over. *)
 val channels_for_key : t -> key:string -> channel list
 
-(** All live channels. *)
+(** All live channels, in ascending id order. *)
 val channels : t -> channel list
 
 (** [find t ~id] returns the channel with that id, if live. *)
@@ -63,12 +70,14 @@ val live_channels_for_key : t -> key:string -> channel list
 (** Tear down every channel caching [key]: invoke [destroy_cache] on each
     manager's cache object (Appendix A) and forget the channel.  Pagers
     call this when the backing object is deleted, so a later object that
-    reuses the identity cannot alias stale caches. *)
+    reuses the identity cannot alias stale caches.  Destroys run in
+    ascending id order. *)
 val destroy_key : t -> key:string -> unit
 
 (** Tear down every channel of every key — the drop_caches analog of
     {!destroy_key}.  The destroy cascades manager-side, so per-file
-    state captured by the cache objects is released too. *)
+    state captured by the cache objects is released too.  Destroys run
+    in ascending id order. *)
 val destroy_all : t -> unit
 
 (** Number of live channels (Figure 2's observable). *)

@@ -258,6 +258,125 @@ let prop_context_matches_model =
           in
           !ok && listed = expected))
 
+(* qcheck model of [Name_cache]: a reference cache that evicts by a
+   min-stamp fold and drops components by a full scan, run beside the
+   real one on random resolves (bound and unbound names, so negative
+   entries occur), component broadcasts, invalidations, clears and
+   restart fences.  Every resolve reveals whether its key was resident,
+   so equal stats after every step pin the exact eviction victim. *)
+type nc_op = Resolve of string | Note_change of string | Invalidate of string | Clear | Fence
+
+let nc_names = [ "a"; "b"; "c"; "e"; "d/a"; "d/b"; "d/c"; "d/d" ]
+let nc_bound = [ "a"; "b"; "d/a"; "d/c" ]
+
+type nc_entry = { m_comps : string list; m_epoch : int; mutable m_stamp : int }
+
+type nc_model = {
+  m_table : (string, nc_entry) Hashtbl.t;
+  mutable m_clock : int;
+  mutable m_stats : Sp_naming.Name_cache.stats;
+}
+
+let nc_model_step ~capacity m op =
+  let st = m.m_stats in
+  let drop_where p =
+    let doomed = Hashtbl.fold (fun k e acc -> if p k e then k :: acc else acc) m.m_table [] in
+    List.iter (Hashtbl.remove m.m_table) doomed;
+    m.m_stats <- { m.m_stats with invalidations = m.m_stats.invalidations + List.length doomed }
+  in
+  match op with
+  | Resolve key -> (
+      let epoch = Sp_naming.Name_coherence.epoch () in
+      drop_where (fun k e -> k = key && e.m_epoch <> epoch);
+      m.m_clock <- m.m_clock + 1;
+      match Hashtbl.find_opt m.m_table key with
+      | Some e when List.mem key nc_bound ->
+          e.m_stamp <- m.m_clock;
+          m.m_stats <- { m.m_stats with hits = st.hits + 1 }
+      | Some e ->
+          e.m_stamp <- m.m_clock;
+          m.m_stats <- { m.m_stats with negative_hits = st.negative_hits + 1 }
+      | None ->
+          m.m_stats <- { m.m_stats with misses = st.misses + 1 };
+          if Hashtbl.length m.m_table >= capacity then begin
+            let min_stamp = Hashtbl.fold (fun _ e acc -> min e.m_stamp acc) m.m_table max_int in
+            Hashtbl.filter_map_inplace
+              (fun _ e -> if e.m_stamp = min_stamp then None else Some e) m.m_table
+          end;
+          Hashtbl.replace m.m_table key
+            { m_comps = N.components (N.of_string key); m_epoch = epoch; m_stamp = m.m_clock })
+  | Note_change c -> drop_where (fun _ e -> List.mem c e.m_comps)
+  | Invalidate key -> drop_where (fun k _ -> k = key)
+  | Clear -> Hashtbl.reset m.m_table
+  | Fence -> ()
+
+let prop_name_cache_model =
+  let module NC = Sp_naming.Name_cache in
+  let gen =
+    QCheck2.Gen.(
+      let name = oneofl nc_names in
+      let op =
+        frequency
+          [
+            (8, map (fun n -> Resolve n) name);
+            (2, map (fun c -> Note_change c) (oneofl [ "a"; "b"; "c"; "d"; "e" ]));
+            (1, map (fun n -> Invalidate n) name);
+            (1, pure Clear);
+            (1, pure Fence);
+          ]
+      in
+      pair (int_range 1 8) (list_size (int_range 1 60) op))
+  in
+  let print (capacity, ops) =
+    Printf.sprintf "capacity %d: %s" capacity
+      (String.concat "; "
+         (List.map
+            (function
+              | Resolve n -> "resolve " ^ n
+              | Note_change c -> "note_change " ^ c
+              | Invalidate n -> "invalidate " ^ n
+              | Clear -> "clear"
+              | Fence -> "fence")
+            ops))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"name cache matches min-stamp model" ~print gen
+       (fun (capacity, ops) ->
+         Util.in_world (fun () ->
+             let root = make_ctx "root" and sub = make_ctx "sub" in
+             C.bind root (N.of_string "d") (C.Context sub);
+             List.iter (fun n -> C.bind root (N.of_string n) (Leaf 0)) [ "a"; "b"; "d/a"; "d/c" ];
+             let cache = NC.create ~capacity () in
+             let model =
+               {
+                 m_table = Hashtbl.create 8;
+                 m_clock = 0;
+                 m_stats = { NC.hits = 0; misses = 0; invalidations = 0; negative_hits = 0 };
+               }
+             in
+             List.iteri
+               (fun i op ->
+                 (match op with
+                 | Resolve n -> (
+                     match NC.resolve cache root (N.of_string n) with
+                     | _ when not (List.mem n nc_bound) ->
+                         QCheck2.Test.fail_reportf "step %d: %s resolved" i n
+                     | _ -> ()
+                     | exception C.Unbound _ when not (List.mem n nc_bound) -> ())
+                 | Note_change c -> Sp_naming.Name_coherence.note_change c
+                 | Invalidate n -> NC.invalidate cache (N.of_string n)
+                 | Clear -> NC.clear cache
+                 | Fence -> Sp_naming.Name_coherence.fence ());
+                 nc_model_step ~capacity model op;
+                 let got = NC.stats cache and want = model.m_stats in
+                 if got <> want then
+                   QCheck2.Test.fail_reportf
+                     "step %d: stats hits/misses/inval/neg %d/%d/%d/%d, model %d/%d/%d/%d" i
+                     got.hits got.misses got.invalidations got.negative_hits want.hits want.misses
+                     want.invalidations want.negative_hits)
+               ops;
+             true)))
+
 let prop_sname_roundtrip =
   let gen =
     QCheck2.Gen.(
@@ -290,4 +409,5 @@ let suite =
     Alcotest.test_case "name cache eviction" `Quick test_name_cache_capacity;
     prop_context_matches_model;
     prop_sname_roundtrip;
+    prop_name_cache_model;
   ]

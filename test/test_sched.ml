@@ -181,6 +181,22 @@ let test_rwlock_reentrant () =
            ]);
       Alcotest.(check int) "nested reacquisition runs the body" 1 !hit)
 
+(* The reentrant grant check runs on every nested Mutex section (compfs
+   re-entry, writeback under the layer lock): it must not allocate. *)
+let test_rwlock_reentrant_write_no_alloc () =
+  Util.in_world (fun () ->
+      let l = Sched.Rwlock.create "t_rw_alloc" in
+      let words = ref nan in
+      let nested () = Sched.Rwlock.with_write l ignore in
+      ignore
+        (Sched.run
+           [
+             (fun () ->
+               Sched.Rwlock.with_write l (fun () ->
+                   words := Util.minor_words_per_call nested));
+           ]);
+      Alcotest.(check (float 0.)) "reentrant with_write words per call" 0. !words)
+
 let test_mutex_serializes () =
   Util.in_world (fun () ->
       let m = Sched.Mutex.create "t_mutex" in
@@ -401,6 +417,8 @@ let suite =
     Alcotest.test_case "rwlock no writer starvation" `Quick
       test_rwlock_no_writer_starvation;
     Alcotest.test_case "rwlock reentrant" `Quick test_rwlock_reentrant;
+    Alcotest.test_case "rwlock reentrant write allocates nothing" `Quick
+      test_rwlock_reentrant_write_no_alloc;
     Alcotest.test_case "mutex serializes" `Quick test_mutex_serializes;
     Alcotest.test_case "task locals survive interleaving" `Quick
       test_task_locals_survive_interleaving;

@@ -246,6 +246,189 @@ let prop_writes_match_model =
              both. *)
           Bytes.equal stored model))
 
+(* qcheck model of the [Pager_lib] registry: random binds, removes,
+   key and global destroys, and cache-domain kills checked after every
+   step against an association list scanned naively.  A kill restarts
+   the manager in a fresh domain and then fences every channel of the
+   dead incarnation, by [live_cache], [live_channels_for_key] or a
+   re-bind, so no dead channel survives into a later destroy. *)
+type pl_op =
+  | Bind of int * int
+  | Remove of int
+  | Destroy_key of int
+  | Destroy_all
+  | Kill of int * [ `Live_cache | `Live_keys | `Rebind ]
+
+let pl_op_to_string = function
+  | Bind (m, k) -> Printf.sprintf "bind m%d k%d" m k
+  | Remove id -> Printf.sprintf "remove %d" id
+  | Destroy_key k -> Printf.sprintf "destroy_key k%d" k
+  | Destroy_all -> "destroy_all"
+  | Kill (m, f) ->
+      Printf.sprintf "kill m%d (%s)" m
+        (match f with `Live_cache -> "live_cache" | `Live_keys -> "live_keys" | `Rebind -> "rebind")
+
+let prop_pager_lib_model =
+  let gen =
+    QCheck2.Gen.(
+      let* managers = int_range 1 4 and* keys = int_range 1 6 in
+      let m = int_range 0 (managers - 1) and k = int_range 0 (keys - 1) in
+      let op =
+        frequency
+          [
+            (6, map2 (fun m k -> Bind (m, k)) m k);
+            (2, map (fun id -> Remove id) (int_range 1 30));
+            (1, map (fun k -> Destroy_key k) k);
+            (1, pure Destroy_all);
+            (1, map2 (fun m f -> Kill (m, f)) m (oneofl [ `Live_cache; `Live_keys; `Rebind ]));
+          ]
+      in
+      triple (pure managers) (pure keys) (list_size (int_range 1 40) op))
+  in
+  let print (managers, keys, ops) =
+    Printf.sprintf "%d managers, %d keys: %s" managers keys
+      (String.concat "; " (List.map pl_op_to_string ops))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"pager_lib matches assoc-list model" ~print gen
+       (fun (managers, keys, ops) ->
+         Util.in_world (fun () ->
+             let module PL = Sp_vm.Pager_lib in
+             let reg = PL.create () in
+             let key k = Printf.sprintf "k%d" k in
+             let gen_of = Array.make managers 0 in
+             let doms = Array.init managers (fun m -> Sp_obj.Sdomain.create (Printf.sprintf "m%d" m)) in
+             let destroyed = ref 0 in
+             let manager m =
+               let dom = doms.(m) in
+               {
+                 V.cm_id = Printf.sprintf "m%d" m;
+                 cm_domain = dom;
+                 cm_connect =
+                   (fun ~key:_ _ ->
+                     {
+                       V.c_domain = dom;
+                       c_label = "model";
+                       c_flush_back = (fun ~offset:_ ~size:_ -> []);
+                       c_deny_writes = (fun ~offset:_ ~size:_ -> []);
+                       c_write_back = (fun ~offset:_ ~size:_ -> []);
+                       c_delete_range = (fun ~offset:_ ~size:_ -> ());
+                       c_zero_fill = (fun ~offset:_ ~size:_ -> ());
+                       c_populate = (fun ~offset:_ ~access:_ _ -> ());
+                       c_destroy = (fun () -> incr destroyed);
+                       c_exten = [];
+                     });
+               }
+             in
+             let pager ~id:_ =
+               {
+                 V.p_domain = Sp_obj.Sdomain.create "pager";
+                 p_label = "model";
+                 p_page_in = (fun ~offset:_ ~size ~access:_ -> Bytes.create size);
+                 p_page_out = (fun ~offset:_ _ -> ());
+                 p_write_out = (fun ~offset:_ _ -> ());
+                 p_sync = (fun ~offset:_ _ -> ());
+                 p_sync_v = (fun _ -> ());
+                 p_done_with = (fun () -> ());
+                 p_exten = [];
+               }
+             in
+             (* model: (id, manager, key, incarnation), in ascending id *)
+             let model = ref [] and next_id = ref 0 and expect_destroyed = ref 0 in
+             let dead (_, m, _, g) = g < gen_of.(m) in
+             let model_bind m k =
+               (match List.find_opt (fun (_, m', k', _) -> m' = m && k' = k) !model with
+               | Some c when dead c -> model := List.filter (( != ) c) !model
+               | _ -> ());
+               match List.find_opt (fun (_, m', k', _) -> m' = m && k' = k) !model with
+               | Some (id, _, _, _) -> id
+               | None ->
+                   incr next_id;
+                   model := !model @ [ (!next_id, m, k, gen_of.(m)) ];
+                   !next_id
+             in
+             let bind m k =
+               let expected = model_bind m k in
+               let got = (PL.bind reg ~key:(key k) ~make_pager:pager (manager m)).V.cr_channel_id in
+               if got <> expected then
+                 QCheck2.Test.fail_reportf "bind m%d k%d: channel %d, model %d" m k got expected
+             in
+             let ids_of chs = List.map (fun ch -> ch.PL.ch_id) chs in
+             let check step =
+               let fail fmt = QCheck2.Test.fail_reportf ("after %s: " ^^ fmt) step in
+               if PL.channel_count reg <> List.length !model then
+                 fail "channel_count %d, model %d" (PL.channel_count reg) (List.length !model);
+               if ids_of (PL.channels reg) <> List.map (fun (id, _, _, _) -> id) !model then
+                 fail "channels differ";
+               for id = 0 to !next_id + 1 do
+                 let want =
+                   List.find_map
+                     (fun (id', m, k, _) -> if id' = id then Some (Printf.sprintf "m%d" m, key k) else None)
+                     !model
+                 in
+                 let got = Option.map (fun ch -> (ch.PL.ch_manager_id, ch.PL.ch_key)) (PL.find reg ~id) in
+                 if got <> want then fail "find %d differs" id
+               done;
+               for k = 0 to keys - 1 do
+                 let want = List.filter_map (fun (id, _, k', _) -> if k' = k then Some id else None) !model in
+                 if ids_of (PL.channels_for_key reg ~key:(key k)) <> want then
+                   fail "channels_for_key k%d: [%s], model [%s]" k
+                     (String.concat "," (List.map string_of_int (ids_of (PL.channels_for_key reg ~key:(key k)))))
+                     (String.concat "," (List.map string_of_int want))
+               done;
+               if !destroyed <> !expect_destroyed then
+                 fail "%d caches destroyed, model %d" !destroyed !expect_destroyed
+             in
+             List.iter
+               (fun op ->
+                 (match op with
+                 | Bind (m, k) -> bind m k
+                 | Remove id ->
+                     PL.remove reg id;
+                     model := List.filter (fun (id', _, _, _) -> id' <> id) !model
+                 | Destroy_key k ->
+                     let gone, kept = List.partition (fun (_, _, k', _) -> k' = k) !model in
+                     expect_destroyed := !expect_destroyed + List.length gone;
+                     model := kept;
+                     PL.destroy_key reg ~key:(key k)
+                 | Destroy_all ->
+                     expect_destroyed := !expect_destroyed + List.length !model;
+                     model := [];
+                     PL.destroy_all reg
+                 | Kill (m, fence) ->
+                     let stale = List.filter (fun (_, m', _, _) -> m' = m) !model in
+                     Sp_obj.Sdomain.kill doms.(m);
+                     doms.(m) <- Sp_obj.Sdomain.create (Printf.sprintf "m%d'" m);
+                     gen_of.(m) <- gen_of.(m) + 1;
+                     (match fence with
+                     | `Live_cache ->
+                         List.iter
+                           (fun (id, _, _, _) ->
+                             if PL.live_cache reg ~id <> None then
+                               QCheck2.Test.fail_reportf "live_cache %d served a dead domain" id)
+                           stale;
+                         model := List.filter (fun c -> not (dead c)) !model
+                     | `Live_keys ->
+                         for k = 0 to keys - 1 do
+                           let live = ids_of (PL.live_channels_for_key reg ~key:(key k)) in
+                           model := List.filter (fun c -> not (dead c)) !model;
+                           let want =
+                             List.filter_map (fun (id, _, k', _) -> if k' = k then Some id else None) !model
+                           in
+                           if live <> want then
+                             QCheck2.Test.fail_reportf "live_channels_for_key k%d differs" k
+                         done
+                     | `Rebind -> List.iter (fun (_, _, k, _) -> bind m k) stale);
+                     (* the fenced channels are gone from both indexes *)
+                     List.iter
+                       (fun (id, _, k, _) ->
+                         if PL.find reg ~id <> None || List.mem id (ids_of (PL.channels_for_key reg ~key:(key k)))
+                         then QCheck2.Test.fail_reportf "fenced channel %d still indexed" id)
+                       stale);
+                 check (pl_op_to_string op))
+               ops;
+             true)))
+
 let test_readahead () =
   Util.in_world (fun () ->
       let vmm, ram = setup () in
@@ -387,4 +570,5 @@ let suite =
     Alcotest.test_case "lru order" `Quick test_lru_order;
     Alcotest.test_case "capacity validation" `Quick test_capacity_validation;
     prop_writes_match_model;
+    prop_pager_lib_model;
   ]
