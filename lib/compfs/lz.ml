@@ -12,47 +12,118 @@ let put_header b kind len =
   Bytes.set_uint8 b 0 kind;
   Bytes.set_int32_le b 1 (Int32.of_int len)
 
+(* Match finder.  The format is defined by the original list-chain
+   finder (kept verbatim as the test oracle): each 3-byte key had a list
+   of positions, newest first, and recording a position cut a list longer
+   than 16 back to its newest 8 before pushing.  That list is always the
+   newest [c] positions with the key, so it is enough to keep, per
+   position, the previous position with the same key and the length [c]
+   the list would have had with this position at its head.  A small
+   open-addressed table maps each key seen in this call to its newest
+   position; a position's key is read back from the input.
+
+   The arrays are scratch shared by every call and grown on demand.  A
+   call stores positions in the table offset by its own [base], above
+   every earlier call's entries, so the table is never cleared.  Sharing
+   is safe under [Sp_sched] because [compress] never suspends: nothing
+   here reaches [Simclock.advance]. *)
+type scratch = {
+  mutable out : bytes;  (* encoded stream, copied out once at the end *)
+  mutable prev : int array;  (* per position: previous one with its key *)
+  mutable chain : bytes;  (* per position: chain length it heads, <= 17 *)
+  mutable slots : int array;  (* [base] + newest position of a key, or stale *)
+  mutable base : int;
+}
+
+let s = { out = Bytes.empty; prev = [||]; chain = Bytes.empty; slots = [||]; base = 0 }
+
+let out_capacity n = header_size + n + (n / 8) + 2
+
+let reserve n =
+  if Bytes.length s.out < out_capacity n then s.out <- Bytes.create (out_capacity n);
+  if Array.length s.prev < n then begin
+    s.prev <- Array.make n 0;
+    s.chain <- Bytes.create n
+  end;
+  (* At most [n] distinct keys: keep the table at most half full. *)
+  let size = ref 8192 in
+  while !size < 2 * n do
+    size := 2 * !size
+  done;
+  if Array.length s.slots < !size then s.slots <- Array.make !size (-1);
+  s.base <- s.base + Bytes.length s.chain
+
+let key src i =
+  (Char.code (Bytes.unsafe_get src i) lsl 16)
+  lor (Char.code (Bytes.unsafe_get src (i + 1)) lsl 8)
+  lor Char.code (Bytes.unsafe_get src (i + 2))
+
+(* The slot holding key [k], or the empty slot where it would go. *)
+let find_slot src k =
+  let slots = s.slots and base = s.base in
+  let mask = Array.length slots - 1 in
+  let i = ref ((k * 0x9e3779b1) lsr 13 land mask) in
+  while slots.(!i) >= base && key src (slots.(!i) - base) <> k do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+(* Newest position with the slot's key; negative when none. *)
+let newest slot = s.slots.(slot) - s.base
+
+(* Make position [i], whose key lives in (or belongs in) [slot], the
+   newest of its chain. *)
+let record_at i slot =
+  let j = newest slot in
+  if j >= 0 then begin
+    let c = Bytes.get_uint8 s.chain j in
+    s.prev.(i) <- j;
+    Bytes.set_uint8 s.chain i ((if c > 16 then 8 else c) + 1)
+  end
+  else Bytes.set_uint8 s.chain i 1;
+  s.slots.(slot) <- s.base + i
+
+let record src n i = if i + min_match <= n then record_at i (find_slot src (key src i))
+
+(* Longest match for position [i] among its chain, newest first; ties go
+   to the newest candidate.  Returns its length (0 when none) and leaves
+   its source position in [match_src]. *)
+let match_src = ref 0
+
+let find_match src n i slot =
+  let best_len = ref 0 in
+  let j = ref (newest slot) in
+  if !j >= 0 then begin
+    let limit = min max_match (n - i) in
+    let prev = s.prev in
+    let left = ref (Bytes.get_uint8 s.chain !j) in
+    (* Positions fall along the chain, so the first one past the window
+       ends the walk; so does a match of [limit], which no later
+       candidate can beat. *)
+    while !left > 0 && i - !j <= window && !best_len < limit do
+      let len = ref 0 in
+      while
+        !len < limit
+        && Bytes.unsafe_get src (!j + !len) = Bytes.unsafe_get src (i + !len)
+      do
+        incr len
+      done;
+      if !len > !best_len && !len >= min_match then begin
+        match_src := !j;
+        best_len := !len
+      end;
+      j := prev.(!j);
+      decr left
+    done
+  end;
+  !best_len
+
+(* Encode [src] into [s.out] and return the encoded length. *)
 let compress_lzss src =
   let n = Bytes.length src in
-  (* Worst case: every token a literal = n + n/8 + 1 flag bytes. *)
-  let out = Bytes.create (header_size + n + (n / 8) + 2) in
+  reserve n;
+  let out = s.out in
   put_header out 1 n;
-  (* Hash chains over 3-byte prefixes. *)
-  let heads = Hashtbl.create 256 in
-  let key i =
-    (Char.code (Bytes.get src i) lsl 16)
-    lor (Char.code (Bytes.get src (i + 1)) lsl 8)
-    lor Char.code (Bytes.get src (i + 2))
-  in
-  let find_match i =
-    if i + min_match > n then None
-    else begin
-      let candidates = Option.value (Hashtbl.find_opt heads (key i)) ~default:[] in
-      let best = ref None in
-      let consider j =
-        if i - j <= window then begin
-          let len = ref 0 in
-          let limit = min max_match (n - i) in
-          while !len < limit && Bytes.get src (j + !len) = Bytes.get src (i + !len) do
-            incr len
-          done;
-          match !best with
-          | Some (_, best_len) when !len <= best_len -> ()
-          | _ -> if !len >= min_match then best := Some (j, !len)
-        end
-      in
-      List.iter consider candidates;
-      !best
-    end
-  in
-  let record i =
-    if i + min_match <= n then
-      let k = key i in
-      let prev = Option.value (Hashtbl.find_opt heads k) ~default:[] in
-      (* Keep chains short; older candidates age out of the window anyway. *)
-      let prev = if List.length prev > 16 then List.filteri (fun idx _ -> idx < 8) prev else prev in
-      Hashtbl.replace heads k (i :: prev)
-  in
   let pos = ref 0 in
   let out_pos = ref header_size in
   let flag_pos = ref 0 in
@@ -70,30 +141,41 @@ let compress_lzss src =
     incr flag_bit
   in
   while !pos < n do
-    (match find_match !pos with
-    | Some (j, len) ->
-        emit_flag true;
-        let dist = !pos - j - 1 in
-        Bytes.set_uint8 out !out_pos ((dist lsr 4) land 0xff);
-        Bytes.set_uint8 out (!out_pos + 1) (((dist land 0xf) lsl 4) lor (len - min_match));
-        out_pos := !out_pos + 2;
-        for k = !pos to !pos + len - 1 do
-          record k
-        done;
-        pos := !pos + len
-    | None ->
-        emit_flag false;
-        Bytes.set out !out_pos (Bytes.get src !pos);
-        incr out_pos;
-        record !pos;
-        incr pos)
+    let i = !pos in
+    let len =
+      if i + min_match > n then 0
+      else begin
+        let slot = find_slot src (key src i) in
+        let len = find_match src n i slot in
+        record_at i slot;
+        len
+      end
+    in
+    if len > 0 then begin
+      emit_flag true;
+      let dist = i - !match_src - 1 in
+      Bytes.set_uint8 out !out_pos ((dist lsr 4) land 0xff);
+      Bytes.set_uint8 out (!out_pos + 1) (((dist land 0xf) lsl 4) lor (len - min_match));
+      out_pos := !out_pos + 2;
+      for p = i + 1 to i + len - 1 do
+        record src n p
+      done;
+      pos := i + len
+    end
+    else begin
+      emit_flag false;
+      Bytes.set out !out_pos (Bytes.get src i);
+      incr out_pos;
+      incr pos
+    end
   done;
-  Bytes.sub out 0 !out_pos
+  !out_pos
 
+(* Allocates only the result. *)
 let compress src =
   let n = Bytes.length src in
-  let encoded = compress_lzss src in
-  if Bytes.length encoded < n + header_size then encoded
+  let len = compress_lzss src in
+  if len < n + header_size then Bytes.sub s.out 0 len
   else begin
     let raw = Bytes.create (header_size + n) in
     put_header raw 0 n;
@@ -112,6 +194,11 @@ let decompress data =
         invalid_arg "Lz.decompress: truncated raw data";
       Bytes.sub data header_size n
   | 1 ->
+      (* A 2-byte match token yields at most [max_match] bytes, so no
+         stream produces more than 9 bytes per input byte.  Check before
+         allocating: a torn header can claim up to 2 GiB. *)
+      if n > max_match / 2 * (Bytes.length data - header_size) then
+        invalid_arg "Lz.decompress: length exceeds stream";
       let out = Bytes.create n in
       let pos = ref header_size in
       let out_pos = ref 0 in

@@ -10,11 +10,17 @@
     one VM page. *)
 
 (** [compress data] returns the encoded form (including a header recording
-    the original length and encoding kind). *)
+    the original length and encoding kind).  The output is on-disk format:
+    it is byte-identical to the original list-chain compressor kept in
+    [test/lz_reference.ml].  The match finder works in scratch arrays
+    shared by every call, so [compress] allocates only its result; that is
+    safe under [Sp_sched] because it never suspends. *)
 val compress : bytes -> bytes
 
-(** [decompress data] inverts {!compress}.  Raises
-    [Invalid_argument] on a corrupt header or truncated stream. *)
+(** [decompress data] inverts {!compress}.  Raises [Invalid_argument] on
+    a corrupt header or truncated stream, and before allocating when the
+    header claims more bytes than the stream could encode (9 per input
+    byte). *)
 val decompress : bytes -> bytes
 
 (** Simulated CPU work units (≈ bytes touched) for compressing or

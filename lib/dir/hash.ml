@@ -5,10 +5,12 @@
 
 let fnv1a name =
   let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xffffffff)
-    name;
-  !h
+  for i = 0 to String.length name - 1 do
+    h := (!h lxor Char.code (String.unsafe_get name i)) * 0x01000193
+  done;
+  (* The low 32 bits of each product depend only on the low 32 bits of
+     [h], so masking once gives the per-byte-masked value. *)
+  !h land 0xffffffff
 
 (* Fold to 30 bits so the bucket computation stays on positive ints. *)
 let bucket name ~buckets = fnv1a name land 0x3fffffff mod buckets

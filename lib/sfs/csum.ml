@@ -1,27 +1,28 @@
 let bs = Sp_blockdev.Disk.block_size
 
-(* FNV-1a folded to 32 bits — same hash the journal uses for its commit
-   entries.  Not cryptographic; it only has to make bit rot, torn,
-   misdirected and lost writes fail verification. *)
-let cksum b =
+(* FNV-1a folded to 32 bits, the one copy of the fold on the SFS disk
+   format (commit entries and headers in the journal too).  Not
+   cryptographic; it only has to make bit rot, torn, misdirected and lost
+   writes fail verification.  The low 32 bits of [(h lxor c) * prime]
+   depend only on the low 32 bits of [h], so one mask at the end gives the
+   per-byte-masked value.  [pad] continues the fold over that many
+   implicit zero bytes. *)
+let fnv1a b ~pad =
   let h = ref 0x811c9dc5 in
   for i = 0 to Bytes.length b - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x01000193 land 0xffffffff
+    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x01000193
   done;
-  !h
+  for _ = 1 to pad do
+    h := !h * 0x01000193
+  done;
+  !h land 0xffffffff
+
+let cksum b = fnv1a b ~pad:0
 
 (* Checksums are taken over the full zero-padded block (Disk.write
    semantics); continue the fold over the implicit zero tail instead of
    allocating a padded copy. *)
-let cksum_padded b =
-  let h = ref 0x811c9dc5 in
-  for i = 0 to Bytes.length b - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x01000193 land 0xffffffff
-  done;
-  for _ = Bytes.length b to bs - 1 do
-    h := !h * 0x01000193 land 0xffffffff
-  done;
-  !h
+let cksum_padded b = fnv1a b ~pad:(bs - Bytes.length b)
 
 (* CPU cost of hashing [len] bytes, in Door.charge_cpu units. *)
 let work_units len = len / 64

@@ -4,16 +4,6 @@ let header_bytes = 24 (* magic, state, seq, count, cksum *)
 let entry_bytes = 8 (* target block, data checksum *)
 let max_entries = (bs - header_bytes) / entry_bytes
 
-(* FNV-1a over a byte range, folded to 32 bits.  Not cryptographic — it
-   only has to make a torn (prefix-of-new + tail-of-old) block fail
-   verification. *)
-let cksum b =
-  let h = ref 0x811c9dc5 in
-  for i = 0 to Bytes.length b - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x01000193 land 0xffffffff
-  done;
-  !h
-
 type t = {
   disk : Sp_blockdev.Disk.t;
   start : int;
@@ -53,7 +43,7 @@ let encode_header ~state ~seq ~entries =
       Bytes.set_int32_le b (header_bytes + (i * entry_bytes) + 4) (Int32.of_int data_ck))
     entries;
   let covered = header_bytes + (List.length entries * entry_bytes) in
-  Bytes.set_int32_le b 20 (Int32.of_int (cksum (Bytes.sub b 0 covered)));
+  Bytes.set_int32_le b 20 (Int32.of_int (Csum.cksum (Bytes.sub b 0 covered)));
   b
 
 (* Returns (state, seq, entries) or None for anything unformatted, torn
@@ -69,7 +59,7 @@ let decode_header b =
       let stored_ck = Int32.to_int (Bytes.get_int32_le b 20) in
       let scratch = Bytes.sub b 0 (header_bytes + (count * entry_bytes)) in
       Bytes.set_int32_le scratch 20 0l;
-      if cksum scratch land 0xffffffff <> stored_ck land 0xffffffff then None
+      if Csum.cksum scratch land 0xffffffff <> stored_ck land 0xffffffff then None
       else
         let entries =
           List.init count (fun i ->
@@ -97,7 +87,7 @@ let replay disk ~start =
       in
       (* Int32 round-trips make high-bit checksums negative; mask both
          sides back to 32 bits before comparing. *)
-      if List.for_all (fun (_, ck, data) -> cksum data = ck land 0xffffffff) datas
+      if List.for_all (fun (_, ck, data) -> Csum.cksum data = ck land 0xffffffff) datas
       then begin
         List.iter (fun (target, _, data) -> Sp_blockdev.Disk.write disk target data) datas;
         Sp_blockdev.Disk.write disk start (encode_header ~state:0 ~seq ~entries:[]);
@@ -235,7 +225,7 @@ let commit_batch ~fence t datas =
   t.journal_writes <- t.journal_writes + List.length datas;
   (* 2. Seal: checksummed commit header.  The transaction exists on disk
      from this write onward. *)
-  let entries = List.map (fun (n, data) -> (n, cksum data)) datas in
+  let entries = List.map (fun (n, data) -> (n, Csum.cksum data)) datas in
   fence ();
   Sp_blockdev.Disk.write t.disk t.start (encode_header ~state:1 ~seq:t.seq ~entries);
   t.journal_writes <- t.journal_writes + 1;

@@ -71,6 +71,109 @@ let prop_lz_roundtrip =
       let b = Bytes.of_string s in
       Bytes.equal b (Sp_compfs.Lz.decompress (Sp_compfs.Lz.compress b)))
 
+(* The compressed bytes are on-disk format: every input must encode
+   exactly as the original list-chain compressor ([Lz_reference]) did.
+   Lengths run to 9000 so inputs cross the 4096-byte window, and the
+   low-entropy shapes overflow the 16-entry chain truncation. *)
+let prop_lz_matches_reference =
+  let open QCheck2.Gen in
+  let len = int_range 0 9000 in
+  let alphabet =
+    let* a = int_range 2 3 in
+    string_size ~gen:(map (fun i -> Char.chr (97 + i)) (int_bound (a - 1))) len
+  in
+  let payload =
+    let+ o = int_bound 255 and+ n = len in
+    String.init n (fun i -> Char.chr (((i + o) * 131) land 0xff))
+  in
+  let runs =
+    let+ rs = list_size (int_range 0 40) (pair (int_bound 3) (int_range 1 600)) in
+    let s = String.concat "" (List.map (fun (c, r) -> String.make r (Char.chr c)) rs) in
+    String.sub s 0 (min 9000 (String.length s))
+  in
+  let periodic =
+    let+ base = string_size (int_range 1 300)
+    and+ n = len
+    and+ noise = list_size (int_range 0 20) (pair (int_bound 8999) char) in
+    let b = Bytes.init n (fun i -> base.[i mod String.length base]) in
+    List.iter (fun (i, c) -> if i < n then Bytes.set b i c) noise;
+    Bytes.to_string b
+  in
+  (* A random period on either side of the window: the older copy is
+     the only candidate, and only in-window ones may match. *)
+  let far_repeat =
+    let+ base = string_size (int_range 4000 4200) and+ n = len in
+    String.init n (fun i -> base.[i mod String.length base])
+  in
+  (* No shrinking: each step reruns both compressors on up to 9000
+     bytes, and a failing seed already reproduces. *)
+  Util.qcheck_case ~count:300 "lz matches reference compressor"
+    (no_shrink (oneof [ string_size len; alphabet; payload; runs; periodic; far_repeat ]))
+    (fun s ->
+      let b = Bytes.of_string s in
+      Bytes.equal (Sp_compfs.Lz.compress b) (Lz_reference.compress b))
+
+let springbench_page = Bytes.init ps (fun i -> Char.chr ((i * 131) land 0xff))
+
+(* Digests of [Lz.compress] taken with the original compressor. *)
+let test_lz_format_pinned () =
+  let text =
+    String.concat ""
+      (List.init 300 (fun i -> Printf.sprintf "file%04d: the quick brown fox\n" (i mod 97)))
+  in
+  let three =
+    let x = ref 7 in
+    Bytes.init 6000 (fun _ ->
+        x := ((!x * 1103515245) + 12345) land 0x7fffffff;
+        Char.chr (Char.code 'a' + ((!x lsr 16) mod 3)))
+  in
+  List.iter
+    (fun (name, input, digest) ->
+      Alcotest.(check string)
+        name digest
+        (Digest.to_hex (Digest.bytes (Sp_compfs.Lz.compress input))))
+    [
+      ("springbench page", springbench_page, "4d1f166b5bbc36176532ff1e9caad12b");
+      ("9000-byte text", Bytes.of_string text, "f950ea03dc7ccec19e9942057b765d96");
+      ("3-symbol alphabet", three, "aee297b5700ca5d0dc5be310b35b3957");
+    ]
+
+(* A warm compress allocates its result and nothing else.  Both counters
+   are read: [Gc.allocated_bytes] sees a major-heap result (over 256
+   words), while OCaml 5.1 undercounts minor allocation in it, so minor
+   words are checked on their own. *)
+let test_lz_allocates_only_result () =
+  List.iter
+    (fun page ->
+      ignore (Sp_compfs.Lz.compress page);
+      let a0 = Gc.allocated_bytes () in
+      let w0 = Gc.minor_words () in
+      let c = Sp_compfs.Lz.compress page in
+      let w1 = Gc.minor_words () in
+      let a1 = Gc.allocated_bytes () in
+      let bound = float_of_int (Bytes.length c + 256) in
+      Alcotest.(check bool) "allocated bytes" true (a1 -. a0 <= bound);
+      Alcotest.(check bool) "minor bytes" true
+        ((w1 -. w0) *. float_of_int (Sys.word_size / 8) <= bound))
+    [ springbench_page; Bytes.make ps 'z'; Util.pattern_bytes ps ]
+
+let test_lz_rejects_overlong_header () =
+  let b = Bytes.make 16 '\000' in
+  Bytes.set_uint8 b 0 1;
+  Bytes.set_int32_le b 1 0x7fffffffl;
+  (* Heap statistics are brought up to date only by a collection. *)
+  let top_heap_words () =
+    Gc.full_major ();
+    (Gc.quick_stat ()).Gc.top_heap_words
+  in
+  let top0 = top_heap_words () in
+  Alcotest.(check bool) "rejected" true
+    (match Sp_compfs.Lz.decompress b with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  let grown = top_heap_words () - top0 in
+  Alcotest.(check bool) "no large allocation" true (grown * (Sys.word_size / 8) < 1 lsl 20)
+
 (* --- COMPFS --- *)
 
 let test_basic_io () =
@@ -275,6 +378,11 @@ let suite =
     Alcotest.test_case "lz incompressible bounded" `Quick test_lz_incompressible_bounded;
     Alcotest.test_case "lz rejects corrupt input" `Quick test_lz_rejects_corrupt;
     prop_lz_roundtrip;
+    prop_lz_matches_reference;
+    Alcotest.test_case "lz format pinned" `Quick test_lz_format_pinned;
+    Alcotest.test_case "lz compress allocates only its result" `Quick
+      test_lz_allocates_only_result;
+    Alcotest.test_case "lz rejects overlong header" `Quick test_lz_rejects_overlong_header;
     Alcotest.test_case "basic io" `Quick test_basic_io;
     Alcotest.test_case "lower holds compressed data" `Quick test_lower_holds_compressed;
     Alcotest.test_case "persistence across instances" `Quick test_persistence;

@@ -294,8 +294,29 @@ let flip_case =
           in
           clean && detected))
 
+(* Checksums are on-disk bytes: the once-masked folds must equal FNV-1a
+   masked to 32 bits after every byte, the padded form over the explicit
+   zero-padded block. *)
+let prop_fnv1a_masked_once =
+  let fnv_masked s =
+    let h = ref 0x811c9dc5 in
+    String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xffffffff) s;
+    !h
+  in
+  let bs = Sp_blockdev.Disk.block_size in
+  Util.qcheck_case ~count:200 "fnv1a folds match per-byte-masked reference"
+    QCheck2.Gen.(string_size (int_range 0 bs))
+    (fun s ->
+      let b = Bytes.of_string s in
+      let h = fnv_masked s in
+      Sp_sfs.Csum.cksum b = h
+      && Sp_dir.Hash.fnv1a s = h
+      && Sp_sfs.Csum.cksum_padded b
+         = fnv_masked (s ^ String.make (bs - String.length s) '\000'))
+
 let suite =
   [
+    prop_fnv1a_masked_once;
     Alcotest.test_case "integrityfs: pass-through + verified counter" `Quick
       test_integrityfs_passthrough;
     Alcotest.test_case "integrityfs: detects lower-layer mutation" `Quick
