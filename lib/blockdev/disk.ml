@@ -13,13 +13,20 @@ type t = {
   mutable writes : int;
   mutable seeks : int;
   (* Elevator queue (only used under an [Sp_sched] run): the device
-     serves one request at a time; concurrent requesters park in
-     [q_pending] and the releaser picks the next by SCAN order. *)
+     serves one request at a time; concurrent requesters park in the
+     first [q_len] slots of the parallel arrays (block, arrival seq,
+     waker; unordered) and the releaser picks the next by SCAN order. *)
   mutable q_busy : bool;
-  mutable q_pending : (int * int * (unit -> unit)) list;  (* block, seq, waker *)
+  mutable q_len : int;
+  mutable q_block : int array;
+  mutable q_seqs : int array;
+  mutable q_wake : (unit -> unit) array;
   mutable q_seq : int;
   mutable q_epoch : int;
+  q_label : string;  (* the wait label, ["disk:" ^ label] *)
 }
+
+let nop () = ()
 
 let create ?(label = "disk0") ~blocks () =
   if blocks <= 0 then invalid_arg "Disk.create: blocks must be positive";
@@ -31,9 +38,13 @@ let create ?(label = "disk0") ~blocks () =
     writes = 0;
     seeks = 0;
     q_busy = false;
-    q_pending = [];
+    q_len = 0;
+    q_block = [||];
+    q_seqs = [||];
+    q_wake = [||];
     q_seq = 0;
     q_epoch = 0;
+    q_label = "disk:" ^ label;
   }
 
 let label t = t.label
@@ -66,6 +77,20 @@ let charge_raw t n =
   Sp_sim.Simclock.advance model.disk_per_block_ns;
   t.head <- n
 
+let park t n seq wake =
+  let i = t.q_len in
+  if i = Array.length t.q_block then begin
+    let cap = max 8 (2 * i) in
+    let grow a fill = Array.append a (Array.make (cap - i) fill) in
+    t.q_block <- grow t.q_block 0;
+    t.q_seqs <- grow t.q_seqs 0;
+    t.q_wake <- grow t.q_wake nop
+  end;
+  t.q_block.(i) <- n;
+  t.q_seqs.(i) <- seq;
+  t.q_wake.(i) <- wake;
+  t.q_len <- i + 1
+
 (* Take the device token, queueing behind the current request if the
    device is busy.  A woken waiter receives the token directly from the
    releaser, so [q_busy] stays set across the handoff. *)
@@ -74,49 +99,58 @@ let acquire t n =
     (* an aborted previous run never released; drop its state *)
     t.q_epoch <- Sp_sched.epoch ();
     t.q_busy <- false;
-    t.q_pending <- []
+    Array.fill t.q_wake 0 t.q_len nop;
+    t.q_len <- 0
   end;
   if not t.q_busy then t.q_busy <- true
   else begin
     t.q_seq <- t.q_seq + 1;
     let seq = t.q_seq in
     let t0 = Sp_sim.Simclock.now () in
-    Sp_sched.suspend ~on:("disk:" ^ t.label) (fun wake ->
-        t.q_pending <- (n, seq, wake) :: t.q_pending);
+    Sp_sched.suspend ~on:t.q_label (fun wake -> park t n seq wake);
     Sp_sched.note_queue (Sp_sim.Simclock.now () - t0)
   end
 
+(* Whether waiter slot [i] precedes slot [j] in (block, seq) order. *)
+let precedes t i j =
+  let bi = t.q_block.(i) and bj = t.q_block.(j) in
+  bi < bj || (bi = bj && t.q_seqs.(i) < t.q_seqs.(j))
+
 (* SCAN (elevator): prefer the smallest pending block at or past the
-   head, wrapping to the smallest overall; FIFO (seq) breaks ties. *)
+   head, wrapping to the smallest overall; FIFO (seq) breaks ties.  One
+   pass finds both candidates; the chosen slot is refilled from the
+   last, so a release allocates nothing. *)
 let release t =
-  match t.q_pending with
-  | [] -> t.q_busy <- false
-  | pending ->
-      let ahead (b, _, _) = b >= t.head in
-      let pick a b =
-        let (ba, sa, _) = a and (bb, sb, _) = b in
-        if (ba, sa) <= (bb, sb) then a else b
-      in
-      let best =
-        match List.filter ahead pending with
-        | x :: rest -> List.fold_left pick x rest
-        | [] -> (
-            match pending with
-            | x :: rest -> List.fold_left pick x rest
-            | [] -> assert false)
-      in
-      let (_, best_seq, wake) = best in
-      t.q_pending <-
-        List.filter (fun (_, s, _) -> s <> best_seq) t.q_pending;
-      wake ()
+  let len = t.q_len in
+  if len = 0 then t.q_busy <- false
+  else begin
+    let ahead = ref (-1) and lowest = ref 0 in
+    for i = 0 to len - 1 do
+      if precedes t i !lowest then lowest := i;
+      if t.q_block.(i) >= t.head && (!ahead < 0 || precedes t i !ahead) then ahead := i
+    done;
+    let best = if !ahead >= 0 then !ahead else !lowest in
+    let wake = t.q_wake.(best) and last = len - 1 in
+    t.q_block.(best) <- t.q_block.(last);
+    t.q_seqs.(best) <- t.q_seqs.(last);
+    t.q_wake.(best) <- t.q_wake.(last);
+    t.q_wake.(last) <- nop;
+    t.q_len <- last;
+    wake ()
+  end
 
 (* Under a scheduler run the whole access (seek + rotate + transfer)
    holds the device; the requester charges its own service time so busy
-   attribution stays with the task doing the I/O. *)
+   attribution stays with the task doing the I/O.  [match ... with
+   exception] rather than [Fun.protect]: no closure per access. *)
 let charge t n =
   if Sp_sched.in_task () then begin
     acquire t n;
-    Fun.protect ~finally:(fun () -> release t) (fun () -> charge_raw t n)
+    match charge_raw t n with
+    | () -> release t
+    | exception e ->
+        release t;
+        raise e
   end
   else charge_raw t n
 
@@ -234,7 +268,11 @@ let write_vec ?(check = fun () -> ()) t writes =
       in
       if Sp_sched.in_task () then begin
         acquire t n0;
-        Fun.protect ~finally:(fun () -> release t) go
+        match go () with
+        | () -> release t
+        | exception e ->
+            release t;
+            raise e
       end
       else go ()
 

@@ -293,7 +293,7 @@ let free_blocks_from fs ino inode ~from_block =
 (* Raw ranged I/O (ignores the inode length; holes read as zeros)      *)
 (* ------------------------------------------------------------------ *)
 
-let read_range fs inode ~pos ~len =
+let read_span fs inode ~pos ~len =
   let out = Bytes.make len '\000' in
   let rec go cursor =
     if cursor < len then begin
@@ -310,6 +310,14 @@ let read_range fs inode ~pos ~len =
   in
   go 0;
   out
+
+(* A whole aligned block (every page-in) skips the assembly buffer:
+   [Journal.read] already hands back a fresh copy. *)
+let read_range fs inode ~pos ~len =
+  if len = bs && pos mod bs = 0 then
+    let b = file_block fs inode (pos / bs) in
+    if b = 0 then Bytes.make bs '\000' else Journal.read fs.dev b
+  else read_span fs inode ~pos ~len
 
 let write_range fs ino inode ~pos data =
   let len = Bytes.length data in

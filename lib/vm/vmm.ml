@@ -1,14 +1,24 @@
 let ps = Vm_types.page_size
 
+(* Every resident page of registered entries sits on one intrusive
+   doubly linked recency ring per VMM (oldest first, behind the [lru]
+   sentinel): a touch moves the page to the newest end and eviction pops
+   the oldest, both O(1) — exact LRU.  A page records its entry and
+   index so the victim can leave its table without a search.  Pages off
+   the ring (retired, or held by an entry [drop_caches] already
+   forgot) link to themselves. *)
 type page = {
   mutable data : bytes;
   mutable mode : Vm_types.access;
   mutable dirty : bool;
-  mutable used : int;  (* LRU tick *)
   mutable prefetched : bool;  (* brought in by read-ahead, not yet hit *)
+  p_entry : entry;
+  p_idx : int;
+  mutable older : page;
+  mutable newer : page;
 }
 
-type entry = {
+and entry = {
   e_key : string;
   pages : (int, page) Hashtbl.t;
   mutable pager : Vm_types.pager_object option;
@@ -19,17 +29,20 @@ type entry = {
                              page past the last fetch (prefetched pages
                              absorb intermediate faults, so [last_fault+1]
                              alone would read a sequential run as random) *)
+  mutable registered : bool;  (* still in [entries]: only then do its pages
+                                 count against the budget and join the ring *)
 }
 
 type t = {
   vmm_domain : Sp_obj.Sdomain.t;
   vmm_name : string;
   entries : (string, entry) Hashtbl.t;
+  lru : page;  (* sentinel: [lru.newer] is the least recently used page *)
+  mutable resident : int;  (* pages on the ring *)
   mutable readahead_pages : int;  (* manual override; 0 = adaptive *)
   mutable adaptive : bool;
   mutable clustered : bool;
   mutable capacity : int option;
-  mutable tick : int;
   mutable evicted : int;
   mutable evicting : bool;  (* reentrancy guard: page-out of a dirty victim
                                may fault pages back in through lower layers *)
@@ -44,16 +57,31 @@ type mapping = {
   mutable m_live : bool;
 }
 
+let new_entry key =
+  { e_key = key; pages = Hashtbl.create 16; pager = None; mapped = 0;
+    last_fault = min_int; ra_window = 0; ra_next = min_int; registered = true }
+
+let new_page entry idx data mode ~prefetched =
+  let rec p =
+    { data; mode; dirty = false; prefetched; p_entry = entry; p_idx = idx;
+      older = p; newer = p }
+  in
+  p
+
+(* The sentinels' owner: never registered, never holds a page. *)
+let nowhere = { (new_entry "") with registered = false }
+
 let create ~node name =
   {
     vmm_domain = Sp_obj.Sdomain.create ~node ("vmm:" ^ name);
     vmm_name = name;
     entries = Hashtbl.create 32;
+    lru = new_page nowhere (-1) Bytes.empty Vm_types.Read_only ~prefetched:false;
+    resident = 0;
     readahead_pages = 0;
     adaptive = true;
     clustered = true;
     capacity = None;
-    tick = 0;
     evicted = 0;
     evicting = false;
     reconciled_clean = 0;
@@ -66,10 +94,7 @@ let entry_for t key =
   match Hashtbl.find_opt t.entries key with
   | Some e -> e
   | None ->
-      let e =
-        { e_key = key; pages = Hashtbl.create 16; pager = None; mapped = 0;
-          last_fault = min_int; ra_window = 0; ra_next = min_int }
-      in
+      let e = new_entry key in
       Hashtbl.replace t.entries key e;
       e
 
@@ -78,10 +103,42 @@ let entry_for t key =
 let note_retired (page : page) =
   if page.prefetched then Sp_sim.Metrics.incr_readahead_wasted ()
 
+let link_newest t p =
+  p.newer <- t.lru;
+  p.older <- t.lru.older;
+  t.lru.older.newer <- p;
+  t.lru.older <- p;
+  t.resident <- t.resident + 1
+
+(* Take [p] off the ring; a page already off it is left alone. *)
+let unlink t p =
+  if p.newer != p then begin
+    p.older.newer <- p.newer;
+    p.newer.older <- p.older;
+    p.older <- p;
+    p.newer <- p;
+    t.resident <- t.resident - 1
+  end
+
+let touch t p =
+  if p.newer != t.lru && p.newer != p then begin
+    unlink t p;
+    link_newest t p
+  end
+
+(* Retire every page of [entry] (teardown paths only). *)
+let forget_pages t entry =
+  Hashtbl.iter
+    (fun _ p ->
+      note_retired p;
+      unlink t p)
+    entry.pages;
+  Hashtbl.reset entry.pages
+
 (* Collect modified extents for pages intersecting [offset, offset+size),
    applying [update] to each intersecting page and dropping those for which
    [update] returns [false]. *)
-let scan_range entry ~offset ~size ~collect_dirty ~clear_dirty ~downgrade ~drop =
+let scan_range t entry ~offset ~size ~collect_dirty ~clear_dirty ~downgrade ~drop =
   let extents = ref [] in
   let doomed = ref [] in
   let visit idx =
@@ -97,41 +154,32 @@ let scan_range entry ~offset ~size ~collect_dirty ~clear_dirty ~downgrade ~drop 
           page.mode <- Vm_types.Read_only;
         if drop then begin
           note_retired page;
-          doomed := idx :: !doomed
+          doomed := page :: !doomed
         end
   in
   List.iter visit (Vm_types.pages_covering ~offset ~size);
-  List.iter (Hashtbl.remove entry.pages) !doomed;
+  List.iter
+    (fun page ->
+      Hashtbl.remove entry.pages page.p_idx;
+      unlink t page)
+    !doomed;
   List.sort
     (fun a b -> Int.compare a.Vm_types.ext_offset b.Vm_types.ext_offset)
     !extents
 
-let touch t page =
-  t.tick <- t.tick + 1;
-  page.used <- t.tick
-
-let total_cached_pages t =
-  Hashtbl.fold (fun _ e acc -> acc + Hashtbl.length e.pages) t.entries 0
+let total_cached_pages t = t.resident
 
 (* Evict the least-recently-used page, pushing dirty contents to the
    owning pager first. *)
 let evict_one t =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun _ entry ->
-      Hashtbl.iter
-        (fun idx page ->
-          match !victim with
-          | Some (_, _, best) when best.used <= page.used -> ()
-          | _ -> victim := Some (entry, idx, page))
-        entry.pages)
-    t.entries;
-  match !victim with
-  | None -> ()
-  | Some (entry, idx, page) ->
+  match t.lru.newer with
+  | page when page == t.lru -> ()
+  | page ->
+      let entry = page.p_entry and idx = page.p_idx in
       (* Remove before the dirty push: the push may recurse into this VMM
          and must not pick the same victim again. *)
       Hashtbl.remove entry.pages idx;
+      unlink t page;
       t.evicted <- t.evicted + 1;
       note_retired page;
       if page.dirty then
@@ -185,22 +233,31 @@ let evict_one t =
 (* Insert a page, honouring the capacity bound.  While a victim's dirty
    data is being pushed out, nested insertions are admitted unconditionally
    (the recursion's working set is effectively pinned), so the cache may
-   briefly overshoot rather than livelock. *)
+   briefly overshoot rather than livelock.  A page already at [idx] (an
+   upgrade fault, or a populate or zero-fill over it) is retired. *)
 let insert_page t entry idx page =
   (match t.capacity with
-  | Some cap when not t.evicting ->
+  | Some cap when not t.evicting -> (
       t.evicting <- true;
-      Fun.protect
-        ~finally:(fun () -> t.evicting <- false)
-        (fun () ->
-          let guard = ref (2 * cap) in
-          while total_cached_pages t >= cap && !guard > 0 do
-            evict_one t;
-            decr guard
-          done)
+      let guard = ref (2 * cap) in
+      match
+        while t.resident >= cap && !guard > 0 do
+          evict_one t;
+          decr guard
+        done
+      with
+      | () -> t.evicting <- false
+      | exception e ->
+          t.evicting <- false;
+          raise e)
   | _ -> ());
-  touch t page;
-  Hashtbl.replace entry.pages idx page
+  (match Hashtbl.find entry.pages idx with
+  | old ->
+      note_retired old;
+      unlink t old
+  | exception Not_found -> ());
+  Hashtbl.replace entry.pages idx page;
+  if entry.registered then link_newest t page
 
 let make_cache_object t entry =
   {
@@ -208,20 +265,20 @@ let make_cache_object t entry =
     c_label = Printf.sprintf "cache:%s:%s" t.vmm_name entry.e_key;
     c_flush_back =
       (fun ~offset ~size ->
-        scan_range entry ~offset ~size ~collect_dirty:true ~clear_dirty:true
+        scan_range t entry ~offset ~size ~collect_dirty:true ~clear_dirty:true
           ~downgrade:false ~drop:true);
     c_deny_writes =
       (fun ~offset ~size ->
-        scan_range entry ~offset ~size ~collect_dirty:true ~clear_dirty:true
+        scan_range t entry ~offset ~size ~collect_dirty:true ~clear_dirty:true
           ~downgrade:true ~drop:false);
     c_write_back =
       (fun ~offset ~size ->
-        scan_range entry ~offset ~size ~collect_dirty:true ~clear_dirty:true
+        scan_range t entry ~offset ~size ~collect_dirty:true ~clear_dirty:true
           ~downgrade:false ~drop:false);
     c_delete_range =
       (fun ~offset ~size ->
         ignore
-          (scan_range entry ~offset ~size ~collect_dirty:false ~clear_dirty:false
+          (scan_range t entry ~offset ~size ~collect_dirty:false ~clear_dirty:false
              ~downgrade:false ~drop:true));
     c_zero_fill =
       (fun ~offset ~size ->
@@ -229,8 +286,8 @@ let make_cache_object t entry =
           let page_off = idx * ps in
           if offset <= page_off && page_off + ps <= offset + size then
             insert_page t entry idx
-              { data = Bytes.make ps '\000'; mode = Vm_types.Read_only; dirty = false;
-                used = 0; prefetched = false }
+              (new_page entry idx (Bytes.make ps '\000') Vm_types.Read_only
+                 ~prefetched:false)
           else
             match Hashtbl.find_opt entry.pages idx with
             | None -> ()
@@ -249,14 +306,12 @@ let make_cache_object t entry =
           let chunk = Bytes.make ps '\000' in
           let n = min ps (total - rel) in
           Bytes.blit data rel chunk 0 n;
-          insert_page t entry idx
-            { data = chunk; mode = access; dirty = false; used = 0; prefetched = false }
+          insert_page t entry idx (new_page entry idx chunk access ~prefetched:false)
         in
         List.iter insert (Vm_types.pages_covering ~offset ~size:total));
     c_destroy =
       (fun () ->
-        Hashtbl.iter (fun _ p -> note_retired p) entry.pages;
-        Hashtbl.reset entry.pages;
+        forget_pages t entry;
         entry.pager <- None);
     c_exten = [];
   }
@@ -269,12 +324,8 @@ let make_cache_object t entry =
    are lost — the same contract as unsynced data at a machine crash. *)
 let reconcile t entry =
   let clean = ref 0 and lost = ref 0 in
-  Hashtbl.iter
-    (fun _ (p : page) ->
-      note_retired p;
-      if p.dirty then incr lost else incr clean)
-    entry.pages;
-  Hashtbl.reset entry.pages;
+  Hashtbl.iter (fun _ (p : page) -> if p.dirty then incr lost else incr clean) entry.pages;
+  forget_pages t entry;
   entry.last_fault <- min_int;
   entry.ra_window <- 0;
   entry.ra_next <- min_int;
@@ -391,15 +442,14 @@ let fault m idx access =
   let first =
     match slice 0 with Some d -> d | None -> Bytes.make ps '\000'
   in
-  let page = { data = first; mode = access; dirty = false; used = 0; prefetched = false } in
+  let page = new_page entry idx first access ~prefetched:false in
   insert_page m.m_vmm entry idx page;
   for i = 1 to extra do
     match slice i with
     | Some d ->
         if not (Hashtbl.mem entry.pages (idx + i)) then
           insert_page m.m_vmm entry (idx + i)
-            { data = d; mode = Vm_types.Read_only; dirty = false; used = 0;
-              prefetched = true }
+            (new_page entry (idx + i) d Vm_types.Read_only ~prefetched:true)
     | None -> ()
   done;
   page
@@ -529,22 +579,31 @@ let unmap m =
 let memory_object m = m.m_mem
 let cached_pages m = Hashtbl.length m.m_entry.pages
 
+let resident_pages m =
+  List.sort Int.compare (Hashtbl.fold (fun idx _ acc -> idx :: acc) m.m_entry.pages [])
+
 let drop_caches t =
   let drop _key entry =
     push_dirty t entry;
-    Hashtbl.iter (fun _ p -> note_retired p) entry.pages;
-    Hashtbl.reset entry.pages
+    forget_pages t entry
   in
   Hashtbl.iter drop t.entries;
   (* Evict the entry records of unmapped files too: a live mapping holds
      its entry through the mapped count, but entries for files nobody
-     maps any more only pin memory (a bulk build touches millions). *)
+     maps any more only pin memory (a bulk build touches millions).  A
+     page a re-entrant push brought back into a forgotten entry leaves
+     the ring and the budget with it. *)
   let idle =
     Hashtbl.fold
-      (fun key e acc -> if e.mapped = 0 then key :: acc else acc)
+      (fun _ e acc -> if e.mapped = 0 then e :: acc else acc)
       t.entries []
   in
-  List.iter (Hashtbl.remove t.entries) idle
+  List.iter
+    (fun e ->
+      e.registered <- false;
+      Hashtbl.iter (fun _ p -> unlink t p) e.pages;
+      Hashtbl.remove t.entries e.e_key)
+    idle
 
 let entry_count t = Hashtbl.length t.entries
 

@@ -61,6 +61,9 @@ val memory_object : mapping -> Vm_types.memory_object
 (** Number of pages currently cached under the mapping's cache key. *)
 val cached_pages : mapping -> int
 
+(** Indices of the pages cached under the mapping's cache key, ascending. *)
+val resident_pages : mapping -> int list
+
 (** Write back and drop every cached page of every entry (used to simulate
     memory pressure / cold caches in benchmarks). *)
 val drop_caches : t -> unit
@@ -102,13 +105,15 @@ val adaptive : t -> bool
 
     Real VMMs cache under a physical-memory budget.  With a capacity set,
     inserting a page beyond the budget evicts the least-recently-used
-    cached page first (pushing it to its pager with [sync] if dirty). *)
+    cached page first (pushing it to its pager with [sync] if dirty).
+    Eviction, hits and the resident count are O(1): the VMM keeps its
+    pages on one recency ring rather than scanning them. *)
 
 (** Bound the page cache to [pages] pages ([None] = unbounded, the
     default).  Raises [Invalid_argument] on a non-positive bound. *)
 val set_capacity : t -> pages:int option -> unit
 
-(** Total pages currently cached across all entries. *)
+(** Total pages currently cached across all entries (O(1)). *)
 val total_cached_pages : t -> int
 
 (** Pages evicted so far. *)

@@ -97,6 +97,82 @@ let prop_blocks_independent =
           |> List.mapi (fun i expected -> Bytes.equal (D.read disk i) expected)
           |> List.for_all Fun.id))
 
+(* The elevator's SCAN pick as it was first written — two filters and a
+   fold under polymorphic tuple compare — kept as the reference the
+   one-pass pick must match.  [pending] is newest first. *)
+let scan_reference ~head pending =
+  let ahead (b, _, _) = b >= head in
+  let pick a b =
+    let (ba, sa, _) = a and (bb, sb, _) = b in
+    if (ba, sa) <= (bb, sb) then a else b
+  in
+  match List.filter ahead pending with
+  | x :: rest -> List.fold_left pick x rest
+  | [] -> (
+      match pending with
+      | x :: rest -> List.fold_left pick x rest
+      | [] -> assert false)
+
+(* Task [i] reads [blocks.(i)], arriving [i] ns into the run: task 0
+   takes the idle device and everyone else queues behind its seek, in
+   index order.  Returns the blocks in the order they were served (a
+   served task records before anything else can run). *)
+let served_order ?(seed = 1) disk blocks =
+  let order = ref [] in
+  let task i () =
+    Sp_sched.sleep i;
+    ignore (D.read disk blocks.(i));
+    order := blocks.(i) :: !order
+  in
+  ignore (Sp_sched.run ~seed (List.init (Array.length blocks) task));
+  List.rev !order
+
+(* The order [scan_reference] serves the same queue in, arrival seq
+   being the task index. *)
+let reference_order blocks =
+  let pending = ref (List.rev (List.init (Array.length blocks - 1) (fun i -> (blocks.(i + 1), i + 1, ())))) in
+  let head = ref blocks.(0) and out = ref [ blocks.(0) ] in
+  while !pending <> [] do
+    let (b, seq, ()) = scan_reference ~head:!head !pending in
+    pending := List.filter (fun (_, s, _) -> s <> seq) !pending;
+    head := b;
+    out := b :: !out
+  done;
+  List.rev !out
+
+let test_elevator_order () =
+  Util.in_world ~model:Sp_sim.Cost_model.paper_1993 (fun () ->
+      (* ties (5, 5, 9, 9), blocks behind the head (1, 2, 3), the head
+         itself (7) and a wrap past the top *)
+      let blocks = [| 7; 9; 3; 5; 60; 1; 9; 7; 5; 2; 40; 3 |] in
+      let served = served_order (D.create ~blocks:64 ()) blocks in
+      Alcotest.(check (list int)) "served in SCAN order" [ 7; 7; 9; 9; 40; 60; 1; 2; 3; 3; 5; 5 ] served;
+      Alcotest.(check (list int)) "reference agrees" (reference_order blocks) served)
+
+let prop_elevator_matches_reference =
+  let gen = QCheck2.Gen.(array_size (int_range 2 40) (int_range 0 15)) in
+  Util.qcheck_case ~count:200 "elevator serves in reference SCAN order" gen (fun blocks ->
+      Util.in_world ~model:Sp_sim.Cost_model.paper_1993 (fun () ->
+          served_order (D.create ~blocks:16 ()) blocks = reference_order blocks))
+
+(* A queued release picks and removes its waiter in place: the words a
+   whole run allocates per request must not grow with the queue depth
+   (the list-filtering pick allocated O(queue) words per release). *)
+let test_elevator_release_allocation () =
+  Util.in_world ~model:Sp_sim.Cost_model.paper_1993 (fun () ->
+      let words_per_request n =
+        let blocks = Array.init n (fun i -> (i * 37) mod 64) in
+        ignore (served_order (D.create ~blocks:64 ()) blocks);
+        let w0 = Gc.minor_words () in
+        ignore (served_order (D.create ~blocks:64 ()) blocks);
+        (Gc.minor_words () -. w0) /. float_of_int n
+      in
+      let shallow = words_per_request 8 and deep = words_per_request 512 in
+      Alcotest.(check bool)
+        (Printf.sprintf "words per request flat in queue depth (%.0f at 8, %.0f at 512)" shallow deep)
+        true
+        (deep -. shallow < 32.))
+
 let suite =
   [
     Alcotest.test_case "roundtrip" `Quick test_read_write_roundtrip;
@@ -106,5 +182,9 @@ let suite =
     Alcotest.test_case "latency model" `Quick test_latency_model;
     Alcotest.test_case "stats" `Quick test_stats;
     Alcotest.test_case "metrics integration" `Quick test_metrics_integration;
+    Alcotest.test_case "elevator serves in SCAN order" `Quick test_elevator_order;
+    Alcotest.test_case "elevator release allocation flat in queue depth" `Quick
+      test_elevator_release_allocation;
     prop_blocks_independent;
+    prop_elevator_matches_reference;
   ]

@@ -537,6 +537,237 @@ let test_lru_order () =
       let d = Sp_sim.Metrics.diff ~before ~after:(Sp_sim.Metrics.snapshot ()) in
       Alcotest.(check int) "only the new page faulted" 1 d.Sp_sim.Metrics.page_faults)
 
+(* A prefetched page replaced in place (here by the write's upgrade
+   fault) retires as wasted read-ahead, like one dropped untouched. *)
+let test_readahead_replaced_counts_wasted () =
+  Util.in_world ~model:Sp_sim.Cost_model.paper_1993 (fun () ->
+      let vmm, ram = setup () in
+      Sp_vm.Ram_pager.poke ram ~pos:0 (Util.pattern_bytes (8 * ps));
+      let m = Sp_vm.Vmm.map vmm (Sp_vm.Ram_pager.memory_object ram) in
+      let before = Sp_sim.Metrics.snapshot () in
+      ignore (Sp_vm.Vmm.read m ~pos:0 ~len:ps);
+      ignore (Sp_vm.Vmm.read m ~pos:ps ~len:ps);
+      Alcotest.(check (list int)) "pages 2-3 prefetched" [ 0; 1; 2; 3 ]
+        (Sp_vm.Vmm.resident_pages m);
+      Sp_vm.Vmm.write m ~pos:(2 * ps) (Util.bytes_of_string "W");
+      Sp_vm.Vmm.drop_caches vmm;
+      let d = Sp_sim.Metrics.diff ~before ~after:(Sp_sim.Metrics.snapshot ()) in
+      Alcotest.(check int) "no read-ahead hits" 0 d.Sp_sim.Metrics.readahead_hits;
+      Alcotest.(check int) "both prefetched pages wasted" 2 d.Sp_sim.Metrics.readahead_wasted)
+
+(* Evicting a clean page at capacity allocates nothing: a fault that
+   evicts costs the same minor words as one that finds a free slot. *)
+let test_eviction_allocation () =
+  Util.in_world (fun () ->
+      let cap = 32 and rounds = 200 in
+      let vmm, ram = setup () in
+      Sp_vm.Ram_pager.poke ram ~pos:0 (Util.pattern_bytes ((cap + (2 * rounds) + 2) * ps));
+      Sp_vm.Vmm.set_capacity vmm ~pages:(Some cap);
+      let m = Sp_vm.Vmm.map vmm (Sp_vm.Ram_pager.memory_object ram) in
+      let cache =
+        match Sp_vm.Ram_pager.channels ram with
+        | [ ch ] -> ch.Sp_vm.Pager_lib.ch_cache
+        | _ -> Alcotest.fail "expected one channel"
+      in
+      for i = 0 to cap - 1 do
+        ignore (Sp_vm.Vmm.read m ~pos:(i * ps) ~len:1)
+      done;
+      let next = ref cap in
+      let fault () =
+        let w0 = Gc.minor_words () in
+        ignore (Sp_vm.Vmm.read m ~pos:(!next * ps) ~len:1);
+        incr next;
+        Gc.minor_words () -. w0
+      in
+      let evicting = ref 0. and free = ref 0. in
+      for _ = 1 to rounds do
+        (* at capacity: this fault evicts *)
+        evicting := !evicting +. fault ();
+        (* free the slot it took, so the next fault evicts nothing *)
+        V.delete_range cache ~offset:((!next - 1) * ps) ~size:ps;
+        free := !free +. fault ()
+      done;
+      Alcotest.(check int) "one eviction per evicting fault" rounds (Sp_vm.Vmm.evictions vmm);
+      Alcotest.(check (float 0.)) "eviction allocates nothing" 0.
+        ((!evicting -. !free) /. float_of_int rounds))
+
+(* qcheck model of VMM eviction: a pure LRU reference (min-stamp fold
+   over a table of resident (file, page) pairs) run beside the real VMM
+   on random faults, hits, writes, range drops, downgrades, zero-fills,
+   cache-object destroys, pager reconnects, [drop_caches] and capacity
+   changes over several files.  After every step the exact resident set
+   of each file, the eviction count and the O(1) resident total must
+   match. *)
+type vm_op =
+  | Read of int * int
+  | Write of int * int
+  | Flush_back of int * int
+  | Delete_range of int * int
+  | Deny_writes of int
+  | Zero_fill of int * int
+  | Destroy of int
+  | Reconnect of int
+  | Drop_caches
+  | Capacity of int option
+
+let vm_files = 3
+let vm_pages = 8
+
+let vm_op_to_string = function
+  | Read (f, p) -> Printf.sprintf "read %d:%d" f p
+  | Write (f, p) -> Printf.sprintf "write %d:%d" f p
+  | Flush_back (f, p) -> Printf.sprintf "flush_back %d:%d+2" f p
+  | Delete_range (f, p) -> Printf.sprintf "delete_range %d:%d+2" f p
+  | Deny_writes f -> Printf.sprintf "deny_writes %d" f
+  | Zero_fill (f, p) -> Printf.sprintf "zero_fill %d:%d" f p
+  | Destroy f -> Printf.sprintf "destroy %d" f
+  | Reconnect f -> Printf.sprintf "reconnect %d" f
+  | Drop_caches -> "drop_caches"
+  | Capacity None -> "capacity none"
+  | Capacity (Some c) -> Printf.sprintf "capacity %d" c
+
+type vm_model = {
+  resident : (int * int, int * V.access) Hashtbl.t;  (* stamp, mode *)
+  mutable clock : int;
+  mutable cap : int option;
+  mutable evicted : int;
+}
+
+let vm_model_step m op =
+  let stamp () =
+    m.clock <- m.clock + 1;
+    m.clock
+  in
+  let insert key mode =
+    (match m.cap with
+    | Some c ->
+        let guard = ref (2 * c) in
+        while Hashtbl.length m.resident >= c && !guard > 0 do
+          let oldest, _ =
+            Hashtbl.fold
+              (fun k (s, _) (bk, bs) -> if s < bs then (k, s) else (bk, bs))
+              m.resident ((-1, -1), max_int)
+          in
+          Hashtbl.remove m.resident oldest;
+          m.evicted <- m.evicted + 1;
+          decr guard
+        done
+    | None -> ());
+    Hashtbl.replace m.resident key (stamp (), mode)
+  in
+  let drop_where p =
+    List.iter (Hashtbl.remove m.resident)
+      (Hashtbl.fold (fun k _ acc -> if p k then k :: acc else acc) m.resident [])
+  in
+  match op with
+  | Read (f, p) -> (
+      match Hashtbl.find_opt m.resident (f, p) with
+      | Some (_, mode) -> Hashtbl.replace m.resident (f, p) (stamp (), mode)
+      | None -> insert (f, p) V.Read_only)
+  | Write (f, p) -> (
+      match Hashtbl.find_opt m.resident (f, p) with
+      | Some (_, V.Read_write) -> Hashtbl.replace m.resident (f, p) (stamp (), V.Read_write)
+      | _ -> insert (f, p) V.Read_write)
+  | Flush_back (f, p) | Delete_range (f, p) ->
+      drop_where (fun (f', p') -> f' = f && p' >= p && p' < p + 2)
+  | Deny_writes f ->
+      Hashtbl.filter_map_inplace
+        (fun (f', _) (s, mode) -> Some (s, if f' = f then V.Read_only else mode))
+        m.resident
+  | Zero_fill (f, p) -> insert (f, p) V.Read_only
+  | Destroy f | Reconnect f -> drop_where (fun (f', _) -> f' = f)
+  | Drop_caches -> Hashtbl.reset m.resident
+  | Capacity c -> m.cap <- c
+
+let prop_vmm_eviction_model =
+  let gen =
+    QCheck2.Gen.(
+      let f = int_range 0 (vm_files - 1) and p = int_range 0 (vm_pages - 1) in
+      let op =
+        frequency
+          [
+            (10, map2 (fun f p -> Read (f, p)) f p);
+            (4, map2 (fun f p -> Write (f, p)) f p);
+            (1, map2 (fun f p -> Flush_back (f, p)) f p);
+            (1, map2 (fun f p -> Delete_range (f, p)) f p);
+            (1, map (fun f -> Deny_writes f) f);
+            (1, map2 (fun f p -> Zero_fill (f, p)) f p);
+            (1, map (fun f -> Destroy f) f);
+            (1, map (fun f -> Reconnect f) f);
+            (1, pure Drop_caches);
+            (1, map (fun c -> Capacity c) (opt ~ratio:0.8 (int_range 1 10)));
+          ]
+      in
+      pair (opt ~ratio:0.8 (int_range 1 10)) (list_size (int_range 1 80) op))
+  in
+  let print (cap, ops) =
+    Printf.sprintf "capacity %s: %s"
+      (match cap with None -> "none" | Some c -> string_of_int c)
+      (String.concat "; " (List.map vm_op_to_string ops))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"vmm eviction matches LRU model" ~print gen
+       (fun (cap, ops) ->
+         Util.in_world (fun () ->
+             let module Vmm = Sp_vm.Vmm in
+             let vmm = Vmm.create ~node:"local" "model" in
+             Vmm.set_capacity vmm ~pages:cap;
+             (* each file's pager can be replaced by a fresh incarnation
+                (same label, so same cache key) to force a reconnect *)
+             let pager f =
+               let ram = Sp_vm.Ram_pager.create ~label:(Printf.sprintf "f%d" f) () in
+               Sp_vm.Ram_pager.poke ram ~pos:0 (Util.pattern_bytes ~seed:(f + 1) (vm_pages * ps));
+               (ram, Vmm.map vmm (Sp_vm.Ram_pager.memory_object ram))
+             in
+             let files = Array.init vm_files pager in
+             let cache f =
+               match Sp_vm.Ram_pager.channels (fst files.(f)) with
+               | [ ch ] -> ch.Sp_vm.Pager_lib.ch_cache
+               | _ -> QCheck2.Test.fail_reportf "file %d: expected one channel" f
+             in
+             let model = { resident = Hashtbl.create 16; clock = 0; cap; evicted = 0 } in
+             List.iteri
+               (fun i op ->
+                 let mp f = snd files.(f) in
+                 (match op with
+                 | Read (f, p) -> ignore (Vmm.read (mp f) ~pos:(p * ps) ~len:1)
+                 | Write (f, p) -> Vmm.write (mp f) ~pos:(p * ps) (Bytes.make 1 'w')
+                 | Flush_back (f, p) ->
+                     ignore (V.flush_back (cache f) ~offset:(p * ps) ~size:(2 * ps))
+                 | Delete_range (f, p) -> V.delete_range (cache f) ~offset:(p * ps) ~size:(2 * ps)
+                 | Deny_writes f ->
+                     ignore (V.deny_writes (cache f) ~offset:0 ~size:(vm_pages * ps))
+                 | Zero_fill (f, p) -> V.zero_fill (cache f) ~offset:(p * ps) ~size:ps
+                 | Destroy f ->
+                     V.destroy_cache (cache f);
+                     files.(f) <- pager f
+                 | Reconnect f -> files.(f) <- pager f
+                 | Drop_caches -> Vmm.drop_caches vmm
+                 | Capacity c -> Vmm.set_capacity vmm ~pages:c);
+                 vm_model_step model op;
+                 let fail fmt =
+                   QCheck2.Test.fail_reportf ("step %d (%s): " ^^ fmt) i (vm_op_to_string op)
+                 in
+                 for f = 0 to vm_files - 1 do
+                   let want =
+                     List.sort Int.compare
+                       (Hashtbl.fold
+                          (fun (f', p) _ acc -> if f' = f then p :: acc else acc)
+                          model.resident [])
+                   and got = Vmm.resident_pages (mp f) in
+                   if got <> want then
+                     fail "file %d resident [%s], model [%s]" f
+                       (String.concat "," (List.map string_of_int got))
+                       (String.concat "," (List.map string_of_int want))
+                 done;
+                 if Vmm.evictions vmm <> model.evicted then
+                   fail "%d evictions, model %d" (Vmm.evictions vmm) model.evicted;
+                 let sum = Array.fold_left (fun acc (_, m) -> acc + Vmm.cached_pages m) 0 files in
+                 if Vmm.total_cached_pages vmm <> sum then
+                   fail "total_cached_pages %d, per-mapping sum %d" (Vmm.total_cached_pages vmm) sum)
+               ops;
+             true)))
+
 let test_capacity_validation () =
   Util.in_world (fun () ->
       let vmm, _ = setup () in
@@ -569,6 +800,10 @@ let suite =
       test_eviction_preserves_dirty;
     Alcotest.test_case "lru order" `Quick test_lru_order;
     Alcotest.test_case "capacity validation" `Quick test_capacity_validation;
+    Alcotest.test_case "replaced prefetched page counts as wasted" `Quick
+      test_readahead_replaced_counts_wasted;
+    Alcotest.test_case "clean eviction allocates nothing" `Quick test_eviction_allocation;
     prop_writes_match_model;
     prop_pager_lib_model;
+    prop_vmm_eviction_model;
   ]
