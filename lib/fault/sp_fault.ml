@@ -4,15 +4,19 @@ exception Injected of string
 module Rng = struct
   (* splitmix64: tiny, full-period, and completely determined by the seed.
      Draws happen in operation order, so a (plan, workload) pair replays
-     bit-identically. *)
-  type t = { mutable state : int64 }
+     bit-identically.  The state lives unboxed in 8 bytes: a mutable
+     [int64] field would take a freshly boxed value on every draw. *)
+  type t = Bytes.t
 
-  let create seed = { state = Int64.of_int seed }
+  let create seed =
+    let t = Bytes.create 8 in
+    Bytes.set_int64_ne t 0 (Int64.of_int seed);
+    t
 
-  let next t =
+  let[@inline] next t =
     let open Int64 in
-    t.state <- add t.state 0x9E3779B97F4A7C15L;
-    let z = t.state in
+    let z = add (Bytes.get_int64_ne t 0) 0x9E3779B97F4A7C15L in
+    Bytes.set_int64_ne t 0 z;
     let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
     let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
     logxor z (shift_right_logical z 31)

@@ -101,8 +101,9 @@ let with_deadline ~ns f =
 
 type task = {
   t_id : int;  (* globally unique, for trace contexts *)
-  t_seq : int;  (* run-local ordinal, folded into the schedule digest *)
-  t_name : string;
+  t_seq : int;  (* run-local ordinal: task-table slot, folded into the digest *)
+  t_name : string option;  (* [spawn ~name]; otherwise see [task_name] *)
+  t_busy : int ref;  (* busy time charged while this task is current *)
   mutable t_done : bool;
   mutable t_kont : (unit, unit) ED.continuation option;
   mutable t_blocked_on : string;
@@ -114,6 +115,22 @@ type task = {
 }
 
 and runnable = Start of task * (unit -> unit) | Resume of task
+
+(* Fills empty task-table and ready-ring slots, and the current-task
+   register before the first dispatch. *)
+let rec no_task =
+  {
+    t_id = Sp_sim.Sched_hook.main_ctx;
+    t_seq = -1;
+    t_name = None;
+    t_busy = ref 0;
+    t_done = true;
+    t_kont = None;
+    t_blocked_on = "";
+    t_joiners = [];
+    t_wake = ignore;
+    t_resume = Resume no_task;
+  }
 
 (* The task's own cell in every TLS slot. *)
 let tls_ctx task = task.t_seq + 1
@@ -130,59 +147,132 @@ type _ Effect.t +=
 
 module Heap = struct
   (* Entries fire a closure, not a task: task wake-ups are one client
-     ([h_fire = make_ready]), deadline cancellations another.  A stale
-     entry (its purpose already served) must guard itself and no-op. *)
-  type entry = { h_time : int; h_seq : int; h_fire : unit -> unit }
-  type t = { mutable a : entry array; mutable n : int }
+     ([fire = make_ready]), deadline cancellations another.  A stale
+     entry (its purpose already served) must guard itself and no-op.
 
-  let dummy = { h_time = 0; h_seq = 0; h_fire = ignore }
+     Structure of arrays, so a sift step compares two int cells and
+     touches no boxed entry; with 100k live tasks the heap is larger
+     than the cache.  Sifts move a hole and write the moving entry
+     once, where it lands. *)
+  type t = {
+    mutable time : int array;
+    mutable seq : int array;
+    mutable fire : (unit -> unit) array;
+    mutable n : int;
+  }
 
-  let create () = { a = Array.make 64 dummy; n = 0 }
+  let create () =
+    { time = Array.make 64 0; seq = Array.make 64 0; fire = Array.make 64 ignore; n = 0 }
+
   let is_empty t = t.n = 0
-  let lt x y = x.h_time < y.h_time || (x.h_time = y.h_time && x.h_seq < y.h_seq)
+  let min_time t = t.time.(0)
 
-  let push t e =
-    if t.n = Array.length t.a then begin
-      let a' = Array.make (2 * t.n) dummy in
-      Array.blit t.a 0 a' 0 t.n;
-      t.a <- a'
-    end;
-    t.a.(t.n) <- e;
-    t.n <- t.n + 1;
-    let i = ref (t.n - 1) in
-    while !i > 0 && lt t.a.(!i) t.a.((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      let tmp = t.a.(p) in
-      t.a.(p) <- t.a.(!i);
-      t.a.(!i) <- tmp;
-      i := p
-    done
+  (* Entry [i] sorts before (time, seq). *)
+  let before t i time seq = t.time.(i) < time || (t.time.(i) = time && t.seq.(i) < seq)
 
-  let min t = t.a.(0)
+  let move t ~src ~dst =
+    t.time.(dst) <- t.time.(src);
+    t.seq.(dst) <- t.seq.(src);
+    t.fire.(dst) <- t.fire.(src)
 
-  let pop t =
-    let top = t.a.(0) in
-    t.n <- t.n - 1;
-    t.a.(0) <- t.a.(t.n);
-    t.a.(t.n) <- dummy;
-    let i = ref 0 in
-    let continue_ = ref true in
-    while !continue_ do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let s = ref !i in
-      if l < t.n && lt t.a.(l) t.a.(!s) then s := l;
-      if r < t.n && lt t.a.(r) t.a.(!s) then s := r;
-      if !s = !i then continue_ := false
+  let set t i time seq fire =
+    t.time.(i) <- time;
+    t.seq.(i) <- seq;
+    t.fire.(i) <- fire
+
+  let grow t =
+    let cap = 2 * Array.length t.time in
+    let extend a fill =
+      let a' = Array.make cap fill in
+      Array.blit a 0 a' 0 t.n;
+      a'
+    in
+    t.time <- extend t.time 0;
+    t.seq <- extend t.seq 0;
+    t.fire <- extend t.fire ignore
+
+  let rec sift_up t i time seq =
+    if i = 0 then 0
+    else
+      let p = (i - 1) / 2 in
+      if before t p time seq then i
       else begin
-        let tmp = t.a.(!s) in
-        t.a.(!s) <- t.a.(!i);
-        t.a.(!i) <- tmp;
-        i := !s
+        move t ~src:p ~dst:i;
+        sift_up t p time seq
       end
-    done;
+
+  let rec sift_down t i time seq =
+    let l = (2 * i) + 1 in
+    if l >= t.n then i
+    else
+      let c =
+        if l + 1 < t.n && before t (l + 1) t.time.(l) t.seq.(l) then l + 1 else l
+      in
+      if before t c time seq then begin
+        move t ~src:c ~dst:i;
+        sift_down t c time seq
+      end
+      else i
+
+  let push t time seq fire =
+    if t.n = Array.length t.time then grow t;
+    let i = sift_up t t.n time seq in
+    t.n <- t.n + 1;
+    set t i time seq fire
+
+  (* Remove the minimum and return its closure.  The vacated last slot
+     is overwritten, so the heap keeps no fired closure alive. *)
+  let pop t =
+    let top = t.fire.(0) in
+    let last = t.n - 1 in
+    let time = t.time.(last) and seq = t.seq.(last) and fire = t.fire.(last) in
+    t.fire.(last) <- ignore;
+    t.n <- last;
+    if last > 0 then set t (sift_down t 0 time seq) time seq fire;
     top
 
-  let clear t = t.n <- 0
+  let clear t =
+    Array.fill t.fire 0 t.n ignore;
+    t.n <- 0
+end
+
+(* ------------------------------------------------------------------ *)
+(* Ready queue: FIFO ring of preallocated runnables                    *)
+(* ------------------------------------------------------------------ *)
+
+module Ring = struct
+  (* Power-of-two capacity; doubles when full.  A push stores a value the
+     caller already holds ([t_resume], or [new_task]'s [Start]), so a
+     wake-up allocates nothing.  Popped slots are cleared. *)
+  type t = { mutable buf : runnable array; mutable head : int; mutable len : int }
+
+  let empty = no_task.t_resume
+  let create () = { buf = Array.make 64 empty; head = 0; len = 0 }
+  let is_empty r = r.len = 0
+
+  let push r x =
+    let cap = Array.length r.buf in
+    if r.len = cap then begin
+      let buf = Array.make (2 * cap) empty in
+      Array.blit r.buf r.head buf 0 (cap - r.head);
+      Array.blit r.buf 0 buf (cap - r.head) r.head;
+      r.buf <- buf;
+      r.head <- 0
+    end;
+    r.buf.((r.head + r.len) land (Array.length r.buf - 1)) <- x;
+    r.len <- r.len + 1
+
+  let pop r =
+    let x = r.buf.(r.head) in
+    r.buf.(r.head) <- empty;
+    r.head <- (r.head + 1) land (Array.length r.buf - 1);
+    r.len <- r.len - 1;
+    x
+
+  let clear r =
+    Array.fill r.buf 0 (Array.length r.buf) empty;
+    r.head <- 0;
+    r.len <- 0
 end
 
 (* ------------------------------------------------------------------ *)
@@ -190,19 +280,28 @@ end
 (* ------------------------------------------------------------------ *)
 
 type sched = {
-  ready : runnable Queue.t;
+  ready : Ring.t;
   timers : Heap.t;
+  mutable tasks : task array;  (* slot [t_seq]; [ntasks] used *)
+  mutable ntasks : int;
+  id_base : int;  (* [t_id] of slot 0: one run's ids are consecutive *)
+  n_initial : int;  (* tasks handed to [run]; later slots were spawned *)
+  mutable current_task : task;  (* the task being dispatched *)
+  (* Operands of the effect being handled, passed from [effc] to the
+     run's preallocated arm for it. *)
+  mutable eff_ns : int;
+  mutable eff_label : string;
+  mutable eff_register : (unit -> unit) -> unit;
   mutable live : int;  (* spawned, not yet finished *)
   mutable timer_seq : int;
   mutable switches : int;
   mutable digest : int;
   mutable aborting : bool;
   mutable abort_exn : (exn * Printexc.raw_backtrace) option;
-  tasks : (int, task) Hashtbl.t;
 }
 
 let cur : sched option ref = ref None
-let active () = !cur <> None
+let active () = match !cur with Some _ -> true | None -> false
 let in_task () = active () && Sp_sim.Sched_hook.in_task ()
 
 let current () =
@@ -223,13 +322,25 @@ let global_ids = ref 0
 let run_epoch = ref 0
 let epoch () = !run_epoch
 
+(* Built only when read — by tracing, deadlock reports and join labels:
+   [t<i>] by shuffled index for the run's own tasks, [t<id>] for spawned
+   ones without a name. *)
+let task_name s t =
+  match t.t_name with
+  | Some n -> n
+  | None -> "t" ^ string_of_int (if t.t_seq < s.n_initial then t.t_seq else t.t_id)
+
 let fold_digest s id = s.digest <- ((s.digest * 1_000_003) + id + 1) land max_int
 
 let make_ready s task =
   if (not s.aborting) && not task.t_done then begin
     task.t_blocked_on <- "";
-    Queue.push task.t_resume s.ready
+    Ring.push s.ready task.t_resume
   end
+
+let push_timer s time fire =
+  s.timer_seq <- s.timer_seq + 1;
+  Heap.push s.timers time s.timer_seq fire
 
 let finish s task res =
   task.t_done <- true;
@@ -244,89 +355,91 @@ let finish s task res =
       | Aborted -> ()
       | _ -> if s.abort_exn = None then s.abort_exn <- Some (e, bt))
 
-let handler s task =
+(* Park the current task on [k] until its waker runs. *)
+let park s k =
+  let task = s.current_task in
+  Sp_trace.on_task_suspend ();
+  tls_save (tls_ctx task);
+  task.t_kont <- Some k;
+  task
+
+(* One handler serves every task of a run: its arms act on
+   [s.current_task], and each arm is built once here, its operands
+   passed through [s], so handling an effect allocates nothing beyond
+   the effect, the continuation and [Some k]. *)
+let handler s =
+  let park_timer k what =
+    let task = park s k in
+    task.t_blocked_on <- what;
+    push_timer s (Sp_sim.Simclock.now () + s.eff_ns) task.t_wake
+  in
+  let wait_arm =
+    Some
+      (fun k ->
+        if s.aborting then ED.continue k ()
+        else begin
+          (* The wait is this task's own service time: charge busy now,
+             wake when the wall clock has passed it. *)
+          Sp_sim.Sched_hook.note_busy s.eff_ns;
+          park_timer k "timer"
+        end)
+  in
+  let sleep_arm =
+    Some
+      (fun k ->
+        (* Idle wait (a backoff, a pause between arrivals): time passes
+           but the task was not doing work, so no busy charge — it must
+           not count as service time. *)
+        if s.aborting then ED.continue k () else park_timer k "sleep")
+  in
+  let yield_arm =
+    Some
+      (fun k ->
+        if s.aborting then ED.continue k ()
+        else Ring.push s.ready (park s k).t_resume)
+  in
+  let suspend_arm =
+    Some
+      (fun k ->
+        if s.aborting then ED.discontinue k Aborted
+        else begin
+          let task = park s k in
+          task.t_blocked_on <- s.eff_label;
+          s.eff_register task.t_wake
+        end)
+  in
+  let effc (type a) (eff : a Effect.t) : ((a, unit) ED.continuation -> unit) option =
+    match eff with
+    | Wait ns ->
+        s.eff_ns <- ns;
+        wait_arm
+    | Sleep ns ->
+        s.eff_ns <- ns;
+        sleep_arm
+    | Yield -> yield_arm
+    | Suspend (what, register) ->
+        s.eff_label <- what;
+        s.eff_register <- register;
+        suspend_arm
+    | _ -> None
+  in
   {
-    ED.retc = (fun () -> finish s task None);
-    exnc = (fun e -> finish s task (Some (e, Printexc.get_raw_backtrace ())));
-    effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Wait ns ->
-            Some
-              (fun (k : (a, unit) ED.continuation) ->
-                if s.aborting then ED.continue k ()
-                else begin
-                  (* The wait is this task's own service time: charge busy
-                     now, wake when the wall clock has passed it. *)
-                  Sp_sim.Sched_hook.note_busy ns;
-                  Sp_trace.on_task_suspend ();
-                  tls_save (tls_ctx task);
-                  task.t_kont <- Some k;
-                  task.t_blocked_on <- "timer";
-                  s.timer_seq <- s.timer_seq + 1;
-                  Heap.push s.timers
-                    {
-                      Heap.h_time = Sp_sim.Simclock.now () + ns;
-                      h_seq = s.timer_seq;
-                      h_fire = task.t_wake;
-                    }
-                end)
-        | Sleep ns ->
-            Some
-              (fun (k : (a, unit) ED.continuation) ->
-                if s.aborting then ED.continue k ()
-                else begin
-                  (* Idle wait (a backoff, a pause between arrivals): time
-                     passes but the task was not doing work, so no busy
-                     charge — it must not count as service time. *)
-                  Sp_trace.on_task_suspend ();
-                  tls_save (tls_ctx task);
-                  task.t_kont <- Some k;
-                  task.t_blocked_on <- "sleep";
-                  s.timer_seq <- s.timer_seq + 1;
-                  Heap.push s.timers
-                    {
-                      Heap.h_time = Sp_sim.Simclock.now () + ns;
-                      h_seq = s.timer_seq;
-                      h_fire = task.t_wake;
-                    }
-                end)
-        | Yield ->
-            Some
-              (fun (k : (a, unit) ED.continuation) ->
-                if s.aborting then ED.continue k ()
-                else begin
-                  Sp_trace.on_task_suspend ();
-                  tls_save (tls_ctx task);
-                  task.t_kont <- Some k;
-                  Queue.push task.t_resume s.ready
-                end)
-        | Suspend (what, register) ->
-            Some
-              (fun (k : (a, unit) ED.continuation) ->
-                if s.aborting then ED.discontinue k Aborted
-                else begin
-                  Sp_trace.on_task_suspend ();
-                  tls_save (tls_ctx task);
-                  task.t_kont <- Some k;
-                  task.t_blocked_on <- what;
-                  register task.t_wake
-                end)
-        | _ -> None);
+    ED.retc = (fun () -> finish s s.current_task None);
+    exnc = (fun e -> finish s s.current_task (Some (e, Printexc.get_raw_backtrace ())));
+    effc;
   }
 
-let new_task s ?name fn =
+let new_task s name fn =
   incr global_ids;
-  let id = !global_ids in
   (* Run-local ordinal: the digest must depend only on this run's
      schedule, not on how many tasks earlier runs created. *)
-  let seq = Hashtbl.length s.tasks in
-  let name = match name with Some n -> n | None -> Printf.sprintf "t%d" id in
+  let seq = s.ntasks in
   let rec task =
     {
-      t_id = id;
+      t_id = !global_ids;
       t_seq = seq;
       t_name = name;
+      t_busy = ref 0;
       t_done = false;
       t_kont = None;
       t_blocked_on = "";
@@ -335,12 +448,18 @@ let new_task s ?name fn =
       t_resume = Resume task;
     }
   in
-  Hashtbl.replace s.tasks id task;
+  if seq = Array.length s.tasks then begin
+    let a = Array.make (2 * seq) no_task in
+    Array.blit s.tasks 0 a 0 seq;
+    s.tasks <- a
+  end;
+  s.tasks.(seq) <- task;
+  s.ntasks <- seq + 1;
   s.live <- s.live + 1;
-  Queue.push (Start (task, fn)) s.ready;
+  Ring.push s.ready (Start (task, fn));
   task
 
-let spawn ?name fn = (new_task (sched ()) ?name fn).t_id
+let spawn ?name fn = (new_task (sched ()) name fn).t_id
 
 (* A task runs under its own TLS values: the baseline on first start,
    its saved ones on resume.  After it hands control back (suspended or
@@ -349,23 +468,24 @@ let spawn ?name fn = (new_task (sched ()) ?name fn).t_id
 let enter s task ctx =
   s.switches <- s.switches + 1;
   fold_digest s task.t_seq;
-  Sp_sim.Sched_hook.set_current task.t_id;
+  s.current_task <- task;
+  Sp_sim.Sched_hook.set_current task.t_id task.t_busy;
   tls_restore ctx
 
 let leave () =
   tls_restore tls_baseline;
-  Sp_sim.Sched_hook.set_current Sp_sim.Sched_hook.main_ctx
+  Sp_sim.Sched_hook.set_main ()
 
-let dispatch s = function
+let dispatch s h = function
   | Start (task, fn) ->
       enter s task tls_baseline;
       let body =
         if Sp_trace.enabled () then (fun () ->
-          let label = "task:" ^ task.t_name in
+          let label = "task:" ^ task_name s task in
           Sp_trace.span ~op:label ~src:"sched" ~dst:label fn)
         else fn
       in
-      ED.match_with body () (handler s task);
+      ED.match_with body () h;
       leave ()
   | Resume task -> (
       match task.t_kont with
@@ -377,57 +497,58 @@ let dispatch s = function
           ED.continue k ();
           leave ())
 
-(* Discontinue every still-blocked task so their [Fun.protect] finalizers
-   run (releasing locks, closing trace frames) — the run's failure must
-   not leak global state into the next run in the same process.  Each
-   task unwinds under its own TLS values; [run] puts the baseline back
-   afterwards. *)
+(* Discontinue every still-blocked task, in creation order, so their
+   [Fun.protect] finalizers run (releasing locks, closing trace frames) —
+   the run's failure must not leak global state into the next run in the
+   same process.  Each task unwinds as the current task, under its own
+   TLS values; [run] puts the baseline back afterwards. *)
 let abort_all s =
   s.aborting <- true;
-  Queue.clear s.ready;
+  Ring.clear s.ready;
   Heap.clear s.timers;
-  Hashtbl.iter
-    (fun _ task ->
-      match task.t_kont with
-      | Some k when not task.t_done ->
-          task.t_kont <- None;
-          Sp_sim.Sched_hook.set_current task.t_id;
-          tls_restore (tls_ctx task);
-          (try ED.discontinue k Aborted with _ -> ());
-          Sp_sim.Sched_hook.set_current Sp_sim.Sched_hook.main_ctx
-      | _ -> ())
-    s.tasks
+  for i = 0 to s.ntasks - 1 do
+    let task = s.tasks.(i) in
+    match task.t_kont with
+    | Some k when not task.t_done ->
+        task.t_kont <- None;
+        s.current_task <- task;
+        Sp_sim.Sched_hook.set_current task.t_id task.t_busy;
+        tls_restore (tls_ctx task);
+        (try ED.discontinue k Aborted with _ -> ());
+        Sp_sim.Sched_hook.set_main ()
+    | _ -> ()
+  done
 
 let blocked_names s =
-  Hashtbl.fold
-    (fun _ t acc ->
-      if t.t_done then acc
-      else
-        Printf.sprintf "%s(%s)" t.t_name
+  let names = ref [] in
+  for i = 0 to s.ntasks - 1 do
+    let t = s.tasks.(i) in
+    if not t.t_done then
+      names :=
+        Printf.sprintf "%s(%s)" (task_name s t)
           (if t.t_blocked_on = "" then "?" else t.t_blocked_on)
-        :: acc)
-    s.tasks []
-  |> List.sort String.compare
+        :: !names
+  done;
+  List.sort String.compare !names
 
-let rec loop s =
+let rec loop s h =
   match s.abort_exn with
   | Some (e, bt) ->
       abort_all s;
       Printexc.raise_with_backtrace e bt
   | None ->
-      if not (Queue.is_empty s.ready) then begin
-        dispatch s (Queue.pop s.ready);
-        loop s
+      if not (Ring.is_empty s.ready) then begin
+        dispatch s h (Ring.pop s.ready);
+        loop s h
       end
       else if not (Heap.is_empty s.timers) then begin
-        let t = (Heap.min s.timers).Heap.h_time in
+        let t = Heap.min_time s.timers in
         let dt = t - Sp_sim.Simclock.now () in
         if dt > 0 then Sp_sim.Simclock.advance_raw dt;
-        while (not (Heap.is_empty s.timers)) && (Heap.min s.timers).Heap.h_time = t do
-          let e = Heap.pop s.timers in
-          e.Heap.h_fire ()
+        while (not (Heap.is_empty s.timers)) && Heap.min_time s.timers = t do
+          (Heap.pop s.timers) ()
         done;
-        loop s
+        loop s h
       end
       else if s.live > 0 then begin
         let names = String.concat ", " (blocked_names s) in
@@ -458,34 +579,43 @@ let shuffle seed arr =
 
 let run ?(seed = 0) fns =
   if active () then invalid_arg "Sp_sched.run: scheduler already active";
+  let arr = Array.of_list fns in
+  shuffle seed arr;
+  let n = Array.length arr in
   let s =
     {
-      ready = Queue.create ();
+      ready = Ring.create ();
       timers = Heap.create ();
+      tasks = Array.make (max 64 n) no_task;
+      ntasks = 0;
+      id_base = !global_ids + 1;
+      n_initial = n;
+      current_task = no_task;
+      eff_ns = 0;
+      eff_label = "";
+      eff_register = ignore;
       live = 0;
       timer_seq = 0;
       switches = 0;
       digest = (seed * 31) + 17;
       aborting = false;
       abort_exn = None;
-      tasks = Hashtbl.create 64;
     }
   in
   tls_save tls_baseline;
   incr run_epoch;
-  let arr = Array.of_list fns in
-  shuffle seed arr;
-  Array.iteri (fun i fn -> ignore (new_task s ~name:(Printf.sprintf "t%d" i) fn)) arr;
+  Array.iter (fun fn -> ignore (new_task s None fn)) arr;
+  let h = handler s in
   cur := Some s;
   Sp_sim.Sched_hook.advance_hook := Some (fun ns -> Effect.perform (Wait ns));
   Fun.protect
     ~finally:(fun () ->
       cur := None;
       Sp_sim.Sched_hook.advance_hook := None;
-      Sp_sim.Sched_hook.set_current Sp_sim.Sched_hook.main_ctx;
+      Sp_sim.Sched_hook.set_main ();
       tls_restore tls_baseline)
-    (fun () -> loop s);
-  { st_tasks = Hashtbl.length s.tasks; st_switches = s.switches; st_digest = s.digest }
+    (fun () -> loop s h);
+  { st_tasks = s.ntasks; st_switches = s.switches; st_digest = s.digest }
 
 (* ------------------------------------------------------------------ *)
 (* Task-facing primitives                                              *)
@@ -511,14 +641,7 @@ let suspend ~on register =
 let at_time time fire =
   match !cur with
   | None -> ()
-  | Some s ->
-      s.timer_seq <- s.timer_seq + 1;
-      Heap.push s.timers
-        {
-          Heap.h_time = max time (Sp_sim.Simclock.now ());
-          h_seq = s.timer_seq;
-          h_fire = fire;
-        }
+  | Some s -> push_timer s (max time (Sp_sim.Simclock.now ())) fire
 
 (* Record [dt] of queue waiting: global metric + current trace span. *)
 let note_queue dt =
@@ -530,13 +653,14 @@ let note_queue dt =
 let join id =
   match !cur with
   | None -> ()
-  | Some s -> (
-      match Hashtbl.find_opt s.tasks id with
-      | None -> ()
-      | Some task ->
-          if not task.t_done then
-            suspend ~on:("join:" ^ task.t_name) (fun wake ->
-                task.t_joiners <- wake :: task.t_joiners))
+  | Some s ->
+      let slot = id - s.id_base in
+      if slot >= 0 && slot < s.ntasks then begin
+        let task = s.tasks.(slot) in
+        if not task.t_done then
+          suspend ~on:("join:" ^ task_name s task) (fun wake ->
+              task.t_joiners <- wake :: task.t_joiners)
+      end
 
 (* ------------------------------------------------------------------ *)
 (* Ivar: write-once cell                                               *)

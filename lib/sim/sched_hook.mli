@@ -13,8 +13,12 @@ val main_ctx : int
 (** Id of the context currently executing ([main_ctx] outside tasks). *)
 val current : unit -> int
 
-(** Set the current context.  Scheduler internal. *)
-val set_current : int -> unit
+(** [set_current id busy] makes task [id] the current context, with
+    [busy] as the cell its busy time is charged to.  Scheduler internal. *)
+val set_current : int -> int ref -> unit
+
+(** Make the main context current again.  Scheduler internal. *)
+val set_main : unit -> unit
 
 (** [true] iff a scheduler task is the current context. *)
 val in_task : unit -> bool
@@ -29,15 +33,9 @@ val advance_hook : (int -> unit) option ref
     by the scheduler when it services a task's wait. *)
 val note_busy : int -> unit
 
-(** Busy time charged by context [id] ([main_ctx] for the main context). *)
-val busy_of : int -> int
-
 (** Busy time charged by the current context. *)
 val busy : unit -> int
 
 (** Busy time charged by all contexts together.  Equals elapsed wall time
     when no tasks overlap; exceeds it when they do. *)
 val total_busy : unit -> int
-
-(** Clear the hook, the current-task register and all busy clocks. *)
-val reset : unit -> unit

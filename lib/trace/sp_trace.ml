@@ -131,7 +131,7 @@ let open_frame st ~op ~src ~dst ~node =
       fr_dst = dst;
       fr_node = node;
       fr_start = Sp_sim.Simclock.now ();
-      fr_busy0 = Sp_sim.Sched_hook.busy_of task;
+      fr_busy0 = Sp_sim.Sched_hook.busy ();
       fr_metrics0 = M.snapshot ();
       fr_stolen0 = c.stolen;
       fr_child_ns = 0;
@@ -149,6 +149,10 @@ let record st sp =
   st.next_slot <- (st.next_slot + 1) mod st.capacity;
   st.recorded <- st.recorded + 1
 
+(* A span closes in the context that opened it (its [Fun.protect] runs
+   there, and an aborted run unwinds each task as the current task), so
+   [busy ()] reads the frame's own busy clock; [with_tracing]'s cleanup
+   of leaked frames is the one exception. *)
 let close_frame st fr =
   let c = ctx_of st fr.fr_task in
   (match c.stack with
@@ -163,7 +167,7 @@ let close_frame st fr =
       in
       c.stack <- pop c.stack);
   let stop = Sp_sim.Simclock.now () in
-  let incl_ns = Sp_sim.Sched_hook.busy_of fr.fr_task - fr.fr_busy0 in
+  let incl_ns = Sp_sim.Sched_hook.busy () - fr.fr_busy0 in
   let incl_raw = M.diff ~before:fr.fr_metrics0 ~after:(M.snapshot ()) in
   (* Subtract what other contexts did while this one was suspended. *)
   let stolen_delta = M.diff ~before:fr.fr_stolen0 ~after:c.stolen in
@@ -302,7 +306,9 @@ let with_tracing ?(capacity = 65536) ?(root = "workload") f =
   | result ->
       (* Spans close themselves via [Fun.protect]; anything still open here
          besides the root means a caller leaked a frame — close those too so
-         the root's accounting stays consistent. *)
+         the root's accounting stays consistent.  A leaked task frame
+         closes here in the main context, so its own busy figure is not
+         meaningful. *)
       Hashtbl.iter
         (fun _ c ->
           List.iter (fun fr -> close_frame st fr) c.stack;

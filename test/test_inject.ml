@@ -18,6 +18,55 @@ let test_rng_determinism () =
     (List.init 16 (fun _ -> Sp_fault.Rng.int b 1000));
   Alcotest.(check bool) "different seeds diverge" true (draw 1 <> draw 2)
 
+(* The boxed-state splitmix64 that [Sp_fault.Rng] replaced, kept as the
+   oracle: every plan and digest depends on the stream being
+   bit-identical. *)
+module Rng_oracle = struct
+  type t = { mutable state : int64 }
+
+  let create seed = { state = Int64.of_int seed }
+
+  let next t =
+    let open Int64 in
+    t.state <- add t.state 0x9E3779B97F4A7C15L;
+    let z = t.state in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    logxor z (shift_right_logical z 31)
+
+  let int t bound =
+    Int64.to_int (Int64.rem (Int64.shift_right_logical (next t) 1) (Int64.of_int bound))
+
+  let float t = Int64.to_float (Int64.shift_right_logical (next t) 11) /. 9007199254740992.0
+end
+
+let test_rng_matches_oracle () =
+  let n = 10_000 in
+  (* Bounds from 1 to max_int, so the modulo sees every magnitude. *)
+  let bound i = if i mod 97 = 0 then max_int else 1 + (i * 7919 mod 1_000_003) in
+  List.iter
+    (fun seed ->
+      let r = Sp_fault.Rng.create seed and o = Rng_oracle.create seed in
+      let ints = List.init n (fun i -> Sp_fault.Rng.int r (bound i)) in
+      Alcotest.(check (list int))
+        (Printf.sprintf "int stream, seed %d" seed)
+        (List.init n (fun i -> Rng_oracle.int o (bound i)))
+        ints;
+      let r = Sp_fault.Rng.create seed and o = Rng_oracle.create seed in
+      let floats = List.init n (fun _ -> Int64.bits_of_float (Sp_fault.Rng.float r)) in
+      Alcotest.(check (list int64))
+        (Printf.sprintf "float stream, seed %d" seed)
+        (List.init n (fun _ -> Int64.bits_of_float (Rng_oracle.float o)))
+        floats)
+    [ 0; 1; 7; -1; max_int ]
+
+(* A draw runs on every probabilistic fault consult and every generated
+   client op: the state update must not box. *)
+let test_rng_int_no_alloc () =
+  let r = Sp_fault.Rng.create 7 in
+  Alcotest.(check (float 0.)) "Rng.int words per call" 0.
+    (Util.minor_words_per_call (fun () -> ignore (Sp_fault.Rng.int r 1000)))
+
 let outcomes plan n =
   Sp_fault.with_plan plan (fun () ->
       List.init n (fun _ -> Sp_fault.consult ~point:"p" ~label:"x"))
@@ -264,6 +313,8 @@ let test_mirror_auto_failover () =
 let suite =
   [
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
+    Alcotest.test_case "rng matches the boxed oracle" `Quick test_rng_matches_oracle;
+    Alcotest.test_case "rng int allocates nothing" `Quick test_rng_int_no_alloc;
     Alcotest.test_case "plan replays bit-identically" `Quick test_plan_replays;
     Alcotest.test_case "after/count/label selectors" `Quick test_after_count_label;
     Alcotest.test_case "disarmed path is a no-op" `Quick test_disarmed_is_pass;

@@ -60,8 +60,8 @@ let test_deadlock_detected () =
       match Sched.run [ blocked; blocked ] with
       | _ -> Alcotest.fail "expected Deadlock"
       | exception Sched.Deadlock msg ->
-          Alcotest.(check bool) "names the waiters" true
-            (String.length msg > 0))
+          Alcotest.(check string) "names the waiters"
+            "all tasks blocked, no timers pending: t0(ivar), t1(ivar)" msg)
 
 let test_abort_unwinds_blocked_tasks () =
   Util.in_world (fun () ->
@@ -360,6 +360,221 @@ let qcheck_same_seed_same_run =
       in
       run (Printf.sprintf "a%d" !uniq) = run (Printf.sprintf "b%d" !uniq))
 
+(* --- schedule order: model, pinned digests, allocation, leaks --- *)
+
+(* A task program: [Spawn] starts a child task and carries on, every
+   other step suspends once on a timer or the ready queue. *)
+type step = Sleep of int | Advance of int | Yield | Spawn of step list
+
+(* The scheduler's order rules, written as plainly as possible: a FIFO
+   ready queue, and timers woken by a full sort on (instant, creation
+   order).  Returns (task label, clock) per dispatch and the final
+   clock.  [initial] is the run's initial task order. *)
+let reference_schedule initial =
+  let ready = Queue.create () and timers = ref [] and seq = ref 0 in
+  let clock = ref 0 and next_label = ref (List.length initial) and log = ref [] in
+  List.iter (fun t -> Queue.push t ready) initial;
+  let rec run (label, steps) =
+    match steps with
+    | [] -> ()
+    | Spawn child :: rest ->
+        Queue.push (!next_label, child) ready;
+        incr next_label;
+        run (label, rest)
+    | Yield :: rest -> Queue.push (label, rest) ready
+    | (Sleep d | Advance d) :: rest ->
+        incr seq;
+        timers := (!clock + d, !seq, (label, rest)) :: !timers
+  in
+  let rec loop () =
+    if not (Queue.is_empty ready) then begin
+      let t = Queue.pop ready in
+      log := (fst t, !clock) :: !log;
+      run t;
+      loop ()
+    end
+    else
+      match List.sort (fun (t1, s1, _) (t2, s2, _) -> compare (t1, s1) (t2, s2)) !timers with
+      | [] -> ()
+      | (t0, _, _) :: _ as sorted ->
+          clock := t0;
+          let due, later = List.partition (fun (t, _, _) -> t = t0) sorted in
+          List.iter (fun (_, _, task) -> Queue.push task ready) due;
+          timers := later;
+          loop ()
+  in
+  loop ();
+  (List.rev !log, !clock)
+
+(* The same programs as scheduler tasks, logging every dispatch. *)
+let real_schedule ~seed programs =
+  Util.in_world (fun () ->
+      let log = ref [] and next_label = ref (List.length programs) in
+      let rec body label steps () =
+        log := (label, C.now ()) :: !log;
+        List.iter
+          (function
+            | Spawn child ->
+                let l = !next_label in
+                incr next_label;
+                ignore (Sched.spawn (body l child))
+            | Sleep d ->
+                Sched.sleep d;
+                log := (label, C.now ()) :: !log
+            | Advance d ->
+                C.advance d;
+                log := (label, C.now ()) :: !log
+            | Yield ->
+                Sched.yield ();
+                log := (label, C.now ()) :: !log)
+          steps
+      in
+      let stats = Sched.run ~seed (List.mapi body programs) in
+      (List.rev !log, C.now (), stats))
+
+(* 50-64 initial tasks, each spawning three children: over 200 tasks.
+   Each initial task spawns two children before it first suspends, so
+   the ready ring outgrows its 64 slots while its head has moved (it is
+   wrapped), and then wraps; the timer heap outgrows its 64
+   slots too.  Durations of 1-3 ns make same-instant ties the rule, not
+   the exception. *)
+let qcheck_order_matches_model =
+  let open QCheck2.Gen in
+  let leaf =
+    frequency
+      [ (3, map (fun d -> Sleep d) (int_range 1 3));
+        (3, map (fun d -> Advance d) (int_range 1 3));
+        (2, pure Yield) ]
+  in
+  let steps = list_size (int_range 0 4) leaf in
+  let parent =
+    map
+      (fun (pre, (c1, c2, c3), post) ->
+        (Spawn c1 :: Spawn c2 :: pre) @ (Spawn c3 :: post))
+      (triple steps (triple steps steps steps) steps)
+  in
+  let gen = pair (int_range 0 9999) (list_size (int_range 50 64) parent) in
+  Util.qcheck_case ~count:30 "wake order = (instant, timer order) sort; ready is FIFO" gen
+    (fun (seed, programs) ->
+      let log, clock, stats = real_schedule ~seed programs in
+      (* The first dispatches are the initial tasks, in the seed's
+         shuffled order: that order is the model's input. *)
+      let n = List.length programs in
+      let initial = List.filteri (fun i _ -> i < n) log |> List.map fst in
+      let expected_log, expected_clock =
+        reference_schedule (List.map (fun l -> (l, List.nth programs l)) initial)
+      in
+      List.sort compare initial = List.init n Fun.id
+      && log = expected_log && clock = expected_clock
+      && stats.Sched.st_switches = List.length log
+      && stats.Sched.st_tasks = 4 * n)
+
+(* One fixed task set mixing a two-server station queue, spawn/join, an
+   Ivar and yields.  The digests, switch counts and final clocks were
+   recorded before the scheduler's queues and task table were rebuilt;
+   they pin its order exactly. *)
+let pinned_run seed =
+  Util.in_world (fun () ->
+      let st = Sched.Station.create ~servers:2 "t_pinned" in
+      let iv : int Sched.Ivar.t = Sched.Ivar.create () in
+      let client k () =
+        for i = 1 to 3 do
+          Sched.Station.serve st (100 + (10 * k));
+          Sched.sleep (7 * i);
+          if i = 2 then Sched.yield ()
+        done
+      in
+      let reader k () =
+        let v = Sched.Ivar.read iv in
+        C.advance (v + k);
+        Sched.Station.serve st 30
+      in
+      let filler () =
+        C.advance 450;
+        Sched.Ivar.fill iv 25
+      in
+      let parent () =
+        let kids =
+          List.init 3 (fun k ->
+              Sched.spawn (fun () ->
+                  Sched.Station.serve st 50;
+                  Sched.yield ();
+                  C.advance (10 * k)))
+        in
+        List.iter Sched.join kids;
+        C.advance 5
+      in
+      let stats =
+        Sched.run ~seed (List.init 4 client @ List.init 3 reader @ [ filler; parent ])
+      in
+      (stats.Sched.st_digest, stats.Sched.st_switches, C.now ()))
+
+let test_pinned_schedule () =
+  List.iter
+    (fun (seed, expected) ->
+      Alcotest.(check (triple int int int))
+        (Printf.sprintf "digest, switches, clock at seed %d" seed)
+        expected (pinned_run seed))
+    [
+      (1, (3297026697155925781, 78, 831));
+      (7, (2946971796969807082, 78, 851));
+      (42, (2274796464465502921, 78, 851));
+    ]
+
+(* Minor words per context switch over a run of 64 tasks that each
+   switch 2000 times. *)
+let words_per_switch body =
+  Util.in_world (fun () ->
+      let tasks = List.init 64 (fun _ () -> for i = 1 to 2_000 do body i done) in
+      ignore (Sched.run tasks);  (* warm-up: task-local slot arrays grow *)
+      let w0 = Gc.minor_words () in
+      let stats = Sched.run tasks in
+      (Gc.minor_words () -. w0) /. float_of_int stats.Sched.st_switches)
+
+(* A timer switch allocates the effect, the continuation and [Some k];
+   a yield only the last two. *)
+let test_timer_switch_allocation () =
+  let words = words_per_switch (fun i -> if i land 1 = 0 then Sched.sleep 3 else C.advance 3) in
+  Alcotest.(check bool) (Printf.sprintf "sleep/advance switch: %.2f words <= 8" words) true
+    (words <= 8.)
+
+let test_yield_switch_allocation () =
+  let words = words_per_switch (fun _ -> Sched.yield ()) in
+  Alcotest.(check bool) (Printf.sprintf "yield switch: %.2f words <= 5" words) true
+    (words <= 5.)
+
+(* A task's whole life: start, one sleep, finish.  The count includes the
+   test's own closure and list cell for the task. *)
+let test_task_life_allocation () =
+  Util.in_world (fun () ->
+      let n = 2_000 in
+      let round () = ignore (Sched.run (List.init n (fun i () -> Sched.sleep (1 + (i land 3))))) in
+      round ();
+      let w0 = Gc.minor_words () in
+      round ();
+      let words = (Gc.minor_words () -. w0) /. float_of_int n in
+      Alcotest.(check bool) (Printf.sprintf "task life: %.1f words <= 64" words) true
+        (words <= 64.))
+
+(* Nothing per task may outlive its run: busy clocks, wakers and timer
+   closures die with the run. *)
+let test_no_per_task_state_survives_runs () =
+  Util.in_world (fun () ->
+      let round () = ignore (Sched.run (List.init 1_000 (fun _ () -> C.advance 1))) in
+      let live_words () =
+        Gc.full_major ();
+        (Gc.stat ()).Gc.live_words
+      in
+      round ();
+      let before = live_words () in
+      for _ = 1 to 100 do
+        round ()
+      done;
+      let grown = live_words () - before in
+      Alcotest.(check bool)
+        (Printf.sprintf "live words grew by %d over 100 runs of 1000 tasks (< 1000)" grown)
+        true (grown < 1_000))
+
 (* --- concurrent rpc_retry backoff --- *)
 
 (* Two clients whose RPCs are dropped back off concurrently: idle sleeps
@@ -427,4 +642,12 @@ let suite =
     qcheck_same_seed_same_run;
     Alcotest.test_case "concurrent rpc retries overlap" `Quick
       test_concurrent_retries_overlap;
+    qcheck_order_matches_model;
+    Alcotest.test_case "pinned schedule at three seeds" `Quick test_pinned_schedule;
+    Alcotest.test_case "sleep/advance switch allocation" `Quick
+      test_timer_switch_allocation;
+    Alcotest.test_case "yield switch allocation" `Quick test_yield_switch_allocation;
+    Alcotest.test_case "task life allocation bound" `Quick test_task_life_allocation;
+    Alcotest.test_case "no per-task state survives runs" `Quick
+      test_no_per_task_state_survives_runs;
   ]
