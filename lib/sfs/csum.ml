@@ -1,28 +1,16 @@
 let bs = Sp_blockdev.Disk.block_size
 
-(* FNV-1a folded to 32 bits, the one copy of the fold on the SFS disk
-   format (commit entries and headers in the journal too).  Not
-   cryptographic; it only has to make bit rot, torn, misdirected and lost
-   writes fail verification.  The low 32 bits of [(h lxor c) * prime]
-   depend only on the low 32 bits of [h], so one mask at the end gives the
-   per-byte-masked value.  [pad] continues the fold over that many
-   implicit zero bytes. *)
-let fnv1a b ~pad =
-  let h = ref 0x811c9dc5 in
-  for i = 0 to Bytes.length b - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x01000193
-  done;
-  for _ = 1 to pad do
-    h := !h * 0x01000193
-  done;
-  !h land 0xffffffff
-
-let cksum b = fnv1a b ~pad:0
+(* FNV-1a folded to 32 bits ([Sp_dir.Hash.fold], the one copy of the
+   loop), the fold on the SFS disk format (commit entries and headers in
+   the journal too).  Not cryptographic; it only has to make bit rot,
+   torn, misdirected and lost writes fail verification. *)
+let fold b ~pad = Sp_dir.Hash.fold Sp_dir.Hash.basis b ~off:0 ~len:(Bytes.length b) ~pad
+let cksum b = fold b ~pad:0
 
 (* Checksums are taken over the full zero-padded block (Disk.write
    semantics); continue the fold over the implicit zero tail instead of
    allocating a padded copy. *)
-let cksum_padded b = fnv1a b ~pad:(bs - Bytes.length b)
+let cksum_padded b = fold b ~pad:(bs - Bytes.length b)
 
 (* CPU cost of hashing [len] bytes, in Door.charge_cpu units. *)
 let work_units len = len / 64
@@ -59,8 +47,11 @@ let set t n ck =
 let record t n data =
   if covers t n then begin
     Sp_obj.Door.charge_cpu (work_units (Bytes.length data));
-    set t n (cksum_padded data)
+    let ck = cksum_padded data in
+    set t n ck;
+    ck
   end
+  else cksum_padded data
 
 let matches t n data =
   (not (covers t n))

@@ -20,8 +20,10 @@
 
 type t
 
-(** 32-bit FNV-1a over the given bytes (exposed for tests and for the
-    journal's commit entries). *)
+(** 32-bit FNV-1a over the given bytes ({!Sp_dir.Hash.fold}).  Exposed
+    for tests, integrityfs, the journal's header checksum and the commit
+    entries of blocks that {!record} does not fold (checksum-region
+    images, and every block on a volume without checksums). *)
 val cksum : bytes -> int
 
 (** Checksum of the zero-padded-to-a-block extension of the data. *)
@@ -49,10 +51,13 @@ val home : t -> int -> int
 (** Stored checksum for covered block [n]. *)
 val stored : t -> int -> int
 
-(** Update the in-memory entry for [n] (no-op when uncovered) and mark
-    its region block dirty.  The caller flushes dirty region blocks —
-    write-through on raw devs, same-batch on journaled commits. *)
-val record : t -> int -> bytes -> unit
+(** Fold [data] ({!cksum_padded}) and return the sum.  When [n] is
+    covered, also charge the fold's CPU, update [n]'s in-memory entry and
+    mark its region block dirty; an uncovered [n] is folded only.  The
+    caller flushes dirty region blocks — write-through on raw devs,
+    same-batch on journaled commits, whose header entries reuse the
+    returned sum instead of folding the block again. *)
+val record : t -> int -> bytes -> int
 
 (** [true] when [n] is uncovered or the data matches its entry. *)
 val matches : t -> int -> bytes -> bool

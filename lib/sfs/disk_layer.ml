@@ -319,6 +319,13 @@ let read_range fs inode ~pos ~len =
     if b = 0 then Bytes.make bs '\000' else Journal.read fs.dev b
   else read_span fs inode ~pos ~len
 
+(* The block of [data] at [cursor], [bs] bytes long.  A one-block payload
+   goes down as it is: [Journal.write] copies it into its buffer, and a
+   raw [Disk.write] into the device block, so a slice would only add a
+   copy.  The caller keeps the payload unchanged for the write's duration. *)
+let whole_block data cursor =
+  if cursor = 0 && Bytes.length data = bs then data else Bytes.sub data cursor bs
+
 let write_range fs ino inode ~pos data =
   let len = Bytes.length data in
   let rec go cursor =
@@ -327,7 +334,7 @@ let write_range fs ino inode ~pos data =
       let in_block = off mod bs in
       let n = min (len - cursor) (bs - in_block) in
       let b = ensure_block fs ino inode (off / bs) in
-      if n = bs then Journal.write fs.dev b (Bytes.sub data cursor n)
+      if n = bs then Journal.write fs.dev b (whole_block data cursor)
       else begin
         let block = Journal.read fs.dev b in
         Bytes.blit data cursor block in_block n;
@@ -354,7 +361,7 @@ let write_range_vec fs ino inode ~pos data =
       let n = min (len - cursor) (bs - in_block) in
       let b = ensure_block fs ino inode (off / bs) in
       let block =
-        if n = bs then Bytes.sub data cursor n
+        if n = bs then whole_block data cursor
         else begin
           let block = Journal.read fs.dev b in
           Bytes.blit data cursor block in_block n;

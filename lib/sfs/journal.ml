@@ -43,7 +43,8 @@ let encode_header ~state ~seq ~entries =
       Bytes.set_int32_le b (header_bytes + (i * entry_bytes) + 4) (Int32.of_int data_ck))
     entries;
   let covered = header_bytes + (List.length entries * entry_bytes) in
-  Bytes.set_int32_le b 20 (Int32.of_int (Csum.cksum (Bytes.sub b 0 covered)));
+  let ck = Sp_dir.Hash.fold Sp_dir.Hash.basis b ~off:0 ~len:covered ~pad:0 in
+  Bytes.set_int32_le b 20 (Int32.of_int ck);
   b
 
 (* Returns (state, seq, entries) or None for anything unformatted, torn
@@ -57,9 +58,13 @@ let decode_header b =
     if (state <> 0 && state <> 1) || count < 0 || count > max_entries then None
     else
       let stored_ck = Int32.to_int (Bytes.get_int32_le b 20) in
-      let scratch = Bytes.sub b 0 (header_bytes + (count * entry_bytes)) in
-      Bytes.set_int32_le scratch 20 0l;
-      if Csum.cksum scratch land 0xffffffff <> stored_ck land 0xffffffff then None
+      (* The checksum field reads as zero: fold [0, 20), four zero bytes,
+         then the rest of the header and the entry table. *)
+      let ck = Sp_dir.Hash.fold Sp_dir.Hash.basis b ~off:0 ~len:20 ~pad:4 in
+      let ck =
+        Sp_dir.Hash.fold ck b ~off:24 ~len:(count * entry_bytes) ~pad:0
+      in
+      if ck <> stored_ck land 0xffffffff then None
       else
         let entries =
           List.init count (fun i ->
@@ -157,7 +162,7 @@ let write dev n data =
           (* Write-through: data first, then the region block holding its
              entry.  A crash between the two leaves a detectable (stale
              checksum) window — raw devs never promised atomicity. *)
-          Csum.record c n data;
+          ignore (Csum.record c n data : int);
           List.iter
             (fun cb ->
               dev.d_fence ();
@@ -170,8 +175,14 @@ let write dev n data =
         invalid_arg (Printf.sprintf "Journal.write: block %d out of range" n);
       if Bytes.length data > bs then invalid_arg "Journal.write: larger than a block";
       (* Store a full zero-padded block, matching Disk.write semantics. *)
-      let block = Bytes.make bs '\000' in
-      Bytes.blit data 0 block 0 (Bytes.length data);
+      let block =
+        if Bytes.length data = bs then Bytes.copy data
+        else begin
+          let block = Bytes.make bs '\000' in
+          Bytes.blit data 0 block 0 (Bytes.length data);
+          block
+        end
+      in
       if not (Hashtbl.mem t.dirty n) then t.order <- n :: t.order;
       Hashtbl.replace t.dirty n block
 
@@ -198,7 +209,7 @@ let write_vec dev writes =
           List.iter
             (fun (n, data) ->
               if Csum.covers c n then begin
-                Csum.record c n data;
+                ignore (Csum.record c n data : int);
                 recorded := true
               end)
             writes;
@@ -212,7 +223,9 @@ let write_vec dev writes =
           end
       | None -> ())
 
-let commit_batch ~fence t datas =
+(* [blocks] are (target, data, checksum of data) triples: the sums are
+   taken before the first device write below suspends. *)
+let commit_batch ~fence t blocks =
   (* The fence runs before every device write: each device charge is a
      suspension point, and a fiber resumed there after its mount's
      domain died must stop — its successor may already have replayed the
@@ -221,20 +234,20 @@ let commit_batch ~fence t datas =
      contiguous journal area — one seek, back-to-back transfers, and no
      concurrent request can drag the head away between blocks. *)
   Sp_blockdev.Disk.write_vec ~check:fence t.disk
-    (List.mapi (fun i (_, data) -> (t.start + 1 + i, data)) datas);
-  t.journal_writes <- t.journal_writes + List.length datas;
+    (List.mapi (fun i (_, data, _) -> (t.start + 1 + i, data)) blocks);
+  t.journal_writes <- t.journal_writes + List.length blocks;
   (* 2. Seal: checksummed commit header.  The transaction exists on disk
      from this write onward. *)
-  let entries = List.map (fun (n, data) -> (n, Csum.cksum data)) datas in
+  let entries = List.map (fun (n, _, ck) -> (n, ck)) blocks in
   fence ();
   Sp_blockdev.Disk.write t.disk t.start (encode_header ~state:1 ~seq:t.seq ~entries);
   t.journal_writes <- t.journal_writes + 1;
   (* 3. Home writes. *)
   List.iter
-    (fun (n, data) ->
+    (fun (n, data, _) ->
       fence ();
       Sp_blockdev.Disk.write t.disk n data)
-    datas;
+    blocks;
   (* The clean mark is NOT written here: consecutive batches of one
      commit pipeline — the next batch's sealed header (higher seq)
      supersedes this one, and [commit] writes a single clean mark after
@@ -277,16 +290,25 @@ let commit dev =
                     else take (n :: acc) csums' tl
               in
               let group, rest = take [] [] blocks in
-              let datas = List.map (fun n -> (n, Hashtbl.find t.dirty n)) group in
+              let folded n data = (n, data, Csum.cksum data) in
               (match dev.d_csum with
               | Some c ->
-                  List.iter (fun (n, data) -> Csum.record c n data) datas;
-                  let csum_datas =
-                    List.map (fun cb -> (cb, Csum.image c cb)) (Csum.dirty c)
+                  (* A buffered block is always a full block, so the sum
+                     [record] folds for the region is also its commit
+                     entry: each block is folded once per commit. *)
+                  let datas =
+                    List.map
+                      (fun n ->
+                        let data = Hashtbl.find t.dirty n in
+                        (n, data, Csum.record c n data))
+                      group
                   in
+                  let images = List.map (fun cb -> folded cb (Csum.image c cb)) (Csum.dirty c) in
                   Csum.clear_dirty c;
-                  commit_batch ~fence:dev.d_fence t (datas @ csum_datas)
-              | None -> commit_batch ~fence:dev.d_fence t datas);
+                  commit_batch ~fence:dev.d_fence t (datas @ images)
+              | None ->
+                  commit_batch ~fence:dev.d_fence t
+                    (List.map (fun n -> folded n (Hashtbl.find t.dirty n)) group));
               go rest
         in
         go (List.rev t.order);

@@ -164,6 +164,103 @@ let test_sync_heavy_concurrent_sweep () =
       Alcotest.(check int) "nothing merely detected" 0 (Sp_sweep.count r "detected");
       Alcotest.(check int) "all survived" r.Sp_sweep.points (Sp_sweep.count r "survived"))
 
+(* --- on-disk bytes pinned across group commits --- *)
+
+(* FNV-1a-32 of the whole raw device, masked after every byte: a
+   reference that does not share the fold under test. *)
+let device_digest disk =
+  let h = ref 0x811c9dc5 in
+  for b = 0 to D.block_count disk - 1 do
+    Bytes.iter
+      (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xffffffff)
+      (D.read disk b)
+  done;
+  !h
+
+(* [clients] clients of 1 KiB writes on a checksummed journaled volume,
+   a sync after every second op; each client's last op writes a whole
+   block.  Under [delay_model] the syncs pile into leader windows, and
+   every batch carries its checksum-region block. *)
+let pinned_workload label =
+  let disk = D.create ~label ~blocks:512 () in
+  DL.mkfs ~journal:true disk;
+  let fs = DL.mount ~name:(label ^ "0") disk in
+  let files =
+    List.init clients (fun k -> S.create fs (Util.name (Printf.sprintf "p%d" k)))
+  in
+  S.sync fs;
+  let task k f () =
+    for i = 0 to 7 do
+      let pos, len = if i = 7 then (2 * D.block_size, D.block_size) else (i * 1024, 1024) in
+      ignore (F.write f ~pos (Util.pattern_bytes ~seed:((k * 8) + i + 1) len));
+      if i mod 2 = 1 then S.sync fs
+    done
+  in
+  ignore (Sp_sched.run ~seed:5 (List.mapi task files));
+  (disk, fs)
+
+let test_pinned_disk_bytes () =
+  Util.in_world ~model:delay_model (fun () ->
+      let disk, fs = pinned_workload "pin" in
+      let st = jstats fs in
+      Alcotest.(check bool) "syncs absorbed into leader windows" true
+        (st.Sp_sfs.Journal.js_absorbed_syncs >= 1);
+      Alcotest.(check int) "commits" 5 st.Sp_sfs.Journal.js_commits;
+      Alcotest.(check int) "journal writes" 46 st.Sp_sfs.Journal.js_journal_writes;
+      Alcotest.(check int) "raw device digest" 0xf9629f5f (device_digest disk);
+      Alcotest.(check int) "fsck clean" 0
+        (List.length (Sp_sfs.Fsck.check ~verify_checksums:true disk)))
+
+(* Re-dirty the pinned volume, then crash its next sync on device write
+   [after + 1]: [Some count] when the crash left a sealed header holding
+   [count] entries. *)
+let crash_sync label ~after =
+  let disk, fs = pinned_workload label in
+  List.init clients Fun.id
+  |> List.iter (fun k ->
+         let f = S.open_file fs (Util.name (Printf.sprintf "p%d" k)) in
+         ignore (F.write f ~pos:(k * 1024) (Util.pattern_bytes ~seed:(k + 50) 1024)));
+  let plan =
+    Sp_fault.plan
+      [ Sp_fault.rule ~point:"disk.write" ~label ~after ~count:1 Sp_fault.Fail_stop ]
+  in
+  (match Sp_fault.with_plan plan (fun () -> Sp_sched.run [ (fun () -> S.sync fs) ]) with
+  | _ -> Alcotest.fail "the sync finished before the crash point"
+  | exception Sp_fault.Crash _ -> ());
+  let layout = Sp_sfs.Layout.decode_superblock (D.read disk 0) in
+  let header = D.read disk layout.Sp_sfs.Layout.journal_start in
+  let sealed = Bytes.get_int32_le header 4 = 1l in
+  (disk, if sealed then Some (Int32.to_int (Bytes.get_int32_le header 16)) else None)
+
+(* The first crash point that leaves a sealed header is the write right
+   after the seal.  Replay verifies every journalled block against the
+   header's entries — the sums recorded at commit — so remounting must
+   copy the whole batch home, region block included. *)
+let test_crash_after_seal_replays_batch () =
+  Util.in_world ~model:delay_model (fun () ->
+      let rec first_sealed after =
+        if after > 64 then Alcotest.fail "no crash point left a sealed header"
+        else
+          match crash_sync (Printf.sprintf "seal%d" after) ~after with
+          | disk, Some count -> (disk, count)
+          | _, None -> first_sealed (after + 1)
+      in
+      let disk, count = first_sealed 0 in
+      Alcotest.(check int) "entries in the sealed batch" 6 count;
+      let fs = DL.mount ~name:"seal-remount" disk in
+      Alcotest.(check int) "replayed the batch's entries" count
+        (jstats fs).Sp_sfs.Journal.js_replayed;
+      Alcotest.(check int) "fsck with checksums clean" 0
+        (List.length (Sp_sfs.Fsck.check ~verify_checksums:true disk));
+      List.iter
+        (fun k ->
+          let got = F.read_all (S.open_file fs (Util.name (Printf.sprintf "p%d" k))) in
+          Util.check_bytes
+            (Printf.sprintf "p%d re-dirtied range" k)
+            (Util.pattern_bytes ~seed:(k + 50) 1024)
+            (Bytes.sub got (k * 1024) 1024))
+        (List.init clients Fun.id))
+
 let suite =
   [
     Alcotest.test_case "clean-volume sync charges no device I/O" `Quick
@@ -173,6 +270,10 @@ let suite =
     Alcotest.test_case "group_commit:false keeps one commit per sync" `Quick
       test_no_group_commit_control;
     qcheck_single_client_equivalence;
+    Alcotest.test_case "pinned disk bytes under group commit" `Quick
+      test_pinned_disk_bytes;
+    Alcotest.test_case "crash after a sealed header replays the batch" `Quick
+      test_crash_after_seal_replays_batch;
     Alcotest.test_case "sync-heavy concurrent crash sweep survives" `Slow
       test_sync_heavy_concurrent_sweep;
   ]

@@ -314,9 +314,49 @@ let prop_fnv1a_masked_once =
       && Sp_sfs.Csum.cksum_padded b
          = fnv_masked (s ^ String.make (bs - String.length s) '\000'))
 
+(* Published FNV-1a-32 vectors, plus the zero block every fresh covered
+   block starts with. *)
+let test_fnv1a_known_answers () =
+  let check name expected s =
+    Alcotest.(check int) name expected (Sp_dir.Hash.fnv1a s);
+    Alcotest.(check int) (name ^ " (cksum)") expected (Sp_sfs.Csum.cksum (Bytes.of_string s))
+  in
+  check "empty" 0x811c9dc5 "";
+  check "a" 0xe40c292c "a";
+  check "foobar" 0xbf9cf968 "foobar";
+  check "zero block" 0x76efddc5 (String.make Sp_blockdev.Disk.block_size '\000');
+  Alcotest.(check int) "padded empty = zero block" 0x76efddc5
+    (Sp_sfs.Csum.cksum_padded Bytes.empty)
+
+(* A fold resumed from a masked state over the rest of the bytes (and
+   over zero padding) equals the fold of the whole: the journal header
+   check folds around its checksum field this way. *)
+let prop_fold_resumes =
+  Util.qcheck_case ~count:200 "fnv1a fold resumes across a split"
+    QCheck2.Gen.(pair (string_size (int_range 0 256)) (int_range 0 256))
+    (fun (s, cut) ->
+      let b = Bytes.of_string s in
+      let cut = min cut (Bytes.length b) in
+      let h = Sp_dir.Hash.(fold basis) b ~off:0 ~len:cut ~pad:0 in
+      let h = Sp_dir.Hash.fold h b ~off:cut ~len:(Bytes.length b - cut) ~pad:3 in
+      h = Sp_dir.Hash.fnv1a (s ^ "\000\000\000"))
+
+(* The fold keeps its state unboxed: a boxed [Int64] state would pass
+   every value test above and allocate on every byte. *)
+let test_fnv1a_allocates_nothing () =
+  let block = Util.pattern_bytes ~seed:5 Sp_blockdev.Disk.block_size in
+  let name = "a-directory-entry-name" in
+  Alcotest.(check (float 0.)) "Csum.cksum of a block" 0.
+    (Util.minor_words_per_call (fun () -> ignore (Sp_sfs.Csum.cksum block : int)));
+  Alcotest.(check (float 0.)) "Hash.fnv1a of a name" 0.
+    (Util.minor_words_per_call (fun () -> ignore (Sp_dir.Hash.fnv1a name : int)))
+
 let suite =
   [
     prop_fnv1a_masked_once;
+    Alcotest.test_case "fnv1a known answers" `Quick test_fnv1a_known_answers;
+    prop_fold_resumes;
+    Alcotest.test_case "fnv1a folds allocate nothing" `Quick test_fnv1a_allocates_nothing;
     Alcotest.test_case "integrityfs: pass-through + verified counter" `Quick
       test_integrityfs_passthrough;
     Alcotest.test_case "integrityfs: detects lower-layer mutation" `Quick
