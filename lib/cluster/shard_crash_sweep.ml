@@ -56,16 +56,6 @@ let hot_file k = Sname.of_components [ "hot"; "m" ^ string_of_int k ]
 let hot_x = Sname.of_components [ "hot"; "x" ]
 let hot_y = Sname.of_components [ "hot"; "y" ]
 
-(* One slot write attempted by a client: event-ordered like
-   [Layer_crash_sweep]'s [wrec], but whole-slot so the floor check is
-   per slot value, not per byte. *)
-type wrec = {
-  w_slot : int;
-  w_seq : int;  (* event seq at op start *)
-  mutable w_done : int;  (* event seq at successful completion; -1 if not *)
-  w_data : bytes;
-}
-
 let client_breaker k = "dsw:c" ^ string_of_int k
 
 (* ------------------------------------------------------------------ *)
@@ -158,27 +148,25 @@ let verify_slots t recs cut ~safe_after =
       in
       for slot = 0 to slots - 1 do
         if !problem = None then begin
-          let rl = List.filter (fun r -> r.w_slot = slot) rl in
-          (* newest first *)
+          (* Every write is one whole slot, newest first. *)
+          let rl = List.filter (fun r -> r.Live.pos = slot * slot_bytes) rl in
           let rec split newer = function
             | [] -> (List.rev newer, None)
-            | r :: _
-              when r.w_done >= 0 && (r.w_done <= cut.(k) || r.w_seq > safe_after)
-              ->
+            | r :: _ when Live.pinned r ~cut:cut.(k) ~safe_after ->
                 (List.rev newer, Some r)
             | r :: rest -> split (r :: newer) rest
           in
           let newer, pinned = split [] rl in
           let allowed =
-            (match pinned with Some r -> [ r.w_data ] | None -> [ zeros ])
-            @ List.map (fun r -> r.w_data) newer
+            (match pinned with Some r -> [ r.Live.data ] | None -> [ zeros ])
+            @ List.map (fun r -> r.Live.data) newer
           in
           let slice = slot_slice got slot in
           if not (List.exists (fun d -> Bytes.equal d slice) allowed) then
             fail "d%d/f slot %d holds none of the %d admissible values%s" k slot
               (List.length allowed)
               (match pinned with
-              | Some r -> Printf.sprintf " (pinned write seq %d lost)" r.w_seq
+              | Some r -> Printf.sprintf " (pinned write seq %d lost)" r.Live.seq
               | None -> "")
         end
       done)
@@ -241,24 +229,26 @@ let client_op live ~seed ~deadline_ns k f =
     f
 
 (* Baseline: setup wrote and synced every slot (seq 0, event 0). *)
+(* Client [k]'s write of a whole [slot], started at event [seq]. *)
+let slot_rec k slot seq ~done_at =
+  { Live.pos = slot * slot_bytes; data = slot_data k slot seq; seq; done_at }
+
 let baseline_recs clients =
-  Array.init clients (fun k ->
-      List.init slots (fun slot ->
-          { w_slot = slot; w_seq = 0; w_done = 0; w_data = slot_data k slot 0 }))
+  Array.init clients (fun k -> List.init slots (fun slot -> slot_rec k slot 0 ~done_at:0))
 
 let slot_write live ~op recs cls k wl =
-  let w_seq = Live.tick live in
+  let seq = Live.tick live in
   let slot = Rng.int wl slots in
-  let r = { w_slot = slot; w_seq; w_done = -1; w_data = slot_data k slot w_seq } in
+  let r = slot_rec k slot seq ~done_at:(-1) in
   recs.(k) <- r :: recs.(k);
   match
     op k (fun () ->
         (* re-resolve every attempt: a proxy minted by a dead
            incarnation must not be retried into *)
         let f = Cluster.open_file cls.(k) (file_path k) in
-        ignore (File.write f ~pos:(r.w_slot * slot_bytes) r.w_data))
+        ignore (File.write f ~pos:r.pos r.data))
   with
-  | Some () -> r.w_done <- Live.tick live
+  | Some () -> r.done_at <- Live.tick live
   | None -> ()
 
 (* Remove/create/write, made idempotent by hand because an availability
@@ -325,7 +315,7 @@ let run_point_kill ~nodes ~clients ~cops ~lease_ns ~seed ~kill_at
   let recs = baseline_recs clients in
   let cut = Array.make clients 0 in
   let client_task k () =
-    let wl = Rng.create (seed + ((k + 1) * 7919)) in
+    let wl = Sp_sweep.Files.client_rng ~seed k in
     Sp_sched.sleep (k * 1_000);
     for i = 1 to cops do
       Live.boundary live;
@@ -435,7 +425,7 @@ let run_point_partition ~nodes ~clients ~cops ~lease_ns ~seed ~arm_at
     mutated := 2
   in
   let normal_task k () =
-    let wl = Rng.create (seed + ((k + 1) * 7919)) in
+    let wl = Sp_sweep.Files.client_rng ~seed k in
     Sp_sched.sleep (k * 1_000);
     for i = 1 to cops do
       Live.boundary live;

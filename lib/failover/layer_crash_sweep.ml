@@ -29,87 +29,19 @@ module File = Sp_core.File
 module Sname = Sp_naming.Sname
 module Rng = Sp_fault.Rng
 module DL = Sp_sfs.Disk_layer
+module Files = Sp_sweep.Files
 module Live = Sp_sweep.Live
 
 let disk_blocks = 2048
-let root = Sname.of_components []
-let n_files = 6
-let max_pos = 12 * 1024
-let max_write = 4096
 let layer_names = [ "lcs.disk"; "lcs.coh"; "lcs.crypt"; "lcs.comp" ]
-
-type snapshot = (string * bytes) list
 
 type sim = {
   sup : Sp_supervise.t;
   fs : Stackable.t;  (* the supervised handle (or the bare top) *)
   disk : Disk.t;
   vmm : Sp_vm.Vmm.t;
-  expected : (string, bytes) Hashtbl.t;
-  mutable synced : snapshot;
-  (* Since-sync tracking, for the per-byte durability floor. *)
-  dirty : (string, (int * int) list) Hashtbl.t;  (* written (pos, len) *)
-  created : (string, unit) Hashtbl.t;
-  removed : (string, unit) Hashtbl.t;
+  files : Files.t;  (* the serial workload's model *)
 }
-
-let snapshot tbl =
-  Hashtbl.fold (fun name data acc -> (name, Bytes.copy data) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let clear_since_sync st =
-  Hashtbl.reset st.dirty;
-  Hashtbl.reset st.created;
-  Hashtbl.reset st.removed
-
-let do_sync st =
-  Stackable.sync st.fs;
-  st.synced <- snapshot st.expected;
-  clear_since_sync st
-
-(* Workload identical in shape (and rng draw order) to Crash_sweep's. *)
-let write_step st rng =
-  let name = "f" ^ string_of_int (Rng.int rng n_files) in
-  let path = Sname.of_components [ name ] in
-  let pos = Rng.int rng max_pos in
-  let len = 1 + Rng.int rng max_write in
-  let base = Rng.int rng 256 in
-  let data = Bytes.init len (fun i -> Char.chr ((base + i) land 0xff)) in
-  let f =
-    if Hashtbl.mem st.expected name then Stackable.open_file st.fs path
-    else begin
-      let f = Stackable.create st.fs path in
-      Hashtbl.replace st.expected name Bytes.empty;
-      Hashtbl.replace st.created name ();
-      Hashtbl.remove st.removed name;
-      f
-    end
-  in
-  ignore (File.write f ~pos data);
-  let old = Hashtbl.find st.expected name in
-  let buf = Bytes.make (max (Bytes.length old) (pos + len)) '\000' in
-  Bytes.blit old 0 buf 0 (Bytes.length old);
-  Bytes.blit data 0 buf pos len;
-  Hashtbl.replace st.expected name buf;
-  let prev = Option.value ~default:[] (Hashtbl.find_opt st.dirty name) in
-  Hashtbl.replace st.dirty name ((pos, len) :: prev)
-
-let remove_step st rng =
-  let name = "f" ^ string_of_int (Rng.int rng n_files) in
-  if Hashtbl.mem st.expected name then begin
-    Stackable.remove st.fs (Sname.of_components [ name ]);
-    Hashtbl.remove st.expected name;
-    Hashtbl.remove st.dirty name;
-    Hashtbl.remove st.created name;
-    Hashtbl.replace st.removed name ()
-  end
-
-let step st rng i =
-  (match Rng.int rng 12 with
-  | 10 -> remove_step st rng
-  | 11 -> do_sync st
-  | _ -> write_step st rng);
-  if i mod 5 = 0 then do_sync st
 
 (* ------------------------------------------------------------------ *)
 (* Stack construction                                                  *)
@@ -149,17 +81,7 @@ let build_sim ?(clients = 1) ~supervised () =
   let sup = Sp_supervise.supervise ~name:"lcs" levels in
   let fs = if supervised then Sp_supervise.handle sup else Sp_supervise.top sup in
   if not supervised then Sp_supervise.unsupervise sup;
-  {
-    sup;
-    fs;
-    disk;
-    vmm;
-    expected = Hashtbl.create 8;
-    synced = [];
-    dirty = Hashtbl.create 8;
-    created = Hashtbl.create 8;
-    removed = Hashtbl.create 8;
-  }
+  { sup; fs; disk; vmm; files = Files.create fs }
 
 (* ------------------------------------------------------------------ *)
 (* Verification                                                        *)
@@ -173,52 +95,39 @@ let build_sim ?(clients = 1) ~supervised () =
    real damage. *)
 let scavenge st =
   let damaged = ref None in
+  let synced = Files.synced st.files in
   List.iter
     (fun name ->
-      let path = Sname.of_components [ name ] in
-      match ignore (File.read_all (Stackable.open_file st.fs path)) with
+      match ignore (Files.read st.fs name) with
       | () -> ()
       | exception Sp_core.Fserr.Io_error msg ->
-          if List.mem_assoc name st.synced then begin
+          if List.mem_assoc name synced then begin
             if !damaged = None then
               damaged :=
                 Some
                   (Printf.sprintf "synced file %s unreadable after restart: %s"
                      name msg)
           end
-          else begin
-            Stackable.remove st.fs path;
-            Hashtbl.remove st.expected name;
-            Hashtbl.remove st.dirty name;
-            Hashtbl.remove st.created name;
-            Hashtbl.replace st.removed name ()
-          end)
+          else Files.remove st.files name)
     (* Snapshot the listing before the loop: the body removes entries,
        and a readdir cursor is only weakly consistent under mutation. *)
-    (List.sort String.compare
-       (Stackable.fold_dir st.fs root (fun acc n -> n :: acc) []));
+    (Files.listing st.fs);
   !damaged
-
-let read_back st =
-  let names =
-    List.sort String.compare
-      (Stackable.fold_dir st.fs root (fun acc n -> n :: acc) [])
-  in
-  List.map
-    (fun name ->
-      (name, File.read_all (Stackable.open_file st.fs (Sname.of_components [ name ]))))
-    names
 
 let interval_covers intervals j =
   List.exists (fun (pos, len) -> j >= pos && j < pos + len) intervals
 
-(* The per-byte durability floor described at the top of the file. *)
+(* The per-byte durability floor described at the top of the file.  A
+   synced file still present in the model was not removed since the
+   sync; a file outside the synced cut that the model has was created
+   since. *)
 let check_floor st actual =
   let problem = ref None in
   let fail fmt = Printf.ksprintf (fun m -> if !problem = None then problem := Some m) fmt in
+  let synced = Files.synced st.files in
   List.iter
     (fun (name, want) ->
-      if not (Hashtbl.mem st.removed name) then
+      if Files.present st.files name then
         match List.assoc_opt name actual with
         | None -> fail "synced file %s vanished" name
         | Some got ->
@@ -226,9 +135,7 @@ let check_floor st actual =
               fail "synced file %s shrank: %d < %d bytes" name
                 (Bytes.length got) (Bytes.length want)
             else
-              let dirty =
-                Option.value ~default:[] (Hashtbl.find_opt st.dirty name)
-              in
+              let dirty = Files.written_since_sync st.files name in
               let n = Bytes.length want in
               let j = ref 0 in
               while !j < n && !problem = None do
@@ -240,42 +147,13 @@ let check_floor st actual =
                     (Bytes.get got !j) (Bytes.get want !j);
                 incr j
               done)
-    st.synced;
+    synced;
   List.iter
     (fun (name, _) ->
-      let was_synced = List.mem_assoc name st.synced in
-      if (not was_synced) && not (Hashtbl.mem st.created name) then
+      if (not (List.mem_assoc name synced)) && not (Files.present st.files name) then
         fail "unexpected file %s appeared" name)
     actual;
   !problem
-
-(* Adopt what the stack actually serves as the new model state (it was
-   just synced, so it is also the new durable cut). *)
-let adopt st actual =
-  Hashtbl.reset st.expected;
-  List.iter (fun (name, data) -> Hashtbl.replace st.expected name (Bytes.copy data)) actual;
-  st.synced <- snapshot st.expected;
-  clear_since_sync st
-
-let exact_match st actual =
-  let want = snapshot st.expected in
-  let names l = List.map fst l in
-  if names actual <> names want then
-    Some
-      (Printf.sprintf "file set {%s} <> {%s}"
-         (String.concat "," (names actual))
-         (String.concat "," (names want)))
-  else
-    List.find_map
-      (fun ((name, got), (_, w)) ->
-        if Bytes.equal got w then None
-        else
-          Some
-            (Printf.sprintf "%s: %d bytes served, expected %d%s" name
-               (Bytes.length got) (Bytes.length w)
-               (if Bytes.length got = Bytes.length w then " (content differs)"
-                else "")))
-      (List.combine actual want)
 
 (* ------------------------------------------------------------------ *)
 (* One crash point                                                     *)
@@ -291,13 +169,14 @@ let stack_counters st live =
 let run_point ~supervised ~layer ~ops ~seed ~kill_at =
   let st = build_sim ~supervised () in
   let rng = Rng.create seed in
+  let step = Files.step st.files rng ~client:None ~reads:false ~sync_every:5 in
   let finish () = Sp_supervise.unsupervise st.sup in
   let outcome =
     Fun.protect ~finally:finish @@ fun () ->
     match
     let restarts0 = Sp_supervise.restarts st.sup in
     for i = 1 to kill_at - 1 do
-      step st rng i
+      step i
     done;
     (* Fail-stop the layer's current serving domain at the op boundary. *)
     Sp_obj.Sdomain.kill (Sp_supervise.current st.sup layer).Stackable.sfs_domain;
@@ -308,16 +187,16 @@ let run_point ~supervised ~layer ~ops ~seed ~kill_at =
     let floor =
       match scavenge st with
       | Some _ as damaged -> damaged
-      | None -> check_floor st (read_back st)
+      | None -> check_floor st (Files.read_back st.fs)
     in
     (match floor with
     | Some msg -> Error (Live.Lost msg)
     | None ->
-        adopt st (read_back st);
+        Files.adopt st.files (Files.read_back st.fs);
         for i = kill_at to ops do
-          step st rng i
+          step i
         done;
-        do_sync st;
+        Files.sync st.files;
         if supervised && Sp_supervise.restarts st.sup = restarts0 then
           Error (Live.Corrupt (layer ^ ": supervisor never restarted anything"))
         else Ok ())
@@ -329,7 +208,7 @@ let run_point ~supervised ~layer ~ops ~seed ~kill_at =
         match Sp_sfs.Fsck.summary (Sp_sfs.Fsck.check st.disk) with
         | Some problem -> Live.Corrupt problem
         | None -> (
-            match exact_match st (read_back st) with
+            match Files.mismatch st.fs (Files.expected st.files) with
             | Some msg -> Live.Lost msg
             | None -> Live.Served))
   in
@@ -362,14 +241,6 @@ let run_point ~supervised ~layer ~ops ~seed ~kill_at =
    writes are indeterminate and skipped; bytes never written must be
    zero. *)
 
-type wrec = {
-  w_pos : int;
-  w_len : int;
-  w_data : bytes;
-  w_seq : int;  (* event seq at op start *)
-  mutable w_done : int;  (* event seq at successful completion; -1 if not *)
-}
-
 let conc_max_pos = 4096
 let conc_max_write = 1024
 let conc_breaker = "lcs"
@@ -393,7 +264,7 @@ let run_point_concurrent ~supervised ~layer ~clients ~cops ~seed ~kill_at
   (* newest-first *)
   let cut_ev = ref 0 in
   let client k () =
-    let wl = Rng.create (seed + ((k + 1) * 7919)) in
+    let wl = Files.client_rng ~seed k in
     let bo = Rng.create (seed + ((k + 1) * 104729)) in
     (* Stagger arrivals so kill boundaries interleave clients. *)
     Sp_sched.sleep (k * 1_000);
@@ -411,29 +282,20 @@ let run_point_concurrent ~supervised ~layer ~clients ~cops ~seed ~kill_at
         | None -> ()
       end
       else begin
-        let w_seq = Live.tick live in
-        let pos = Rng.int wl conc_max_pos in
-        let len = 1 + Rng.int wl conc_max_write in
-        let base = Rng.int wl 256 in
-        let r =
-          {
-            w_pos = pos;
-            w_len = len;
-            w_data =
-              Bytes.init len (fun j -> Char.chr ((base + j) land 0xff));
-            w_seq;
-            w_done = -1;
-          }
+        let seq = Live.tick live in
+        let pos, data =
+          Files.draw wl ~max_pos:conc_max_pos ~max_write:conc_max_write
         in
+        let r = { Live.pos; data; seq; done_at = -1 } in
         recs.(k) <- r :: recs.(k);
         match
           Live.call live ~name:conc_breaker ~rng:bo ~deadline_ns (fun () ->
               (* Re-resolve the file every attempt: a handle minted by a
                  dead incarnation must not be retried into. *)
               let f = Stackable.open_file st.fs paths.(k) in
-              ignore (File.write f ~pos:r.w_pos r.w_data))
+              ignore (File.write f ~pos:r.pos r.data))
         with
-        | Some () -> r.w_done <- Live.tick live
+        | Some () -> r.done_at <- Live.tick live
         | None -> ()
       end
     done
@@ -458,21 +320,14 @@ let run_point_concurrent ~supervised ~layer ~clients ~cops ~seed ~kill_at
             fail "%s unreadable after recovery: %s" name m;
             Bytes.empty
         in
-        let need =
-          List.fold_left (fun a r -> max a (r.w_pos + r.w_len)) 0 rl
-        in
+        let ends (r : Live.write) = r.pos + Bytes.length r.data in
+        let need = List.fold_left (fun a r -> max a (ends r)) 0 rl in
         let j = ref 0 in
         while !j < need && !problem = None do
-          let covering =
-            List.find_opt
-              (fun r -> !j >= r.w_pos && !j < r.w_pos + r.w_len)
-              rl
-          in
+          let covering = List.find_opt (fun r -> !j >= r.Live.pos && !j < ends r) rl in
           (match covering with
-          | Some r
-            when r.w_done >= 0
-                 && (r.w_done <= !cut_ev || r.w_seq > safe_after) ->
-              let want = Bytes.get r.w_data (!j - r.w_pos) in
+          | Some r when Live.pinned r ~cut:!cut_ev ~safe_after ->
+              let want = Bytes.get r.data (!j - r.pos) in
               if !j >= Bytes.length got then
                 fail "%s[%d]: file too short (%d bytes) for a pinned byte"
                   name !j (Bytes.length got)

@@ -10,13 +10,12 @@
    what was written with no error anywhere, is the failure the checksums
    exist to rule out. *)
 
-module File = Sp_core.File
 module Stackable = Sp_core.Stackable
+module Fserr = Sp_core.Fserr
 module Disk = Sp_blockdev.Disk
 module Disk_layer = Sp_sfs.Disk_layer
 module Fsck = Sp_sfs.Fsck
-module Rng = Sp_fault.Rng
-module Sname = Sp_naming.Sname
+module Files = Sp_sweep.Files
 
 type kind = Bitrot | Misdirected | Lost
 
@@ -40,86 +39,17 @@ let fault_of = function
   | Lost -> Sp_fault.Lost_write
 
 let disk_blocks = 1024
-let n_files = 6
-let max_pos = 12288
-let max_write = 4096
 
-(* Concurrent mode: each client owns [client_files] files of its own
-   ("c<k>f<j>"), so the shared expected-contents table never races — a
-   name is only ever written by one task, and the table update sits
-   between the same two suspension points as the write itself. *)
-let client_files = 3
-
-let fname ?client rng =
-  match client with
-  | None -> "f" ^ string_of_int (Rng.int rng n_files)
-  | Some k -> Printf.sprintf "c%df%d" k (Rng.int rng client_files)
-
-type sim = {
-  top : Stackable.t;  (* where the workload runs: the volume or the mirror *)
-  expected : (string, bytes) Hashtbl.t;
-}
-
-let write_step ?client st rng =
-  let name = fname ?client rng in
-  let path = Sname.of_components [ name ] in
-  let pos = Rng.int rng max_pos in
-  let len = 1 + Rng.int rng max_write in
-  let base = Rng.int rng 256 in
-  let data = Bytes.init len (fun i -> Char.chr ((base + i) land 0xff)) in
-  let f =
-    if Hashtbl.mem st.expected name then Stackable.open_file st.top path
-    else begin
-      let f = Stackable.create st.top path in
-      Hashtbl.replace st.expected name Bytes.empty;
-      f
-    end
-  in
-  ignore (File.write f ~pos data);
-  let old = Hashtbl.find st.expected name in
-  let buf = Bytes.make (max (Bytes.length old) (pos + len)) '\000' in
-  Bytes.blit old 0 buf 0 (Bytes.length old);
-  Bytes.blit data 0 buf pos len;
-  Hashtbl.replace st.expected name buf
-
-(* Reads deliberately discard their results: the sweep never lets the
-   application "notice" corruption by comparing — detection must come
-   from the system (checksums raising, fsck flagging), or it does not
-   count. *)
-let read_step ?client st rng =
-  let name = fname ?client rng in
-  if Hashtbl.mem st.expected name then
-    ignore (File.read_all (Stackable.open_file st.top (Sname.of_components [ name ])))
-
-let remove_step ?client st rng =
-  let name = fname ?client rng in
-  if Hashtbl.mem st.expected name then begin
-    Stackable.remove st.top (Sname.of_components [ name ]);
-    Hashtbl.remove st.expected name
-  end
-
-let run_ops ?client st rng ops =
-  for i = 1 to ops do
-    (match Rng.int rng 12 with
-    | 8 | 9 -> read_step ?client st rng
-    | 10 -> remove_step ?client st rng
-    | 11 -> Stackable.sync st.top
-    | _ -> write_step ?client st rng);
-    if i mod 5 = 0 then Stackable.sync st.top
-  done;
-  Stackable.sync st.top
-
-(* [clients > 1]: the same op mix, one scheduler task per client on the
-   shared volume.  There is no crash here — a run either completes (and
-   the final state must read back exactly) or dies loudly, so the serial
-   expected-contents verification still applies verbatim. *)
-let run_workload st ~clients ~ops ~seed =
-  if clients = 1 then run_ops st (Rng.create seed) ops
-  else
-    let client k () =
-      run_ops ~client:k st (Rng.create (seed + ((k + 1) * 7919))) ops
-    in
-    ignore (Sp_sched.run ~seed (List.init clients client))
+(* Concurrent runs ([clients > 1]) share one model: each client owns its
+   own files, so a name is only ever written by one task.  There is no
+   crash here — a run either completes (and the final state must read
+   back exactly) or dies loudly, so the serial verification applies
+   verbatim.  The workload's reads throw their bytes away: the sweep
+   never lets the application "notice" corruption by comparing —
+   detection must come from the system (checksums raising, fsck
+   flagging), or it does not count. *)
+let run_workload files ~clients ~ops ~seed =
+  Files.run files ~clients ~reads:true ~sync_every:5 ~ops ~seed
 
 let label ~kind ~checksums ~mirror ~seed =
   Printf.sprintf "corr-%s%c%c%d" (kind_name kind)
@@ -128,27 +58,28 @@ let label ~kind ~checksums ~mirror ~seed =
     seed
 
 (* A loud failure: the system refused to serve or even mount the damaged
-   bytes.  [Sp_fault.Crash] is absent on purpose — this sweep injects no
-   crash faults, so one escaping would be a harness bug. *)
+   bytes, or damaged metadata (a lost or misdirected directory write)
+   made a workload op fail — exactly the typed storage errors.  Anything
+   else escaping is a harness bug, not a detection: [Sp_fault.Crash] (this
+   sweep injects no crash faults), [Invalid_argument], [Failure]. *)
 let loud = function
-  | Sp_core.Fserr.Checksum_error _ | Sp_core.Fserr.Io_error _
-  | Sp_core.Fserr.No_such_file _ | Sp_core.Fserr.Not_a_directory _
-  | Sp_core.Fserr.Is_directory _ | Sp_core.Fserr.No_space _
-  | Invalid_argument _ | Failure _ ->
+  | Fserr.Checksum_error _ | Fserr.Io_error _ | Fserr.No_such_file _
+  | Fserr.Already_exists _ | Fserr.Not_a_directory _ | Fserr.Is_directory _
+  | Fserr.No_space _ ->
       true
   | _ -> false
 
 type setup = {
   s_disks : Disk.t list;  (* fault target first *)
-  s_sim : sim;
+  s_files : Files.t;  (* the workload, on the volume or the mirror *)
   s_mirror : Stackable.t option;
   s_vmm : Sp_vm.Vmm.t option;
   s_label : string;  (* disk label the fault rule targets *)
 }
 
 (* Serial sweeps keep the historical geometry; concurrent ones scale the
-   volume so [clients * client_files] files never hit [No_space] (which
-   is loud and would masquerade as detection). *)
+   volume so three files per client never hit [No_space] (which is loud
+   and would masquerade as detection). *)
 let blocks_for clients =
   if clients = 1 then disk_blocks else disk_blocks * (1 + ((clients + 7) / 8))
 
@@ -161,7 +92,7 @@ let setup ~kind ~checksums ~mirror ~clients ~seed =
     let fs = Disk_layer.mount ~name:lbl disk in
     {
       s_disks = [ disk ];
-      s_sim = { top = fs; expected = Hashtbl.create 8 };
+      s_files = Files.create fs;
       s_mirror = None;
       s_vmm = None;
       s_label = lbl;
@@ -180,7 +111,7 @@ let setup ~kind ~checksums ~mirror ~clients ~seed =
     Stackable.stack_on m fs_b;
     {
       s_disks = [ disk_a; disk_b ];
-      s_sim = { top = m; expected = Hashtbl.create 8 };
+      s_files = Files.create m;
       s_mirror = Some m;
       s_vmm = Some vmm;
       s_label = lbl ^ "A";  (* corruption always strikes the primary twin *)
@@ -195,32 +126,11 @@ let workload_io ?(checksums = true) ?(mirror = false) ?(clients = 1) ~kind ~ops
   let s = setup ~kind ~checksums ~mirror ~clients ~seed in
   let target = List.hd s.s_disks in
   let before = Disk.stats target in
-  run_workload s.s_sim ~clients ~ops ~seed;
+  run_workload s.s_files ~clients ~ops ~seed;
   let after = Disk.stats target in
   match point_of kind with
   | "disk.read" -> after.Disk.reads - before.Disk.reads
   | _ -> after.Disk.writes - before.Disk.writes
-
-let compare_expected st top =
-  let want =
-    Hashtbl.fold (fun name data acc -> (name, data) :: acc) st.expected []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  let got =
-    List.sort String.compare
-      (Stackable.fold_dir top (Sname.of_components []) (fun acc n -> n :: acc) [])
-  in
-  if got <> List.map fst want then
-    Some
-      (Printf.sprintf "file set {%s} <> {%s}" (String.concat "," got)
-         (String.concat "," (List.map fst want)))
-  else
-    List.find_map
-      (fun (name, data) ->
-        let back = File.read_all (Stackable.open_file top (Sname.of_components [ name ])) in
-        if Bytes.equal back data then None
-        else Some (Printf.sprintf "%s: read back %d byte(s) differing from what was written" name (Bytes.length back)))
-      want
 
 let run_point ?(checksums = true) ?(mirror = false) ?(clients = 1) ~kind ~ops
     ~seed ~at () =
@@ -235,13 +145,13 @@ let run_point ?(checksums = true) ?(mirror = false) ?(clients = 1) ~kind ~ops
   in
   let attempt () =
     (* Phase 1: the workload, with the fault armed. *)
-    Sp_fault.with_plan plan (fun () -> run_workload s.s_sim ~clients ~ops ~seed);
+    Sp_fault.with_plan plan (fun () -> run_workload s.s_files ~clients ~ops ~seed);
     (* Phase 2: verification, disarmed.  Reads must reach stored bytes. *)
     match s.s_mirror with
     | Some m -> (
         Option.iter Sp_vm.Vmm.drop_caches s.s_vmm;
         Stackable.drop_caches m;
-        match compare_expected s.s_sim m with
+        match Files.mismatch m (Files.expected s.s_files) with
         | Some divergence -> Silent divergence
         | None ->
             if Sp_mirrorfs.Mirrorfs.repairs m > 0 then Repaired else Absorbed)
@@ -251,13 +161,13 @@ let run_point ?(checksums = true) ?(mirror = false) ?(clients = 1) ~kind ~ops
         | Some problem -> Detected ("fsck: " ^ problem)
         | None -> (
             let fs2 = Disk_layer.mount ~name:(s.s_label ^ "-v") disk in
-            match compare_expected s.s_sim fs2 with
+            match Files.mismatch fs2 (Files.expected s.s_files) with
             | Some divergence -> Silent divergence
             | None -> Absorbed))
   in
   match attempt () with
   | outcome -> outcome
-  | exception e when loud e -> Detected (Sp_core.Fserr.to_string e)
+  | exception e when loud e -> Detected (Fserr.to_string e)
 
 let scenario ?(checksums = true) ?(mirror = false) ?(clients = 1) ~kind ~ops
     ~seed () =

@@ -293,7 +293,14 @@ let free_blocks_from fs ino inode ~from_block =
 (* Raw ranged I/O (ignores the inode length; holes read as zeros)      *)
 (* ------------------------------------------------------------------ *)
 
+(* Bytes the block map can address.  A damaged i-node's length can be
+   anything: a span past this names blocks [file_block] refuses, so it is
+   refused the same way before a buffer is sized for it. *)
+let max_file_bytes = (Layout.n_direct + ppb + (ppb * ppb)) * bs
+
 let read_span fs inode ~pos ~len =
+  if len > max_file_bytes - pos then
+    raise (Sp_core.Fserr.No_space (fs.name ^ ": file too large"));
   let out = Bytes.make len '\000' in
   let rec go cursor =
     if cursor < len then begin

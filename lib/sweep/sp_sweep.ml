@@ -48,12 +48,9 @@ let run ~stride (s : scenario) =
             (match !counters with
             | None -> v.counters
             | Some acc ->
-                List.map2
-                  (fun (name, a) (name', b) ->
-                    if name <> name' then
-                      invalid_arg "Sp_sweep: counter names changed between points";
-                    (name, combine a b))
-                  acc v.counters);
+                if List.map fst acc <> List.map fst v.counters then
+                  invalid_arg "Sp_sweep: counter names changed between points";
+                List.map2 (fun (name, a) (_, b) -> (name, combine a b)) acc v.counters);
         if !first = None && List.mem v.cls s.failing then first := Some (p, v);
         incr points;
         at := !at + stride
@@ -135,6 +132,177 @@ let finish expect reports =
   | Some why ->
       prerr_endline ("verdict failed: " ^ why);
       1
+
+module Files = struct
+  module Stackable = Sp_core.Stackable
+  module File = Sp_core.File
+  module Sname = Sp_naming.Sname
+  module Rng = Sp_fault.Rng
+
+  (* One version of a file: its contents ([None] once removed), the
+     stamp it became current at, and the span a write changed ([len = 0]
+     for a create or a remove). *)
+  type version = { at : int; data : bytes option; pos : int; len : int }
+
+  type t = {
+    fs : Stackable.t;
+    files : (string, version list) Hashtbl.t;  (* newest first *)
+    mutable stamp : int;  (* content changes so far *)
+    mutable synced : int;  (* [stamp] when the latest completed sync started *)
+    mutable in_flight : int option;  (* [stamp] when the sync in flight started *)
+  }
+
+  let create fs =
+    { fs; files = Hashtbl.create 16; stamp = 0; synced = 0; in_flight = None }
+
+  let client_rng ~seed k = Rng.create (seed + ((k + 1) * 7919))
+
+  let draw rng ~max_pos ~max_write =
+    let pos = Rng.int rng max_pos in
+    let len = 1 + Rng.int rng max_write in
+    let base = Rng.int rng 256 in
+    (pos, Bytes.init len (fun i -> Char.chr ((base + i) land 0xff)))
+
+  let history t name = Option.value ~default:[] (Hashtbl.find_opt t.files name)
+  let current t name = match history t name with v :: _ -> v.data | [] -> None
+  let present t name = current t name <> None
+
+  let record t name ~pos ~len data =
+    t.stamp <- t.stamp + 1;
+    Hashtbl.replace t.files name ({ at = t.stamp; data; pos; len } :: history t name)
+
+  let path name = Sname.of_components [ name ]
+
+  let write t name ~pos data =
+    let old, f =
+      match current t name with
+      | Some old -> (old, Stackable.open_file t.fs (path name))
+      | None ->
+          let f = Stackable.create t.fs (path name) in
+          (* The bare file is a version of its own: under concurrent
+             clients another client's sync can land between the create
+             and the write. *)
+          record t name ~pos:0 ~len:0 (Some Bytes.empty);
+          (Bytes.empty, f)
+    in
+    ignore (File.write f ~pos data);
+    let len = Bytes.length data in
+    let buf = Bytes.make (max (Bytes.length old) (pos + len)) '\000' in
+    Bytes.blit old 0 buf 0 (Bytes.length old);
+    Bytes.blit data 0 buf pos len;
+    record t name ~pos ~len (Some buf)
+
+  let remove t name =
+    Stackable.remove t.fs (path name);
+    record t name ~pos:0 ~len:0 None
+
+  let sync t =
+    let start = t.stamp in
+    t.in_flight <- Some start;
+    Stackable.sync t.fs;
+    t.synced <- max t.synced start;
+    t.in_flight <- None
+
+  let read fs name = File.read_all (Stackable.open_file fs (path name))
+
+  let step t rng ~client ~reads ~sync_every i =
+    let name () =
+      match client with
+      | None -> "f" ^ string_of_int (Rng.int rng 6)
+      | Some k -> Printf.sprintf "c%df%d" k (Rng.int rng 3)
+    in
+    (match Rng.int rng 12 with
+    | (8 | 9) when reads ->
+        let name = name () in
+        if present t name then ignore (read t.fs name)
+    | 10 ->
+        let name = name () in
+        if present t name then remove t name
+    | 11 -> sync t
+    | _ ->
+        let name = name () in
+        let pos, data = draw rng ~max_pos:(12 * 1024) ~max_write:4096 in
+        write t name ~pos data);
+    if i mod sync_every = 0 then sync t
+
+  let run t ~clients ~reads ~sync_every ~ops ~seed =
+    let client who rng () =
+      for i = 1 to ops do
+        step t rng ~client:who ~reads ~sync_every i
+      done;
+      sync t
+    in
+    if clients = 1 then client None (Rng.create seed) ()
+    else
+      ignore
+        (Sp_sched.run ~seed
+           (List.init clients (fun k -> client (Some k) (client_rng ~seed k))))
+
+  (* The files and contents as of stamp [s], sorted by name. *)
+  let cut t s =
+    Hashtbl.fold
+      (fun name versions acc ->
+        match List.find_opt (fun v -> v.at <= s) versions with
+        | Some { data = Some d; _ } -> (name, d) :: acc
+        | _ -> acc)
+      t.files []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+  let expected t = cut t t.stamp
+  let synced t = cut t t.synced
+  let in_flight t = Option.map (cut t) t.in_flight
+
+  let since_sync t name =
+    let rec go = function
+      | [] -> [ None ]
+      | v :: older -> v.data :: (if v.at <= t.synced then [] else go older)
+    in
+    go (history t name)
+
+  let written_since_sync t name =
+    let rec go = function
+      | { at; data = Some _; pos; len } :: older when at > t.synced ->
+          if len = 0 then go older else (pos, len) :: go older
+      | _ -> []
+    in
+    go (history t name)
+
+  let names t =
+    List.sort String.compare (Hashtbl.fold (fun name _ acc -> name :: acc) t.files [])
+
+  let adopt t files =
+    Hashtbl.reset t.files;
+    t.stamp <- t.stamp + 1;
+    List.iter
+      (fun (name, data) ->
+        Hashtbl.replace t.files name
+          [ { at = t.stamp; data = Some data; pos = 0; len = 0 } ])
+      files;
+    t.synced <- t.stamp
+
+  let listing fs =
+    List.sort String.compare
+      (Stackable.fold_dir fs (Sname.of_components []) (fun acc n -> n :: acc) [])
+
+  let read_back fs = List.map (fun name -> (name, read fs name)) (listing fs)
+
+  let mismatch fs want =
+    let got = listing fs and names = List.map fst want in
+    if got <> names then
+      Some
+        (Printf.sprintf "file set {%s} <> {%s}" (String.concat "," got)
+           (String.concat "," names))
+    else
+      List.find_map
+        (fun (name, data) ->
+          let back = read fs name in
+          if Bytes.equal back data then None
+          else
+            Some
+              (Printf.sprintf "%s: read back %d byte(s) differing from what was written"
+                 name (Bytes.length back)))
+        want
+end
 
 module Live = struct
   module Fserr = Sp_core.Fserr
@@ -261,6 +429,11 @@ module Live = struct
     if not t.fired then -1
     else if t.recovery_ev >= 0 then t.recovery_ev
     else max_int
+
+  type write = { pos : int; data : bytes; seq : int; mutable done_at : int }
+
+  let pinned w ~cut ~safe_after =
+    w.done_at >= 0 && (w.done_at <= cut || w.seq > safe_after)
 
   let loud_failure t =
     if t.t_recover < 0 && t.fired then t.t_recover <- Simclock.now ();

@@ -1,6 +1,9 @@
 (** The sweep engine shared by the fault-injection harnesses
     ([Sp_sfs.Crash_sweep], [Sp_integrity.Corruption_sweep],
-    [Sp_failover.Layer_crash_sweep], [Sp_cluster.Shard_crash_sweep]).
+    [Sp_failover.Layer_crash_sweep], [Sp_cluster.Shard_crash_sweep]),
+    plus the two kits they build their workloads and oracles from:
+    {!Files}, the seeded file workload and its model, and {!Live}, the
+    bookkeeping of a fault that lands under concurrent clients.
 
     A {!scenario} knows how to build a fresh world, run its workload with
     one fault injected at point [k], and judge the result.  The engine
@@ -56,7 +59,7 @@ type report = {
 
 (** Sweep points [1, 1+stride, ...] up to each axis's bound, axis after
     axis.  Raises [Invalid_argument] if [stride < 1] or a verdict names
-    an undeclared class or changes the counter names. *)
+    an undeclared class or changes the counter names (or their number). *)
 val run : stride:int -> scenario -> report
 
 (** ["on"] / ["off"], the spelling of boolean verdict-line params. *)
@@ -93,6 +96,104 @@ val exit_code : expect -> report list -> int
     first report that has one, then — on stderr, only when [expect]
     fails — why.  Returns {!exit_code}. *)
 val finish : expect -> report list -> int
+
+(** The seeded file workload the crash, corruption and layer-crash
+    sweeps run, and the one model of what it wrote.
+
+    The workload draws every decision from an explicit {!Sp_fault.Rng.t}
+    in operation order and never looks at wall time or hash order, so a
+    seed gives the same ops and the same device I/O wherever a fault
+    lands.  The model keeps every file's version history, each version
+    stamped with the count of content changes when it became current;
+    the expected contents, the last synced and the in-flight cuts and
+    the spans written since the last sync are all read off it.  Each
+    scenario keeps its own oracle: which of these the recovered volume
+    must match. *)
+module Files : sig
+  type t
+
+  (** An empty model of the workload's files on [fs]. *)
+  val create : Sp_core.Stackable.t -> t
+
+  (** The workload rng of client [k] (from 0) of a concurrent run. *)
+  val client_rng : seed:int -> int -> Sp_fault.Rng.t
+
+  (** [draw rng ~max_pos ~max_write] draws a write: a position below
+      [max_pos] and [1 + n] bytes ([n < max_write]) of the pattern
+      [(base + i) land 0xff]. *)
+  val draw : Sp_fault.Rng.t -> max_pos:int -> max_write:int -> int * bytes
+
+  (** Write [data] at [pos] of the root file [name] (created first if
+      the model has it absent), and record the new contents. *)
+  val write : t -> string -> pos:int -> bytes -> unit
+
+  (** Remove the root file [name] and record it absent. *)
+  val remove : t -> string -> unit
+
+  (** Sync the volume; once it returns, everything current when it
+      started is the last synced cut. *)
+  val sync : t -> unit
+
+  (** Op [i] (from 1) of the mix: one draw from 12 picks a write, a
+      remove (10), a sync (11) or, with [reads], a read whose bytes are
+      thrown away (8, 9); every [sync_every]-th op then syncs.  Names are
+      [f0]..[f5], or [c<k>f0]..[c<k>f2] for [client = Some k]. *)
+  val step :
+    t -> Sp_fault.Rng.t -> client:int option -> reads:bool -> sync_every:int ->
+    int -> unit
+
+  (** [ops] ops of the mix and a final sync: from [Rng.create seed] for
+      one client, or as [clients] [Sp_sched] tasks over the one model,
+      each on its own files with {!client_rng}. *)
+  val run :
+    t -> clients:int -> reads:bool -> sync_every:int -> ops:int -> seed:int ->
+    unit
+
+  (** Whether the model has [name]. *)
+  val present : t -> string -> bool
+
+  (** Every file's current contents, sorted by name. *)
+  val expected : t -> (string * bytes) list
+
+  (** The files and contents as of the start of the latest completed
+      sync (empty before the first). *)
+  val synced : t -> (string * bytes) list
+
+  (** The same for a sync that started but never returned.  Serial
+      workloads only: concurrent syncs share the one slot. *)
+  val in_flight : t -> (string * bytes) list option
+
+  (** The versions of [name] a crash may leave on a journaled volume:
+      the one current when the latest completed sync started ([None] for
+      absent), and every newer one, newest first. *)
+  val since_sync : t -> string -> bytes option list
+
+  (** The [(pos, len)] spans written to [name] since the last completed
+      sync and since its latest removal. *)
+  val written_since_sync : t -> string -> (int * int) list
+
+  (** Every name the model ever had, sorted. *)
+  val names : t -> string list
+
+  (** Take [files] as the current contents and the last synced cut. *)
+  val adopt : t -> (string * bytes) list -> unit
+
+  (** The sorted names in the root directory of a volume. *)
+  val listing : Sp_core.Stackable.t -> string list
+
+  (** Read the whole root file [name]. *)
+  val read : Sp_core.Stackable.t -> string -> bytes
+
+  (** Every root file with its contents, sorted by name. *)
+  val read_back : Sp_core.Stackable.t -> (string * bytes) list
+
+  (** [None] when the volume holds exactly the files [want] (sorted by
+      name) with exactly their contents.  Otherwise the first
+      difference: ["file set {...} <> {...}"], or
+      ["<name>: read back N byte(s) differing from what was written"].
+      Reads files in name order and stops at the first difference. *)
+  val mismatch : Sp_core.Stackable.t -> (string * bytes) list -> string option
+end
 
 (** Live-load bookkeeping for a point whose fault lands while concurrent
     client tasks keep calling through [Sp_avail.call]: the global op
@@ -154,6 +255,17 @@ module Live : sig
       it never fired, the recovery watermark if recovery was observed,
       [max_int] otherwise. *)
   val safe_after : t -> int
+
+  (** One write a client attempted, event-ordered: [seq] is the
+      {!tick} at its start, [done_at] the tick at its successful
+      completion ([-1] until then). *)
+  type write = { pos : int; data : bytes; seq : int; mutable done_at : int }
+
+  (** Whether the volume must hold [w]'s bytes, unless a newer write
+      covers them: it completed, and either before the durable [cut] (an
+      event watermark of a sync that completed before the fault) or it
+      started after [safe_after]. *)
+  val pinned : write -> cut:int -> safe_after:int -> bool
 
   (** Call once the clients are done.  Closes the recovery gap if no op
       was served after the fault, and returns the first loud failure, or

@@ -235,6 +235,37 @@ let test_sweep_deterministic () =
   in
   Alcotest.(check string) "same seed, same report" (run ()) (run ())
 
+(* On a checksums-off volume a lost or misdirected write at I/O 32 brings
+   a removed directory entry back, and the workload's next [create "f4"]
+   raises [Already_exists]: a loud failure, so the point is detected
+   rather than escaping the sweep. *)
+let test_sweep_resurrected_entry_detected () =
+  List.iter
+    (fun kind ->
+      Alcotest.(check string)
+        (CS.kind_name kind ^ " at I/O 32")
+        "detected: already exists: f4"
+        (match CS.run_point ~checksums:false ~kind ~ops:14 ~seed:10 ~at:32 () with
+        | CS.Detected m -> "detected: " ^ m
+        | _ -> "not detected"))
+    [ CS.Misdirected; CS.Lost ]
+
+(* Bit rot in an i-node on a checksums-off volume gives a file an
+   impossible length: reading it back raises the typed [No_space] the
+   block map raises past its last block, before any buffer is sized for
+   it, so the point is detected. *)
+let test_sweep_rotten_length_detected () =
+  Util.in_world ~model:Sp_sim.Cost_model.paper_1993 (fun () ->
+      Alcotest.(check string)
+        "bitrot at read 7 of three clients"
+        "detected: no space: corr-bitrotns4-v: file too large"
+        (match
+           CS.run_point ~checksums:false ~clients:3 ~kind:CS.Bitrot ~ops:8 ~seed:4
+             ~at:7 ()
+         with
+        | CS.Detected m -> "detected: " ^ m
+        | _ -> "not detected"))
+
 let test_concurrent_sweep_nothing_silent () =
   Util.in_world (fun () ->
       List.iter
@@ -373,6 +404,10 @@ let suite =
     Alcotest.test_case "sweep: checksums-off control is silent" `Slow
       test_sweep_control_without_checksums;
     Alcotest.test_case "sweep: deterministic" `Quick test_sweep_deterministic;
+    Alcotest.test_case "sweep: resurrected entry is detected" `Quick
+      test_sweep_resurrected_entry_detected;
+    Alcotest.test_case "sweep: impossible file length is detected" `Quick
+      test_sweep_rotten_length_detected;
     Alcotest.test_case "sweep: concurrent clients, nothing silent" `Slow
       test_concurrent_sweep_nothing_silent;
     flip_case;
