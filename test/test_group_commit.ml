@@ -261,6 +261,90 @@ let test_crash_after_seal_replays_batch () =
             (Bytes.sub got (k * 1024) 1024))
         (List.init clients Fun.id))
 
+(* --- indexed-directory churn under group commit --- *)
+
+(* Read-only index I/O over the raw device for the root-level directory
+   [dir]: its inode's direct and single-indirect blocks, holes as
+   zeros. *)
+let raw_dir_io disk dir =
+  let module L = Sp_sfs.Layout in
+  let layout = L.decode_superblock (D.read disk 0) in
+  let inode ino =
+    let block = D.read disk (layout.L.inode_table_start + (ino / L.inodes_per_block)) in
+    Sp_sfs.Inode.decode (Bytes.sub block (ino mod L.inodes_per_block * L.inode_size) L.inode_size)
+  in
+  let root = inode 0 in
+  let root_block = D.read disk root.Sp_sfs.Inode.direct.(0) in
+  let rec find off =
+    if off >= D.block_size then Alcotest.failf "no %s in the root directory" dir
+    else
+      match Sp_dir.Entry.decode root_block off with
+      | Some e when e.Sp_dir.Entry.name = dir -> e.Sp_dir.Entry.ino
+      | _ -> find (off + Sp_dir.Entry.entry_size)
+  in
+  let d = inode (find 0) in
+  let file_block fb =
+    if fb < L.n_direct then d.Sp_sfs.Inode.direct.(fb)
+    else if d.Sp_sfs.Inode.indirect = 0 then 0
+    else
+      let table = D.read disk d.Sp_sfs.Inode.indirect in
+      Int32.to_int (Bytes.get_int32_le table ((fb - L.n_direct) * 4))
+  in
+  {
+    Sp_dir.Index.read =
+      (fun fb ->
+        match file_block fb with 0 -> Bytes.make D.block_size '\000' | b -> D.read disk b);
+    write = (fun _ _ -> Alcotest.fail "raw_dir_io is read-only");
+  }
+
+(* Eight clients create, remove and sync their own names in one indexed
+   directory of a checksummed journaled volume.  Creates and removes
+   patch the same cached root and leaf blocks the journal holds for the
+   next commit, so the pinned bytes show that those buffers commit
+   exactly what the mutations left in them. *)
+let test_indexed_churn () =
+  Util.in_world ~model:delay_model (fun () ->
+      let disk = D.create ~label:"churn" ~blocks:1024 () in
+      DL.mkfs ~journal:true disk;
+      let fs = DL.mount ~name:"churn0" disk in
+      S.mkdir fs (Util.name "d");
+      let base = List.init 140 (Printf.sprintf "b%03d") in
+      List.iter (fun n -> ignore (S.create fs (Util.name ("d/" ^ n)))) base;
+      S.sync fs;
+      let live = Array.make 8 [] in
+      let task k () =
+        for i = 0 to 11 do
+          let n = Printf.sprintf "c%dx%02d" k i in
+          ignore (S.create fs (Util.name ("d/" ^ n)));
+          live.(k) <- live.(k) @ [ n ];
+          if i mod 3 = 2 then begin
+            S.remove fs (Util.name ("d/" ^ List.hd live.(k)));
+            live.(k) <- List.tl live.(k)
+          end;
+          if i mod 2 = 1 then S.sync fs
+        done;
+        S.sync fs
+      in
+      ignore (Sp_sched.run ~seed:5 (List.init 8 task));
+      let st = jstats fs and digest = device_digest disk in
+      let model = List.sort compare (base @ List.concat (Array.to_list live)) in
+      let listing fs = List.sort compare (S.listdir fs (Util.name "d")) in
+      Alcotest.(check (list string)) "listing matches the model" model (listing fs);
+      Alcotest.(check (list string)) "cold remount agrees" model
+        (listing (DL.mount ~name:"churn1" disk));
+      Alcotest.(check int) "fsck with checksums clean" 0
+        (List.length (Sp_sfs.Fsck.check ~verify_checksums:true disk));
+      let io = raw_dir_io disk "d" in
+      Alcotest.(check bool) "directory is indexed" true
+        (Sp_dir.Index.is_index_root (io.Sp_dir.Index.read 0));
+      Alcotest.(check bool) "index check clean" true
+        (Sp_dir.Index.check io = Sp_dir.Index.clean_report);
+      Alcotest.(check bool) "syncs absorbed into leader windows" true
+        (st.Sp_sfs.Journal.js_absorbed_syncs >= 1);
+      Alcotest.(check int) "commits" 7 st.Sp_sfs.Journal.js_commits;
+      Alcotest.(check int) "journal writes" 161 st.Sp_sfs.Journal.js_journal_writes;
+      Alcotest.(check int) "raw device digest" 0x611b3ebc digest)
+
 let suite =
   [
     Alcotest.test_case "clean-volume sync charges no device I/O" `Quick
@@ -274,6 +358,8 @@ let suite =
       test_pinned_disk_bytes;
     Alcotest.test_case "crash after a sealed header replays the batch" `Quick
       test_crash_after_seal_replays_batch;
+    Alcotest.test_case "indexed-directory churn under group commit" `Quick
+      test_indexed_churn;
     Alcotest.test_case "sync-heavy concurrent crash sweep survives" `Slow
       test_sync_heavy_concurrent_sweep;
   ]
