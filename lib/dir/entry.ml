@@ -2,7 +2,9 @@
    indexed directories store.  Layout: ino (int32le, bytes 0-3), is_dir
    flag (byte 4, 0 or 1), name length (byte 5, 0 marks a free slot),
    name bytes (6..).  The codec lives here, below the disk layer, so the
-   index (Sp_dir.Index) and the offline checkers can share it. *)
+   index (Sp_dir.Index) and the offline checkers can share it.
+   Every reader stays inside its slot: a length byte past [max_name]
+   can only come from damage, and none is trusted. *)
 
 let entry_size = 64
 let max_name = entry_size - 6
@@ -28,15 +30,30 @@ let encode e =
   Bytes.blit_string e.name 0 b 6 (String.length e.name);
   b
 
+let name_len b off = Bytes.get_uint8 b (off + 5)
+let is_free b off = name_len b off = 0
+let damaged b off = name_len b off > max_name
+
 let decode b off =
-  let name_len = Bytes.get_uint8 b (off + 5) in
-  if name_len = 0 then None
+  let len = name_len b off in
+  if len = 0 || len > max_name then None
   else
     Some
       {
         ino = Int32.to_int (Bytes.get_int32_le b off);
         is_dir = Bytes.get_uint8 b (off + 4) = 1;
-        name = Bytes.sub_string b (off + 6) name_len;
+        name = Bytes.sub_string b (off + 6) len;
       }
+
+(* Top-level and closure-free, so a scan compares names without
+   allocating. *)
+let rec same_from b pos name i len =
+  i >= len
+  || Bytes.get b (pos + i) = String.unsafe_get name i
+     && same_from b pos name (i + 1) len
+
+let name_equal b off name =
+  let len = String.length name in
+  len > 0 && len <= max_name && name_len b off = len && same_from b (off + 6) name 0 len
 
 let free_slot = Bytes.make entry_size '\000'

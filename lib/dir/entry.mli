@@ -1,6 +1,12 @@
 (** Fixed-size 64-byte directory entry codec, shared by the flat
     directory format, the hash index ({!Index}) and the offline
-    checkers. *)
+    checkers.
+
+    No reader looks outside the 64 bytes of the slot it was given.  A
+    name length byte above {!max_name} cannot be written by {!encode},
+    so it can only come from damage: such a slot is {!damaged}, {!decode}
+    returns [None] for it, it is not {!is_free}, and {!name_equal}
+    matches nothing in it. *)
 
 val entry_size : int
 
@@ -16,8 +22,19 @@ val check_name : string -> unit
 val encode : t -> bytes
 
 (** [decode b off] reads the entry at byte offset [off]; [None] for a
-    free slot (name length byte = 0). *)
+    free slot (name length byte = 0) and for a {!damaged} one. *)
 val decode : bytes -> int -> t option
+
+(** [is_free b off]: the slot at [off] is free (name length byte = 0).
+    Allocates nothing. *)
+val is_free : bytes -> int -> bool
+
+(** [damaged b off]: the slot's name length byte exceeds {!max_name}. *)
+val damaged : bytes -> int -> bool
+
+(** [name_equal b off name]: the slot at [off] holds an entry named
+    [name], compared in place — nothing is decoded or allocated. *)
+val name_equal : bytes -> int -> string -> bool
 
 (** An all-zero slot (what removal writes). *)
 val free_slot : bytes

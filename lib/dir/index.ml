@@ -28,12 +28,16 @@
      the bucket chain, and the owning bucket.  Chains are head-linked:
      a split writes the new leaf then points the bucket slot at it.
 
-   Mutations write data blocks before the root, so a torn sequence
-   leaves at worst a stale counter, never a dangling reference.  Full
-   rebuilds ([build]) are shadow writes: the new continuations and
-   leaves go beyond the current extent, and the root — rewritten last —
-   flips lookups and scans to the new extent in one block write.  The
-   caller then frees the old blocks. *)
+   A mutation patches the block [io.read] returned, then writes it:
+   nothing is copied, so [io.read] must hand out the buffer [io] keeps
+   for that block (a cache block, or a fresh copy).  Data blocks are
+   written before the root, and the root is patched only after those
+   writes return, so a torn sequence leaves at worst a stale counter,
+   never a dangling reference, and a failed data write leaves the
+   cached root as it was.  Full rebuilds ([build]) are shadow writes:
+   the new continuations and leaves go beyond the current extent, and
+   the root — rewritten last — flips lookups and scans to the new extent
+   in one block write.  The caller then frees the old blocks. *)
 
 let bs = 4096
 let es = Entry.entry_size
@@ -58,15 +62,16 @@ type io = { read : int -> bytes; write : int -> bytes -> unit }
 
 type header = { buckets : int; entries : int; nblocks : int }
 
-let is_index_root b =
-  Bytes.length b >= 8
-  && Bytes.sub_string b 0 4 = magic_root
-  && Bytes.get_uint8 b 4 = 0xff
+(* Magic + 0xFF flag at [off], compared in place. *)
+let marked b off magic =
+  Bytes.get b off = magic.[0]
+  && Bytes.get b (off + 1) = magic.[1]
+  && Bytes.get b (off + 2) = magic.[2]
+  && Bytes.get b (off + 3) = magic.[3]
+  && Bytes.get_uint8 b (off + 4) = 0xff
 
-let is_leaf b =
-  Bytes.length b = bs
-  && Bytes.sub_string b trailer_off 4 = magic_leaf
-  && Bytes.get_uint8 b (trailer_off + 4) = 0xff
+let is_index_root b = Bytes.length b >= 8 && marked b 0 magic_root
+let is_leaf b = Bytes.length b = bs && marked b trailer_off magic_leaf
 
 let decode_header root =
   if not (is_index_root root) then invalid_arg "Sp_dir.Index: not an index root";
@@ -101,15 +106,16 @@ let slot_get io root b =
 
 (* Point slot [b] at leaf [v].  Root-resident slots are patched into
    [root] (the caller writes the root last); continuation slots are
-   written through immediately — a continuation block is a data block,
-   so it still precedes the root on the device. *)
+   patched in their block and written through immediately — a
+   continuation block is a data block, so it still precedes the root on
+   the device. *)
 let slot_set io root b v =
   if b < root_slots then Bytes.set_int32_le root (276 + (b * 4)) (Int32.of_int v)
   else begin
     let j = (b - root_slots) / cont_slots in
     let cb = cont_ptr root j in
     if cb = 0 then invalid_arg "Sp_dir.Index: missing continuation block";
-    let cont = Bytes.copy (io.read cb) in
+    let cont = io.read cb in
     Bytes.set_int32_le cont ((b - root_slots) mod cont_slots * 4) (Int32.of_int v);
     io.write cb cont
   end
@@ -133,26 +139,37 @@ let fresh_leaf ~next ~bucket =
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Slot of [name] in [leaf] at or after [s], or -1; compares in place. *)
+let rec find_slot leaf name s =
+  if s >= entries_per_leaf then -1
+  else if Entry.name_equal leaf (s * es) name then s
+  else find_slot leaf name (s + 1)
+
+let rec free_slot_in leaf s =
+  if s >= entries_per_leaf then -1
+  else if Entry.is_free leaf (s * es) then s
+  else free_slot_in leaf (s + 1)
+
+(* Walk [name]'s bucket chain from leaf [fb] (at most [limit] steps, so
+   a cyclic chain on a damaged image terminates); [k leaf fb s] on the
+   first leaf holding [name] at slot [s], [absent] if none does. *)
+let rec walk_chain io name fb steps limit ~absent k =
+  if fb = 0 || steps > limit then absent
+  else
+    let leaf = io.read fb in
+    if not (is_leaf leaf) then absent
+    else
+      let s = find_slot leaf name 0 in
+      if s >= 0 then k leaf fb s
+      else walk_chain io name (leaf_next leaf) (steps + 1) limit ~absent k
+
+let found leaf _fb s = Entry.decode leaf (s * es)
+
 let lookup io name =
   let root = io.read 0 in
   let h = decode_header root in
   let b = Hash.bucket name ~buckets:h.buckets in
-  let rec walk fb steps =
-    if fb = 0 || steps > h.nblocks then None
-    else
-      let leaf = io.read fb in
-      if not (is_leaf leaf) then None
-      else
-        let rec scan s =
-          if s >= entries_per_leaf then walk (leaf_next leaf) (steps + 1)
-          else
-            match Entry.decode leaf (s * es) with
-            | Some e when String.equal e.Entry.name name -> Some e
-            | _ -> scan (s + 1)
-        in
-        scan 0
-  in
-  walk (slot_get io root b) 0
+  walk_chain io name (slot_get io root b) 0 h.nblocks ~absent:None found
 
 (* Entries in file-block order; the cookie is [fblock * 64 + slot].
    Non-leaf blocks inside the extent (the root, continuation blocks,
@@ -208,60 +225,41 @@ let entries io = fst (fold_page io ~cookie:0 ~limit:max_int)
    free slot in the bucket's head leaf, else splits: a new head leaf
    beyond the extent, chained to the old head. *)
 let add io e =
-  let root = Bytes.copy (io.read 0) in
+  let root = io.read 0 in
   let h = decode_header root in
   let b = Hash.bucket e.Entry.name ~buckets:h.buckets in
   let head = slot_get io root b in
-  let free_in leaf =
-    let rec go s =
-      if s >= entries_per_leaf then None
-      else match Entry.decode leaf (s * es) with None -> Some s | Some _ -> go (s + 1)
-    in
-    go 0
-  in
+  let leaf = if head = 0 then Bytes.empty else io.read head in
+  let s = if head = 0 then -1 else free_slot_in leaf 0 in
   let nblocks =
-    match if head = 0 then None else free_in (io.read head) with
-    | Some s ->
-        let leaf = Bytes.copy (io.read head) in
-        Bytes.blit (Entry.encode e) 0 leaf (s * es) es;
-        io.write head leaf;
-        h.nblocks
-    | None ->
-        let fb = h.nblocks in
-        let leaf = fresh_leaf ~next:head ~bucket:b in
-        Bytes.blit (Entry.encode e) 0 leaf 0 es;
-        io.write fb leaf;
-        slot_set io root b fb;
-        fb + 1
+    if s >= 0 then begin
+      Bytes.blit (Entry.encode e) 0 leaf (s * es) es;
+      io.write head leaf;
+      h.nblocks
+    end
+    else begin
+      let fb = h.nblocks in
+      let fresh = fresh_leaf ~next:head ~bucket:b in
+      Bytes.blit (Entry.encode e) 0 fresh 0 es;
+      io.write fb fresh;
+      slot_set io root b fb;
+      fb + 1
+    end
   in
   set_header root { h with entries = h.entries + 1; nblocks };
   io.write 0 root
 
 (* Remove [name]; [true] if it was present. *)
 let remove io name =
-  let root = Bytes.copy (io.read 0) in
+  let root = io.read 0 in
   let h = decode_header root in
   let b = Hash.bucket name ~buckets:h.buckets in
-  let rec walk fb steps =
-    if fb = 0 || steps > h.nblocks then false
-    else
-      let leaf = io.read fb in
-      if not (is_leaf leaf) then false
-      else
-        let rec scan s =
-          if s >= entries_per_leaf then walk (leaf_next leaf) (steps + 1)
-          else
-            match Entry.decode leaf (s * es) with
-            | Some e when String.equal e.Entry.name name ->
-                let leaf = Bytes.copy leaf in
-                Bytes.blit Entry.free_slot 0 leaf (s * es) es;
-                io.write fb leaf;
-                true
-            | _ -> scan (s + 1)
-        in
-        scan 0
+  let free leaf fb s =
+    Bytes.blit Entry.free_slot 0 leaf (s * es) es;
+    io.write fb leaf;
+    true
   in
-  if walk (slot_get io root b) 0 then begin
+  if walk_chain io name (slot_get io root b) 0 h.nblocks ~absent:false free then begin
     set_header root { h with entries = h.entries - 1 };
     io.write 0 root;
     true
@@ -347,10 +345,12 @@ type check_report = {
   ck_dangling : int;  (* slots/chains pointing at non-leaf or out-of-extent blocks *)
   ck_mismatch : int;  (* entries (or leaves) filed under the wrong bucket *)
   ck_unreachable : int;  (* live entries in leaves no bucket chain reaches *)
+  ck_damaged : int;  (* slots whose name length byte no entry can have *)
   ck_badcount : bool;  (* header entry count disagrees with the chains *)
 }
 
-let clean_report = { ck_dangling = 0; ck_mismatch = 0; ck_unreachable = 0; ck_badcount = false }
+let clean_report =
+  { ck_dangling = 0; ck_mismatch = 0; ck_unreachable = 0; ck_damaged = 0; ck_badcount = false }
 
 let leaf_live leaf =
   let n = ref 0 in
@@ -364,6 +364,7 @@ let check io =
   let h = decode_header root in
   let dangling = ref 0 in
   let mismatch = ref 0 in
+  let damaged = ref 0 in
   let reached = Hashtbl.create 64 in
   let counted = ref 0 in
   for b = 0 to h.buckets - 1 do
@@ -381,7 +382,7 @@ let check io =
               | Some e ->
                   incr counted;
                   if Hash.bucket e.Entry.name ~buckets:h.buckets <> b then incr mismatch
-              | None -> ()
+              | None -> if Entry.damaged leaf (s * es) then incr damaged
             done;
             walk (leaf_next leaf)
           end
@@ -399,5 +400,6 @@ let check io =
     ck_dangling = !dangling;
     ck_mismatch = !mismatch;
     ck_unreachable = !unreachable;
+    ck_damaged = !damaged;
     ck_badcount = !counted <> h.entries;
   }

@@ -8,7 +8,9 @@
     block, so {!is_index_root} on block 0 is the format test.  Leaf
     blocks carry a trailer that a flat decoder reads as a free slot.
 
-    Mutations write data blocks before the root; {!build} shadow-writes
+    Mutations patch the blocks they read in place, writing data blocks
+    before the root and patching the root only after those writes
+    return; {!build} shadow-writes
     a whole new index beyond the current extent and flips the root
     last, so a prefix of the writes (one torn batch) leaves the old
     index intact. *)
@@ -28,9 +30,13 @@ val initial_buckets : int
 (** Average bucket population that triggers a rebuild (64). *)
 val grow_load : int
 
-(** Block I/O the index runs on.  [read n] returns file block [n]
-    (callers must treat the result as read-only); [write n b] stores a
-    full block, growing the file as needed. *)
+(** Block I/O the index runs on.  [read n] returns file block [n];
+    [write n b] stores a full block, growing the file as needed.  A
+    mutation patches the buffer [read] returned and then passes that
+    same buffer to [write], so [read] must hand out the buffer the
+    caller keeps for the block (a cache block, or a fresh copy) and
+    [write] must accept it without copying being needed for
+    correctness.  Queries never mutate what [read] returns. *)
 type io = { read : int -> bytes; write : int -> bytes -> unit }
 
 type header = {
@@ -84,6 +90,9 @@ type check_report = {
   ck_dangling : int;
   ck_mismatch : int;
   ck_unreachable : int;
+  ck_damaged : int;
+      (** slots whose name length byte exceeds {!Entry.max_name} (only
+          damage writes one; such a slot decodes to no entry) *)
   ck_badcount : bool;
 }
 

@@ -326,12 +326,15 @@ let read_range fs inode ~pos ~len =
     if b = 0 then Bytes.make bs '\000' else Journal.read fs.dev b
   else read_span fs inode ~pos ~len
 
-(* The block of [data] at [cursor], [bs] bytes long.  A one-block payload
-   goes down as it is: [Journal.write] copies it into its buffer, and a
-   raw [Disk.write] into the device block, so a slice would only add a
-   copy.  The caller keeps the payload unchanged for the write's duration. *)
-let whole_block data cursor =
-  if cursor = 0 && Bytes.length data = bs then data else Bytes.sub data cursor bs
+(* The block of [data] at [cursor], [bs] bytes long.  The payload is
+   borrowed (a client's or a pager's), and [Journal.write] keeps the
+   buffer it is given until the commit, so a journaled volume gets a copy.
+   On a raw dev a one-block payload goes down as it is — [Disk.write]
+   copies it into the device block — and the caller keeps it unchanged
+   for the write's duration. *)
+let whole_block fs data cursor =
+  if cursor = 0 && Bytes.length data = bs && Journal.journal fs.dev = None then data
+  else Bytes.sub data cursor bs
 
 let write_range fs ino inode ~pos data =
   let len = Bytes.length data in
@@ -341,7 +344,7 @@ let write_range fs ino inode ~pos data =
       let in_block = off mod bs in
       let n = min (len - cursor) (bs - in_block) in
       let b = ensure_block fs ino inode (off / bs) in
-      if n = bs then Journal.write fs.dev b (whole_block data cursor)
+      if n = bs then Journal.write fs.dev b (whole_block fs data cursor)
       else begin
         let block = Journal.read fs.dev b in
         Bytes.blit data cursor block in_block n;
@@ -368,7 +371,7 @@ let write_range_vec fs ino inode ~pos data =
       let n = min (len - cursor) (bs - in_block) in
       let b = ensure_block fs ino inode (off / bs) in
       let block =
-        if n = bs then whole_block data cursor
+        if n = bs then whole_block fs data cursor
         else begin
           let block = Journal.read fs.dev b in
           Bytes.blit data cursor block in_block n;
@@ -480,8 +483,12 @@ let dir_entries_at fs ino inode =
 (* Index block I/O over the directory's own data blocks: reads come
    through the write-through [dirblk] cache (the indexed analog of
    [dcache]), writes route through the journalled dev so index updates
-   commit atomically with everything else.  [Index] never mutates a
-   block it read, so the cache hands out its bytes directly. *)
+   commit atomically with everything else.  [Index] patches the block
+   read returned, then writes it: the cache hands out its own bytes, and
+   the journal keeps that same buffer until the commit.  Every index
+   mutation runs under the volume lock, as every commit does, so the
+   cache block has one owner and the journal sees it only between
+   mutations. *)
 let dir_blocks fs ino =
   match Itbl.find fs.dirblk ino with
   | blks -> blks

@@ -210,6 +210,12 @@ let check ?(verify_checksums = false) disk =
              ( ino,
                Printf.sprintf "%d unreachable entr(ies)"
                  r.Sp_dir.Index.ck_unreachable ));
+      if r.Sp_dir.Index.ck_damaged > 0 then
+        report
+          (Dir_index
+             ( ino,
+               Printf.sprintf "%d slot(s) with a damaged name length"
+                 r.Sp_dir.Index.ck_damaged ));
       if r.Sp_dir.Index.ck_badcount then
         report (Dir_index (ino, "header entry count disagrees with leaves"));
       Sp_dir.Index.iter io check_entry

@@ -21,7 +21,8 @@ type problem =
   | Dir_index of int * string
       (** (ino, defect) — the directory's hash index is damaged:
           dangling slots, entries hashed into the wrong bucket,
-          unreachable entries or a lying header count *)
+          unreachable entries, slots with a damaged name length or a
+          lying header count *)
 
 val pp_problem : Format.formatter -> problem -> unit
 

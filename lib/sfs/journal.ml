@@ -174,9 +174,12 @@ let write dev n data =
       if n < 0 || n >= Sp_blockdev.Disk.block_count t.disk then
         invalid_arg (Printf.sprintf "Journal.write: block %d out of range" n);
       if Bytes.length data > bs then invalid_arg "Journal.write: larger than a block";
-      (* Store a full zero-padded block, matching Disk.write semantics. *)
+      (* Keep a full block as given — the caller gave it up or owns it
+         as a cache block it mutates only under the volume lock, which
+         every commit holds (see the .mli).  A short one is zero-padded
+         into a block of our own, matching Disk.write semantics. *)
       let block =
-        if Bytes.length data = bs then Bytes.copy data
+        if Bytes.length data = bs then data
         else begin
           let block = Bytes.make bs '\000' in
           Bytes.blit data 0 block 0 (Bytes.length data);

@@ -91,7 +91,16 @@ val read : dev -> int -> bytes
 (** [write dev n data]: on a raw dev, straight to the device (followed by
     a write-through of the affected checksum-region block when a [Csum]
     is attached); on a journaled dev, buffered in memory until
-    {!commit}. *)
+    {!commit}.
+
+    A full block is buffered as given, not copied (a shorter [data] is
+    copied into a zero-padded block).  The caller therefore either
+    gives [data] up, or owns it as a cache block that it mutates only
+    under the volume lock, which every {!commit} holds, and writes
+    again after each mutation: a commit then writes exactly what the
+    last mutation left.  A caller holding a borrowed buffer (a client
+    payload) copies it first.  {!read} of a buffered block still
+    returns a copy. *)
 val write : dev -> int -> bytes -> unit
 
 (** [write_vec dev [(n, data); ...]]: one clustered-writeback extent,

@@ -178,6 +178,99 @@ let test_fsck_dirindex () =
       Alcotest.(check bool) "fsck reports a dirindex problem" true
         (dirindex <> []))
 
+(* A rotted name length byte: longer than any name [encode] writes, so
+   a decoder that trusted it would read the next slot's bytes (slot 0)
+   or run off the block (slot 62, the last before the trailer).  Both
+   must decode to nothing, and fsck must report the slots instead of
+   escaping with an exception. *)
+let test_fsck_damaged_name_length () =
+  Util.in_world (fun () ->
+      let t = tag "dl" in
+      let disk = Disk.create ~label:(t ^ ".dev") ~blocks:4096 () in
+      DL.mkfs ~checksums:false disk;
+      let fs = DL.mount ~name:t disk in
+      S.mkdir fs (N.of_string "d");
+      for i = 0 to 199 do
+        ignore (S.create fs (N.of_string (fname i)))
+      done;
+      S.sync fs;
+      let es = Sp_dir.Entry.entry_size in
+      let last = (Sp_dir.Index.entries_per_leaf - 1) * es in
+      let forged = ref false in
+      for b = 0 to Disk.block_count disk - 1 do
+        if not !forged then begin
+          let blk = Disk.read disk b in
+          if Sp_dir.Index.is_leaf blk && Sp_dir.Entry.decode blk 0 <> None then begin
+            Bytes.set_uint8 blk 5 70;
+            Bytes.set_uint8 blk (last + 5) 200;
+            Disk.write disk b blk;
+            forged := true;
+            Alcotest.(check bool) "slot 0 decodes to nothing" true
+              (Sp_dir.Entry.decode blk 0 = None);
+            Alcotest.(check bool) "slot 62 decodes to nothing" true
+              (Sp_dir.Entry.decode blk last = None)
+          end
+        end
+      done;
+      Alcotest.(check bool) "found a leaf to forge" true !forged;
+      (* "d" is inode 1, the first one allocated after the root. *)
+      let faults =
+        List.filter_map
+          (function Sp_sfs.Fsck.Dir_index (ino, what) -> Some (ino, what) | _ -> None)
+          (Sp_sfs.Fsck.check disk)
+      in
+      Alcotest.(check (list int)) "faults name the directory" [ 1 ]
+        (List.sort_uniq compare (List.map fst faults));
+      Alcotest.(check bool) "the damaged slots are reported" true
+        (List.mem (1, "2 slot(s) with a damaged name length") faults))
+
+(* ------------------------------------------------------------------ *)
+(* Allocation bounds of index queries and updates                      *)
+(* ------------------------------------------------------------------ *)
+
+(* An index over an in-memory block array: [read] hands out the stored
+   block and [write] stores what it is given, as the disk layer's cache
+   does. *)
+let mem_index ~entries =
+  let blocks = Array.make 4 Bytes.empty in
+  let io =
+    {
+      Sp_dir.Index.read = (fun fb -> blocks.(fb));
+      write = (fun fb b -> blocks.(fb) <- b);
+    }
+  in
+  let ents =
+    List.init entries (fun i ->
+        { Sp_dir.Entry.ino = i + 1; is_dir = false; name = Printf.sprintf "e%03d" i })
+  in
+  ignore (Sp_dir.Index.build io ~entries:ents ~buckets:1 ~start:1 : int);
+  io
+
+(* A miss scans all 62 entries of the one leaf: compared in place, not
+   decoded into records. *)
+let test_lookup_miss_allocation () =
+  let io = mem_index ~entries:62 in
+  let words =
+    Util.words_per_call (fun () -> ignore (Sp_dir.Index.lookup io "absent" : _ option))
+  in
+  if words > 32. then
+    Alcotest.failf "lookup miss allocates %.0f words (bound 32)" words
+
+(* An add then remove of one name patches the cached leaf and root in
+   place: less than one 4 KiB block of allocation for the pair. *)
+let test_add_remove_allocation () =
+  let io = mem_index ~entries:62 in
+  let e = { Sp_dir.Entry.ino = 99; is_dir = false; name = "churn" } in
+  let words =
+    Util.words_per_call (fun () ->
+        Sp_dir.Index.add io e;
+        ignore (Sp_dir.Index.remove io "churn" : bool))
+  in
+  if words > 128. then
+    Alcotest.failf "add + remove allocates %.0f words (bound 128)" words;
+  Alcotest.(check int) "round trips leave the count" 62
+    (Sp_dir.Index.read_header io).Sp_dir.Index.entries
+
 (* ------------------------------------------------------------------ *)
 (* Crash sweep over the htree split                                    *)
 (* ------------------------------------------------------------------ *)
@@ -416,6 +509,12 @@ let suite =
     Alcotest.test_case "cursor batches" `Quick test_cursor_batches;
     prop_flat_indexed_equivalence;
     Alcotest.test_case "fsck dirindex category" `Quick test_fsck_dirindex;
+    Alcotest.test_case "fsck reports a damaged name length" `Quick
+      test_fsck_damaged_name_length;
+    Alcotest.test_case "index lookup miss allocation bound" `Quick
+      test_lookup_miss_allocation;
+    Alcotest.test_case "index add + remove allocation bound" `Quick
+      test_add_remove_allocation;
     Alcotest.test_case "htree split crash sweep (journaled)" `Slow
       test_split_crash_journaled;
     Alcotest.test_case "htree split crash control (unjournaled)" `Slow

@@ -51,5 +51,26 @@ let minor_words_per_call ?(n = 1_000) f =
   let base = measure ignore in
   (measure f -. base) /. float_of_int n
 
+(* Heap words [f] allocates per call, minor and major alike (a 4 KiB
+   buffer goes straight to the major heap), averaged over [n] calls
+   after a warm-up pass, less the measuring loop's own cost.  The minor
+   count comes from [Gc.minor_words], which is exact at any point; the
+   major count from [Gc.counters], less the words promoted into it. *)
+let words_per_call ?(n = 100) f =
+  let total () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let measure g =
+    let w0 = total () in
+    for _ = 1 to n do
+      g ()
+    done;
+    total () -. w0
+  in
+  ignore (measure f);
+  let base = measure ignore in
+  (measure f -. base) /. float_of_int n
+
 let qcheck_case ?count name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ?count ~name gen prop)
