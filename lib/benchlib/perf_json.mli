@@ -2,7 +2,7 @@
 
     [bench/main.exe -- --json FILE] serialises every simulated table to
     [FILE] as a JSON array of [{table, label, ns}] objects; the committed
-    snapshot (BENCH_7.json) is the baseline CI compares fresh runs
+    snapshot (BENCH_10.json) is the baseline CI compares fresh runs
     against with [--check-perf]. *)
 
 type row = { table : string; label : string; ns : int }

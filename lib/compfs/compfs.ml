@@ -201,9 +201,11 @@ let read_logical_page l e page =
         padded
       end
 
-let append_chunk l e page data =
-  Sp_obj.Door.charge_cpu (Lz.work_units (Bytes.length data));
-  let compressed = Lz.compress data in
+(* Append [page]'s chunk: the page of [data] at [pos], compressed where
+   it lies ([data] may be a writeback payload, lent for the call). *)
+let append_chunk l e page data ~pos =
+  Sp_obj.Door.charge_cpu (Lz.work_units ps);
+  let compressed = Lz.compress_sub data ~pos ~len:ps in
   let clen = Bytes.length compressed in
   let h = Bytes.make chunk_header '\000' in
   Bytes.set_uint16_le h 0 chunk_magic;
@@ -217,25 +219,20 @@ let append_chunk l e page data =
 
 let write_logical l e ~offset data =
   let len = Bytes.length data in
-  let first = V.page_index offset in
   let pages = V.pages_covering ~offset ~size:len in
   List.iter
     (fun page ->
-      let chunk =
-        if page * ps >= offset && (page + 1) * ps <= offset + len then
-          Bytes.sub data (page * ps - offset) ps
-        else begin
-          (* Partial page: read-modify-write. *)
-          let existing = read_logical_page l e page in
-          let from = max offset (page * ps) in
-          let upto = min (offset + len) ((page + 1) * ps) in
-          Bytes.blit data (from - offset) existing (from - (page * ps)) (upto - from);
-          existing
-        end
-      in
-      append_chunk l e page chunk)
-    pages;
-  ignore first
+      if page * ps >= offset && (page + 1) * ps <= offset + len then
+        append_chunk l e page data ~pos:((page * ps) - offset)
+      else begin
+        (* Partial page: read-modify-write. *)
+        let existing = read_logical_page l e page in
+        let from = max offset (page * ps) in
+        let upto = min (offset + len) ((page + 1) * ps) in
+        Bytes.blit data (from - offset) existing (from - (page * ps)) (upto - from);
+        append_chunk l e page existing ~pos:0
+      end)
+    pages
 
 (* Rewrite the chunk log densely: the compaction that realises the disk
    savings. *)
@@ -347,7 +344,7 @@ let truncate_entry l e len =
     if len mod ps <> 0 && Hashtbl.mem e.idx (len / ps) then begin
       let edge = read_logical_page l e (len / ps) in
       Bytes.fill edge (len mod ps) (ps - (len mod ps)) '\000';
-      append_chunk l e (len / ps) edge
+      append_chunk l e (len / ps) edge ~pos:0
     end
   end;
   if len <> e.logical_len then begin

@@ -20,7 +20,9 @@ let put_header b kind len =
    position, the previous position with the same key and the length [c]
    the list would have had with this position at its head.  A small
    open-addressed table maps each key seen in this call to its newest
-   position; a position's key is read back from the input.
+   position; a position's key is read back from the input.  Positions
+   count from the start of the compressed range, which begins at [off]
+   in [src].
 
    The arrays are scratch shared by every call and grown on demand.  A
    call stores positions in the table offset by its own [base], above
@@ -53,17 +55,22 @@ let reserve n =
   if Array.length s.slots < !size then s.slots <- Array.make !size (-1);
   s.base <- s.base + Bytes.length s.chain
 
-let key src i =
-  (Char.code (Bytes.unsafe_get src i) lsl 16)
-  lor (Char.code (Bytes.unsafe_get src (i + 1)) lsl 8)
-  lor Char.code (Bytes.unsafe_get src (i + 2))
+(* The key of the three bytes at [src.[at]] (an index into [src], not a
+   position). *)
+let key src at =
+  (Char.code (Bytes.unsafe_get src at) lsl 16)
+  lor (Char.code (Bytes.unsafe_get src (at + 1)) lsl 8)
+  lor Char.code (Bytes.unsafe_get src (at + 2))
 
-(* The slot holding key [k], or the empty slot where it would go. *)
-let find_slot src k =
+(* The slot holding key [k], or the empty slot where it would go.  A
+   slot holds [base] + a position, which is [src] index [off] + that
+   position. *)
+let find_slot src off k =
   let slots = s.slots and base = s.base in
+  let to_src = base - off in
   let mask = Array.length slots - 1 in
   let i = ref ((k * 0x9e3779b1) lsr 13 land mask) in
-  while slots.(!i) >= base && key src (slots.(!i) - base) <> k do
+  while slots.(!i) >= base && key src (slots.(!i) - to_src) <> k do
     i := (!i + 1) land mask
   done;
   !i
@@ -83,28 +90,29 @@ let record_at i slot =
   else Bytes.set_uint8 s.chain i 1;
   s.slots.(slot) <- s.base + i
 
-let record src n i = if i + min_match <= n then record_at i (find_slot src (key src i))
+let record src off n i =
+  if i + min_match <= n then record_at i (find_slot src off (key src (off + i)))
 
 (* Longest match for position [i] among its chain, newest first; ties go
    to the newest candidate.  Returns its length (0 when none) and leaves
    its source position in [match_src]. *)
 let match_src = ref 0
 
-let find_match src n i slot =
+let find_match src off n i slot =
   let best_len = ref 0 in
   let j = ref (newest slot) in
   if !j >= 0 then begin
     let limit = min max_match (n - i) in
     let prev = s.prev in
     let left = ref (Bytes.get_uint8 s.chain !j) in
+    let at_i = off + i in
     (* Positions fall along the chain, so the first one past the window
        ends the walk; so does a match of [limit], which no later
        candidate can beat. *)
     while !left > 0 && i - !j <= window && !best_len < limit do
-      let len = ref 0 in
+      let len = ref 0 and at_j = off + !j in
       while
-        !len < limit
-        && Bytes.unsafe_get src (!j + !len) = Bytes.unsafe_get src (i + !len)
+        !len < limit && Bytes.unsafe_get src (at_j + !len) = Bytes.unsafe_get src (at_i + !len)
       do
         incr len
       done;
@@ -118,9 +126,9 @@ let find_match src n i slot =
   end;
   !best_len
 
-(* Encode [src] into [s.out] and return the encoded length. *)
-let compress_lzss src =
-  let n = Bytes.length src in
+(* Encode the [n] bytes of [src] from [off] into [s.out] and return the
+   encoded length. *)
+let compress_lzss src off n =
   reserve n;
   let out = s.out in
   put_header out 1 n;
@@ -145,8 +153,8 @@ let compress_lzss src =
     let len =
       if i + min_match > n then 0
       else begin
-        let slot = find_slot src (key src i) in
-        let len = find_match src n i slot in
+        let slot = find_slot src off (key src (off + i)) in
+        let len = find_match src off n i slot in
         record_at i slot;
         len
       end
@@ -158,13 +166,13 @@ let compress_lzss src =
       Bytes.set_uint8 out (!out_pos + 1) (((dist land 0xf) lsl 4) lor (len - min_match));
       out_pos := !out_pos + 2;
       for p = i + 1 to i + len - 1 do
-        record src n p
+        record src off n p
       done;
       pos := i + len
     end
     else begin
       emit_flag false;
-      Bytes.set out !out_pos (Bytes.get src i);
+      Bytes.set out !out_pos (Bytes.get src (off + i));
       incr out_pos;
       incr pos
     end
@@ -172,16 +180,18 @@ let compress_lzss src =
   !out_pos
 
 (* Allocates only the result. *)
-let compress src =
-  let n = Bytes.length src in
-  let len = compress_lzss src in
+let compress_sub src ~pos ~len:n =
+  if pos < 0 || n < 0 || pos > Bytes.length src - n then invalid_arg "Lz.compress_sub";
+  let len = compress_lzss src pos n in
   if len < n + header_size then Bytes.sub s.out 0 len
   else begin
     let raw = Bytes.create (header_size + n) in
     put_header raw 0 n;
-    Bytes.blit src 0 raw header_size n;
+    Bytes.blit src pos raw header_size n;
     raw
   end
+
+let compress src = compress_sub src ~pos:0 ~len:(Bytes.length src)
 
 let decompress data =
   if Bytes.length data < header_size then invalid_arg "Lz.decompress: short input";

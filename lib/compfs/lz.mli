@@ -17,6 +17,12 @@
     safe under [Sp_sched] because it never suspends. *)
 val compress : bytes -> bytes
 
+(** [compress_sub data ~pos ~len] is [compress (Bytes.sub data pos len)]
+    without the copy: byte-identical output, and it too allocates only
+    its result.  Raises [Invalid_argument] when the range is not inside
+    [data]. *)
+val compress_sub : bytes -> pos:int -> len:int -> bytes
+
 (** [decompress data] inverts {!compress}.  Raises [Invalid_argument] on
     a corrupt header or truncated stream, and before allocating when the
     header claims more bytes than the stream could encode (9 per input

@@ -17,7 +17,26 @@
 
     Invoke operations only through the call helpers in this module: they
     perform the door invocation (charging local or cross-domain cost) and
-    maintain the event counters used by tests and benchmarks. *)
+    maintain the event counters used by tests and benchmarks.
+
+    {b Page buffers have one owner.}  Data crosses this interface without
+    defensive copies, under two rules (after Druschel and Peterson's
+    fbufs, SOSP 1993: a buffer that is immutable once handed over can
+    cross protection domains without a copy):
+
+    - {e A page-in result belongs to the caller.}  [p_page_in] returns a
+      buffer nobody else holds or will touch: a fresh one, or one the
+      pager gives up.  The VMM keeps a one-page result as the page itself.
+    - {e A writeback payload is lent for the duration of the call.}  The
+      [bytes] of [p_sync], [p_sync_v], [p_page_out] and [p_write_out]
+      (and the extents a cache object's [c_flush_back], [c_deny_writes]
+      and [c_write_back] return) may be the caller's own page.  The
+      receiver reads it, never writes it, and copies whatever it keeps
+      once the call returns ([Disk_layer]'s journaled writes, [Disk]'s
+      store and the RAM pager's blit already do).  In exchange the lender
+      never changes a lent buffer: the VMM copies a lent page before its
+      next mutation, so a payload still reads as it did when it was
+      handed over, even to a receiver that suspends before reading it. *)
 
 (** Access mode of cached data. *)
 type access = Read_only | Read_write
@@ -29,7 +48,9 @@ type cache_object = {
   c_domain : Sp_obj.Sdomain.t;
   c_label : string;
   c_flush_back : offset:int -> size:int -> extent list;
-      (** remove data from the cache, returning modified blocks *)
+      (** remove data from the cache, returning modified blocks (the
+          returned extents, here and below, are lent: read them, copy
+          what you keep) *)
   c_deny_writes : offset:int -> size:int -> extent list;
       (** downgrade read-write blocks to read-only, returning modified blocks *)
   c_write_back : offset:int -> size:int -> extent list;
@@ -48,18 +69,22 @@ type pager_object = {
   p_domain : Sp_obj.Sdomain.t;
   p_label : string;
   p_page_in : offset:int -> size:int -> access:access -> bytes;
-      (** bring data from the pager in the requested mode *)
+      (** bring data from the pager in the requested mode; the result
+          belongs to the caller *)
   p_page_out : offset:int -> bytes -> unit;
-      (** write data to the pager; caller retains nothing *)
+      (** write data to the pager; caller retains nothing.  The payload
+          is lent for the call: copy what you keep. *)
   p_write_out : offset:int -> bytes -> unit;
-      (** write data to the pager; caller retains it read-only *)
+      (** write data to the pager; caller retains it read-only (payload
+          lent, as for [p_page_out]) *)
   p_sync : offset:int -> bytes -> unit;
-      (** write data to the pager; caller retains its mode *)
+      (** write data to the pager; caller retains its mode (payload
+          lent, as for [p_page_out]) *)
   p_sync_v : extent list -> unit;
       (** vectored [p_sync]: a batch of coalesced contiguous dirty runs
           pushed in one crossing (clustered writeback); each extent has
-          [p_sync] semantics.  Pagers with no smarter handling use
-          {!sync_each}. *)
+          [p_sync] semantics, its data lent for the call.  Pagers with no
+          smarter handling use {!sync_each}. *)
   p_done_with : unit -> unit;
       (** the cache manager closes its end of the channel *)
   p_exten : Sp_obj.Exten.t list;

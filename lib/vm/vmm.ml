@@ -1,3 +1,18 @@
+(* The VMM: a per-node page cache over external pagers (paper §3.3.1).
+
+   Page buffers have one owner.  A page keeps the buffer a one-page
+   [page_in] returned (the pager gave it up, see [Vm_types]), and hands
+   its buffer down to a writeback call ([sync], [sync_v], and the
+   extents of [flush_back]/[deny_writes]/[write_back]) instead of a
+   copy.  A lent buffer never changes again: while [lent] is non-zero
+   the page copies its buffer before the next mutation ([write], a
+   partial [zero_fill]) and owns the copy.  [push_dirty] takes its loans
+   back when its call returns; extents handed to a coherency action stay
+   out until the next write copies the page.  A write landing while its
+   page is being written back (a [Disk.write] waits for the elevator
+   before it stores) therefore never reaches the store through the
+   buffer the push is still reading. *)
+
 let ps = Vm_types.page_size
 
 (* Every resident page of registered entries sits on one intrusive
@@ -9,6 +24,7 @@ let ps = Vm_types.page_size
    forgot) link to themselves. *)
 type page = {
   mutable data : bytes;
+  mutable lent : int;  (* loans of [data] still out: copy before mutating *)
   mutable mode : Vm_types.access;
   mutable dirty : bool;
   mutable prefetched : bool;  (* brought in by read-ahead, not yet hit *)
@@ -63,10 +79,27 @@ let new_entry key =
 
 let new_page entry idx data mode ~prefetched =
   let rec p =
-    { data; mode; dirty = false; prefetched; p_entry = entry; p_idx = idx;
+    { data; lent = 0; mode; dirty = false; prefetched; p_entry = entry; p_idx = idx;
       older = p; newer = p }
   in
   p
+
+(* Hand [page]'s buffer to a pager call without copying it. *)
+let lend page =
+  page.lent <- page.lent + 1;
+  page.data
+
+(* Take back a loan of [buf]; a page that has copied itself since owes
+   nothing. *)
+let give_back page buf = if page.data == buf then page.lent <- page.lent - 1
+
+(* Make [page.data] safe to mutate: a lent buffer is left to its
+   borrowers and the page continues on a copy. *)
+let own page =
+  if page.lent > 0 then begin
+    page.data <- Bytes.copy page.data;
+    page.lent <- 0
+  end
 
 (* The sentinels' owner: never registered, never holds a page. *)
 let nowhere = { (new_entry "") with registered = false }
@@ -146,9 +179,7 @@ let scan_range t entry ~offset ~size ~collect_dirty ~clear_dirty ~downgrade ~dro
     | None -> ()
     | Some page ->
         if collect_dirty && page.dirty then
-          extents :=
-            { Vm_types.ext_offset = idx * ps; ext_data = Bytes.copy page.data }
-            :: !extents;
+          extents := { Vm_types.ext_offset = idx * ps; ext_data = lend page } :: !extents;
         if clear_dirty then page.dirty <- false;
         if downgrade && page.mode = Vm_types.Read_write then
           page.mode <- Vm_types.Read_only;
@@ -294,6 +325,7 @@ let make_cache_object t entry =
             | Some page ->
                 let from = max offset page_off in
                 let upto = min (offset + size) (page_off + ps) in
+                own page;
                 Bytes.fill page.data (from - page_off) (upto - from) '\000'
         in
         List.iter zero_page (Vm_types.pages_covering ~offset ~size));
@@ -428,10 +460,13 @@ let fault m idx access =
     Sp_obj.Door.call ~op:"vmm.fault" m.m_vmm.vmm_domain (fun () ->
         Vm_types.page_in pager ~offset:(idx * ps) ~size ~access)
   in
+  (* A one-page result is the page: the pager gave the buffer up.  A
+     read-ahead batch is sliced, a short result padded. *)
   let slice i =
     let from = i * ps in
     let available = Bytes.length data - from in
-    if available >= ps then Some (Bytes.sub data from ps)
+    if from = 0 && available = ps then Some data
+    else if available >= ps then Some (Bytes.sub data from ps)
     else if available > 0 then begin
       let padded = Bytes.make ps '\000' in
       Bytes.blit data from padded 0 available;
@@ -505,6 +540,7 @@ let write m ~pos data =
       let page = ensure m idx Vm_types.Read_write in
       let in_page = off - (idx * ps) in
       let n = min (len - cursor) (ps - in_page) in
+      own page;
       Bytes.blit data cursor page.data in_page n;
       page.dirty <- true;
       go (cursor + n)
@@ -529,14 +565,17 @@ let push_dirty vmm entry =
         (* Unclustered baseline: one crossing per dirty page. *)
         List.iter
           (fun (idx, page) ->
+            let buf = lend page in
             Sp_obj.Door.call ~op:"vmm.push_dirty" vmm.vmm_domain (fun () ->
-                Vm_types.sync pager ~offset:(idx * ps) (Bytes.copy page.data));
+                Vm_types.sync pager ~offset:(idx * ps) buf);
+            give_back page buf;
             page.dirty <- false)
           ordered
       else begin
         (* Clustered writeback: coalesce contiguous dirty pages into one
            extent per run and push the whole batch in a single vectored
-           crossing. *)
+           crossing.  A one-page run lends its page's buffer; a longer run
+           is gathered into one buffer of its own. *)
         let runs =
           List.fold_left
             (fun acc (idx, page) ->
@@ -550,16 +589,23 @@ let push_dirty vmm entry =
         let extents =
           List.map
             (fun run ->
-              let first = match run with (i, _) :: _ -> i | [] -> assert false in
-              let buf = Bytes.create (List.length run * ps) in
-              List.iteri
-                (fun i (_, page) -> Bytes.blit page.data 0 buf (i * ps) ps)
-                run;
-              { Vm_types.ext_offset = first * ps; ext_data = buf })
+              match run with
+              | [ (idx, page) ] -> { Vm_types.ext_offset = idx * ps; ext_data = lend page }
+              | [] -> assert false
+              | (first, _) :: _ ->
+                  let buf = Bytes.create (List.length run * ps) in
+                  List.iteri
+                    (fun i (_, page) -> Bytes.blit page.data 0 buf (i * ps) ps)
+                    run;
+                  { Vm_types.ext_offset = first * ps; ext_data = buf })
             runs
         in
         Sp_obj.Door.call ~op:"vmm.push_dirty" vmm.vmm_domain (fun () ->
             Vm_types.sync_v pager extents);
+        List.iter2
+          (fun run x ->
+            match run with [ (_, page) ] -> give_back page x.Vm_types.ext_data | _ -> ())
+          runs extents;
         List.iter (fun (_, page) -> page.dirty <- false) ordered
       end
 

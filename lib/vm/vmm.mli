@@ -8,7 +8,12 @@
 
     Pages stay cached after unmap (that is the point of a page cache); the
     pager remains responsible for their coherency through the cache object
-    the VMM implements for each channel. *)
+    the VMM implements for each channel.
+
+    Page data crosses the pager interface without copies (the ownership
+    rules of {!Vm_types}): a one-page [page_in] result becomes the page,
+    and writeback lends the page's own buffer, which the VMM then never
+    mutates — a write to a page whose buffer is out goes to a copy. *)
 
 type t
 

@@ -113,6 +113,34 @@ let prop_lz_matches_reference =
       let b = Bytes.of_string s in
       Bytes.equal (Sp_compfs.Lz.compress b) (Lz_reference.compress b))
 
+(* A range compressed where it lies gives the bytes of compressing a copy
+   of it, at any offset, even when the bytes around it would match. *)
+let prop_lz_compress_sub =
+  let open QCheck2.Gen in
+  let gen =
+    let* s = string_size ~gen:(char_range 'a' 'd') (int_range 0 9000) in
+    let n = String.length s in
+    let* pos = int_range 0 n in
+    let+ len = int_range 0 (n - pos) in
+    (s, pos, len)
+  in
+  Util.qcheck_case ~count:200 "lz compress_sub matches compress of the slice" gen
+    (fun (s, pos, len) ->
+      let b = Bytes.of_string s in
+      Bytes.equal
+        (Sp_compfs.Lz.compress_sub b ~pos ~len)
+        (Sp_compfs.Lz.compress (Bytes.sub b pos len)))
+
+let test_lz_compress_sub_range () =
+  let b = Bytes.make 10 'x' in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "pos %d len %d" pos len)
+        (Invalid_argument "Lz.compress_sub")
+        (fun () -> ignore (Sp_compfs.Lz.compress_sub b ~pos ~len)))
+    [ (-1, 2); (0, 11); (5, 6); (11, 0); (3, -1) ]
+
 let springbench_page = Bytes.init ps (fun i -> Char.chr ((i * 131) land 0xff))
 
 (* Digests of [Lz.compress] taken with the original compressor. *)
@@ -379,6 +407,8 @@ let suite =
     Alcotest.test_case "lz rejects corrupt input" `Quick test_lz_rejects_corrupt;
     prop_lz_roundtrip;
     prop_lz_matches_reference;
+    prop_lz_compress_sub;
+    Alcotest.test_case "lz compress_sub checks its range" `Quick test_lz_compress_sub_range;
     Alcotest.test_case "lz format pinned" `Quick test_lz_format_pinned;
     Alcotest.test_case "lz compress allocates only its result" `Quick
       test_lz_allocates_only_result;

@@ -166,17 +166,6 @@ let test_sync_heavy_concurrent_sweep () =
 
 (* --- on-disk bytes pinned across group commits --- *)
 
-(* FNV-1a-32 of the whole raw device, masked after every byte: a
-   reference that does not share the fold under test. *)
-let device_digest disk =
-  let h = ref 0x811c9dc5 in
-  for b = 0 to D.block_count disk - 1 do
-    Bytes.iter
-      (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xffffffff)
-      (D.read disk b)
-  done;
-  !h
-
 (* [clients] clients of 1 KiB writes on a checksummed journaled volume,
    a sync after every second op; each client's last op writes a whole
    block.  Under [delay_model] the syncs pile into leader windows, and
@@ -207,7 +196,7 @@ let test_pinned_disk_bytes () =
         (st.Sp_sfs.Journal.js_absorbed_syncs >= 1);
       Alcotest.(check int) "commits" 5 st.Sp_sfs.Journal.js_commits;
       Alcotest.(check int) "journal writes" 46 st.Sp_sfs.Journal.js_journal_writes;
-      Alcotest.(check int) "raw device digest" 0xf9629f5f (device_digest disk);
+      Alcotest.(check int) "raw device digest" 0xf9629f5f (Util.device_digest disk);
       Alcotest.(check int) "fsck clean" 0
         (List.length (Sp_sfs.Fsck.check ~verify_checksums:true disk)))
 
@@ -326,7 +315,7 @@ let test_indexed_churn () =
         S.sync fs
       in
       ignore (Sp_sched.run ~seed:5 (List.init 8 task));
-      let st = jstats fs and digest = device_digest disk in
+      let st = jstats fs and digest = Util.device_digest disk in
       let model = List.sort compare (base @ List.concat (Array.to_list live)) in
       let listing fs = List.sort compare (S.listdir fs (Util.name "d")) in
       Alcotest.(check (list string)) "listing matches the model" model (listing fs);

@@ -35,6 +35,17 @@ let fresh_disk ?(blocks = 2048) ?label () =
   Sp_sfs.Disk_layer.mkfs disk;
   disk
 
+(* FNV-1a-32 of the whole raw device, masked after every byte: a
+   reference that does not share the fold under test. *)
+let device_digest disk =
+  let h = ref 0x811c9dc5 in
+  for b = 0 to Sp_blockdev.Disk.block_count disk - 1 do
+    Bytes.iter
+      (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xffffffff)
+      (Sp_blockdev.Disk.read disk b)
+  done;
+  !h
+
 (* Minor-heap words [f] allocates per call, averaged over [n] calls.  A
    first pass warms up first-use state (table growth, lazily created
    channels), and the cost of the measuring loop itself — an empty
