@@ -22,15 +22,7 @@ let setup_base () =
 
 (* --- springfs stack --- *)
 
-let run_stack layers ops size verbose =
-  let _world, alpha, sfs = setup_base () in
-  let spec = List.mapi (fun i t -> (t, Printf.sprintf "%s%d" t i)) layers in
-  let top =
-    try N.build_stack alpha ~base:sfs spec
-    with S.Stack_error msg ->
-      prerr_endline ("stack error: " ^ msg);
-      exit 1
-  in
+let stack_workload top ops size verbose =
   Format.printf "stack: %s@."
     (String.concat " -> "
        (List.map (fun l -> l.S.sfs_type) (Sp_core.Stack_builder.layers top)));
@@ -51,6 +43,17 @@ let run_stack layers ops size verbose =
     Sp_sim.Simclock.pp_duration elapsed;
   Format.printf "events: %a@." Sp_sim.Metrics.pp d;
   0
+
+(* A stack that cannot be built, or that turns out unusable once the
+   workload starts (a mirror given one underlay), ends the run with one
+   [stack error:] line and exit code 1. *)
+let run_stack layers ops size verbose =
+  let _world, alpha, sfs = setup_base () in
+  let spec = List.mapi (fun i t -> (t, Printf.sprintf "%s%d" t i)) layers in
+  try stack_workload (N.build_stack alpha ~base:sfs spec) ops size verbose
+  with S.Stack_error msg ->
+    prerr_endline ("stack error: " ^ msg);
+    exit 1
 
 (* --- springfs tables --- *)
 
