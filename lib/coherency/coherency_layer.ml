@@ -7,12 +7,7 @@ type cfile = {
   lower : Sp_core.File.t;
   mutable lower_pager : V.pager_object option;
   mutable lower_fs_pager : V.fs_pager_ops option;
-  state : Block_state.t;
-  lock : Sp_sched.Rwlock.t;
-      (* serializes upper-initiated grant/push sections against concurrent
-         scheduler tasks; from-below cache callbacks stay lock-free (they
-         arrive under the lower layer's own serialization, and taking the
-         lock there could deadlock against a task calling down) *)
+  state : Mrsw.t;  (* holders of the exported file's blocks, and the grant lock *)
   mutable attr : Sp_vm.Attr.t option;
   mutable attr_dirty : bool;
 }
@@ -121,98 +116,32 @@ let attr_sync_down cf =
 (* The MRSW protocol                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let write_down cf extents =
+(* Land a pushed or revoked extent in the lower file, keeping the
+   retention the upper cache asked for. *)
+let store cf ~retain ~offset data =
   let pager = lower_pager_of cf in
-  List.iter (fun e -> V.write_out pager ~offset:e.V.ext_offset e.V.ext_data) extents
+  match retain with
+  | `Drop -> V.page_out pager ~offset data
+  | `Read_only -> V.write_out pager ~offset data
+  | `Same -> V.sync pager ~offset data
 
-(* [live_cache] fences channels of fail-stopped upper incarnations: the
-   [None] branches at every call site already treat a vanished channel as
-   "holder gone", which is exactly the recovery semantics we want. *)
-let cache_of_channel l id = Sp_vm.Pager_lib.live_cache l.l_channels ~id
-
-(* Make block [b] grantable to channel [me] in [access] mode by revoking
-   conflicting holders. *)
-let make_way l cf ~me ~access b =
-  let offset = b * ps in
-  let revoke (h : Block_state.holder) =
-    if h.Block_state.h_channel <> me then
-      match cache_of_channel l h.Block_state.h_channel with
-      | None -> Block_state.remove cf.state b ~ch:h.Block_state.h_channel
-      | Some cache -> (
-          match access with
-          | V.Read_write ->
-              write_down cf (V.flush_back cache ~offset ~size:ps);
-              Block_state.remove cf.state b ~ch:h.Block_state.h_channel
-          | V.Read_only ->
-              if h.Block_state.h_mode = V.Read_write then begin
-                write_down cf (V.deny_writes cache ~offset ~size:ps);
-                Block_state.downgrade cf.state b ~ch:h.Block_state.h_channel
-              end)
-  in
-  List.iter revoke (Block_state.holders cf.state b)
+let write_down cf x = store cf ~retain:`Read_only ~offset:x.V.ext_offset x.V.ext_data
 
 let upper_pager l cf ~id =
-  let page_in ~offset ~size ~access =
-    let section () =
-      let blocks = V.pages_covering ~offset ~size in
-      List.iter (make_way l cf ~me:id ~access) blocks;
-      let data = V.page_in (lower_pager_of cf) ~offset ~size ~access in
-      List.iter
-        (fun b -> Block_state.record cf.state b ~ch:id ~mode:access)
-        blocks;
-      data
-    in
-    match access with
-    | V.Read_only -> Sp_sched.Rwlock.with_read cf.lock section
-    | V.Read_write -> Sp_sched.Rwlock.with_write cf.lock section
-  in
-  let push retain ~offset data =
-    Sp_sched.Rwlock.with_write cf.lock @@ fun () ->
-    let pager = lower_pager_of cf in
-    (match retain with
-    | `Drop -> V.page_out pager ~offset data
-    | `Read_only -> V.write_out pager ~offset data
-    | `Same -> V.sync pager ~offset data);
-    let blocks = V.pages_covering ~offset ~size:(Bytes.length data) in
-    List.iter
-      (fun b ->
-        match retain with
-        | `Drop -> Block_state.remove cf.state b ~ch:id
-        | `Read_only ->
-            (* The caller retains the data read-only (Appendix B), so it
-               becomes/remains an RO holder eligible for revocation. *)
-            Block_state.record cf.state b ~ch:id ~mode:V.Read_only;
-            Block_state.downgrade cf.state b ~ch:id
-        | `Same -> ())
-      blocks
-  in
-  {
-    V.p_domain = l.l_domain;
-    p_label = cf.key;
-    p_page_in = page_in;
-    p_page_out = push `Drop;
-    p_write_out = push `Read_only;
-    p_sync = push `Same;
-    (* Vectored sync: callers retain their mode, so there is no block
-       state to update — forward the whole batch to the lower pager in a
-       single vectored crossing. *)
-    p_sync_v = (fun extents -> V.sync_v (lower_pager_of cf) extents);
-    p_done_with =
-      (fun () ->
-        Block_state.remove_channel cf.state ~ch:id;
-        Sp_vm.Pager_lib.remove l.l_channels id);
-    p_exten =
-      [
-        V.Fs_pager
-          {
-            V.fp_get_attr = (fun () -> fetch_attr_l l cf);
-            fp_set_attr =
-              (fun a -> update_attr l cf ~except:id (fun _ -> a));
-            fp_attr_sync =
-              (fun a -> update_attr l cf ~except:id (fun _ -> a));
-          };
-      ];
-  }
+  Mrsw.pager cf.state ~channels:l.l_channels ~id ~domain:l.l_domain ~label:cf.key
+    ~produce:(fun ~offset ~size ~access ->
+      V.page_in (lower_pager_of cf) ~offset ~size ~access)
+    ~store:(store cf)
+    ~sync_v:(fun extents ->
+      (* Vectored sync: callers retain their mode, so there is no block
+         state to update — forward the whole batch to the lower pager in
+         a single vectored crossing, without the lock. *)
+      V.sync_v (lower_pager_of cf) extents)
+    {
+      V.fp_get_attr = (fun () -> fetch_attr_l l cf);
+      fp_set_attr = (fun a -> update_attr l cf ~except:id (fun _ -> a));
+      fp_attr_sync = (fun a -> update_attr l cf ~except:id (fun _ -> a));
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Acting as cache manager for the lower layer                          *)
@@ -222,44 +151,15 @@ let upper_pager l cf ~id =
    cache; this is what lets coherent stacks be built out of non-coherent
    layers (§6.3). *)
 let lower_cache_object l cf =
-  let on_range action ~offset ~size =
-    let collected = ref [] in
-    let blocks = V.pages_covering ~offset ~size in
-    let visit b =
-      let off = b * ps in
-      let revoke (h : Block_state.holder) =
-        match cache_of_channel l h.Block_state.h_channel with
-        | None -> Block_state.remove cf.state b ~ch:h.Block_state.h_channel
-        | Some cache -> (
-            match action with
-            | `Flush ->
-                collected := !collected @ V.flush_back cache ~offset:off ~size:ps;
-                Block_state.remove cf.state b ~ch:h.Block_state.h_channel
-            | `Deny ->
-                if h.Block_state.h_mode = V.Read_write then begin
-                  collected := !collected @ V.deny_writes cache ~offset:off ~size:ps;
-                  Block_state.downgrade cf.state b ~ch:h.Block_state.h_channel
-                end
-            | `Write_back ->
-                collected := !collected @ V.write_back cache ~offset:off ~size:ps
-            | `Delete ->
-                V.delete_range cache ~offset:off ~size:ps;
-                Block_state.remove cf.state b ~ch:h.Block_state.h_channel
-            | `Zero -> V.zero_fill cache ~offset:off ~size:ps)
-      in
-      List.iter revoke (Block_state.holders cf.state b)
-    in
-    List.iter visit blocks;
-    !collected
-  in
+  let forward = Mrsw.forward cf.state ~channels:l.l_channels in
   {
     V.c_domain = l.l_domain;
     c_label = "coh-cache:" ^ cf.key;
-    c_flush_back = (fun ~offset ~size -> on_range `Flush ~offset ~size);
-    c_deny_writes = (fun ~offset ~size -> on_range `Deny ~offset ~size);
-    c_write_back = (fun ~offset ~size -> on_range `Write_back ~offset ~size);
-    c_delete_range = (fun ~offset ~size -> ignore (on_range `Delete ~offset ~size));
-    c_zero_fill = (fun ~offset ~size -> ignore (on_range `Zero ~offset ~size));
+    c_flush_back = forward `Flush;
+    c_deny_writes = forward `Deny;
+    c_write_back = forward `Write_back;
+    c_delete_range = (fun ~offset ~size -> ignore (forward `Delete ~offset ~size));
+    c_zero_fill = (fun ~offset ~size -> ignore (forward `Zero ~offset ~size));
     c_populate = (fun ~offset:_ ~access:_ _ -> ());
     c_destroy =
       (fun () ->
@@ -310,24 +210,8 @@ let manager l =
 (* Per-file maintenance                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Apply a coherency sweep to every populated block of [cf]. *)
 let sweep l cf action =
-  Sp_sched.Rwlock.with_write cf.lock @@ fun () ->
-  let visit b =
-    let off = b * ps in
-    let revoke (h : Block_state.holder) =
-      match cache_of_channel l h.Block_state.h_channel with
-      | None -> Block_state.remove cf.state b ~ch:h.Block_state.h_channel
-      | Some cache -> (
-          match action with
-          | `Write_back -> write_down cf (V.write_back cache ~offset:off ~size:ps)
-          | `Flush ->
-              write_down cf (V.flush_back cache ~offset:off ~size:ps);
-              Block_state.remove cf.state b ~ch:h.Block_state.h_channel)
-    in
-    List.iter revoke (Block_state.holders cf.state b)
-  in
-  List.iter visit (Block_state.populated_blocks cf.state)
+  Mrsw.sweep cf.state ~channels:l.l_channels action ~write_down:(write_down cf)
 
 let sync_cfile l cf =
   sweep l cf `Write_back;
@@ -351,7 +235,7 @@ let truncate_cfile l cf len =
       let edge = len - (len mod ps) in
       List.iter
         (fun ch ->
-          write_down cf
+          List.iter (write_down cf)
             (V.write_back ch.Sp_vm.Pager_lib.ch_cache ~offset:edge ~size:ps);
           V.zero_fill ch.Sp_vm.Pager_lib.ch_cache ~offset:len ~size:(cut - len))
         channels
@@ -361,14 +245,7 @@ let truncate_cfile l cf len =
         (fun ch ->
           V.delete_range ch.Sp_vm.Pager_lib.ch_cache ~offset:cut ~size:(old - cut))
         channels;
-    List.iter
-      (fun b ->
-        if b * ps >= cut then
-          List.iter
-            (fun (h : Block_state.holder) ->
-              Block_state.remove cf.state b ~ch:h.Block_state.h_channel)
-            (Block_state.holders cf.state b))
-      (Block_state.populated_blocks cf.state);
+    Mrsw.drop_blocks_from cf.state ~block:(cut / ps);
     V.set_length cf.lower.Sp_core.File.f_mem len
   end;
   update_attr l cf ~except:(-1) (fun a ->
@@ -385,8 +262,7 @@ let make_cfile l (lower : Sp_core.File.t) =
       lower;
       lower_pager = None;
       lower_fs_pager = None;
-      state = Block_state.create ();
-      lock = Sp_sched.Rwlock.create "coh";
+      state = Mrsw.create ();
       attr = None;
       attr_dirty = false;
     }
@@ -584,7 +460,7 @@ let recovery_epoch sfs = (layer_of sfs).l_epoch
 
 let invariant_holds sfs =
   let l = layer_of sfs in
-  Hashtbl.fold (fun _ cf ok -> ok && Block_state.invariant_holds cf.state) l.l_files true
+  Hashtbl.fold (fun _ cf ok -> ok && Mrsw.invariant_holds cf.state) l.l_files true
 
 let cached_attrs sfs =
   let l = layer_of sfs in

@@ -1,11 +1,15 @@
-(** Reusable single-writer/multiple-readers protocol over upper channels.
+(** The single-writer/multiple-readers coherence protocol (paper §4.2.1,
+    §6.2), the one implementation every layer that exports pages runs.
 
-    "Each pager is responsible for keeping its own files coherent" (§4.2.1)
-    — so every layer that exports files (COMPFS, CRYPTFS, MIRRORFS, ...)
-    runs this protocol across the pager–cache channels of each file,
-    exactly as the coherency layer does for its own.  The layer supplies
-    [write_down], which lands revoked dirty extents in its backing store
-    (compressing, encrypting, replicating... as the layer pleases). *)
+    "Each pager is responsible for keeping its own files coherent"
+    (§4.2.1): the coherency layer, COMPFS, CRYPTFS, MIRRORFS, UNIONFS and
+    INTEGRITYFS each keep one [t] per exported file.  It records, for every
+    block, which pager–cache channels hold it and in which mode, and
+    keeps the invariant: at most one read-write holder, and a read-write
+    holder is the only holder.  {!pager} builds a layer's whole upper
+    pager object around it; the layer supplies how bytes are produced for
+    a grant and how pushed or revoked extents are stored (compressing,
+    encrypting, replicating... as it pleases). *)
 
 type t
 
@@ -19,57 +23,91 @@ val epoch : t -> int
 
 val bump_epoch : t -> unit
 
-(** [granting t ~access f] runs the whole grant (or push) section [f] —
-    revoke, produce, record — holding the protocol's readers/writer lock:
-    read-only grants overlap, read-write grants and pushes are exclusive.
-    Reentrant per task; outside an [Sp_sched] run this is just [f ()].
-    {!sweep} takes the write side internally. *)
+(** [granting t ~access f] runs [f] holding the protocol's
+    readers/writer lock: read-only grants overlap, read-write grants and
+    pushes are exclusive.  Reentrant per task; outside an [Sp_sched] run
+    this is just [f ()].  {!pager}'s sections and {!sweep} take it
+    themselves; a layer takes it to write back outside them. *)
 val granting : t -> access:Sp_vm.Vm_types.access -> (unit -> 'a) -> 'a
 
-(** Revoke conflicting holders of the blocks in the range before granting
-    channel [me] the given access (deny writers for read-only grants,
-    flush everyone for read-write grants). *)
-val before_grant :
+(** Retention of a pushed extent: the caller keeps nothing ([page_out]),
+    keeps it read-only ([write_out]), or keeps its mode ([sync]). *)
+type retain = [ `Drop | `Read_only | `Same ]
+
+(** A wrapper run around each whole grant or push section, outside the
+    protocol's lock (a layer lock that must be taken first). *)
+type around = { around : 'a. (unit -> 'a) -> 'a }
+
+(** [pager t ~channels ~id ~domain ~label ~produce ~store fs_pager] is
+    the pager object of upper channel [id]:
+
+    - [p_page_in] runs, under {!granting}, the revokes (flush every other
+      holder for a read-write grant, deny writes to a read-write holder
+      for a read-only one; revoked dirty extents go to
+      [store ~retain:`Read_only]), then [produce], then records [id] as a
+      holder;
+    - [p_page_out], [p_write_out] and [p_sync] run, under the write side,
+      [store] with retention [`Drop], [`Read_only] or [`Same], then update
+      [id]'s holder state to match;
+    - [p_sync_v] is [sync_v] if given, else {!Sp_vm.Vm_types.sync_each}
+      of [p_sync];
+    - [p_done_with] forgets [id] and removes it from [channels].
+
+    [around], if given, wraps each grant and push section. *)
+val pager :
   t ->
   channels:Sp_vm.Pager_lib.t ->
-  key:string ->
-  me:int ->
-  access:Sp_vm.Vm_types.access ->
-  offset:int ->
-  size:int ->
-  write_down:(Sp_vm.Vm_types.extent -> unit) ->
-  unit
+  id:int ->
+  domain:Sp_obj.Sdomain.t ->
+  label:string ->
+  ?around:around ->
+  ?sync_v:(Sp_vm.Vm_types.extent list -> unit) ->
+  produce:(offset:int -> size:int -> access:Sp_vm.Vm_types.access -> bytes) ->
+  store:(retain:retain -> offset:int -> bytes -> unit) ->
+  Sp_vm.Vm_types.fs_pager_ops ->
+  Sp_vm.Vm_types.pager_object
 
-(** Record channel [me] as holding the range in the given mode (call after
-    the data has been produced). *)
-val after_grant :
-  t -> me:int -> access:Sp_vm.Vm_types.access -> offset:int -> size:int -> unit
-
-(** Adjust holder state after channel [me] pushed data down with the given
-    retention semantics (page_out / write_out / sync). *)
-val on_push :
-  t ->
-  me:int ->
-  retain:[ `Drop | `Read_only | `Same ] ->
-  offset:int ->
-  size:int ->
-  unit
-
-(** Collect dirty data from every holder ([`Write_back] retains the
-    caches, [`Flush] empties them). *)
+(** Collect dirty data from every holder under the write side
+    ([`Write_back] retains the caches, [`Flush] empties them), handing
+    each extent to [write_down] as it arrives. *)
 val sweep :
   t ->
   channels:Sp_vm.Pager_lib.t ->
-  key:string ->
   [ `Write_back | `Flush ] ->
   write_down:(Sp_vm.Vm_types.extent -> unit) ->
   unit
 
-(** Forget a channel entirely. *)
-val remove_channel : t -> ch:int -> unit
+(** [forward t ~channels action ~offset ~size] applies a coherency action
+    arriving from the layer below to every holder of the range and
+    returns the dirty extents collected, in holder-walk order.  It takes
+    no lock: the action arrives under the lower layer's own
+    serialization, and taking the lock could deadlock against a task
+    calling down. *)
+val forward :
+  t ->
+  channels:Sp_vm.Pager_lib.t ->
+  [ `Flush | `Deny | `Write_back | `Delete | `Zero ] ->
+  offset:int ->
+  size:int ->
+  Sp_vm.Vm_types.extent list
 
 (** Forget all holders of blocks with index >= [block] (after truncate). *)
 val drop_blocks_from : t -> block:int -> unit
+
+(** [shrink t ~channels ~key ~old ~len ~write_down] discards the cached
+    pages a cut from [old] to [len] bytes leaves stale, when [len < old]:
+    each live channel of [key] writes back [\[0, cut)] through
+    [write_down] (cut = [len] rounded up to a page), zero-fills the
+    boundary page's tail and deletes the cut pages; then the cut blocks'
+    holders are forgotten.  The layer cuts its store afterwards. *)
+val shrink :
+  t ->
+  channels:Sp_vm.Pager_lib.t ->
+  key:string ->
+  old:int ->
+  len:int ->
+  write_down:(Sp_vm.Vm_types.extent -> unit) ->
+  unit
 
 (** Forget everything (after the backing store changed under the layer).
     Bumps the recovery epoch. *)

@@ -314,30 +314,16 @@ let get_attr l e =
   let a = Sp_core.File.stat e.e_lower in
   Sp_vm.Attr.with_len a e.logical_len
 
+let write_down l e x = write_logical l e ~offset:x.V.ext_offset x.V.ext_data
+
 let truncate_entry l e len =
   locked l @@ fun () ->
   refresh_if_stale l e;
-  if len < e.logical_len then begin
-    let channels = Sp_vm.Pager_lib.live_channels_for_key l.l_channels ~key:e.e_key in
-    let cut = (len + ps - 1) / ps * ps in
-    (* Push dirty upper pages below the cut down before dropping anything,
-       zero the cached tail of the boundary page, then discard fully-cut
-       pages from every cache. *)
-    List.iter
-      (fun ch ->
-        let extents =
-          V.write_back ch.Sp_vm.Pager_lib.ch_cache ~offset:0 ~size:cut
-        in
-        List.iter
-          (fun x -> write_logical l e ~offset:x.V.ext_offset x.V.ext_data)
-          extents;
-        if len mod ps <> 0 then
-          V.zero_fill ch.Sp_vm.Pager_lib.ch_cache ~offset:len ~size:(cut - len);
-        V.delete_range ch.Sp_vm.Pager_lib.ch_cache ~offset:cut
-          ~size:(max ps (e.logical_len - cut)))
-      channels;
-    let keep = cut / ps in
-    Sp_coherency.Mrsw.drop_blocks_from e.e_state ~block:keep;
+  let old = e.logical_len in
+  Sp_coherency.Mrsw.shrink e.e_state ~channels:l.l_channels ~key:e.e_key ~old ~len
+    ~write_down:(write_down l e);
+  if len < old then begin
+    let keep = (len + ps - 1) / ps in
     Hashtbl.iter
       (fun page _ -> if page >= keep then Hashtbl.remove e.idx page)
       (Hashtbl.copy e.idx);
@@ -352,69 +338,53 @@ let truncate_entry l e len =
     e.header_dirty <- true
   end
 
+(* Assemble [size] bytes at [offset] from decompressed logical pages. *)
+let read_logical l e ~offset ~size =
+  let out = Bytes.create size in
+  let rec go cursor =
+    if cursor < size then begin
+      let off = offset + cursor in
+      let page = V.page_index off in
+      let data = read_logical_page l e page in
+      let in_page = off - (page * ps) in
+      let n = min (size - cursor) (ps - in_page) in
+      Bytes.blit data in_page out cursor n;
+      go (cursor + n)
+    end
+  in
+  go 0;
+  out
+
+(* The layer lock is taken, and a stale view refreshed, around the whole
+   grant or push section: revoked extents land in the chunk log, so they
+   must run under the lock like any other container update. *)
 let upper_pager l e ~id =
-  let write_down x = write_logical l e ~offset:x.V.ext_offset x.V.ext_data in
-  let page_in ~offset ~size ~access =
-    locked l @@ fun () ->
-    refresh_if_stale l e;
-    Sp_coherency.Mrsw.granting e.e_state ~access @@ fun () ->
-    Sp_coherency.Mrsw.before_grant e.e_state ~channels:l.l_channels ~key:e.e_key
-      ~me:id ~access ~offset ~size ~write_down;
-    let out = Bytes.create size in
-    let rec go cursor =
-      if cursor < size then begin
-        let off = offset + cursor in
-        let page = V.page_index off in
-        let data = read_logical_page l e page in
-        let in_page = off - (page * ps) in
-        let n = min (size - cursor) (ps - in_page) in
-        Bytes.blit data in_page out cursor n;
-        go (cursor + n)
-      end
-    in
-    go 0;
-    Sp_coherency.Mrsw.after_grant e.e_state ~me:id ~access ~offset ~size;
-    out
-  in
-  let push retain ~offset data =
-    locked l @@ fun () ->
-    refresh_if_stale l e;
-    Sp_coherency.Mrsw.granting e.e_state ~access:V.Read_write @@ fun () ->
-    write_logical l e ~offset data;
-    Sp_coherency.Mrsw.on_push e.e_state ~me:id ~retain ~offset
-      ~size:(Bytes.length data)
-  in
-  {
-    V.p_domain = l.l_domain;
-    p_label = e.e_key;
-    p_page_in = page_in;
-    p_page_out = push `Drop;
-    p_write_out = push `Read_only;
-    p_sync = push `Same;
-    p_sync_v = V.sync_each (push `Same);
-    p_done_with =
-      (fun () ->
-        Sp_coherency.Mrsw.remove_channel e.e_state ~ch:id;
-        Sp_vm.Pager_lib.remove l.l_channels id);
-    p_exten =
-      [
-        V.Fs_pager
-          {
-            V.fp_get_attr = (fun () -> get_attr l e);
-            fp_set_attr = (fun a -> Sp_core.File.set_attr e.e_lower a);
-            fp_attr_sync =
-              (fun a ->
-                locked l @@ fun () ->
-                let len = a.Sp_vm.Attr.len in
-                if len < e.logical_len then truncate_entry l e len
-                else if len > e.logical_len then begin
-                  e.logical_len <- len;
-                  e.header_dirty <- true
-                end;
-                Sp_core.File.set_attr e.e_lower a);
-          };
-      ];
-  }
+  Sp_coherency.Mrsw.pager e.e_state ~channels:l.l_channels ~id ~domain:l.l_domain
+    ~label:e.e_key
+    ~around:
+      {
+        Sp_coherency.Mrsw.around =
+          (fun f ->
+            locked l @@ fun () ->
+            refresh_if_stale l e;
+            f ());
+      }
+    ~produce:(fun ~offset ~size ~access:_ -> read_logical l e ~offset ~size)
+    ~store:(fun ~retain:_ ~offset data -> write_logical l e ~offset data)
+    {
+      V.fp_get_attr = (fun () -> get_attr l e);
+      fp_set_attr = (fun a -> Sp_core.File.set_attr e.e_lower a);
+      fp_attr_sync =
+        (fun a ->
+          locked l @@ fun () ->
+          let len = a.Sp_vm.Attr.len in
+          if len < e.logical_len then truncate_entry l e len
+          else if len > e.logical_len then begin
+            e.logical_len <- len;
+            e.header_dirty <- true
+          end;
+          Sp_core.File.set_attr e.e_lower a);
+    }
 
 let make_entry l (lower : Sp_core.File.t) ~fresh =
   let e =
@@ -462,8 +432,8 @@ let make_memory_object l e =
 
 let sync_entry l e =
   locked l @@ fun () ->
-  Sp_coherency.Mrsw.sweep e.e_state ~channels:l.l_channels ~key:e.e_key `Write_back
-    ~write_down:(fun x -> write_logical l e ~offset:x.V.ext_offset x.V.ext_data);
+  Sp_coherency.Mrsw.sweep e.e_state ~channels:l.l_channels `Write_back
+    ~write_down:(write_down l e);
   compact l e
 
 let wrap_entry l e =

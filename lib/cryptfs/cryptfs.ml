@@ -65,112 +65,75 @@ let set_len l e new_len =
   grow_with_zeros l e ~old_len ~new_len;
   if new_len < old_len then V.set_length e.e_lower.Sp_core.File.f_mem new_len
 
-let rec upper_pager l e ~id =
-  let write_down x =
-    let p = upper_pager l e ~id in
-    p.V.p_sync ~offset:x.V.ext_offset x.V.ext_data
+(* The plaintext of [size] bytes at [offset]. *)
+let read_plain l e ~offset ~size =
+  let out = Bytes.create size in
+  let rec go cursor =
+    if cursor < size then begin
+      let off = offset + cursor in
+      let page = V.page_index off in
+      let plain = read_plain_page l e page in
+      let in_page = off - (page * ps) in
+      let n = min (size - cursor) (ps - in_page) in
+      Bytes.blit plain in_page out cursor n;
+      go (cursor + n)
+    end
   in
-  let page_in ~offset ~size ~access =
-    Sp_coherency.Mrsw.granting e.e_state ~access @@ fun () ->
-    Sp_coherency.Mrsw.before_grant e.e_state ~channels:l.l_channels ~key:e.e_key
-      ~me:id ~access ~offset ~size ~write_down;
-    let out = Bytes.create size in
+  go 0;
+  out
+
+let store l e ~retain:_ ~offset data =
+  (* Clip to the current length: pages arrive whole from caches, but the
+     ciphertext file must stay exactly as long as the plaintext. *)
+  let len = lower_len e in
+  let keep = min (Bytes.length data) (max 0 (len - offset)) in
+  if keep > 0 then begin
     let rec go cursor =
-      if cursor < size then begin
+      if cursor < keep then begin
         let off = offset + cursor in
         let page = V.page_index off in
-        let plain = read_plain_page l e page in
         let in_page = off - (page * ps) in
-        let n = min (size - cursor) (ps - in_page) in
-        Bytes.blit plain in_page out cursor n;
+        let n = min (keep - cursor) (ps - in_page) in
+        let chunk =
+          if in_page = 0 && n = ps then Bytes.sub data cursor n
+          else begin
+            (* Partial page: fetch, patch, re-encrypt whole page. *)
+            let plain = read_plain_page l e page in
+            Bytes.blit data cursor plain in_page n;
+            Bytes.sub plain 0 (min ps (max (in_page + n) (len - (page * ps))))
+          end
+        in
+        let cipher_page = Cipher.apply ~key:l.l_cipher_key ~page chunk in
+        Sp_obj.Door.charge_cpu (Cipher.work_units (Bytes.length cipher_page));
+        ignore (Sp_core.File.write e.e_lower ~pos:(page * ps) cipher_page);
         go (cursor + n)
       end
     in
-    go 0;
-    Sp_coherency.Mrsw.after_grant e.e_state ~me:id ~access ~offset ~size;
-    out
-  in
-  let push retain ~offset data =
-    Sp_coherency.Mrsw.granting e.e_state ~access:V.Read_write @@ fun () ->
-    (* Clip to the current length: pages arrive whole from caches, but the
-       ciphertext file must stay exactly as long as the plaintext. *)
-    let len = lower_len e in
-    let keep = min (Bytes.length data) (max 0 (len - offset)) in
-    if keep > 0 then begin
-      let rec go cursor =
-        if cursor < keep then begin
-          let off = offset + cursor in
-          let page = V.page_index off in
-          let in_page = off - (page * ps) in
-          let n = min (keep - cursor) (ps - in_page) in
-          let chunk =
-            if in_page = 0 && n = ps then Bytes.sub data cursor n
-            else begin
-              (* Partial page: fetch, patch, re-encrypt whole page. *)
-              let plain = read_plain_page l e page in
-              Bytes.blit data cursor plain in_page n;
-              Bytes.sub plain 0 (min ps (max (in_page + n) (len - (page * ps))))
-            end
-          in
-          let cipher_page = Cipher.apply ~key:l.l_cipher_key ~page chunk in
-          Sp_obj.Door.charge_cpu (Cipher.work_units (Bytes.length cipher_page));
-          ignore (Sp_core.File.write e.e_lower ~pos:(page * ps) cipher_page);
-          go (cursor + n)
-        end
-      in
-      go 0
-    end;
-    Sp_coherency.Mrsw.on_push e.e_state ~me:id ~retain ~offset
-      ~size:(Bytes.length data)
-  in
-  {
-    V.p_domain = l.l_domain;
-    p_label = e.e_key;
-    p_page_in = page_in;
-    p_page_out = push `Drop;
-    p_write_out = push `Read_only;
-    p_sync = push `Same;
-    p_sync_v = V.sync_each (push `Same);
-    p_done_with =
-      (fun () ->
-        Sp_coherency.Mrsw.remove_channel e.e_state ~ch:id;
-        Sp_vm.Pager_lib.remove l.l_channels id);
-    p_exten =
-      [
-        V.Fs_pager
-          {
-            V.fp_get_attr = (fun () -> Sp_core.File.stat e.e_lower);
-            fp_set_attr = (fun a -> Sp_core.File.set_attr e.e_lower a);
-            fp_attr_sync =
-              (fun a ->
-                let len = a.Sp_vm.Attr.len in
-                if len <> lower_len e then set_len l e len;
-                Sp_core.File.set_attr e.e_lower a);
-          };
-      ];
-  }
+    go 0
+  end
 
+let upper_pager l e ~id =
+  Sp_coherency.Mrsw.pager e.e_state ~channels:l.l_channels ~id ~domain:l.l_domain
+    ~label:e.e_key
+    ~produce:(fun ~offset ~size ~access:_ -> read_plain l e ~offset ~size)
+    ~store:(store l e)
+    {
+      V.fp_get_attr = (fun () -> Sp_core.File.stat e.e_lower);
+      fp_set_attr = (fun a -> Sp_core.File.set_attr e.e_lower a);
+      fp_attr_sync =
+        (fun a ->
+          let len = a.Sp_vm.Attr.len in
+          if len <> lower_len e then set_len l e len;
+          Sp_core.File.set_attr e.e_lower a);
+    }
+
+(* A shrink writes back outside any grant section, so it takes the
+   protocol's write side as a push does. *)
 let truncate_entry l e len =
-  let old = lower_len e in
-  if len < old then begin
-    let channels = Sp_vm.Pager_lib.live_channels_for_key l.l_channels ~key:e.e_key in
-    let cut = (len + ps - 1) / ps * ps in
-    List.iter
-      (fun ch ->
-        let extents =
-          V.write_back ch.Sp_vm.Pager_lib.ch_cache ~offset:0 ~size:cut
-        in
-        List.iter
-          (fun x ->
-            let pager = upper_pager l e ~id:ch.Sp_vm.Pager_lib.ch_id in
-            pager.V.p_sync ~offset:x.V.ext_offset x.V.ext_data)
-          extents;
-        if len mod ps <> 0 then
-          V.zero_fill ch.Sp_vm.Pager_lib.ch_cache ~offset:len ~size:(cut - len);
-        V.delete_range ch.Sp_vm.Pager_lib.ch_cache ~offset:cut ~size:(max ps (old - cut)))
-      channels;
-    Sp_coherency.Mrsw.drop_blocks_from e.e_state ~block:(cut / ps)
-  end;
+  Sp_coherency.Mrsw.shrink e.e_state ~channels:l.l_channels ~key:e.e_key ~old:(lower_len e)
+    ~len ~write_down:(fun x ->
+      Sp_coherency.Mrsw.granting e.e_state ~access:V.Read_write (fun () ->
+          store l e ~retain:`Same ~offset:x.V.ext_offset x.V.ext_data));
   set_len l e len
 
 let wrap_file l (lower : Sp_core.File.t) =

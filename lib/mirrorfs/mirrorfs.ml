@@ -1,7 +1,5 @@
 module V = Sp_vm.Vm_types
 
-let ps = V.page_size
-
 type replica = Primary | Secondary
 
 (* The file pair backing one exported file.  The lower handles are
@@ -171,84 +169,41 @@ let each_target l pair f =
 
 let pair_len l pair = with_read l pair (fun f -> (Sp_core.File.stat f).Sp_vm.Attr.len)
 
+(* Clip to the pair's length and write to every live replica. *)
+let store l pair ~retain:_ ~offset data =
+  let len = pair_len l pair in
+  let keep = min (Bytes.length data) (max 0 (len - offset)) in
+  if keep > 0 then
+    each_target l pair (fun f ->
+        ignore (Sp_core.File.write f ~pos:offset (Bytes.sub data 0 keep)))
+
 let upper_pager l pair ~id =
-  let raw_push ~offset data =
-    let len = pair_len l pair in
-    let keep = min (Bytes.length data) (max 0 (len - offset)) in
-    if keep > 0 then
-      each_target l pair (fun f ->
-          ignore (Sp_core.File.write f ~pos:offset (Bytes.sub data 0 keep)))
-  in
-  let write_down x = raw_push ~offset:x.V.ext_offset x.V.ext_data in
-  let page_in ~offset ~size ~access =
-    Sp_coherency.Mrsw.granting pair.p_state ~access @@ fun () ->
-    Sp_coherency.Mrsw.before_grant pair.p_state ~channels:l.l_channels
-      ~key:pair.p_key ~me:id ~access ~offset ~size ~write_down;
-    let data = with_read l pair (fun f -> Sp_core.File.read f ~pos:offset ~len:size) in
-    let data =
+  Sp_coherency.Mrsw.pager pair.p_state ~channels:l.l_channels ~id ~domain:l.l_domain
+    ~label:pair.p_key
+    ~produce:(fun ~offset ~size ~access:_ ->
+      let data = with_read l pair (fun f -> Sp_core.File.read f ~pos:offset ~len:size) in
       if Bytes.length data = size then data
       else begin
         let padded = Bytes.make size '\000' in
         Bytes.blit data 0 padded 0 (Bytes.length data);
         padded
-      end
-    in
-    Sp_coherency.Mrsw.after_grant pair.p_state ~me:id ~access ~offset ~size;
-    data
-  in
-  let push retain ~offset data =
-    Sp_coherency.Mrsw.granting pair.p_state ~access:V.Read_write @@ fun () ->
-    raw_push ~offset data;
-    Sp_coherency.Mrsw.on_push pair.p_state ~me:id ~retain ~offset
-      ~size:(Bytes.length data)
-  in
-  {
-    V.p_domain = l.l_domain;
-    p_label = pair.p_key;
-    p_page_in = page_in;
-    p_page_out = push `Drop;
-    p_write_out = push `Read_only;
-    p_sync = push `Same;
-    p_sync_v = V.sync_each (push `Same);
-    p_done_with =
-      (fun () ->
-        Sp_coherency.Mrsw.remove_channel pair.p_state ~ch:id;
-        Sp_vm.Pager_lib.remove l.l_channels id);
-    p_exten =
-      [
-        V.Fs_pager
-          {
-            V.fp_get_attr = (fun () -> with_read l pair (fun f -> Sp_core.File.stat f));
-            fp_set_attr =
-              (fun a -> each_target l pair (fun f -> Sp_core.File.set_attr f a));
-            fp_attr_sync =
-              (fun a ->
-                each_target l pair (fun f ->
-                    V.set_length f.Sp_core.File.f_mem a.Sp_vm.Attr.len;
-                    Sp_core.File.set_attr f a));
-          };
-      ];
-  }
+      end)
+    ~store:(store l pair)
+    {
+      V.fp_get_attr = (fun () -> with_read l pair (fun f -> Sp_core.File.stat f));
+      fp_set_attr = (fun a -> each_target l pair (fun f -> Sp_core.File.set_attr f a));
+      fp_attr_sync =
+        (fun a ->
+          each_target l pair (fun f ->
+              V.set_length f.Sp_core.File.f_mem a.Sp_vm.Attr.len;
+              Sp_core.File.set_attr f a));
+    }
 
 let truncate_pair l pair len =
-  let old = pair_len l pair in
-  if len < old then begin
-    let channels = Sp_vm.Pager_lib.live_channels_for_key l.l_channels ~key:pair.p_key in
-    let cut = (len + ps - 1) / ps * ps in
-    List.iter
-      (fun ch ->
-        let extents = V.write_back ch.Sp_vm.Pager_lib.ch_cache ~offset:0 ~size:cut in
-        List.iter
-          (fun x ->
-            each_target l pair (fun f ->
-                ignore (Sp_core.File.write f ~pos:x.V.ext_offset x.V.ext_data)))
-          extents;
-        if len mod ps <> 0 then
-          V.zero_fill ch.Sp_vm.Pager_lib.ch_cache ~offset:len ~size:(cut - len);
-        V.delete_range ch.Sp_vm.Pager_lib.ch_cache ~offset:cut ~size:(max ps (old - cut)))
-      channels;
-    Sp_coherency.Mrsw.drop_blocks_from pair.p_state ~block:(cut / ps)
-  end;
+  Sp_coherency.Mrsw.shrink pair.p_state ~channels:l.l_channels ~key:pair.p_key
+    ~old:(pair_len l pair) ~len ~write_down:(fun x ->
+      each_target l pair (fun f ->
+          ignore (Sp_core.File.write f ~pos:x.V.ext_offset x.V.ext_data)));
   each_target l pair (fun f -> Sp_core.File.truncate f len)
 
 let wrap_pair l pair =

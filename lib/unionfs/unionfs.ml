@@ -1,6 +1,5 @@
 module V = Sp_vm.Vm_types
 
-let ps = V.page_size
 let whiteout_prefix = ".wh."
 
 type layer = {
@@ -100,86 +99,44 @@ let copy_up l u =
 
 let backing_len u = (Sp_core.File.stat u.u_backing).Sp_vm.Attr.len
 
+(* Copy up, clip to the backing length and write. *)
+let store l u ~retain:_ ~offset data =
+  copy_up l u;
+  let len = backing_len u in
+  let keep = min (Bytes.length data) (max 0 (len - offset)) in
+  if keep > 0 then
+    ignore (Sp_core.File.write u.u_backing ~pos:offset (Bytes.sub data 0 keep))
+
 let upper_pager l u ~id =
-  let raw_push ~offset data =
-    copy_up l u;
-    let len = backing_len u in
-    let keep = min (Bytes.length data) (max 0 (len - offset)) in
-    if keep > 0 then
-      ignore (Sp_core.File.write u.u_backing ~pos:offset (Bytes.sub data 0 keep))
-  in
-  let write_down x = raw_push ~offset:x.V.ext_offset x.V.ext_data in
-  let page_in ~offset ~size ~access =
-    Sp_coherency.Mrsw.granting u.u_state ~access @@ fun () ->
-    Sp_coherency.Mrsw.before_grant u.u_state ~channels:l.l_channels ~key:u.u_key
-      ~me:id ~access ~offset ~size ~write_down;
-    let data = Sp_core.File.read u.u_backing ~pos:offset ~len:size in
-    let data =
+  Sp_coherency.Mrsw.pager u.u_state ~channels:l.l_channels ~id ~domain:l.l_domain
+    ~label:u.u_key
+    ~produce:(fun ~offset ~size ~access:_ ->
+      let data = Sp_core.File.read u.u_backing ~pos:offset ~len:size in
       if Bytes.length data = size then data
       else begin
         let padded = Bytes.make size '\000' in
         Bytes.blit data 0 padded 0 (Bytes.length data);
         padded
-      end
-    in
-    Sp_coherency.Mrsw.after_grant u.u_state ~me:id ~access ~offset ~size;
-    data
-  in
-  let push retain ~offset data =
-    Sp_coherency.Mrsw.granting u.u_state ~access:V.Read_write @@ fun () ->
-    raw_push ~offset data;
-    Sp_coherency.Mrsw.on_push u.u_state ~me:id ~retain ~offset
-      ~size:(Bytes.length data)
-  in
-  {
-    V.p_domain = l.l_domain;
-    p_label = u.u_key;
-    p_page_in = page_in;
-    p_page_out = push `Drop;
-    p_write_out = push `Read_only;
-    p_sync = push `Same;
-    p_sync_v = V.sync_each (push `Same);
-    p_done_with =
-      (fun () ->
-        Sp_coherency.Mrsw.remove_channel u.u_state ~ch:id;
-        Sp_vm.Pager_lib.remove l.l_channels id);
-    p_exten =
-      [
-        V.Fs_pager
-          {
-            V.fp_get_attr = (fun () -> Sp_core.File.stat u.u_backing);
-            fp_set_attr =
-              (fun a ->
-                copy_up l u;
-                Sp_core.File.set_attr u.u_backing a);
-            fp_attr_sync =
-              (fun a ->
-                copy_up l u;
-                V.set_length u.u_backing.Sp_core.File.f_mem a.Sp_vm.Attr.len;
-                Sp_core.File.set_attr u.u_backing a);
-          };
-      ];
-  }
+      end)
+    ~store:(store l u)
+    {
+      V.fp_get_attr = (fun () -> Sp_core.File.stat u.u_backing);
+      fp_set_attr =
+        (fun a ->
+          copy_up l u;
+          Sp_core.File.set_attr u.u_backing a);
+      fp_attr_sync =
+        (fun a ->
+          copy_up l u;
+          V.set_length u.u_backing.Sp_core.File.f_mem a.Sp_vm.Attr.len;
+          Sp_core.File.set_attr u.u_backing a);
+    }
 
 let truncate_ufile l u len =
   copy_up l u;
-  let old = backing_len u in
-  if len < old then begin
-    let channels = Sp_vm.Pager_lib.live_channels_for_key l.l_channels ~key:u.u_key in
-    let cut = (len + ps - 1) / ps * ps in
-    List.iter
-      (fun ch ->
-        let extents = V.write_back ch.Sp_vm.Pager_lib.ch_cache ~offset:0 ~size:cut in
-        List.iter
-          (fun x ->
-            ignore (Sp_core.File.write u.u_backing ~pos:x.V.ext_offset x.V.ext_data))
-          extents;
-        if len mod ps <> 0 then
-          V.zero_fill ch.Sp_vm.Pager_lib.ch_cache ~offset:len ~size:(cut - len);
-        V.delete_range ch.Sp_vm.Pager_lib.ch_cache ~offset:cut ~size:(max ps (old - cut)))
-      channels;
-    Sp_coherency.Mrsw.drop_blocks_from u.u_state ~block:(cut / ps)
-  end;
+  Sp_coherency.Mrsw.shrink u.u_state ~channels:l.l_channels ~key:u.u_key ~old:(backing_len u)
+    ~len ~write_down:(fun x ->
+      ignore (Sp_core.File.write u.u_backing ~pos:x.V.ext_offset x.V.ext_data));
   Sp_core.File.truncate u.u_backing len
 
 let wrap_file l path ~in_top (backing : Sp_core.File.t) =
