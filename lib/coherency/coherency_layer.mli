@@ -5,9 +5,9 @@
     layer.  For each exported file it:
 
     - acts as a {e pager} toward upper cache managers (VMMs, or stacked
-      file systems), keeping track of which channel holds which block in
-      which mode and triggering [deny_writes]/[flush_back] before granting
-      conflicting access;
+      file systems) through {!Mrsw}, keeping track of which channel holds
+      which block in which mode and triggering [deny_writes]/[flush_back]
+      before granting conflicting access;
     - acts as a {e cache manager} toward the underlying file (binding to
       its memory object), so coherency actions initiated below are
       forwarded to the upper caches — this is what makes coherent stacks
