@@ -113,6 +113,33 @@ let prop_lz_matches_reference =
       let b = Bytes.of_string s in
       Bytes.equal (Sp_compfs.Lz.compress b) (Lz_reference.compress b))
 
+(* Every short string over a small alphabet: each way a match can end
+   against the input's end, a chain can tie, or a match can overlap its
+   own source.  [alphabet] symbols up to [max_len] bytes: 32,767 inputs
+   over {a,b} and 29,524 over {a,b,c}. *)
+let lz_exhaustive alphabet max_len () =
+  let k = String.length alphabet in
+  let differ = ref 0 and first = ref None and total = ref 0 in
+  for len = 0 to max_len do
+    let b = Bytes.make len alphabet.[0] in
+    let count = int_of_float (float_of_int k ** float_of_int len) in
+    for code = 0 to count - 1 do
+      let c = ref code in
+      for i = 0 to len - 1 do
+        Bytes.set b i alphabet.[!c mod k];
+        c := !c / k
+      done;
+      incr total;
+      if not (Bytes.equal (Sp_compfs.Lz.compress b) (Lz_reference.compress b)) then begin
+        incr differ;
+        if !first = None then first := Some (Bytes.to_string b)
+      end
+    done
+  done;
+  match !first with
+  | None -> ()
+  | Some s -> Alcotest.failf "%d of %d inputs encode differently; first %S" !differ !total s
+
 (* A range compressed where it lies gives the bytes of compressing a copy
    of it, at any offset, even when the bytes around it would match. *)
 let prop_lz_compress_sub =
@@ -407,6 +434,10 @@ let suite =
     Alcotest.test_case "lz rejects corrupt input" `Quick test_lz_rejects_corrupt;
     prop_lz_roundtrip;
     prop_lz_matches_reference;
+    Alcotest.test_case "lz matches reference on every {a,b} string to 14 bytes" `Quick
+      (lz_exhaustive "ab" 14);
+    Alcotest.test_case "lz matches reference on every {a,b,c} string to 9 bytes" `Quick
+      (lz_exhaustive "abc" 9);
     prop_lz_compress_sub;
     Alcotest.test_case "lz compress_sub checks its range" `Quick test_lz_compress_sub_range;
     Alcotest.test_case "lz format pinned" `Quick test_lz_format_pinned;
