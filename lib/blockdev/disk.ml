@@ -2,10 +2,20 @@ let block_size = 4096
 
 type stats = { reads : int; writes : int; seeks : int }
 
+(* A stored block and the FNV-1a fold of its bytes, [unknown] (a fold is
+   never negative) until [sum] folds it or [adopt_sum] takes a caller's
+   fold of equal bytes.  The slot lives with the block so only
+   materialised blocks pay for it. *)
+type block = Zero | Block of { data : bytes; mutable sum : int }
+
+let unknown = -1
+let fold data = Sp_dir.Hash.fold Sp_dir.Hash.basis data ~off:0 ~len:block_size ~pad:0
+let zero_sum = Sp_dir.Hash.fold Sp_dir.Hash.basis Bytes.empty ~off:0 ~len:0 ~pad:block_size
+
 type t = {
   label : string;
-  blocks : bytes option array;
-      (* lazily materialised: [None] reads as zeros.  A million-file
+  blocks : block array;
+      (* lazily materialised: [Zero] reads as zeros.  A million-file
          volume touches a sliver of its address space; a dense array of
          zero blocks would cost gigabytes of host memory up front. *)
   mutable head : int;  (* current head position, block index *)
@@ -32,7 +42,7 @@ let create ?(label = "disk0") ~blocks () =
   if blocks <= 0 then invalid_arg "Disk.create: blocks must be positive";
   {
     label;
-    blocks = Array.make blocks None;
+    blocks = Array.make blocks Zero;
     head = 0;
     reads = 0;
     writes = 0;
@@ -54,13 +64,18 @@ let check t n =
   if n < 0 || n >= Array.length t.blocks then
     invalid_arg (Printf.sprintf "Disk %s: block %d out of range" t.label n)
 
+(* The stored bytes of block [n], for a caller about to change them:
+   every site that writes stored bytes comes through here, so this is
+   where the block's sum is forgotten. *)
 let materialize t n =
   match t.blocks.(n) with
-  | Some b -> b
-  | None ->
-      let b = Bytes.make block_size '\000' in
-      t.blocks.(n) <- Some b;
-      b
+  | Block b ->
+      b.sum <- unknown;
+      b.data
+  | Zero ->
+      let data = Bytes.make block_size '\000' in
+      t.blocks.(n) <- Block { data; sum = unknown };
+      data
 
 let all_zero data =
   let rec go i = i >= Bytes.length data || (Bytes.get data i = '\000' && go (i + 1)) in
@@ -162,7 +177,9 @@ let rot_block t n fraction =
   let byte = bit / 8 in
   Bytes.set block byte (Char.chr (Char.code (Bytes.get block byte) lxor (1 lsl (bit mod 8))))
 
-let read t n =
+(* A read's device side: the fault plan, the latency charge and the
+   counters, everything but the copy. *)
+let access t n =
   check t n;
   (match Sp_fault.consult ~point:"disk.read" ~label:t.label with
   | Sp_fault.Pass -> ()
@@ -179,10 +196,31 @@ let read t n =
       ());
   charge t n;
   t.reads <- t.reads + 1;
-  Sp_sim.Metrics.incr_disk_reads ();
+  Sp_sim.Metrics.incr_disk_reads ()
+
+let read t n =
+  access t n;
   match t.blocks.(n) with
-  | Some b -> Bytes.copy b
-  | None -> Bytes.make block_size '\000'
+  | Block b -> Bytes.copy b.data
+  | Zero -> Bytes.make block_size '\000'
+
+let sum t n =
+  check t n;
+  match t.blocks.(n) with
+  | Zero -> zero_sum
+  | Block b ->
+      if b.sum = unknown then b.sum <- fold b.data;
+      b.sum
+
+let read_sum t n =
+  access t n;
+  sum t n
+
+let adopt_sum t n data sum =
+  check t n;
+  match t.blocks.(n) with
+  | Block b when b.sum = unknown && Bytes.equal b.data data -> b.sum <- sum
+  | Block _ | Zero -> ()
 
 (* One block write with a pluggable latency charge: [write] passes the
    elevator-acquiring [charge]; [write_vec] holds the elevator across the
@@ -211,7 +249,7 @@ let write_with ~charge t n data =
     (* Writing zeros to a never-written block (mkfs clearing bitmaps and
        inode tables) leaves it unmaterialised. *)
     match t.blocks.(m) with
-    | None when all_zero data -> ()
+    | Zero when all_zero data -> ()
     | _ ->
         let block = materialize t m in
         Bytes.fill block 0 block_size '\000';

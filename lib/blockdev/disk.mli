@@ -27,6 +27,36 @@ val block_count : t -> int
     one bit of the stored block (persistently) and returns success. *)
 val read : t -> int -> bytes
 
+(** {2 Block sums}
+
+    The device keeps the 32-bit FNV-1a fold ({!Sp_dir.Hash.fold}) of each
+    stored block, so a verifier compares a checksum entry against the
+    device's sum instead of folding a 4 KiB copy.  A block is folded at
+    most once per content.  Every change to the stored bytes forgets the
+    sum: a stored write (a misdirected write forgets its landing block's),
+    a torn write, and bit rot on the write or the read path.  A lost write
+    changes nothing, so the old bytes keep their old sum. *)
+
+(** [sum t n] is the fold of block [n]'s stored bytes, folding them on
+    first use; a never-written block gives the zero block's sum.  It
+    charges nothing and consults no fault.  Taken right after {!read}
+    returns, with no suspension point between, it is the sum of the copy
+    [read] returned. *)
+val sum : t -> int -> int
+
+(** [read_sum t n] is a {!read} (same fault plan, charge and counters)
+    that returns {!sum} instead of a copy: for offline verifiers that
+    only compare sums. *)
+val read_sum : t -> int -> int
+
+(** [adopt_sum t n data sum] offers [sum], the caller's fold of the full
+    block [data], as block [n]'s sum.  The device adopts it only when its
+    sum is unknown and the stored bytes equal [data] ([Bytes.equal]), so
+    an adopted sum rests on equal bytes folding equally and on nothing
+    else: it is sound whatever fault the write met, and even if [data]
+    changed after the write.  Call it after the write returns. *)
+val adopt_sum : t -> int -> bytes -> int -> unit
+
 (** [write t n data] stores [data] (at most one block; shorter data is
     zero-padded) into block [n].  Consults {!Sp_fault} at ["disk.write"]:
     besides [Io_error]/[Crash], a torn-write fault persists only a prefix

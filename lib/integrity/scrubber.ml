@@ -15,7 +15,7 @@ let pp_report ppf r =
 
 let from_device other n =
   match Disk.read other n with
-  | data -> Some data
+  | data -> Some (data, Disk.sum other n)
   | exception Sp_core.Fserr.Io_error _ -> None
 
 (* The scrubber is an offline tool in the fsck family: it reads the raw
@@ -39,8 +39,7 @@ let run ?repair_with disk =
       for b = 0 to layout.Layout.total_blocks - 1 do
         if Csum.covers c b then begin
           incr scanned;
-          let data = Disk.read disk b in
-          if not (Csum.matches c b data) then begin
+          if not (Csum.matches c b (Disk.read_sum disk b)) then begin
             incr bad;
             Sp_sim.Metrics.incr_checksum_failures ();
             if Sp_trace.enabled () then
@@ -51,7 +50,7 @@ let run ?repair_with disk =
             | None -> ()
             | Some fetch -> (
                 match fetch b with
-                | Some good when Csum.matches c b good ->
+                | Some (good, sum) when Csum.matches c b sum ->
                     Disk.write disk b good;
                     incr repaired;
                     Sp_sim.Metrics.incr_integrity_repairs ();

@@ -53,14 +53,17 @@ let record t n data =
   end
   else cksum_padded data
 
-let matches t n data =
+(* [sum] is the device's fold of the block ([Disk.sum]): the bytes are
+   not folded again, but the verification still charges a fold's CPU, so
+   simulated time does not depend on which side of the device did it. *)
+let matches t n sum =
   (not (covers t n))
   ||
-  (Sp_obj.Door.charge_cpu (work_units (Bytes.length data));
-   cksum_padded data = stored t n)
+  (Sp_obj.Door.charge_cpu (work_units bs);
+   sum = stored t n)
 
-let check t ~label n data =
-  if not (matches t n data) then begin
+let check t ~label n sum =
+  if not (matches t n sum) then begin
     Sp_sim.Metrics.incr_checksum_failures ();
     if Sp_trace.enabled () then
       Sp_trace.instant ~name:"checksum:mismatch"

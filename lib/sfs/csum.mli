@@ -7,12 +7,17 @@
     covering the region would make updates recursive.
 
     A [t] is the in-memory image of the region.  [Journal.write] calls
-    {!record} on every store and {!check} on every device read, so silent
-    corruption anywhere below — bit rot, a misdirected write, a lost
-    write — surfaces as {!Sp_core.Fserr.Checksum_error} instead of wrong
-    bytes.  On a journaled dev the dirty region blocks join the same
-    commit batch as the data they describe, preserving crash atomicity;
-    on a raw dev they are written through after the data.
+    {!record} on every store, and [Journal.read] calls {!check} on every
+    device read with the device's own sum of the block
+    ({!Sp_blockdev.Disk.sum}), so silent corruption anywhere below — bit
+    rot, a misdirected write, a lost write — surfaces as
+    {!Sp_core.Fserr.Checksum_error} instead of wrong bytes.  Nothing here
+    folds a block read from the device: the device folds each stored
+    block at most once per content, and a write hands it the sum
+    {!record} folded ({!Sp_blockdev.Disk.adopt_sum}).  On a journaled
+    dev the dirty region blocks join the same commit batch as the data
+    they describe, preserving crash atomicity; on a raw dev they are
+    written through after the data.
 
     Verifying and recording charge simulated CPU via
     [Sp_obj.Door.charge_cpu] (free under the [fast] model, visible in the
@@ -48,9 +53,6 @@ val covers : t -> int -> bool
 (** The region block holding the checksum entry for covered block [n]. *)
 val home : t -> int -> int
 
-(** Stored checksum for covered block [n]. *)
-val stored : t -> int -> int
-
 (** Fold [data] ({!cksum_padded}) and return the sum.  When [n] is
     covered, also charge the fold's CPU, update [n]'s in-memory entry and
     mark its region block dirty; an uncovered [n] is folded only.  The
@@ -59,12 +61,14 @@ val stored : t -> int -> int
     returned sum instead of folding the block again. *)
 val record : t -> int -> bytes -> int
 
-(** [true] when [n] is uncovered or the data matches its entry. *)
-val matches : t -> int -> bytes -> bool
+(** [matches t n sum] is [true] when [n] is uncovered or [sum], the fold
+    of the block's full contents (the device's {!Sp_blockdev.Disk.sum}),
+    equals its entry.  A covered block charges one block fold's CPU. *)
+val matches : t -> int -> int -> bool
 
 (** Raise [Fserr.Checksum_error] (bumping [Metrics.checksum_failures] and
     emitting a trace instant) unless {!matches}. *)
-val check : t -> label:string -> int -> bytes -> unit
+val check : t -> label:string -> int -> int -> unit
 
 (** Region blocks (absolute indices, sorted) recorded since the last
     {!clear_dirty}. *)

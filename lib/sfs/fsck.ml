@@ -261,7 +261,7 @@ let check ?(verify_checksums = false) disk =
              b < layout.Layout.data_start || Hashtbl.mem owners b
            in
            if in_use && Csum.covers c b
-              && not (Csum.matches c b (Sp_blockdev.Disk.read disk b))
+              && not (Csum.matches c b (Sp_blockdev.Disk.read_sum disk b))
            then report (Checksum_mismatch b)
          done);
   List.rev !problems

@@ -87,14 +87,17 @@ let replay disk ~start =
          never returned to its caller). *)
       let datas =
         List.mapi (fun i (target, ck) ->
-            (target, ck, Sp_blockdev.Disk.read disk (start + 1 + i)))
+            let data = Sp_blockdev.Disk.read disk (start + 1 + i) in
+            (* the device's sum of the bytes just read: no suspension
+               point lies between the copy and the sum *)
+            (target, ck, data, Sp_blockdev.Disk.sum disk (start + 1 + i)))
           entries
       in
-      (* Int32 round-trips make high-bit checksums negative; mask both
-         sides back to 32 bits before comparing. *)
-      if List.for_all (fun (_, ck, data) -> Csum.cksum data = ck land 0xffffffff) datas
+      (* Int32 round-trips make high-bit checksums negative; mask the
+         entry back to 32 bits before comparing. *)
+      if List.for_all (fun (_, ck, _, sum) -> sum = ck land 0xffffffff) datas
       then begin
-        List.iter (fun (target, _, data) -> Sp_blockdev.Disk.write disk target data) datas;
+        List.iter (fun (target, _, data, _) -> Sp_blockdev.Disk.write disk target data) datas;
         Sp_blockdev.Disk.write disk start (encode_header ~state:0 ~seq ~entries:[]);
         List.length datas
       end
@@ -148,8 +151,13 @@ let read dev n =
       dev.d_fence ();
       let data = Sp_blockdev.Disk.read dev.d_disk n in
       (match dev.d_csum with
-      | Some c -> Csum.check c ~label:(Sp_blockdev.Disk.label dev.d_disk) n data
-      | None -> ());
+      | Some c when Csum.covers c n ->
+          (* The device's sum, taken right after [Disk.read] returns: no
+             suspension point lies between the copy and the sum, so no
+             other task can have changed the stored bytes in between. *)
+          Csum.check c ~label:(Sp_blockdev.Disk.label dev.d_disk) n
+            (Sp_blockdev.Disk.sum dev.d_disk n)
+      | _ -> ());
       data
 
 let write dev n data =
@@ -161,8 +169,9 @@ let write dev n data =
       | Some c when Csum.covers c n ->
           (* Write-through: data first, then the region block holding its
              entry.  A crash between the two leaves a detectable (stale
-             checksum) window — raw devs never promised atomicity. *)
-          ignore (Csum.record c n data : int);
+             checksum) window — raw devs never promised atomicity.  The
+             device adopts the recorded sum only if it stored [data]. *)
+          Sp_blockdev.Disk.adopt_sum dev.d_disk n data (Csum.record c n data);
           List.iter
             (fun cb ->
               dev.d_fence ();
@@ -212,7 +221,7 @@ let write_vec dev writes =
           List.iter
             (fun (n, data) ->
               if Csum.covers c n then begin
-                ignore (Csum.record c n data : int);
+                Sp_blockdev.Disk.adopt_sum dev.d_disk n data (Csum.record c n data);
                 recorded := true
               end)
             writes;
@@ -245,11 +254,13 @@ let commit_batch ~fence t blocks =
   fence ();
   Sp_blockdev.Disk.write t.disk t.start (encode_header ~state:1 ~seq:t.seq ~entries);
   t.journal_writes <- t.journal_writes + 1;
-  (* 3. Home writes. *)
+  (* 3. Home writes; each block's device adopts the triple's sum if it
+     stored the bytes, so a later verified read need not fold them. *)
   List.iter
-    (fun (n, data, _) ->
+    (fun (n, data, ck) ->
       fence ();
-      Sp_blockdev.Disk.write t.disk n data)
+      Sp_blockdev.Disk.write t.disk n data;
+      Sp_blockdev.Disk.adopt_sum t.disk n data ck)
     blocks;
   (* The clean mark is NOT written here: consecutive batches of one
      commit pipeline — the next batch's sealed header (higher seq)

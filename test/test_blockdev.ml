@@ -97,6 +97,71 @@ let prop_blocks_independent =
           |> List.mapi (fun i expected -> Bytes.equal (D.read disk i) expected)
           |> List.for_all Fun.id))
 
+(* The device's sum tracks its stored bytes through every write shape
+   and every fault that changes, misplaces or drops them.  A step is a
+   write (full, short, all-zero — mostly to a never-written block — or a
+   two-block vector) that may meet one fault, after which each written
+   block is offered the caller's fold of its data, as the journal does;
+   or a read that rots the block it returns.  After every step each
+   block's sum must equal the fold of what a read returns, and checking
+   it warms every sum before the next step. *)
+let prop_sum_tracks_bytes =
+  let blocks = 8 in
+  let step = QCheck2.Gen.(quad (int_range 0 4) (int_range 0 (blocks - 2)) (int_range 0 5) nat) in
+  Util.qcheck_case ~count:300 "device sum equals the fold of the stored bytes"
+    QCheck2.Gen.(list_size (int_range 1 24) step)
+    (fun steps ->
+      Util.in_world (fun () ->
+          let disk = D.create ~blocks () in
+          let data shape seed =
+            match shape with
+            | 0 -> Util.pattern_bytes ~seed:(seed mod 3) D.block_size
+            | 1 -> Util.pattern_bytes ~seed (1 + (seed mod (D.block_size - 1)))
+            | _ -> Bytes.make (if seed land 1 = 0 then D.block_size else seed mod D.block_size) '\000'
+          in
+          let sound () =
+            List.for_all
+              (fun n -> D.sum disk n = Sp_sfs.Csum.cksum (D.read disk n))
+              (List.init blocks Fun.id)
+          in
+          (* [seed] also places a torn write's cut and a rotted bit *)
+          let under fault ~point ~seed ~after f =
+            match fault with
+            | None -> f ()
+            | Some fault ->
+                Sp_fault.with_plan
+                  (Sp_fault.plan ~seed [ Sp_fault.rule ~point ~after ~count:1 fault ])
+                  f
+          in
+          List.for_all
+            (fun (shape, n, fault, seed) ->
+              (match shape with
+              | 4 ->
+                  under (Some Sp_fault.Bitrot) ~point:"disk.read" ~seed ~after:0 (fun () ->
+                      ignore (D.read disk n))
+              | _ ->
+                  let fault =
+                    List.nth
+                      Sp_fault.
+                        [ None; Some Torn_write; Some Bitrot; Some Misdirected_write; Some Lost_write; None ]
+                      fault
+                  in
+                  (* the zero shape goes to the never-written top block *)
+                  let n = if shape = 2 && seed land 2 = 0 then blocks - 1 else n in
+                  let writes =
+                    if shape = 3 then [ (n, data 0 seed); (n + 1, data 0 (seed + 1)) ]
+                    else [ (n, data shape seed) ]
+                  in
+                  (* a vector's fault may hit either block *)
+                  let after = if shape = 3 then seed land 1 else 0 in
+                  under fault ~point:"disk.write" ~seed ~after (fun () ->
+                      match writes with
+                      | [ (n, d) ] -> D.write disk n d
+                      | _ -> D.write_vec disk writes);
+                  List.iter (fun (n, d) -> D.adopt_sum disk n d (Sp_sfs.Csum.cksum_padded d)) writes);
+              sound ())
+            steps))
+
 (* The elevator's SCAN pick as it was first written — two filters and a
    fold under polymorphic tuple compare — kept as the reference the
    one-pass pick must match.  [pending] is newest first. *)
@@ -186,5 +251,6 @@ let suite =
     Alcotest.test_case "elevator release allocation flat in queue depth" `Quick
       test_elevator_release_allocation;
     prop_blocks_independent;
+    prop_sum_tracks_bytes;
     prop_elevator_matches_reference;
   ]

@@ -191,6 +191,78 @@ let test_mirror_self_heals_both_twins () =
       Alcotest.(check int) "scrub of a clean mirror repairs nothing" 0
         (M.scrub mirror))
 
+(* ---------------- Device sums -------------------------------------- *)
+
+(* A split SFS on its own disk holding one synced page of ['a'], read
+   back cold once so every block the read touches has a warm device sum;
+   [cold] drops every cache and reads the page again. *)
+let warm_split tag =
+  let vmm = Sp_vm.Vmm.create ~node:"local" (tag ^ "-vmm") in
+  let disk = Util.fresh_disk ~blocks:512 ~label:tag () in
+  let fs = Sp_coherency.Spring_sfs.make_split ~vmm ~name:tag ~same_domain:false disk in
+  let f = S.create fs (Util.name "f") in
+  ignore (F.write f ~pos:0 (Bytes.make ps 'a'));
+  F.sync f;
+  let cold () =
+    Sp_vm.Vmm.drop_caches vmm;
+    S.drop_caches fs;
+    F.read f ~pos:0 ~len:ps
+  in
+  Util.check_str "warm read" (String.make ps 'a') (cold ());
+  (f, cold)
+
+let expect_checksum_error what cold =
+  match cold () with
+  | got -> Alcotest.failf "%s: served %C without a checksum error" what (Bytes.get got 0)
+  | exception Sp_core.Fserr.Checksum_error _ -> ()
+
+(* A cold read makes two device reads, the i-node block and then the
+   data block.  Rot flips the data block's stored bit as the second read
+   returns it: the device must forget its warm sum, or the flip is
+   served. *)
+let test_read_rot_beats_warm_sum () =
+  Util.in_world (fun () ->
+      let _, cold = warm_split "sum-rot" in
+      let plan =
+        Sp_fault.plan
+          [ Sp_fault.rule ~point:"disk.read" ~label:"sum-rot" ~after:1 ~count:1 Sp_fault.Bitrot ]
+      in
+      Sp_fault.with_plan plan (fun () -> expect_checksum_error "read-side rot" cold);
+      Alcotest.(check int) "the rot fired" 1 (Sp_fault.fired plan))
+
+(* A sync of one page writes the data block first.  A lost data write
+   leaves the old bytes and their warm sum on the device; a rotted one
+   stores other bytes than those whose sum the write-through records.
+   Either way the device must not adopt the recorded sum. *)
+let write_fault_not_adopted (what, fault) =
+  Alcotest.test_case ("device sum: " ^ what ^ " after a warm read") `Quick (fun () ->
+      Util.in_world (fun () ->
+          let tag = "sum-" ^ String.sub what 0 4 in
+          let f, cold = warm_split tag in
+          let plan = Sp_fault.plan [ Sp_fault.rule ~point:"disk.write" ~label:tag ~count:1 fault ] in
+          Sp_fault.with_plan plan (fun () ->
+              ignore (F.write f ~pos:0 (Bytes.make ps 'b'));
+              F.sync f);
+          Alcotest.(check int) "the data write met the fault" 1 (Sp_fault.fired plan);
+          expect_checksum_error what cold))
+
+(* Verification folds nothing: a warm verified read of a covered block
+   allocates the device's copy and nothing more (514 words), and a
+   write-through allocates the region block's image and its dirty list
+   (583 words).  Passing the seeded sum boxed would add to both. *)
+let test_verified_io_allocation () =
+  Util.in_world (fun () ->
+      let disk = Util.fresh_disk ~blocks:512 ~label:"sum-alloc" () in
+      let layout = Sp_sfs.Layout.decode_superblock (D.read disk 0) in
+      let dev = Sp_sfs.Journal.make ~csum:(Option.get (Sp_sfs.Csum.attach disk layout)) disk in
+      let n = layout.Sp_sfs.Layout.data_start + 7 in
+      let data = Util.pattern_bytes ~seed:9 ps in
+      Sp_sfs.Journal.write dev n data;
+      let read = Util.words_per_call (fun () -> ignore (Sp_sfs.Journal.read dev n : bytes)) in
+      let write = Util.words_per_call (fun () -> Sp_sfs.Journal.write dev n data) in
+      if read > 514. then Alcotest.failf "warm verified read: %.0f words (bound 514)" read;
+      if write > 583. then Alcotest.failf "write-through: %.0f words (bound 583)" write)
+
 (* ---------------- Corruption sweep --------------------------------- *)
 
 let test_sweep_checksums_catch_everything () =
@@ -398,6 +470,12 @@ let suite =
       test_scrubber_without_checksum_region;
     Alcotest.test_case "mirror: self-heals rot on either twin" `Quick
       test_mirror_self_heals_both_twins;
+    Alcotest.test_case "device sum: read-side rot after a warm read" `Quick
+      test_read_rot_beats_warm_sum;
+    write_fault_not_adopted ("lost data write", Sp_fault.Lost_write);
+    write_fault_not_adopted ("rotted data write", Sp_fault.Bitrot);
+    Alcotest.test_case "device sum: verified I/O allocation" `Quick
+      test_verified_io_allocation;
     Alcotest.test_case "sweep: checksums leave nothing silent" `Slow
       test_sweep_checksums_catch_everything;
     Alcotest.test_case "sweep: mirror mode repairs" `Slow test_sweep_mirror_repairs;

@@ -258,9 +258,9 @@ let test_region_write_during_region_write () =
         (!b_started_at < !a_done_at);
       let region = Option.get (Sp_sfs.Csum.attach disk layout) in
       Alcotest.(check bool) "the device holds A's entry" true
-        (Sp_sfs.Csum.matches region block_a data_a);
+        (Sp_sfs.Csum.matches region block_a (Sp_sfs.Csum.cksum data_a));
       Alcotest.(check bool) "the device lacks B's entry" false
-        (Sp_sfs.Csum.matches region block_b data_b);
+        (Sp_sfs.Csum.matches region block_b (Sp_sfs.Csum.cksum data_b));
       Alcotest.(check int) "raw device digest" 0xc75cd65e (Util.device_digest disk))
 
 (* A pager that writes the page it is being handed, in the middle of
