@@ -147,6 +147,56 @@ let test_two_task_interleave_partitions_busy () =
       in
       Alcotest.(check int) "work spans span both tasks" 2 (List.length tasks))
 
+(* Three tasks whose waits mix the two ways a task comes back: the short
+   task's charges often fall before every pending timer, so it is the
+   only task that can run next, while the long and mid tasks park behind
+   a one-server station and each other's timers.  The figures were
+   recorded with every wait parked; they pin the busy total and each
+   span's self and queue time, whichever way a wait resumes. *)
+let test_pinned_mixed_waits () =
+  Util.in_world (fun () ->
+      let d = Sp_obj.Sdomain.create "t_pin_srv" in
+      let st = Sp_sched.Station.create ~servers:1 "t_pin_q" in
+      let long () =
+        for _ = 1 to 2 do
+          Sp_obj.Door.call ~op:"pin.long" d (fun () -> Sp_sched.Station.serve st 1_000)
+        done
+      in
+      let short () =
+        for _ = 1 to 4 do
+          Sp_obj.Door.call ~op:"pin.short" d (fun () -> Sp_sim.Simclock.advance 100)
+        done
+      in
+      let mid () =
+        Sp_sched.sleep 50;
+        Sp_obj.Door.call ~op:"pin.mid" d (fun () ->
+            Sp_sched.Station.serve st 300;
+            Sp_sim.Simclock.advance 200)
+      in
+      let (), trace =
+        T.with_tracing (fun () -> ignore (Sp_sched.run ~seed:5 [ long; short; mid ]))
+      in
+      let rows =
+        List.map
+          (fun sp ->
+            Printf.sprintf "%s self=%d queue=%d" sp.T.sp_op sp.T.sp_self_ns sp.T.sp_queue_ns)
+          trace.T.tr_spans
+      in
+      Alcotest.(check int) "busy total" 2907 trace.T.tr_busy_ns;
+      Alcotest.(check (list string))
+        "spans in completion order"
+        [ "pin.short self=101 queue=0"; "pin.short self=101 queue=0";
+          "pin.short self=101 queue=0"; "pin.short self=101 queue=0";
+          "task:t1 self=0 queue=0"; "pin.long self=1001 queue=0";
+          "pin.mid self=501 queue=950"; "task:t0 self=0 queue=0";
+          "pin.long self=1001 queue=299"; "task:t2 self=0 queue=0";
+          "workload self=0 queue=0" ]
+        rows;
+      let span_sum =
+        List.fold_left (fun acc sp -> acc + sp.T.sp_self_ns) 0 trace.T.tr_spans
+      in
+      Alcotest.(check int) "span self-times sum to total busy" trace.T.tr_busy_ns span_sum)
+
 (* --- disabled path --- *)
 
 let test_disabled_is_identical () =
@@ -339,6 +389,8 @@ let suite =
       test_self_time_partitions_total;
     Alcotest.test_case "two-task interleave partitions busy" `Quick
       test_two_task_interleave_partitions_busy;
+    Alcotest.test_case "mixed inline and parked waits: pinned spans" `Quick
+      test_pinned_mixed_waits;
     Alcotest.test_case "disabled tracing changes nothing" `Quick
       test_disabled_is_identical;
     Alcotest.test_case "exception tears tracing down" `Quick
