@@ -4,8 +4,10 @@
    fibers).  A task never runs in parallel with another — the simulation
    stays single-threaded and deterministic — but whenever a task charges
    virtual time ([Simclock.advance], which every cost in the system goes
-   through), it suspends and other ready tasks run until the clock
-   reaches its wake time.  Service therefore overlaps by default;
+   through), other ready tasks run until the clock reaches its wake
+   time.  The task suspends for that, unless no other task could run
+   first: then the clock advances in place, with the same bookkeeping
+   (see [wait]).  Service therefore overlaps by default;
    *serialization* is introduced only where a queueing resource ([Station],
    [Rwlock], the disk queue in [Sp_blockdev.Disk]) models contention.
 
@@ -429,6 +431,32 @@ let handler s =
     effc;
   }
 
+(* A charge by the current task.  When no other task can run before its
+   wake instant — none is ready, and no timer fires at or before it (a
+   timer at that same instant was created earlier, so it fires first) —
+   the task is provably the next dispatched.  Parking would push a
+   timer, pop it and dispatch this same task; doing that bookkeeping in
+   place gives the same clock, busy time, switch count, digest and trace
+   without a fiber switch.  Task-local slots are left as they are: the
+   only code that would run in between is the task's own waker.  Once a
+   run aborts a wait must not move the clock, so it takes the wait
+   arm. *)
+let wait s ns =
+  if
+    (not s.aborting)
+    && Ring.is_empty s.ready
+    && (Heap.is_empty s.timers || Heap.min_time s.timers > Sp_sim.Simclock.now () + ns)
+  then begin
+    Sp_sim.Sched_hook.note_busy ns;
+    Sp_trace.on_task_suspend ();
+    s.timer_seq <- s.timer_seq + 1;
+    Sp_sim.Simclock.advance_raw ns;
+    s.switches <- s.switches + 1;
+    fold_digest s s.current_task.t_seq;
+    Sp_trace.on_task_resume ()
+  end
+  else Effect.perform (Wait ns)
+
 let new_task s name fn =
   incr global_ids;
   (* Run-local ordinal: the digest must depend only on this run's
@@ -607,7 +635,7 @@ let run ?(seed = 0) fns =
   Array.iter (fun fn -> ignore (new_task s None fn)) arr;
   let h = handler s in
   cur := Some s;
-  Sp_sim.Sched_hook.advance_hook := Some (fun ns -> Effect.perform (Wait ns));
+  Sp_sim.Sched_hook.advance_hook := Some (wait s);
   Fun.protect
     ~finally:(fun () ->
       cur := None;

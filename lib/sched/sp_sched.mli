@@ -2,8 +2,12 @@
     cooperatively interleaved tasks over [Sp_sim.Simclock].
 
     While a run is active, every [Simclock.advance] performed by a task
-    suspends it until virtual time passes (other ready tasks run in the
-    gap), so independent clients' service times overlap by default.
+    waits until virtual time passes (other ready tasks run in the gap),
+    so independent clients' service times overlap by default.  The task
+    suspends for the wait unless no other task can run before its wake
+    instant; then the clock advances in place, and the switch count,
+    digest, busy time and trace come out as if it had suspended.  Task
+    code must still treat every charge as a possible suspension point.
     Contention is modelled explicitly with the queueing resources below:
     a {!Station} serializes door crossings into a domain, {!Rwlock} makes
     [Mrsw] grants block, and the disk keeps an elevator queue (in
