@@ -24,8 +24,8 @@ val set_main : unit -> unit
 val in_task : unit -> bool
 
 (** When set and [in_task ()], [Simclock.advance n] calls this instead of
-    moving the clock: the scheduler suspends the task until virtual time
-    has passed it.  Scheduler internal. *)
+    moving the clock: the scheduler makes the task wait until virtual
+    time has passed it.  Scheduler internal. *)
 val advance_hook : (int -> unit) option ref
 
 (** Charge [ns] of busy time to the current context (also accumulates the

@@ -11,13 +11,15 @@ val now : unit -> int
 (** Advance the clock by the given number of nanoseconds.  Negative
     increments are rejected with [Invalid_argument].  When a discrete-event
     scheduler is active and the caller is a task (see {!Sched_hook}), the
-    advance becomes a virtual-time sleep: the task suspends and other ready
-    tasks run until the clock passes the wake time. *)
+    advance becomes a virtual-time sleep: other ready tasks run until the
+    clock passes the wake time (the task suspends, unless the scheduler
+    can tell no other task would run first). *)
 val advance : int -> unit
 
 (** Move the clock without consulting the scheduler hook or charging busy
     time.  Scheduler internal — this is how the event loop jumps to the
-    next timer; everything else must use {!advance}. *)
+    next timer, and how a wait resumed inline moves the clock; everything
+    else must use {!advance}. *)
 val advance_raw : int -> unit
 
 (** Reset virtual time to zero.  Used by tests and by the benchmark harness
