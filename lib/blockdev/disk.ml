@@ -66,20 +66,20 @@ let check t n =
 
 (* The stored bytes of block [n], for a caller about to change them:
    every site that writes stored bytes comes through here, so this is
-   where the block's sum is forgotten. *)
-let materialize t n =
+   where the block's sum is forgotten.  A never-written block gets a
+   fresh buffer, zeroed unless the caller is about to write all of it
+   ([~whole]). *)
+let materialize ?(whole = false) t n =
   match t.blocks.(n) with
   | Block b ->
       b.sum <- unknown;
       b.data
   | Zero ->
-      let data = Bytes.make block_size '\000' in
+      let data = if whole then Bytes.create block_size else Bytes.make block_size '\000' in
       t.blocks.(n) <- Block { data; sum = unknown };
       data
 
-let all_zero data =
-  let rec go i = i >= Bytes.length data || (Bytes.get data i = '\000' && go (i + 1)) in
-  go 0
+let all_zero data = Sp_dir.Hash.zero_tail data = Bytes.length data
 
 (* Charge the latency of accessing block [n]: a seek (plus rotational delay)
    unless the head is already adjacent, then the media transfer. *)
@@ -247,13 +247,16 @@ let write_with ~charge t n data =
     t.writes <- t.writes + 1;
     Sp_sim.Metrics.incr_disk_writes ();
     (* Writing zeros to a never-written block (mkfs clearing bitmaps and
-       inode tables) leaves it unmaterialised. *)
+       inode tables, [alloc_block]'s clears) leaves it unmaterialised.
+       Otherwise each byte of the block is written once: the data, then
+       the zero padding after it. *)
     match t.blocks.(m) with
     | Zero when all_zero data -> ()
     | _ ->
-        let block = materialize t m in
-        Bytes.fill block 0 block_size '\000';
-        Bytes.blit data 0 block 0 (Bytes.length data)
+        let len = Bytes.length data in
+        let block = materialize ~whole:true t m in
+        Bytes.blit data 0 block 0 len;
+        Bytes.fill block len (block_size - len) '\000'
   in
   match Sp_fault.consult ~point:"disk.write" ~label:t.label with
   | Sp_fault.Fail_io msg ->

@@ -58,7 +58,10 @@ val read_sum : t -> int -> int
 val adopt_sum : t -> int -> bytes -> int -> unit
 
 (** [write t n data] stores [data] (at most one block; shorter data is
-    zero-padded) into block [n].  Consults {!Sp_fault} at ["disk.write"]:
+    zero-padded) into block [n], writing each byte of the block once.
+    All-zero [data] written to a never-written block leaves it
+    unmaterialised (found by a word-wide scan), so it still reads as
+    zeros and costs no host memory.  Consults {!Sp_fault} at ["disk.write"]:
     besides [Io_error]/[Crash], a torn-write fault persists only a prefix
     of [data] and leaves the tail of the previous block contents in
     place; [Bitrot] stores the data with one bit flipped;

@@ -45,7 +45,9 @@ type span = {
   sp_stop : int;  (** simulated ns at exit *)
   sp_self_ns : int;  (** own busy time minus time inside child spans *)
   sp_queue_ns : int;
-      (** of [sp_self_ns], time spent waiting in a resource queue *)
+      (** own time spent waiting in a resource queue, recorded beside
+          [sp_self_ns], not inside it: under the scheduler a queue wait
+          is idle, not busy, so it can exceed the self time *)
   sp_metrics : Sp_sim.Metrics.snapshot;  (** inclusive metrics delta *)
   sp_self_metrics : Sp_sim.Metrics.snapshot;  (** delta minus children *)
   sp_copy_bytes : int;  (** marshalling bytes charged inside (self) *)

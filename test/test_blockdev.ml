@@ -97,6 +97,49 @@ let prop_blocks_independent =
           |> List.mapi (fun i expected -> Bytes.equal (D.read disk i) expected)
           |> List.for_all Fun.id))
 
+(* A block that is zero but for one byte must be stored, never taken
+   for a zero write that leaves a never-written block unmaterialised, and
+   stored whole over a materialised block.  Every position is tried with
+   0x01, 0x80 (the byte a shifted or sign-extended word compare drops at
+   a word's end) and 0xff; the materialised block's sum is warm before
+   each overwrite, so a kept stale sum shows too. *)
+let test_one_byte_blocks () =
+  Util.in_world (fun () ->
+      let pattern = Util.pattern_bytes ~seed:3 D.block_size in
+      let data = Bytes.make D.block_size '\000' in
+      let stored kind ~v ~pos disk =
+        let back = D.read disk 0 in
+        if not (Bytes.equal back data) then
+          Alcotest.failf "%s block, %#x at %d: bytes read back differ" kind v pos;
+        if D.sum disk 0 <> Sp_sfs.Csum.cksum back then
+          Alcotest.failf "%s block, %#x at %d: device sum" kind v pos
+      in
+      let disk = D.create ~blocks:1 () in
+      List.iter
+        (fun v ->
+          for pos = 0 to D.block_size - 1 do
+            Bytes.set data pos (Char.chr v);
+            let fresh = D.create ~blocks:1 () in
+            D.write fresh 0 data;
+            stored "never-written" ~v ~pos fresh;
+            D.write disk 0 pattern;
+            ignore (D.sum disk 0 : int);
+            D.write disk 0 data;
+            stored "materialised" ~v ~pos disk;
+            Bytes.set data pos '\000'
+          done)
+        [ 0x01; 0x80; 0xff ];
+      (* a short write over a materialised block leaves a zero tail *)
+      let short = Util.pattern_bytes ~seed:4 1024 in
+      D.write disk 0 pattern;
+      ignore (D.sum disk 0 : int);
+      D.write disk 0 short;
+      let back = D.read disk 0 in
+      Util.check_bytes "1 KiB payload" short (Bytes.sub back 0 1024);
+      Util.check_bytes "zero tail" (Bytes.make (D.block_size - 1024) '\000')
+        (Bytes.sub back 1024 (D.block_size - 1024));
+      Alcotest.(check int) "short write's sum" (Sp_sfs.Csum.cksum back) (D.sum disk 0))
+
 (* The device's sum tracks its stored bytes through every write shape
    and every fault that changes, misplaces or drops them.  A step is a
    write (full, short, all-zero — mostly to a never-written block — or a
@@ -247,6 +290,7 @@ let suite =
     Alcotest.test_case "latency model" `Quick test_latency_model;
     Alcotest.test_case "stats" `Quick test_stats;
     Alcotest.test_case "metrics integration" `Quick test_metrics_integration;
+    Alcotest.test_case "one-byte blocks stored whole" `Quick test_one_byte_blocks;
     Alcotest.test_case "elevator serves in SCAN order" `Quick test_elevator_order;
     Alcotest.test_case "elevator release allocation flat in queue depth" `Quick
       test_elevator_release_allocation;

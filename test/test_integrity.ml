@@ -397,15 +397,17 @@ let flip_case =
           in
           clean && detected))
 
+(* FNV-1a from state [h], masked to 32 bits after every byte: the
+   reference every fold is checked against. *)
+let fnv_masked ?(h = 0x811c9dc5) s =
+  let h = ref h in
+  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xffffffff) s;
+  !h
+
 (* Checksums are on-disk bytes: the once-masked folds must equal FNV-1a
    masked to 32 bits after every byte, the padded form over the explicit
    zero-padded block. *)
 let prop_fnv1a_masked_once =
-  let fnv_masked s =
-    let h = ref 0x811c9dc5 in
-    String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xffffffff) s;
-    !h
-  in
   let bs = Sp_blockdev.Disk.block_size in
   Util.qcheck_case ~count:200 "fnv1a folds match per-byte-masked reference"
     QCheck2.Gen.(string_size (int_range 0 bs))
@@ -416,6 +418,37 @@ let prop_fnv1a_masked_once =
       && Sp_dir.Hash.fnv1a s = h
       && Sp_sfs.Csum.cksum_padded b
          = fnv_masked (s ^ String.make (bs - String.length s) '\000'))
+
+(* The fold multiplies a range's trailing zeros and its [pad] in one
+   power of the prime.  Buffers are a random prefix (often empty, so
+   all-zero buffers come up) then a zero run of any length, with [off],
+   [len], [pad] and the starting state random: windows that end inside
+   the run, inside the prefix or on a word boundary, and a pad after a
+   zero tail. *)
+let prop_fold_zero_runs =
+  let bs = Sp_blockdev.Disk.block_size in
+  let gen =
+    QCheck2.Gen.(
+      let* prefix = frequency [ (1, return ""); (3, string_size (int_range 1 64)) ] in
+      let* zeros = frequency [ (1, return 0); (2, int_range 1 16); (4, int_range 17 bs) ] in
+      let b = prefix ^ String.make zeros '\000' in
+      let n = String.length b in
+      let* off = frequency [ (1, return 0); (1, int_range 0 n) ] in
+      let* len = frequency [ (2, return (n - off)); (1, int_range 0 (n - off)) ] in
+      let* pad = frequency [ (1, return 0); (1, int_range 1 bs) ] in
+      let* h = frequency [ (1, return Sp_dir.Hash.basis); (1, int_range 0 0xffffffff) ] in
+      return (b, off, len, pad, h))
+  in
+  let print (b, off, len, pad, h) =
+    Printf.sprintf "%d bytes (%d trailing zeros) off=%d len=%d pad=%d h=%#x" (String.length b)
+      (Sp_dir.Hash.zero_tail (Bytes.of_string b))
+      off len pad h
+  in
+  Util.qcheck_case ~count:500 "fnv1a fold of zero runs matches per-byte-masked reference"
+    gen (fun ((b, off, len, pad, h) as case) ->
+      let got = Sp_dir.Hash.fold h (Bytes.of_string b) ~off ~len ~pad in
+      let want = fnv_masked ~h (String.sub b off len ^ String.make pad '\000') in
+      got = want || QCheck2.Test.fail_reportf "%s: fold %#x, reference %#x" (print case) got want)
 
 (* Published FNV-1a-32 vectors, plus the zero block every fresh covered
    block starts with. *)
@@ -445,12 +478,21 @@ let prop_fold_resumes =
       h = Sp_dir.Hash.fnv1a (s ^ "\000\000\000"))
 
 (* The fold keeps its state unboxed: a boxed [Int64] state would pass
-   every value test above and allocate on every byte. *)
+   every value test above and allocate on every byte, and a boxed word
+   in the zero-run scan would allocate on every eight. *)
 let test_fnv1a_allocates_nothing () =
-  let block = Util.pattern_bytes ~seed:5 Sp_blockdev.Disk.block_size in
+  let bs = Sp_blockdev.Disk.block_size in
+  let block = Util.pattern_bytes ~seed:5 bs in
+  let zero_tail = Bytes.copy block in
+  Bytes.fill zero_tail 1024 (bs - 1024) '\000';
+  let zero = Bytes.make bs '\000' in
   let name = "a-directory-entry-name" in
   Alcotest.(check (float 0.)) "Csum.cksum of a block" 0.
     (Util.minor_words_per_call (fun () -> ignore (Sp_sfs.Csum.cksum block : int)));
+  Alcotest.(check (float 0.)) "Csum.cksum of a block with a 3 KiB zero tail" 0.
+    (Util.minor_words_per_call (fun () -> ignore (Sp_sfs.Csum.cksum zero_tail : int)));
+  Alcotest.(check (float 0.)) "Csum.cksum of an all-zero block" 0.
+    (Util.minor_words_per_call (fun () -> ignore (Sp_sfs.Csum.cksum zero : int)));
   Alcotest.(check (float 0.)) "Hash.fnv1a of a name" 0.
     (Util.minor_words_per_call (fun () -> ignore (Sp_dir.Hash.fnv1a name : int)))
 
@@ -459,6 +501,7 @@ let suite =
     prop_fnv1a_masked_once;
     Alcotest.test_case "fnv1a known answers" `Quick test_fnv1a_known_answers;
     prop_fold_resumes;
+    prop_fold_zero_runs;
     Alcotest.test_case "fnv1a folds allocate nothing" `Quick test_fnv1a_allocates_nothing;
     Alcotest.test_case "integrityfs: pass-through + verified counter" `Quick
       test_integrityfs_passthrough;
