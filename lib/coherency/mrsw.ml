@@ -7,17 +7,9 @@ let ps = V.page_size
    a read-write holder is the only holder. *)
 type holder = { h_channel : int; mutable h_mode : V.access }
 
-type t = {
-  bs : (int, holder list ref) Hashtbl.t;
-  mutable t_epoch : int;
-  t_lock : Sp_sched.Rwlock.t;
-}
+type t = { bs : (int, holder list ref) Hashtbl.t; t_lock : Sp_sched.Rwlock.t }
 
-let create () =
-  { bs = Hashtbl.create 32; t_epoch = 0; t_lock = Sp_sched.Rwlock.create "mrsw" }
-
-let epoch t = t.t_epoch
-let bump_epoch t = t.t_epoch <- t.t_epoch + 1
+let create () = { bs = Hashtbl.create 32; t_lock = Sp_sched.Rwlock.create "mrsw" }
 
 let holders t idx = match Hashtbl.find_opt t.bs idx with Some l -> !l | None -> []
 
@@ -181,9 +173,7 @@ let shrink t ~channels ~key ~old ~len ~write_down =
     drop_blocks_from t ~block:(cut / ps)
   end
 
-let clear t =
-  bump_epoch t;
-  Hashtbl.clear t.bs
+let clear t = Hashtbl.clear t.bs
 
 let invariant_holds t =
   Hashtbl.fold

@@ -15,14 +15,6 @@ type t
 
 val create : unit -> t
 
-(** Recovery epoch of this protocol instance: 0 at creation, bumped by
-    {!bump_epoch} (and by {!clear}).  Layers bump it when the serving
-    incarnation behind the state restarts, so stale callbacks can be
-    recognised and dropped. *)
-val epoch : t -> int
-
-val bump_epoch : t -> unit
-
 (** [granting t ~access f] runs [f] holding the protocol's
     readers/writer lock: read-only grants overlap, read-write grants and
     pushes are exclusive.  Reentrant per task; outside an [Sp_sched] run
@@ -109,8 +101,7 @@ val shrink :
   write_down:(Sp_vm.Vm_types.extent -> unit) ->
   unit
 
-(** Forget everything (after the backing store changed under the layer).
-    Bumps the recovery epoch. *)
+(** Forget everything (after the backing store changed under the layer). *)
 val clear : t -> unit
 
 (** The MRSW invariant over the tracked state. *)

@@ -223,16 +223,6 @@ let test_disarmed_overhead_flat () =
         model.Sp_sim.Cost_model.cross_domain_call_ns
         (Sp_sim.Simclock.now () - t0))
 
-let test_mrsw_epoch () =
-  Util.in_world (fun () ->
-      let t = Sp_coherency.Mrsw.create () in
-      Alcotest.(check int) "fresh state at epoch 0" 0 (Sp_coherency.Mrsw.epoch t);
-      Sp_coherency.Mrsw.bump_epoch t;
-      Alcotest.(check int) "explicit bump" 1 (Sp_coherency.Mrsw.epoch t);
-      Sp_coherency.Mrsw.clear t;
-      Alcotest.(check int) "clear fences the old incarnation" 2
-        (Sp_coherency.Mrsw.epoch t))
-
 let test_dfs_server_reconnect () =
   (* A DFS server domain crash: the client import holds the server by
      name, so once the supervisor restarts the server the same import
@@ -293,7 +283,6 @@ let suite =
     Alcotest.test_case "restart budget gives up" `Quick test_budget_give_up;
     Alcotest.test_case "deterministic backoff" `Quick test_backoff_deterministic;
     Alcotest.test_case "disarmed overhead flat" `Quick test_disarmed_overhead_flat;
-    Alcotest.test_case "mrsw recovery epoch" `Quick test_mrsw_epoch;
     Alcotest.test_case "dfs server reconnect" `Quick test_dfs_server_reconnect;
     Alcotest.test_case "layer crash sweep point" `Quick test_sweep_point;
   ]
