@@ -3,11 +3,12 @@
     CFS "interpose[s] on remote files when they are passed to the local
     machine".  For each interposed file it becomes a cache manager for the
     remote file by invoking [bind], caching attributes through the
-    [fs_pager]/[fs_cache] operations; read/write requests are serviced by
-    mapping the file into its address space, "thus utilizing the local VMM
-    for caching the data".  Page-ins and page-outs from the local VMM go
-    directly to the remote DFS (the bind is forwarded, CFS returning the
-    remote pager–cache channel).
+    [fs_pager]/[fs_cache] operations (one {!Sp_vm.Attr_cache} per file,
+    whose pager half is idle: CFS serves no upper managers); read/write
+    requests are serviced by mapping the file into its address space,
+    "thus utilizing the local VMM for caching the data".  Page-ins and
+    page-outs from the local VMM go directly to the remote DFS (the bind
+    is forwarded, CFS returning the remote pager–cache channel).
 
     CFS is optional: without it, every operation on a remote file goes to
     the remote DFS. *)

@@ -12,8 +12,10 @@
       its memory object), so coherency actions initiated below are
       forwarded to the upper caches — this is what makes coherent stacks
       composable out of non-coherent layers (§6.3);
-    - caches file attributes, using the [fs_cache]/[fs_pager] subclass
-      operations when the lower pager narrows to a file system.
+    - caches file attributes in one {!Sp_vm.Attr_cache} per file: it
+      uses the [fs_cache]/[fs_pager] subclass operations when the lower
+      pager narrows to a file system, and recalls and invalidates the
+      copies of upper managers that are file systems.
 
     The layer holds no page data of its own: its read/write operations map
     the exported file through the node VMM, so the VMM's unified page
