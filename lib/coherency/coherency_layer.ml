@@ -16,13 +16,9 @@ type layer = {
                      name is re-made, i.e. on supervised restart *)
   l_domain : Sp_obj.Sdomain.t;
   l_vmm : Sp_vm.Vmm.t;
-  l_embedded : bool;
-  mutable l_lower : Sp_core.Stackable.t option;
+  l_over : Sp_core.Over_one.t;
   l_channels : Sp_vm.Pager_lib.t;  (* upper channels, all files *)
   l_files : (string, cfile) Hashtbl.t;  (* keyed by lower file id *)
-  l_wrapped : (string, Sp_core.File.t * Sp_core.File.t) Hashtbl.t;
-      (* lower file id -> (lower file, wrapper); the stored lower validates
-         hits against identity reuse *)
 }
 
 let instances : (string, layer) Hashtbl.t = Hashtbl.create 4
@@ -31,11 +27,6 @@ let layer_of (sfs : Sp_core.Stackable.t) =
   match Hashtbl.find_opt instances sfs.Sp_core.Stackable.sfs_name with
   | Some l -> l
   | None -> invalid_arg (sfs.Sp_core.Stackable.sfs_name ^ ": not a coherency layer")
-
-let lower_of l =
-  match l.l_lower with
-  | Some fs -> fs
-  | None -> raise (Sp_core.Stackable.Stack_error (l.l_name ^ ": not stacked yet"))
 
 let lower_pager_of cf =
   match cf.lower_pager with
@@ -93,7 +84,7 @@ let lower_cache_object l cf =
            is too. *)
         Sp_vm.Pager_lib.destroy_key l.l_channels ~key:cf.key;
         Hashtbl.remove l.l_files cf.lower.Sp_core.File.f_id;
-        Hashtbl.remove l.l_wrapped cf.lower.Sp_core.File.f_id);
+        Sp_core.Over_one.forget l.l_over cf.lower);
     c_exten = [ Sp_vm.Attr_cache.fs_cache cf.attrs ];
   }
 
@@ -195,15 +186,7 @@ let make_memory_object l cf =
     m_set_length = (fun len -> truncate_cfile l cf len);
   }
 
-let rec wrap_file l (lower : Sp_core.File.t) =
-  match Hashtbl.find_opt l.l_wrapped lower.Sp_core.File.f_id with
-  | Some (stored, f) when stored == lower -> f
-  | Some _ | None ->
-      let f = wrap_file_fresh l lower in
-      Hashtbl.replace l.l_wrapped lower.Sp_core.File.f_id (lower, f);
-      f
-
-and wrap_file_fresh l (lower : Sp_core.File.t) =
+let build_file l ~fresh:_ (lower : Sp_core.File.t) =
   let cf = make_cfile l lower in
   let mem = make_memory_object l cf in
   let mapped =
@@ -254,110 +237,36 @@ let make ?(node = "local") ?domain ?(embedded = false) ~vmm ~name () =
       l_epoch = epoch;
       l_domain = domain;
       l_vmm = vmm;
-      l_embedded = embedded;
-      l_lower = None;
+      l_over = Sp_core.Over_one.create ~name;
       l_channels = Sp_vm.Pager_lib.create ();
       l_files = Hashtbl.create 16;
-      l_wrapped = Hashtbl.create 16;
     }
   in
   Hashtbl.replace instances name l;
-  let ctx = ref None in
-  let get_ctx () =
-    match !ctx with
-    | Some c -> c
-    | None ->
-        let lower = lower_of l in
-        let charge_open (_ : Sp_core.File.t) =
-          if not l.l_embedded then
-            Sp_sim.Simclock.advance (Sp_sim.Cost_model.current ()).open_state_ns
-        in
-        let c =
-          Sp_core.Mapped_context.make ~domain ~label:name
-            ~lower:lower.Sp_core.Stackable.sfs_ctx ~wrap_file:(wrap_file l)
-            ~on_file:charge_open ()
-        in
-        ctx := Some c;
-        c
-  in
-  let resolve_through component =
-    (get_ctx ()).Sp_naming.Context.ctx_resolve1 component
-  in
-  (* The exported context is a fixed record delegating to the lazily-built
-     mapped context, so the stackable value can exist before stack_on. *)
-  let exported_ctx =
-    {
-      Sp_naming.Context.ctx_domain = domain;
-      ctx_label = name;
-      ctx_acl = (fun () -> Sp_naming.Acl.open_acl);
-      ctx_set_acl = (fun _ -> ());
-      ctx_resolve1 = resolve_through;
-      ctx_bind1 = (fun c o -> (get_ctx ()).Sp_naming.Context.ctx_bind1 c o);
-      ctx_rebind1 = (fun c o -> (get_ctx ()).Sp_naming.Context.ctx_rebind1 c o);
-      ctx_unbind1 = (fun c -> (get_ctx ()).Sp_naming.Context.ctx_unbind1 c);
-      ctx_list = (fun () -> (get_ctx ()).Sp_naming.Context.ctx_list ());
-      ctx_readdir1 =
-        (fun ~cookie ~limit ->
-          (get_ctx ()).Sp_naming.Context.ctx_readdir1 ~cookie ~limit);
-    }
-  in
-  let self =
-    {
-      Sp_core.Stackable.sfs_name = name;
-      sfs_type = "coherency";
-      sfs_domain = domain;
-      sfs_ctx = exported_ctx;
-      sfs_stack_on =
-        (fun under ->
-          match l.l_lower with
-          | Some _ ->
-              raise
-                (Sp_core.Stackable.Stack_error
-                   (name ^ ": coherency layer stacks on exactly one file system"))
-          | None -> l.l_lower <- Some under);
-      sfs_unders = (fun () -> Option.to_list l.l_lower);
-      sfs_create =
-        (fun path ->
-          let lower = lower_of l in
-          let lower_file = Sp_core.Stackable.create lower path in
-          wrap_file l lower_file);
-      sfs_mkdir = (fun path -> Sp_core.Stackable.mkdir (lower_of l) path);
-      sfs_remove =
-        (fun path ->
-          let lower = lower_of l in
-          (match Sp_core.Stackable.open_file lower path with
-          | lower_file -> (
-              match Hashtbl.find_opt l.l_files lower_file.Sp_core.File.f_id with
-              | Some cf ->
-                  sweep l cf `Flush;
-                  Sp_vm.Pager_lib.destroy_key l.l_channels ~key:cf.key;
-                  Hashtbl.remove l.l_files lower_file.Sp_core.File.f_id;
-                  Hashtbl.remove l.l_wrapped lower_file.Sp_core.File.f_id
-              | None ->
-                  Hashtbl.remove l.l_wrapped lower_file.Sp_core.File.f_id)
-          | exception _ -> ());
-          Sp_core.Stackable.remove lower path);
-      sfs_sync =
-        (fun () ->
-          iter_cfiles l (fun cf -> sync_cfile l cf);
-          Sp_core.Stackable.sync (lower_of l));
-      sfs_drop_caches =
-        (fun () ->
-          (* Evict, don't just flush: the cfile table otherwise grows
-             with every file ever touched, which unbounds the heap of a
-             bulk build (the million-file scenario).  Evicted state is
-             rebuilt on demand at the next open.  Forward down so the
-             whole stack sheds its caches. *)
-          iter_cfiles l (fun cf ->
-              drop_cfile_caches l cf;
-              Sp_vm.Pager_lib.destroy_key l.l_channels ~key:cf.key);
-          Hashtbl.reset l.l_files;
-          Hashtbl.reset l.l_wrapped;
-          Sp_vm.Vmm.drop_caches l.l_vmm;
-          Sp_core.Stackable.drop_caches (lower_of l));
-    }
-  in
-  self
+  Sp_core.Over_one.stackable l.l_over ~sfs_type:"coherency" ~domain
+    ~wrap:(Sp_core.Over_one.file l.l_over (build_file l))
+    ~forget:(fun lower ->
+      match Hashtbl.find_opt l.l_files lower.Sp_core.File.f_id with
+      | Some cf ->
+          sweep l cf `Flush;
+          Sp_vm.Pager_lib.destroy_key l.l_channels ~key:cf.key;
+          Hashtbl.remove l.l_files lower.Sp_core.File.f_id
+      | None -> ())
+    ~sync:(fun () -> iter_cfiles l (fun cf -> sync_cfile l cf))
+    ~drop_caches:(fun () ->
+      (* Evict, don't just flush: the cfile table otherwise grows with
+         every file ever touched, which unbounds the heap of a bulk build
+         (the million-file scenario).  Evicted state is rebuilt on demand
+         at the next open.  Forward down so the whole stack sheds its
+         caches. *)
+      iter_cfiles l (fun cf ->
+          drop_cfile_caches l cf;
+          Sp_vm.Pager_lib.destroy_key l.l_channels ~key:cf.key);
+      Hashtbl.reset l.l_files;
+      Sp_core.Over_one.clear l.l_over;
+      Sp_vm.Vmm.drop_caches l.l_vmm;
+      Sp_core.Stackable.drop_caches (Sp_core.Over_one.lower l.l_over))
+    ~charge_open:(if embedded then ignore else Sp_core.Over_one.charge_open_state)
 
 let creator ?(node = "local") ~vmm () =
   {

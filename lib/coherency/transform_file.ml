@@ -1,0 +1,88 @@
+module V = Sp_vm.Vm_types
+
+let ps = V.page_size
+
+type 'a t = { key : string; lower : Sp_core.File.t; state : Mrsw.t; own : 'a }
+
+type 'a ops = {
+  page_in : 'a t -> int -> bytes;
+  store : 'a t -> offset:int -> bytes -> unit;
+  set_len : 'a t -> int -> unit;
+}
+
+let lower_len e = (Sp_core.File.stat e.lower).Sp_vm.Attr.len
+
+(* [size] bytes at [offset], assembled from whole transformed pages. *)
+let read ops e ~offset ~size =
+  let out = Bytes.create size in
+  let rec go cursor =
+    if cursor < size then begin
+      let off = offset + cursor in
+      let page = V.page_index off in
+      let data = ops.page_in e page in
+      let in_page = off - (page * ps) in
+      let n = min (size - cursor) (ps - in_page) in
+      Bytes.blit data in_page out cursor n;
+      go (cursor + n)
+    end
+  in
+  go 0;
+  out
+
+let upper_pager ~domain ~channels ops e ~id =
+  Mrsw.pager e.state ~channels ~id ~domain ~label:e.key
+    ~produce:(fun ~offset ~size ~access:_ -> read ops e ~offset ~size)
+    ~store:(fun ~retain:_ ~offset data -> ops.store e ~offset data)
+    {
+      V.fp_get_attr = (fun () -> Sp_core.File.stat e.lower);
+      fp_set_attr = (fun a -> Sp_core.File.set_attr e.lower a);
+      fp_attr_sync =
+        (fun a ->
+          let len = a.Sp_vm.Attr.len in
+          if len <> lower_len e then ops.set_len e len;
+          Sp_core.File.set_attr e.lower a);
+    }
+
+(* A shrink writes back outside any grant section, so it takes the
+   protocol's write side as a push does. *)
+let truncate ~channels ops e len =
+  Mrsw.shrink e.state ~channels ~key:e.key ~old:(lower_len e) ~len ~write_down:(fun x ->
+      Mrsw.granting e.state ~access:V.Read_write (fun () ->
+          ops.store e ~offset:x.V.ext_offset x.V.ext_data));
+  ops.set_len e len
+
+let make ~vmm ~domain ~channels ops ~key own lower =
+  let e = { key; lower; state = Mrsw.create (); own } in
+  let mem =
+    {
+      V.m_domain = domain;
+      m_label = key;
+      m_bind =
+        (fun mgr _access ->
+          Sp_vm.Pager_lib.bind channels ~key
+            ~make_pager:(fun ~id -> upper_pager ~domain ~channels ops e ~id)
+            mgr);
+      m_get_length = (fun () -> lower_len e);
+      m_set_length = (fun len -> truncate ~channels ops e len);
+    }
+  in
+  let mapped =
+    Sp_core.File.mapped_ops ~vmm ~mem
+      ~get_attr:(fun () -> Sp_core.File.stat lower)
+      ~set_attr_len:(fun len -> if len > lower_len e then ops.set_len e len)
+  in
+  {
+    Sp_core.File.f_id = key;
+    f_domain = domain;
+    f_mem = mem;
+    f_read = mapped.Sp_core.File.mo_read;
+    f_write = mapped.Sp_core.File.mo_write;
+    f_stat = (fun () -> Sp_core.File.stat lower);
+    f_set_attr = (fun a -> Sp_core.File.set_attr lower a);
+    f_truncate = (fun len -> truncate ~channels ops e len);
+    f_sync =
+      (fun () ->
+        mapped.Sp_core.File.mo_sync ();
+        Sp_core.File.sync lower);
+    f_exten = [];
+  }

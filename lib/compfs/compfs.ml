@@ -28,11 +28,9 @@ type layer = {
   l_domain : Sp_obj.Sdomain.t;
   l_vmm : Sp_vm.Vmm.t;
   l_coherent : bool;
-  mutable l_lower : Sp_core.Stackable.t option;
+  l_over : Sp_core.Over_one.t;
   l_channels : Sp_vm.Pager_lib.t;
   l_files : (string, centry) Hashtbl.t;  (* by lower file id *)
-  l_wrapped : (string, Sp_core.File.t * Sp_core.File.t) Hashtbl.t;
-      (* lower file id -> (lower file, wrapper) *)
   l_lock : Sp_sched.Mutex.t;
       (* Container operations are multi-step read-modify-write cycles
          (append, compact, rescan) whose container I/O suspends the task
@@ -50,11 +48,6 @@ let layer_of (sfs : Sp_core.Stackable.t) =
   match Hashtbl.find_opt instances sfs.Sp_core.Stackable.sfs_name with
   | Some l -> l
   | None -> invalid_arg (sfs.Sp_core.Stackable.sfs_name ^ ": not a compfs layer")
-
-let lower_of l =
-  match l.l_lower with
-  | Some fs -> fs
-  | None -> raise (Sp_core.Stackable.Stack_error (l.l_name ^ ": not stacked yet"))
 
 let locked l f = Sp_sched.Mutex.with_lock l.l_lock f
 
@@ -287,7 +280,7 @@ let lower_cache_object l e =
       (fun () ->
         Sp_vm.Pager_lib.destroy_key l.l_channels ~key:e.e_key;
         Hashtbl.remove l.l_files e.e_lower.Sp_core.File.f_id;
-        Hashtbl.remove l.l_wrapped e.e_lower.Sp_core.File.f_id);
+        Sp_core.Over_one.forget l.l_over e.e_lower);
     c_exten = [];
   }
 
@@ -464,15 +457,12 @@ let wrap_entry l e =
     f_exten = [];
   }
 
-let wrap_file l ~fresh (lower : Sp_core.File.t) =
-  locked l @@ fun () ->
-  match Hashtbl.find_opt l.l_wrapped lower.Sp_core.File.f_id with
-  | Some (stored, f) when stored == lower -> f
-  | Some _ | None ->
-      let e = make_entry l lower ~fresh in
-      let f = wrap_entry l e in
-      Hashtbl.replace l.l_wrapped lower.Sp_core.File.f_id (lower, f);
-      f
+let build_file l ~fresh lower = wrap_entry l (make_entry l lower ~fresh)
+
+(* Memo hits take the lock too, so an open waits out a container
+   operation in flight. *)
+let wrap_file l ~fresh lower =
+  locked l @@ fun () -> Sp_core.Over_one.file l.l_over (build_file l) ~fresh lower
 
 (* ------------------------------------------------------------------ *)
 (* The stackable layer                                                 *)
@@ -488,95 +478,30 @@ let make ?(node = "local") ?domain ?(coherent = true) ~vmm ~name () =
       l_domain = domain;
       l_vmm = vmm;
       l_coherent = coherent;
-      l_lower = None;
+      l_over = Sp_core.Over_one.create ~name;
       l_channels = Sp_vm.Pager_lib.create ();
       l_files = Hashtbl.create 16;
-      l_wrapped = Hashtbl.create 16;
       l_lock = Sp_sched.Mutex.create ("compfs:" ^ name);
     }
   in
   Hashtbl.replace instances name l;
-  let ctx = ref None in
-  let get_ctx () =
-    match !ctx with
-    | Some c -> c
-    | None ->
-        let lower = lower_of l in
-        let charge_open (_ : Sp_core.File.t) =
-          Sp_sim.Simclock.advance (Sp_sim.Cost_model.current ()).open_state_ns
-        in
-        let c =
-          Sp_core.Mapped_context.make ~domain ~label:name
-            ~lower:lower.Sp_core.Stackable.sfs_ctx
-            ~wrap_file:(wrap_file l ~fresh:false)
-            ~on_file:charge_open ()
-        in
-        ctx := Some c;
-        c
-  in
-  let exported_ctx =
-    {
-      Sp_naming.Context.ctx_domain = domain;
-      ctx_label = name;
-      ctx_acl = (fun () -> Sp_naming.Acl.open_acl);
-      ctx_set_acl = (fun _ -> ());
-      ctx_resolve1 = (fun c -> (get_ctx ()).Sp_naming.Context.ctx_resolve1 c);
-      ctx_bind1 = (fun c o -> (get_ctx ()).Sp_naming.Context.ctx_bind1 c o);
-      ctx_rebind1 = (fun c o -> (get_ctx ()).Sp_naming.Context.ctx_rebind1 c o);
-      ctx_unbind1 = (fun c -> (get_ctx ()).Sp_naming.Context.ctx_unbind1 c);
-      ctx_list = (fun () -> (get_ctx ()).Sp_naming.Context.ctx_list ());
-      ctx_readdir1 =
-        (fun ~cookie ~limit ->
-          (get_ctx ()).Sp_naming.Context.ctx_readdir1 ~cookie ~limit);
-    }
-  in
-  {
-    Sp_core.Stackable.sfs_name = name;
-    sfs_type = "compfs";
-    sfs_domain = domain;
-    sfs_ctx = exported_ctx;
-    sfs_stack_on =
-      (fun under ->
-        match l.l_lower with
-        | Some _ ->
-            raise
-              (Sp_core.Stackable.Stack_error
-                 (name ^ ": compfs stacks on exactly one file system"))
-        | None -> l.l_lower <- Some under);
-    sfs_unders = (fun () -> Option.to_list l.l_lower);
-    sfs_create =
-      (fun path ->
-        let lower_file = Sp_core.Stackable.create (lower_of l) path in
-        wrap_file l ~fresh:true lower_file);
-    sfs_mkdir = (fun path -> Sp_core.Stackable.mkdir (lower_of l) path);
-    sfs_remove =
-      (fun path ->
-        let lower = lower_of l in
-        (match Sp_core.Stackable.open_file lower path with
-        | lf ->
-            (match Hashtbl.find_opt l.l_files lf.Sp_core.File.f_id with
-            | Some e -> Sp_vm.Pager_lib.destroy_key l.l_channels ~key:e.e_key
-            | None -> ());
-            Hashtbl.remove l.l_files lf.Sp_core.File.f_id;
-            Hashtbl.remove l.l_wrapped lf.Sp_core.File.f_id
-        | exception _ -> ());
-        Sp_core.Stackable.remove lower path);
-    sfs_sync =
-      (fun () ->
-        (* Snapshot first: sync_entry yields, and a concurrent open may
-           add files while we iterate. *)
-        let es = Hashtbl.fold (fun _ e acc -> e :: acc) l.l_files [] in
-        List.iter (sync_entry l) es;
-        Sp_core.Stackable.sync (lower_of l));
-    sfs_drop_caches =
-      (fun () ->
-        let es = Hashtbl.fold (fun _ e acc -> e :: acc) l.l_files [] in
-        List.iter
-          (fun e ->
-            sync_entry l e;
-            e.stale <- true)
-          es);
-  }
+  (* Snapshot the entries first: sync_entry yields, and a concurrent open
+     may add files while we iterate. *)
+  let entries () = Hashtbl.fold (fun _ e acc -> e :: acc) l.l_files [] in
+  Sp_core.Over_one.stackable l.l_over ~sfs_type:"compfs" ~domain ~wrap:(wrap_file l)
+    ~forget:(fun lower ->
+      (match Hashtbl.find_opt l.l_files lower.Sp_core.File.f_id with
+      | Some e -> Sp_vm.Pager_lib.destroy_key l.l_channels ~key:e.e_key
+      | None -> ());
+      Hashtbl.remove l.l_files lower.Sp_core.File.f_id)
+    ~sync:(fun () -> List.iter (sync_entry l) (entries ()))
+    ~drop_caches:(fun () ->
+      List.iter
+        (fun e ->
+          sync_entry l e;
+          e.stale <- true)
+        (entries ()))
+    ~charge_open:Sp_core.Over_one.charge_open_state
 
 let creator ?(node = "local") ?(coherent = true) ~vmm () =
   {
@@ -586,8 +511,7 @@ let creator ?(node = "local") ?(coherent = true) ~vmm () =
 
 let entry_at sfs path =
   let l = layer_of sfs in
-  let lower = lower_of l in
-  let lf = Sp_core.Stackable.open_file lower path in
+  let lf = Sp_core.Stackable.open_file (Sp_core.Over_one.lower l.l_over) path in
   match Hashtbl.find_opt l.l_files lf.Sp_core.File.f_id with
   | Some e -> (l, e)
   | None ->

@@ -1,9 +1,3 @@
-(* Memo registries of all mapped contexts, so [invalidate] can reach them.
-   Keyed weakly by context label; a context's memo lives as long as the
-   context itself in practice (contexts are never collected mid-run in the
-   simulation). *)
-let registries : (string, unit -> unit) Hashtbl.t = Hashtbl.create 16
-
 let rec make ~domain ~label ~lower ~wrap_file ?on_miss ?on_file () =
   (* The memo stores the lower file alongside the wrapper: a hit is valid
      only while the lower layer still returns the SAME object.  When a file
@@ -11,9 +5,6 @@ let rec make ~domain ~label ~lower ~wrap_file ?on_miss ?on_file () =
      so the stale wrapper is discarded and rebuilt. *)
   let file_memo : (string, File.t * File.t) Hashtbl.t = Hashtbl.create 16 in
   let ctx_memo : (string, Sp_naming.Context.t) Hashtbl.t = Hashtbl.create 4 in
-  Hashtbl.replace registries label (fun () ->
-      Hashtbl.reset file_memo;
-      Hashtbl.reset ctx_memo);
   let wrap component obj =
     match obj with
     | File.File f -> (
@@ -68,8 +59,3 @@ let rec make ~domain ~label ~lower ~wrap_file ?on_miss ?on_file () =
           (Sp_naming.Sname.of_components [])
           ~cookie ~limit);
   }
-
-let invalidate ctx =
-  match Hashtbl.find_opt registries ctx.Sp_naming.Context.ctx_label with
-  | Some reset -> reset ()
-  | None -> ()

@@ -1,11 +1,14 @@
 (** Naming contexts of stacked layers.
 
-    A layer that exports one file per underlying file (COMPFS, CRYPTFS,
-    DFS, the coherency layer, ...) exposes a naming context that resolves
-    names in the underlying file system's context and wraps the resulting
-    file objects.  Wrapping is memoised on the underlying file identity so
-    that repeated opens return the same upper file (and therefore reuse the
-    same pager–cache channels and attribute caches). *)
+    A layer that exports one file per underlying file exposes a naming
+    context that resolves names in the underlying file system's context
+    and wraps the resulting file objects.  {!Over_one} builds one for the
+    coherency layer, COMPFS, CRYPTFS and INTEGRITYFS; CFS builds its own.
+    Each context memoises wrapping on the underlying file identity, so
+    repeated opens return the same upper file (and therefore reuse the
+    same pager–cache channels and attribute caches) without calling
+    [wrap_file] again, nor taking any lock the layer takes there.  The
+    memo belongs to the context alone: nothing global refers to it. *)
 
 (** [make ~domain ~label ~lower ~wrap_file ()] builds such a context.
     Sub-contexts (directories) of [lower] are wrapped recursively.  Binds,
@@ -27,7 +30,3 @@ val make :
   ?on_file:(File.t -> unit) ->
   unit ->
   Sp_naming.Context.t
-
-(** [invalidate ctx] empties the wrap memo of a context built by {!make}
-    (used by layers when dropping caches).  No-op for other contexts. *)
-val invalidate : Sp_naming.Context.t -> unit

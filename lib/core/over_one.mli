@@ -1,0 +1,69 @@
+(** The skeleton of a layer that stacks on exactly one file system and
+    exports one upper file per lower file (paper §4.4): the coherency
+    layer, COMPFS, CRYPTFS and INTEGRITYFS.
+
+    It owns what those layers share: the slot for the one lower file
+    system, the exported naming context, [stack_on], [unders], [create],
+    [mkdir], [remove], [sync], and the memo from a lower file to its upper
+    file.  The exported context is a fixed record, so the stackable value
+    exists before [stack_on]; it forwards to a {!Mapped_context} built on
+    the first use after [stack_on].  A layer passes in only what differs:
+    how a file is wrapped and forgotten, its own sync and cache drop, and
+    the charge of each open. *)
+
+type t
+
+(** [create ~name] is an empty skeleton for the instance [name]. *)
+val create : name:string -> t
+
+(** The lower file system.  Raises {!Stackable.Stack_error} before
+    [stack_on]. *)
+val lower : t -> Stackable.t
+
+(** [file t build ~fresh lower] is the upper file of [lower]: the
+    memoised one when it was built for this very lower object, else
+    [build ~fresh lower], which is memoised.  A lower layer mints a fresh
+    object when a file is removed and its identity reused, so a stale
+    upper file is never returned.  [fresh] is true when [lower] was just
+    created. *)
+val file :
+  t -> (fresh:bool -> File.t -> File.t) -> fresh:bool -> File.t -> File.t
+
+(** Every memoised upper file. *)
+val iter : t -> (File.t -> unit) -> unit
+
+(** [forget t lower] drops [lower]'s memo entry (its backing identity is
+    gone). *)
+val forget : t -> File.t -> unit
+
+(** Drop every memo entry. *)
+val clear : t -> unit
+
+(** The per-open charge of a layer that keeps open state:
+    [open_state_ns] of the current cost model. *)
+val charge_open_state : File.t -> unit
+
+(** [stackable t ~sfs_type ~domain ~wrap ~forget ~sync ~drop_caches
+    ~charge_open] is the layer's stackable file system.
+
+    - [wrap ~fresh lower] returns the upper file of [lower] on [create]
+      and on every open that the context's own memo misses.  It is
+      [file t build], or that inside a lock the layer's opens take;
+    - [remove] hands the lower file, if it opens, to [forget] and drops
+      its memo entry, then removes it below;
+    - [sync] runs the layer's [sync], then the lower file system's;
+    - [drop_caches] is the layer's own, whole;
+    - [charge_open] runs on every open through the exported context,
+      memoised or not.
+
+    A second [stack_on] raises {!Stackable.Stack_error}. *)
+val stackable :
+  t ->
+  sfs_type:string ->
+  domain:Sp_obj.Sdomain.t ->
+  wrap:(fresh:bool -> File.t -> File.t) ->
+  forget:(File.t -> unit) ->
+  sync:(unit -> unit) ->
+  drop_caches:(unit -> unit) ->
+  charge_open:(File.t -> unit) ->
+  Stackable.t

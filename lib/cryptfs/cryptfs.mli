@@ -9,7 +9,11 @@
     interface (the Figure 5 arrangement); because the transform is
     deterministic and positional, direct readers of the underlying file
     see ciphertext, and a coherent view of plaintext is obtained by
-    stacking a coherency layer (or DFS) on top, per §6.3. *)
+    stacking a coherency layer (or DFS) on top, per §6.3.
+
+    The layer is an {!Sp_core.Over_one} skeleton whose files are
+    {!Sp_coherency.Transform_file}s; it supplies the cipher's page_in,
+    store and length change. *)
 
 (** [make ~vmm ~name ~key ()] creates an instance; stack on exactly one
     underlying file system. *)

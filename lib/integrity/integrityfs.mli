@@ -12,7 +12,10 @@
     Pages are trusted on first read (the layer keeps no persistent store
     of its own) and re-checksummed on every push of a fully-determined
     page; partially-overwritten pages are forgotten and re-trusted on the
-    next read.  Hashing charges simulated CPU via [Door.charge_cpu]. *)
+    next read.  Hashing charges simulated CPU via [Door.charge_cpu].
+
+    The layer is an {!Sp_core.Over_one} skeleton whose files are
+    {!Sp_coherency.Transform_file}s carrying their page sums. *)
 
 (** [make ~vmm ~name ()] creates an instance; stack on exactly one
     underlying file system. *)

@@ -218,6 +218,43 @@ let test_mapped_context_on_miss () =
          Alcotest.fail "other misses must propagate"
        with Sp_naming.Context.Unbound _ -> ()))
 
+(* The four layers built on [Over_one]: the exported context works only
+   once stacked, even after an open that failed before [stack_on]; the
+   one lower slot takes one [stack_on]; and the memo gives one upper file
+   per lower file until a remove. *)
+let test_over_one_layers () =
+  Util.in_world (fun () ->
+      let vmm, sfs = make_sfs () in
+      let layers =
+        [
+          Sp_coherency.Coherency_layer.make ~vmm ~name:"one-coh" ();
+          Sp_compfs.Compfs.make ~vmm ~name:"one-comp" ();
+          Sp_cryptfs.Cryptfs.make ~vmm ~name:"one-crypt" ~key:"k" ();
+          Sp_integrity.Integrityfs.make ~vmm ~name:"one-int" ();
+        ]
+      in
+      List.iter
+        (fun layer ->
+          let t = layer.S.sfs_type in
+          let path = Util.name (t ^ "-f") in
+          let stack_error what f =
+            match f () with
+            | _ -> Alcotest.failf "%s: %s must raise Stack_error" t what
+            | exception S.Stack_error _ -> ()
+          in
+          stack_error "open before stack_on" (fun () -> S.open_file layer path);
+          S.stack_on layer sfs;
+          stack_error "second stack_on" (fun () -> S.stack_on layer sfs);
+          let f = S.create layer path in
+          Alcotest.(check bool) (t ^ ": open after create") true
+            (S.open_file layer path == f);
+          S.remove layer path;
+          let g = S.create layer path in
+          Alcotest.(check bool) (t ^ ": create after remove is new") true (g != f);
+          Alcotest.(check bool) (t ^ ": open after re-create") true
+            (S.open_file layer path == g))
+        layers)
+
 let test_rename () =
   Util.in_world (fun () ->
       let vmm, sfs = make_sfs () in
@@ -310,6 +347,8 @@ let suite =
     Alcotest.test_case "interposition needs authentication" `Quick
       test_interpose_names_requires_bind_permission;
     Alcotest.test_case "mapped context on_miss" `Quick test_mapped_context_on_miss;
+    Alcotest.test_case "one-lower layers: stack_on and the file memo" `Quick
+      test_over_one_layers;
     Alcotest.test_case "rename through stack" `Quick test_rename;
     Alcotest.test_case "rename: concurrent same-source race" `Quick
       test_concurrent_rename_race;
