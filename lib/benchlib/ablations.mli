@@ -2,21 +2,9 @@
 
 type result = { label : string; baseline_ns : int; variant_ns : int; note : string }
 
-(** §6.4: split-domain open with and without the name cache. *)
-val name_cache : unit -> result
-
 (** A DFS-imported remote file plus a client-side CFS and VMM (shared by
     the remote-path ablations and {!Bulk_bench}). *)
 val make_remote : string -> Sp_core.File.t * Sp_cfs.Cfs.t * Sp_vm.Vmm.t
-
-(** §6.2 CFS: remote stat and 4KB read with and without CFS interposed. *)
-val cfs_stat : unit -> result
-
-val cfs_read : unit -> result
-
-(** Remote 4KB read through DFS file interface vs through a mapped remote
-    file (the VMM path CFS enables). *)
-val dfs_map_vs_rpc : unit -> result
 
 (** §8 extension: cold sequential read of a 128 KB file with the VMM's
     adaptive read-ahead off vs on (no manual window). *)

@@ -7,18 +7,13 @@ type row = { label : string; off_ns : int; on_ns : int; note : string }
 
 let with_paper_model f = Sp_sim.Cost_model.with_model Sp_sim.Cost_model.paper_1993 f
 
-let with_bulk on f =
-  let saved = Sp_bulk.enabled () in
-  Sp_bulk.set_enabled on;
-  Fun.protect ~finally:(fun () -> Sp_bulk.set_enabled saved) f
-
 (* Warm 4KB read/write on the two-domain stack: the copy tax the bulk
    path removes.  Off = classic marshalling (full door cost + one copy
    per crossing); on = by-reference handoff over an established bulk
    channel. *)
 let warm_rw enabled tag =
   with_paper_model (fun () ->
-      with_bulk enabled (fun () ->
+      Sp_obj.Bulk.with_enabled enabled (fun () ->
           let inst = W.make_instance ~tag W.Stacked_two_domains in
           let data = Bytes.make ps 'b' in
           let read =
@@ -33,7 +28,7 @@ let warm_rw enabled tag =
    adaptive read-ahead window batching page-in RPCs. *)
 let remote_sequential enabled tag =
   with_paper_model (fun () ->
-      with_bulk enabled (fun () ->
+      Sp_obj.Bulk.with_enabled enabled (fun () ->
           let remote, _, vmm_b = Ablations.make_remote tag in
           let total = 32 * ps in
           ignore (F.write remote ~pos:0 (Bytes.make total 's'));

@@ -1,11 +1,6 @@
 (** Executable reproductions of the paper's configuration figures that
     carry a measurable observable. *)
 
-(** Figure 2: pager–cache channel multiplicity.  Returns
-    [(channels_for_two_files_one_vmm, channels_for_one_file_two_vmms)] —
-    the paper's example has 2 and 2. *)
-val fig2_channel_counts : unit -> int * int
-
 (** Figures 5/6: cost of the COMPFS→SFS coherent mode.  Returns
     [(incoherent_write_ns, coherent_write_ns)] for a warm 4 KB write
     through COMPFS in each stacking mode. *)

@@ -20,11 +20,6 @@ type result = {
   stats : int;
 }
 
-(** Deterministic workload: [files] small files (sizes drawn from a
-    Sprite-like distribution), [rounds] passes of open/read/stat/write
-    activity over them. *)
-val run_config : ?files:int -> ?rounds:int -> Workload.config -> result
-
 val run : unit -> result list
 
 val print : Format.formatter -> result list -> unit

@@ -359,7 +359,6 @@ let shutdown t =
 let nodes t = Array.length t.cl_shards
 let shard_node t i = t.cl_shards.(i).sh_node
 let shard_disks t i = (t.cl_shards.(i).sh_disk_a, t.cl_shards.(i).sh_disk_b)
-let shard_sup t i = t.cl_shards.(i).sh_sup
 let owner t path = owner_of t (top_component path)
 let lease_ns t = t.cl_lease_ns
 let stats t =

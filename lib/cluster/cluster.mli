@@ -55,8 +55,6 @@ val lease_ns : t -> int
 (** The shard's twin disks, for direct fsck in sweeps. *)
 val shard_disks : t -> int -> Sp_blockdev.Disk.t * Sp_blockdev.Disk.t
 
-val shard_sup : t -> int -> Sp_supervise.t
-
 (** Authoritative owning shard of a path (by its first component). *)
 val owner : t -> Sp_naming.Sname.t -> int
 

@@ -72,9 +72,6 @@ let fold_dir ?principal ?batch fs path f init =
     (fun ~cookie ~limit -> readdir ?principal fs path ~cookie ~limit)
     f init
 
-let iter_dir ?principal ?batch fs path f =
-  fold_dir ?principal ?batch fs path (fun () name -> f name) ()
-
 (* Compatibility wrapper: drain the cursor.  Internal consumers stream
    with [readdir]/[fold_dir]; this stays for call sites that genuinely
    want the whole (small) listing at once.  Sorted, as [ctx_list] was. *)

@@ -75,9 +75,6 @@ val fold_dir :
   'a ->
   'a
 
-val iter_dir :
-  ?principal:string -> ?batch:int -> t -> Sp_naming.Sname.t -> (string -> unit) -> unit
-
 (** List names bound in a directory of the file system, sorted — a
     compatibility wrapper that drains {!readdir}; prefer the streaming
     helpers for potentially large directories. *)
@@ -109,9 +106,6 @@ val base : t -> t
 (** [register_creator ctx creator] binds the creator as
     [<cr_type>_creator] in [ctx] (the well-known [/fs_creators] context). *)
 val register_creator : Sp_naming.Context.t -> creator -> unit
-
-(** [lookup_creator ctx type_name] resolves [<type_name>_creator]. *)
-val lookup_creator : Sp_naming.Context.t -> string -> creator
 
 (** [instantiate ctx type_name ~name] looks the creator up and creates an
     instance — steps 1–2 of the configuration method in §4.4. *)

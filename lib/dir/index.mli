@@ -18,17 +18,8 @@
 (** Entries per leaf block (63). *)
 val entries_per_leaf : int
 
-(** Hard ceiling on bucket count (66 491). *)
-val max_buckets : int
-
 (** A flat directory upgrades to indexed past this many entries (128). *)
 val upgrade_threshold : int
-
-(** Bucket count of a fresh upgrade (16). *)
-val initial_buckets : int
-
-(** Average bucket population that triggers a rebuild (64). *)
-val grow_load : int
 
 (** Block I/O the index runs on.  [read n] returns file block [n];
     [write n b] stores a full block, growing the file as needed.  A

@@ -37,16 +37,6 @@ type outcome =
 
 val kind_name : kind -> string
 
-(** Device I/Os (reads for {!Bitrot}, writes otherwise) the workload
-    performs — the number of points a full sweep visits.  With
-    [clients > 1] the workload runs as that many concurrently scheduled
-    [Sp_sched] tasks, each doing [ops] operations on its own files of the
-    shared volume (a run with no crash either completes — and must read
-    back exactly — or fails loudly, so verification is unchanged). *)
-val workload_io :
-  ?checksums:bool -> ?mirror:bool -> ?clients:int -> kind:kind -> ops:int ->
-  seed:int -> unit -> int
-
 (** Build a fresh volume (or mirrored pair; corruption always strikes the
     primary twin), run the workload with the single fault armed at the
     [at]-th device I/O, then verify from stored bytes. *)

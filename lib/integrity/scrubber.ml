@@ -9,10 +9,6 @@ type report = {
   sr_ns : int;
 }
 
-let pp_report ppf r =
-  Format.fprintf ppf "scrub: %d block(s) scanned, %d bad, %d repaired, %a"
-    r.sr_scanned r.sr_bad r.sr_repaired Sp_sim.Simclock.pp_duration r.sr_ns
-
 let from_device other n =
   match Disk.read other n with
   | data -> Some (data, Disk.sum other n)

@@ -20,8 +20,6 @@ type report = {
   sr_ns : int;  (** simulated time the scrub took *)
 }
 
-val pp_report : Format.formatter -> report -> unit
-
 (** Fetch candidate replacement blocks from another device (a mirror
     twin), with that device's sum of them ({!Sp_blockdev.Disk.sum});
     [None] when that device fails the read. *)

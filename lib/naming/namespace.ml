@@ -1,4 +1,4 @@
-type t = { overlay : Context.t; shared : Context.t; view : Context.t }
+type t = { overlay : Context.t; view : Context.t }
 
 let create ~shared ~domain =
   let overlay =
@@ -27,10 +27,9 @@ let create ~shared ~domain =
       ctx_readdir1 = (fun ~cookie ~limit -> Sp_dir.Cursor.of_list (list ()) ~cookie ~limit);
     }
   in
-  { overlay; shared; view }
+  { overlay; view }
 
 let as_context t = t.view
-let shared_root t = t.shared
 
 let customize t name o =
   match Sname.components name with

@@ -15,7 +15,5 @@ val create : shared:Context.t -> domain:Sp_obj.Sdomain.t -> t
     then the shared root; binds go to the overlay). *)
 val as_context : t -> Context.t
 
-val shared_root : t -> Context.t
-
 (** Bind a private customisation visible only through this namespace. *)
 val customize : t -> Sname.t -> Context.obj -> unit

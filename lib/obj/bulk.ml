@@ -4,11 +4,10 @@
 
 let enabled_flag = ref true
 let enabled () = !enabled_flag
-let set_enabled b = enabled_flag := b
 
-let with_disabled f =
+let with_enabled on f =
   let saved = !enabled_flag in
-  enabled_flag := false;
+  enabled_flag := on;
   Fun.protect ~finally:(fun () -> enabled_flag := saved) f
 
 (* Channels are symmetric: one mapping serves both transfer directions.

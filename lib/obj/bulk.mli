@@ -22,11 +22,10 @@
     marshalling copy per boundary, private source copies). *)
 
 val enabled : unit -> bool
-val set_enabled : bool -> unit
 
-(** Run [f] with the bulk path disabled, restoring the previous state
-    afterwards (also on exceptions). *)
-val with_disabled : (unit -> 'a) -> 'a
+(** [with_enabled on f] runs [f] with the bulk path on or off, restoring
+    the previous state afterwards (also on exceptions). *)
+val with_enabled : bool -> (unit -> 'a) -> 'a
 
 (** [established a b] is true once a bulk channel exists between the two
     domains (symmetric). *)

@@ -13,7 +13,6 @@ let node t = t.node
 let id t = t.id
 let alive t = t.alive
 let kill t = t.alive <- false
-let revive t = t.alive <- true
 let equal a b = a.id = b.id
 let compare a b = Int.compare a.id b.id
 let pp ppf t = Format.fprintf ppf "%s@%s#%d" t.name t.node t.id

@@ -34,11 +34,6 @@ val kill : t -> unit
     like a real crash, whatever its heap held simply becomes unreachable
     through the door. *)
 
-val revive : t -> unit
-(** Mark the domain alive again.  Restart recipes normally build a {e fresh}
-    domain instead (a new incarnation with a new {!id}); [revive] exists for
-    tests that need to model a transient stall. *)
-
 (** Structural equality of domain identities. *)
 val equal : t -> t -> bool
 

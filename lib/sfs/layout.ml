@@ -72,11 +72,6 @@ let compute ?(journal_blocks = 0) ?(checksums = false) ?inodes ~total_blocks () 
     data_start;
   }
 
-let max_file_size t =
-  let blocks = n_direct + ptrs_per_block + (ptrs_per_block * ptrs_per_block) in
-  let capacity = blocks * block_size in
-  min capacity ((t.total_blocks - t.data_start) * block_size)
-
 let encode_superblock t =
   let b = Bytes.make block_size '\000' in
   let put i v = Bytes.set_int32_le b (i * 4) (Int32.of_int v) in

@@ -47,10 +47,6 @@ val compute :
   ?journal_blocks:int -> ?checksums:bool -> ?inodes:int -> total_blocks:int ->
   unit -> t
 
-(** Maximum file size in bytes under this layout (direct + single
-    indirect + double indirect). *)
-val max_file_size : t -> int
-
 (** Serialise the superblock (includes a magic and the layout). *)
 val encode_superblock : t -> bytes
 

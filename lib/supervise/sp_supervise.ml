@@ -29,7 +29,6 @@ type t = {
      not start a second rebuild of the same stack — [restart] bounces
      them with [Dead_domain] and their retry policy backs off. *)
   mutable s_restarting : bool;
-  mutable s_gave_up : string option;
 }
 
 (* Domain name -> owning supervisor.  [Dead_domain] carries the domain
@@ -71,8 +70,6 @@ let current t name =
 let restarts t = t.s_restarts
 let level_restarts t name = (Option.get (entry_named t name)).e_restarts
 let name t = t.s_name
-let restarting t = t.s_restarting
-let gave_up t = t.s_gave_up
 let find who = Hashtbl.find_opt registry who
 
 let kill t name = Sp_obj.Sdomain.kill (current t name).S.sfs_domain
@@ -102,12 +99,10 @@ let restart t =
          in-flight restart lands. *)
       raise (Sp_obj.Sdomain.Dead_domain e.e_level.lv_name);
     if e.e_restarts >= t.s_budget then begin
-      let msg =
-        Printf.sprintf "%s: restart budget (%d) exhausted for level %s"
-          t.s_name t.s_budget e.e_level.lv_name
-      in
-      t.s_gave_up <- Some msg;
-      raise (Give_up msg)
+      raise
+        (Give_up
+           (Printf.sprintf "%s: restart budget (%d) exhausted for level %s"
+              t.s_name t.s_budget e.e_level.lv_name))
     end;
     t.s_restarting <- true;
     Fun.protect
@@ -280,7 +275,6 @@ let supervise ?(budget = 8) ?(backoff_ns = 1_000_000) ?rebind ?base ~name
       s_restarts = 0;
       s_proxy = None;
       s_restarting = false;
-      s_gave_up = None;
     }
   in
   Array.iter (register_entry t) t.s_entries;

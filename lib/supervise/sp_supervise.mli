@@ -97,10 +97,3 @@ val find : string -> t option
 
 (** The supervisor's name. *)
 val name : t -> string
-
-(** A restart of this stack is currently in flight (its owner is asleep
-    in the backoff or rebuilding). *)
-val restarting : t -> bool
-
-(** The [Give_up] message, once the restart budget has been exhausted. *)
-val gave_up : t -> string option

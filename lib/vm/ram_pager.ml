@@ -4,7 +4,6 @@ type t = {
   mutable store : bytes;
   mutable len : int;
   registry : Pager_lib.t;
-  mutable page_ins : int;
 }
 
 let create ?(node = "local") ~label () =
@@ -14,7 +13,6 @@ let create ?(node = "local") ~label () =
     store = Bytes.create 0;
     len = 0;
     registry = Pager_lib.create ();
-    page_ins = 0;
   }
 
 let grow t target =
@@ -41,9 +39,7 @@ let make_pager t =
     Vm_types.p_domain = t.domain;
     p_label = t.label;
     p_page_in =
-      (fun ~offset ~size ~access:_ ->
-        t.page_ins <- t.page_ins + 1;
-        peek t ~pos:offset ~len:size);
+      (fun ~offset ~size ~access:_ -> peek t ~pos:offset ~len:size);
     p_page_out = write;
     p_write_out = write;
     p_sync = write;
@@ -70,6 +66,4 @@ let memory_object t =
         else grow t len);
   }
 
-let store_size t = t.len
 let channels t = Pager_lib.channels t.registry
-let page_in_count t = t.page_ins

@@ -13,9 +13,6 @@ val create : ?node:string -> label:string -> unit -> t
     standard channel registry. *)
 val memory_object : t -> Vm_types.memory_object
 
-(** Size of the backing store in bytes. *)
-val store_size : t -> int
-
 (** Read the backing store directly (no doors, no cache — test backdoor). *)
 val peek : t -> pos:int -> len:int -> bytes
 
@@ -24,6 +21,3 @@ val poke : t -> pos:int -> bytes -> unit
 
 (** Channels currently established with cache managers. *)
 val channels : t -> Pager_lib.channel list
-
-(** Total page-ins served by this pager. *)
-val page_in_count : t -> int

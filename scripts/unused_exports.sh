@@ -14,14 +14,16 @@
 # in neither class; each line there is `Module.name  reason`, and an entry
 # without a reason is an error.  The match is rough: a name reached only
 # through a record field or an alias, or shared by a common word, counts
-# as used.
+# as used.  A lib/ .ml without an .mli exports everything and is invisible
+# to the census, so such files are counted as no-mli.
 #
-# Prints one line per unlisted export with --list, then the verdict line
+# Prints one line per unlisted export and per no-mli file with --list,
+# then the verdict line
 #
-#   UNUSED-EXPORTS nowhere=N test-only=M
+#   UNUSED-EXPORTS nowhere=N test-only=M no-mli=K
 #
 # With --check it exits 1 when N exceeds the ceiling committed in
-# scripts/unused_exports.max.
+# scripts/unused_exports.max, or when K is above 0.
 set -euo pipefail
 
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -72,11 +74,23 @@ for mli in $(find lib -name '*.mli' | sort); do
   done
 done
 
-echo "UNUSED-EXPORTS nowhere=$nowhere test-only=$test_only"
+no_mli=0
+for ml in $(find lib -name '*.ml' | sort); do
+  if [ ! -e "${ml%.ml}.mli" ]; then
+    no_mli=$((no_mli + 1))
+    [ "$list" = 1 ] && echo "no-mli $ml"
+  fi
+done
+
+echo "UNUSED-EXPORTS nowhere=$nowhere test-only=$test_only no-mli=$no_mli"
 if [ "$check" = 1 ]; then
   ceiling=$(tr -d '[:space:]' < "$ceiling_file")
   if [ "$nowhere" -gt "$ceiling" ]; then
     echo "unused exports rose above the committed ceiling of $ceiling" >&2
+    exit 1
+  fi
+  if [ "$no_mli" -gt 0 ]; then
+    echo "a lib/ module has no interface: the census cannot see its exports" >&2
     exit 1
   fi
 fi

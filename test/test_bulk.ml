@@ -1,4 +1,4 @@
-(* The bulk data path (Sp_bulk): accounting invariants, amortised channel
+(* The bulk data path (Sp_obj.Bulk): accounting invariants, amortised channel
    setup, adaptive read-ahead gating, and a qcheck equivalence property
    showing the three optimisations never change what any layer stores. *)
 
@@ -85,11 +85,7 @@ let test_bulk_disabled_restores_legacy_costs () =
   Util.in_world ~model:paper (fun () ->
       let _, _, f = make_stack () in
       let with_flag on =
-        let saved = Sp_bulk.enabled () in
-        Sp_bulk.set_enabled on;
-        Fun.protect
-          ~finally:(fun () -> Sp_bulk.set_enabled saved)
-          (fun () ->
+        Sp_obj.Bulk.with_enabled on (fun () ->
             let t0 = Sp_sim.Simclock.now () in
             ignore (F.read f ~pos:0 ~len:ps);
             Sp_sim.Simclock.now () - t0)
@@ -179,10 +175,7 @@ let apply_op f = function
       F.sync f;
       Bytes.empty
 
-let all_off f =
-  let saved = Sp_bulk.enabled () in
-  Sp_bulk.set_enabled false;
-  Fun.protect ~finally:(fun () -> Sp_bulk.set_enabled saved) f
+let all_off f = Sp_obj.Bulk.with_enabled false f
 
 let equivalence_prop raw_ops =
   let ops = List.map interp_op raw_ops in
