@@ -69,18 +69,6 @@ let decode_pairs data =
 (* The layer                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type layer = {
-  l_name : string;
-  l_domain : Sp_obj.Sdomain.t;
-  mutable l_lower : Sp_core.Stackable.t option;
-  l_wrapped : (string, Sp_core.File.t) Hashtbl.t;
-}
-
-let lower_of l =
-  match l.l_lower with
-  | Some fs -> fs
-  | None -> raise (Sp_core.Stackable.Stack_error (l.l_name ^ ": not stacked yet"))
-
 let is_shadow name =
   String.length name >= String.length shadow_prefix
   && String.sub name 0 (String.length shadow_prefix) = shadow_prefix
@@ -91,14 +79,14 @@ let shadow_path path =
   | last :: rev_dirs ->
       Sp_naming.Sname.of_components (List.rev ((shadow_prefix ^ last) :: rev_dirs))
 
-let read_pairs l path =
-  let lower = lower_of l in
+let read_pairs over path =
+  let lower = Sp_core.Over_one.lower over in
   match Sp_core.Stackable.open_file lower (shadow_path path) with
   | shadow -> decode_pairs (Sp_core.File.read_all shadow)
   | exception Sp_core.Fserr.No_such_file _ -> []
 
-let write_pairs l path pairs =
-  let lower = lower_of l in
+let write_pairs over path pairs =
+  let lower = Sp_core.Over_one.lower over in
   let sp = shadow_path path in
   let shadow =
     match Sp_core.Stackable.open_file lower sp with
@@ -109,95 +97,38 @@ let write_pairs l path pairs =
   Sp_core.File.truncate shadow 0;
   ignore (Sp_core.File.write shadow ~pos:0 data)
 
-let make_xattr_ops l path =
+let make_xattr_ops over path =
   let sorted pairs = List.sort (fun (a, _) (b, _) -> String.compare a b) pairs in
   {
-    xa_get = (fun k -> List.assoc_opt k (read_pairs l path));
+    xa_get = (fun k -> List.assoc_opt k (read_pairs over path));
     xa_set =
       (fun k v ->
-        let pairs = List.remove_assoc k (read_pairs l path) in
-        write_pairs l path (sorted ((k, v) :: pairs)));
+        let pairs = List.remove_assoc k (read_pairs over path) in
+        write_pairs over path (sorted ((k, v) :: pairs)));
     xa_remove =
-      (fun k -> write_pairs l path (List.remove_assoc k (read_pairs l path)));
-    xa_list = (fun () -> sorted (read_pairs l path));
+      (fun k -> write_pairs over path (List.remove_assoc k (read_pairs over path)));
+    xa_list = (fun () -> sorted (read_pairs over path));
   }
 
 (* The exported file forwards everything — including the memory object,
    so mappings bind straight to the original pager — and adds the Xattr
    extension. *)
-let wrap_file l path (lower : Sp_core.File.t) =
-  let key = Printf.sprintf "attrfs:%s:%s" l.l_name (Sp_naming.Sname.to_string path) in
-  match Hashtbl.find_opt l.l_wrapped key with
-  | Some f -> f
-  | None ->
-      let f =
-        {
-          lower with
-          Sp_core.File.f_id = key;
-          f_domain = l.l_domain;
-          f_read = (fun ~pos ~len -> Sp_core.File.read lower ~pos ~len);
-          f_write = (fun ~pos data -> Sp_core.File.write lower ~pos data);
-          f_stat = (fun () -> Sp_core.File.stat lower);
-          f_set_attr = (fun a -> Sp_core.File.set_attr lower a);
-          f_truncate = (fun n -> Sp_core.File.truncate lower n);
-          f_sync = (fun () -> Sp_core.File.sync lower);
-          f_exten = Xattr (make_xattr_ops l path) :: lower.Sp_core.File.f_exten;
-        }
-      in
-      Hashtbl.replace l.l_wrapped key f;
-      f
-
-let rec make_ctx l ~path =
-  let label =
-    if Sp_naming.Sname.is_empty path then l.l_name
-    else l.l_name ^ "/" ^ Sp_naming.Sname.to_string path
-  in
-  let resolve1 component =
-    if is_shadow component then raise (Sp_naming.Context.Unbound (label ^ "/" ^ component));
-    let lower = lower_of l in
-    let sub = Sp_naming.Sname.append path component in
-    match Sp_naming.Context.resolve lower.Sp_core.Stackable.sfs_ctx sub with
-    | Sp_core.File.File f ->
-        Sp_sim.Simclock.advance (Sp_sim.Cost_model.current ()).open_state_ns;
-        Sp_core.File.File (wrap_file l sub f)
-    | Sp_naming.Context.Context _ -> Sp_naming.Context.Context (make_ctx l ~path:sub)
-    | other -> other
-  in
-  let readdir1 ~cookie ~limit =
-    Sp_dir.Cursor.filter
-      (fun n -> not (is_shadow n))
-      (fun ~cookie ~limit ->
-        Sp_core.Stackable.readdir (lower_of l) path ~cookie ~limit)
-      ~cookie ~limit
-  in
-  let list () =
-    List.sort String.compare
-      (Sp_dir.Cursor.drain (fun ~cookie ~limit -> readdir1 ~cookie ~limit))
-  in
+let wrap_file over domain ~key path (lower : Sp_core.File.t) =
   {
-    Sp_naming.Context.ctx_domain = l.l_domain;
-    ctx_label = label;
-    ctx_acl = (fun () -> Sp_naming.Acl.open_acl);
-    ctx_set_acl = (fun _ -> ());
-    ctx_resolve1 = resolve1;
-    ctx_bind1 =
-      (fun c o ->
-        Sp_naming.Context.bind (lower_of l).Sp_core.Stackable.sfs_ctx
-          (Sp_naming.Sname.append path c) o);
-    ctx_rebind1 =
-      (fun c o ->
-        Sp_naming.Context.rebind (lower_of l).Sp_core.Stackable.sfs_ctx
-          (Sp_naming.Sname.append path c) o);
-    ctx_unbind1 =
-      (fun c ->
-        Sp_naming.Context.unbind (lower_of l).Sp_core.Stackable.sfs_ctx
-          (Sp_naming.Sname.append path c));
-    ctx_list = list;
-    ctx_readdir1 = readdir1;
+    lower with
+    Sp_core.File.f_id = key;
+    f_domain = domain;
+    f_read = (fun ~pos ~len -> Sp_core.File.read lower ~pos ~len);
+    f_write = (fun ~pos data -> Sp_core.File.write lower ~pos data);
+    f_stat = (fun () -> Sp_core.File.stat lower);
+    f_set_attr = (fun a -> Sp_core.File.set_attr lower a);
+    f_truncate = (fun n -> Sp_core.File.truncate lower n);
+    f_sync = (fun () -> Sp_core.File.sync lower);
+    f_exten = Xattr (make_xattr_ops over path) :: lower.Sp_core.File.f_exten;
   }
 
-let remove_shadow_if_any l path =
-  let lower = lower_of l in
+let remove_shadow_if_any over path =
+  let lower = Sp_core.Over_one.lower over in
   match Sp_core.Stackable.remove lower (shadow_path path) with
   | () -> ()
   | exception Sp_core.Fserr.No_such_file _ -> ()
@@ -206,34 +137,10 @@ let make ?(node = "local") ?domain ~name () =
   let domain =
     match domain with Some d -> d | None -> Sp_obj.Sdomain.create ~node name
   in
-  let l = { l_name = name; l_domain = domain; l_lower = None; l_wrapped = Hashtbl.create 16 } in
-  let ctx = make_ctx l ~path:(Sp_naming.Sname.of_components []) in
-  {
-    Sp_core.Stackable.sfs_name = name;
-    sfs_type = "attrfs";
-    sfs_domain = domain;
-    sfs_ctx = ctx;
-    sfs_stack_on =
-      (fun under ->
-        match l.l_lower with
-        | Some _ ->
-            raise
-              (Sp_core.Stackable.Stack_error
-                 (name ^ ": attrfs stacks on exactly one file system"))
-        | None -> l.l_lower <- Some under);
-    sfs_unders = (fun () -> Option.to_list l.l_lower);
-    sfs_create =
-      (fun path -> wrap_file l path (Sp_core.Stackable.create (lower_of l) path));
-    sfs_mkdir = (fun path -> Sp_core.Stackable.mkdir (lower_of l) path);
-    sfs_remove =
-      (fun path ->
-        Hashtbl.remove l.l_wrapped
-          (Printf.sprintf "attrfs:%s:%s" l.l_name (Sp_naming.Sname.to_string path));
-        remove_shadow_if_any l path;
-        Sp_core.Stackable.remove (lower_of l) path);
-    sfs_sync = (fun () -> Sp_core.Stackable.sync (lower_of l));
-    sfs_drop_caches = (fun () -> Sp_core.Stackable.drop_caches (lower_of l));
-  }
+  let over = Sp_core.Over_one.create ~name in
+  Sp_core.Over_one.pass_through over ~sfs_type:"attrfs" ~domain ~exten:[]
+    ~hidden:is_shadow ~wrap:(wrap_file over domain)
+    ~on_remove:(remove_shadow_if_any over)
 
 let creator ?(node = "local") () =
   {

@@ -125,6 +125,7 @@ let wrap_import t (import : Sp_core.Stackable.t) =
     Sp_core.Stackable.sfs_name = "cfs:" ^ import.Sp_core.Stackable.sfs_name;
     sfs_type = "cfs";
     sfs_ctx = ctx;
+    sfs_exten = [];
     sfs_create =
       (fun path -> interpose t (Sp_core.Stackable.create import path));
     sfs_sync =

@@ -12,8 +12,6 @@ type cfile = {
 
 type layer = {
   l_name : string;
-  l_epoch : int;  (* recovery epoch: bumped every time the same instance
-                     name is re-made, i.e. on supervised restart *)
   l_domain : Sp_obj.Sdomain.t;
   l_vmm : Sp_vm.Vmm.t;
   l_over : Sp_core.Over_one.t;
@@ -21,12 +19,12 @@ type layer = {
   l_files : (string, cfile) Hashtbl.t;  (* keyed by lower file id *)
 }
 
-let instances : (string, layer) Hashtbl.t = Hashtbl.create 4
+type Sp_obj.Exten.t += Layer of layer
 
-let layer_of (sfs : Sp_core.Stackable.t) =
-  match Hashtbl.find_opt instances sfs.Sp_core.Stackable.sfs_name with
-  | Some l -> l
-  | None -> invalid_arg (sfs.Sp_core.Stackable.sfs_name ^ ": not a coherency layer")
+let layer_of =
+  Sp_core.Stackable.narrow ~what:"a coherency layer" (function
+    | Layer l -> Some l
+    | _ -> None)
 
 let lower_pager_of cf =
   match cf.lower_pager with
@@ -226,15 +224,9 @@ let make ?(node = "local") ?domain ?(embedded = false) ~vmm ~name () =
   let domain =
     match domain with Some d -> d | None -> Sp_obj.Sdomain.create ~node name
   in
-  let epoch =
-    match Hashtbl.find_opt instances name with
-    | Some old -> old.l_epoch + 1
-    | None -> 0
-  in
   let l =
     {
       l_name = name;
-      l_epoch = epoch;
       l_domain = domain;
       l_vmm = vmm;
       l_over = Sp_core.Over_one.create ~name;
@@ -242,8 +234,8 @@ let make ?(node = "local") ?domain ?(embedded = false) ~vmm ~name () =
       l_files = Hashtbl.create 16;
     }
   in
-  Hashtbl.replace instances name l;
   Sp_core.Over_one.stackable l.l_over ~sfs_type:"coherency" ~domain
+    ~exten:[ Layer l ]
     ~wrap:(Sp_core.Over_one.file l.l_over (build_file l))
     ~forget:(fun lower ->
       match Hashtbl.find_opt l.l_files lower.Sp_core.File.f_id with
@@ -275,7 +267,6 @@ let creator ?(node = "local") ~vmm () =
   }
 
 let channel_count sfs = Sp_vm.Pager_lib.channel_count (layer_of sfs).l_channels
-let recovery_epoch sfs = (layer_of sfs).l_epoch
 
 let invariant_holds sfs =
   let l = layer_of sfs in

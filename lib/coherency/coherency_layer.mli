@@ -20,7 +20,11 @@
     The layer holds no page data of its own: its read/write operations map
     the exported file through the node VMM, so the VMM's unified page
     cache is the data cache — which is why "cached" operations make no
-    calls to the lower layer (Table 2). *)
+    calls to the lower layer (Table 2).
+
+    A supervised restart makes a new instance; references to the old
+    incarnation are fenced at the door ([Dead_domain]) and at the pager
+    registry ([Pager_lib.live_cache]). *)
 
 (** [make ~vmm ~name ()] creates an instance; stack it on exactly one
     underlying file system before use.  [domain] overrides the serving
@@ -44,14 +48,6 @@ val creator : ?node:string -> vmm:Sp_vm.Vmm.t -> unit -> Sp_core.Stackable.creat
 
 (** Upper pager–cache channels served for a given exported file. *)
 val channel_count : Sp_core.Stackable.t -> int
-
-(** Recovery epoch of the instance: 0 for a first make, incremented each
-    time the same instance name is re-made — i.e. on every supervised
-    restart.  Stale references to the previous incarnation are fenced at
-    the door ([Dead_domain]) and at the pager registry
-    ([Pager_lib.live_cache]); the epoch makes the incarnation count
-    observable. *)
-val recovery_epoch : Sp_core.Stackable.t -> int
 
 (** Check the MRSW invariant over every file's block state. *)
 val invariant_holds : Sp_core.Stackable.t -> bool

@@ -42,12 +42,12 @@ type layer = {
          would deadlock on that re-entry. *)
 }
 
-let instances : (string, layer) Hashtbl.t = Hashtbl.create 4
+type Sp_obj.Exten.t += Layer of layer
 
-let layer_of (sfs : Sp_core.Stackable.t) =
-  match Hashtbl.find_opt instances sfs.Sp_core.Stackable.sfs_name with
-  | Some l -> l
-  | None -> invalid_arg (sfs.Sp_core.Stackable.sfs_name ^ ": not a compfs layer")
+let layer_of =
+  Sp_core.Stackable.narrow ~what:"a compfs layer" (function
+    | Layer l -> Some l
+    | _ -> None)
 
 let locked l f = Sp_sched.Mutex.with_lock l.l_lock f
 
@@ -484,11 +484,11 @@ let make ?(node = "local") ?domain ?(coherent = true) ~vmm ~name () =
       l_lock = Sp_sched.Mutex.create ("compfs:" ^ name);
     }
   in
-  Hashtbl.replace instances name l;
   (* Snapshot the entries first: sync_entry yields, and a concurrent open
      may add files while we iterate. *)
   let entries () = Hashtbl.fold (fun _ e acc -> e :: acc) l.l_files [] in
-  Sp_core.Over_one.stackable l.l_over ~sfs_type:"compfs" ~domain ~wrap:(wrap_file l)
+  Sp_core.Over_one.stackable l.l_over ~sfs_type:"compfs" ~domain
+    ~exten:[ Layer l ] ~wrap:(wrap_file l)
     ~forget:(fun lower ->
       (match Hashtbl.find_opt l.l_files lower.Sp_core.File.f_id with
       | Some e -> Sp_vm.Pager_lib.destroy_key l.l_channels ~key:e.e_key

@@ -1,4 +1,4 @@
-let registry : (string, Sp_naming.Name_cache.t) Hashtbl.t = Hashtbl.create 4
+type Sp_obj.Exten.t += View of Sp_naming.Name_cache.t
 
 let attach ?(capacity = 256) ?domain (fs : Stackable.t) =
   (* The cache is client-side state: its context is served in the caller's
@@ -6,7 +6,6 @@ let attach ?(capacity = 256) ?domain (fs : Stackable.t) =
   let domain = Option.value domain ~default:Sp_obj.Door.user_domain in
   let cache = Sp_naming.Name_cache.create ~capacity () in
   let name = fs.Stackable.sfs_name ^ "+ncache" in
-  Hashtbl.replace registry name cache;
   let lower_ctx = fs.Stackable.sfs_ctx in
   (* Single-component resolutions consult the cache; deeper walks start
      from cached intermediate contexts naturally because the view's
@@ -67,9 +66,12 @@ let attach ?(capacity = 256) ?domain (fs : Stackable.t) =
       (fun () ->
         Sp_naming.Name_cache.clear cache;
         fs.Stackable.sfs_drop_caches ());
+    (* The view's own: the state of [fs] is not reached through it. *)
+    sfs_exten = [ View cache ];
   }
 
-let stats (fs : Stackable.t) =
-  match Hashtbl.find_opt registry fs.Stackable.sfs_name with
-  | Some cache -> Sp_naming.Name_cache.stats cache
-  | None -> invalid_arg (fs.Stackable.sfs_name ^ ": not a cached view")
+let stats fs =
+  Sp_naming.Name_cache.stats
+    (Stackable.narrow ~what:"a cached view"
+       (function View cache -> Some cache | _ -> None)
+       fs)

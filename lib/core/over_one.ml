@@ -3,7 +3,8 @@ type t = {
   mutable under : Stackable.t option;
   files : (string, File.t * File.t) Hashtbl.t;
       (* lower file id -> (lower file, upper file); the stored lower
-         validates a hit against identity reuse *)
+         validates a hit against identity reuse.  [pass_through] keys it
+         by path instead and serves a hit unchecked. *)
 }
 
 let create ~name = { name; under = None; files = Hashtbl.create 16 }
@@ -28,7 +29,16 @@ let clear t = Hashtbl.reset t.files
 let charge_open_state (_ : File.t) =
   Sp_sim.Simclock.advance (Sp_sim.Cost_model.current ()).open_state_ns
 
-let stackable t ~sfs_type ~domain ~wrap ~forget ~sync ~drop_caches ~charge_open =
+let stack_on t ~sfs_type under =
+  match t.under with
+  | Some _ ->
+      raise
+        (Stackable.Stack_error
+           (t.name ^ ": " ^ sfs_type ^ " stacks on exactly one file system"))
+  | None -> t.under <- Some under
+
+let stackable t ~sfs_type ~domain ~exten ~wrap ~forget ~sync ~drop_caches
+    ~charge_open =
   let name = t.name in
   (* Built on first use, not at [stack_on]: an open before [stack_on]
      raises, and the next one after it must still succeed. *)
@@ -45,35 +55,12 @@ let stackable t ~sfs_type ~domain ~wrap ~forget ~sync ~drop_caches ~charge_open 
         ctx := Some c;
         c
   in
-  let exported_ctx =
-    {
-      Sp_naming.Context.ctx_domain = domain;
-      ctx_label = name;
-      ctx_acl = (fun () -> Sp_naming.Acl.open_acl);
-      ctx_set_acl = (fun _ -> ());
-      ctx_resolve1 = (fun c -> (get_ctx ()).Sp_naming.Context.ctx_resolve1 c);
-      ctx_bind1 = (fun c o -> (get_ctx ()).Sp_naming.Context.ctx_bind1 c o);
-      ctx_rebind1 = (fun c o -> (get_ctx ()).Sp_naming.Context.ctx_rebind1 c o);
-      ctx_unbind1 = (fun c -> (get_ctx ()).Sp_naming.Context.ctx_unbind1 c);
-      ctx_list = (fun () -> (get_ctx ()).Sp_naming.Context.ctx_list ());
-      ctx_readdir1 =
-        (fun ~cookie ~limit ->
-          (get_ctx ()).Sp_naming.Context.ctx_readdir1 ~cookie ~limit);
-    }
-  in
   {
     Stackable.sfs_name = name;
     sfs_type;
     sfs_domain = domain;
-    sfs_ctx = exported_ctx;
-    sfs_stack_on =
-      (fun under ->
-        match t.under with
-        | Some _ ->
-            raise
-              (Stackable.Stack_error
-                 (name ^ ": " ^ sfs_type ^ " stacks on exactly one file system"))
-        | None -> t.under <- Some under);
+    sfs_ctx = Sp_naming.Context.forward ~domain ~label:name get_ctx;
+    sfs_stack_on = stack_on t ~sfs_type;
     sfs_unders = (fun () -> Option.to_list t.under);
     sfs_create = (fun path -> wrap ~fresh:true (Stackable.create (lower t) path));
     sfs_mkdir = (fun path -> Stackable.mkdir (lower t) path);
@@ -91,4 +78,85 @@ let stackable t ~sfs_type ~domain ~wrap ~forget ~sync ~drop_caches ~charge_open 
         sync ();
         Stackable.sync (lower t));
     sfs_drop_caches = drop_caches;
+    sfs_exten = exten;
+  }
+
+let pass_through t ~sfs_type ~domain ~exten ~hidden ~wrap ~on_remove =
+  let name = t.name in
+  let key path =
+    Printf.sprintf "%s:%s:%s" sfs_type name (Sp_naming.Sname.to_string path)
+  in
+  (* Keyed by path, not by lower file: a hit is served whatever the lower
+     layer now binds there. *)
+  let file path lower =
+    let key = key path in
+    match Hashtbl.find_opt t.files key with
+    | Some (_, f) -> f
+    | None ->
+        let f = wrap ~key path lower in
+        Hashtbl.replace t.files key (lower, f);
+        f
+  in
+  let rec make_ctx path =
+    let label =
+      if Sp_naming.Sname.is_empty path then name
+      else name ^ "/" ^ Sp_naming.Sname.to_string path
+    in
+    let resolve1 component =
+      if hidden component then
+        raise (Sp_naming.Context.Unbound (label ^ "/" ^ component));
+      let sub = Sp_naming.Sname.append path component in
+      match Sp_naming.Context.resolve (lower t).Stackable.sfs_ctx sub with
+      | File.File f ->
+          charge_open_state f;
+          File.File (file sub f)
+      | Sp_naming.Context.Context _ -> Sp_naming.Context.Context (make_ctx sub)
+      | other -> other
+    in
+    (* Stream the lower directory and drop hidden names per batch:
+       filtered batches may come back short, so consumers follow the
+       cookie. *)
+    let readdir1 ~cookie ~limit =
+      Sp_dir.Cursor.filter
+        (fun n -> not (hidden n))
+        (fun ~cookie ~limit -> Stackable.readdir (lower t) path ~cookie ~limit)
+        ~cookie ~limit
+    in
+    let lower_ctx () = (lower t).Stackable.sfs_ctx in
+    let below c = Sp_naming.Sname.append path c in
+    {
+      Sp_naming.Context.ctx_domain = domain;
+      ctx_label = label;
+      ctx_acl = (fun () -> Sp_naming.Acl.open_acl);
+      ctx_set_acl = (fun _ -> ());
+      ctx_resolve1 = resolve1;
+      ctx_bind1 =
+        (fun c o -> Sp_naming.Context.bind (lower_ctx ()) (below c) o);
+      ctx_rebind1 =
+        (fun c o -> Sp_naming.Context.rebind (lower_ctx ()) (below c) o);
+      ctx_unbind1 = (fun c -> Sp_naming.Context.unbind (lower_ctx ()) (below c));
+      ctx_list =
+        (fun () ->
+          List.sort String.compare
+            (Sp_dir.Cursor.drain (fun ~cookie ~limit -> readdir1 ~cookie ~limit)));
+      ctx_readdir1 = readdir1;
+    }
+  in
+  {
+    Stackable.sfs_name = name;
+    sfs_type;
+    sfs_domain = domain;
+    sfs_ctx = make_ctx (Sp_naming.Sname.of_components []);
+    sfs_stack_on = stack_on t ~sfs_type;
+    sfs_unders = (fun () -> Option.to_list t.under);
+    sfs_create = (fun path -> file path (Stackable.create (lower t) path));
+    sfs_mkdir = (fun path -> Stackable.mkdir (lower t) path);
+    sfs_remove =
+      (fun path ->
+        Hashtbl.remove t.files (key path);
+        on_remove path;
+        Stackable.remove (lower t) path);
+    sfs_sync = (fun () -> Stackable.sync (lower t));
+    sfs_drop_caches = (fun () -> Stackable.drop_caches (lower t));
+    sfs_exten = exten;
   }

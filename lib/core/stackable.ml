@@ -10,6 +10,7 @@ type t = {
   sfs_remove : Sp_naming.Sname.t -> unit;
   sfs_sync : unit -> unit;
   sfs_drop_caches : unit -> unit;
+  sfs_exten : Sp_obj.Exten.t list;
 }
 
 type creator = { cr_type : string; cr_create : name:string -> t }
@@ -17,6 +18,11 @@ type creator = { cr_type : string; cr_create : name:string -> t }
 type Sp_naming.Context.obj += Fs of t | Creator of creator
 
 exception Stack_error of string
+
+let narrow ~what project fs =
+  match Sp_obj.Exten.narrow fs.sfs_exten project with
+  | Some x -> x
+  | None -> invalid_arg (fs.sfs_name ^ ": not " ^ what)
 
 let narrow_to_file path = function
   | File.File f -> f
@@ -87,7 +93,8 @@ let rec base fs =
    name race through the unlocked window between [open_file] and
    [remove] (door crossings suspend under [Sp_sched]) and both "win":
    last-wins leaves the file bound under two names or removes it twice.
-   Keyed by instance name so fresh test instances never share a lock. *)
+   Keyed by base name, not held by the base: a supervised restart
+   re-makes the base, and its renames must share the old one's locks. *)
 let rename_locks : (string, Sp_sched.Rwlock.t) Hashtbl.t = Hashtbl.create 16
 
 let dir_key b path =

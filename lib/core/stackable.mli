@@ -21,6 +21,12 @@ type t = {
   sfs_sync : unit -> unit;  (** flush everything toward stable store *)
   sfs_drop_caches : unit -> unit;
       (** drop layer-private caches (benchmark support) *)
+  sfs_exten : Sp_obj.Exten.t list;
+      (** the layer's own extensions, like [File.f_exten]: a layer module
+          adds a constructor carrying its state and reaches that state
+          with {!narrow} — never by instance name, so two instances of
+          one name, or two incarnations of a supervised layer, stay
+          apart *)
 }
 
 type creator = {
@@ -33,6 +39,12 @@ type Sp_naming.Context.obj +=
   | Creator of creator
 
 exception Stack_error of string
+
+(** [narrow ~what project fs] is the first extension of [fs] that
+    [project] accepts — how a layer module gets from the stackable it
+    exported back to its own state (paper §4.3).  Raises
+    [Invalid_argument "<sfs_name>: not <what>"] when none does. *)
+val narrow : what:string -> (Sp_obj.Exten.t -> 'a option) -> t -> 'a
 
 (** {1 Call helpers} *)
 

@@ -87,7 +87,7 @@ let make ?(node = "local") ?domain ~vmm ~name ~key () =
   let build ~fresh:_ lower =
     T.make ~vmm ~domain ~channels ops ~key:(file_key lower) () lower
   in
-  Sp_core.Over_one.stackable over ~sfs_type:"cryptfs" ~domain
+  Sp_core.Over_one.stackable over ~sfs_type:"cryptfs" ~domain ~exten:[]
     ~wrap:(Sp_core.Over_one.file over build)
     ~forget:(fun lower -> Sp_vm.Pager_lib.destroy_key channels ~key:(file_key lower))
     ~sync:(fun () -> Sp_core.Over_one.iter over Sp_core.File.sync)

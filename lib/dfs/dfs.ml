@@ -160,6 +160,8 @@ type server = {
   mutable s_coh : Sp_core.Stackable.t option;
 }
 
+(* Keyed by name because an import holds its server by name: each call
+   re-resolves the current incarnation after a supervised restart. *)
 let servers : (string, server) Hashtbl.t = Hashtbl.create 4
 
 let server_of (sfs : Sp_core.Stackable.t) =
@@ -194,23 +196,9 @@ let make_server ?(node = "local") ~net ~vmm ~name () =
   (* The local view: names resolve in the underlying file system and the
      underlying files are returned unchanged — local binds are thereby
      "forwarded" and local paging bypasses DFS entirely (Figure 7). *)
-  let delegate f = f (lower_of s).Sp_core.Stackable.sfs_ctx in
   let local_ctx =
-    {
-      Sp_naming.Context.ctx_domain = domain;
-      ctx_label = name;
-      ctx_acl = (fun () -> Sp_naming.Acl.open_acl);
-      ctx_set_acl = (fun _ -> ());
-      ctx_resolve1 = (fun c -> delegate (fun ctx -> ctx.Sp_naming.Context.ctx_resolve1 c));
-      ctx_bind1 = (fun c o -> delegate (fun ctx -> ctx.Sp_naming.Context.ctx_bind1 c o));
-      ctx_rebind1 =
-        (fun c o -> delegate (fun ctx -> ctx.Sp_naming.Context.ctx_rebind1 c o));
-      ctx_unbind1 = (fun c -> delegate (fun ctx -> ctx.Sp_naming.Context.ctx_unbind1 c));
-      ctx_list = (fun () -> delegate (fun ctx -> ctx.Sp_naming.Context.ctx_list ()));
-      ctx_readdir1 =
-        (fun ~cookie ~limit ->
-          delegate (fun ctx -> ctx.Sp_naming.Context.ctx_readdir1 ~cookie ~limit));
-    }
+    Sp_naming.Context.forward ~domain ~label:name (fun () ->
+        (lower_of s).Sp_core.Stackable.sfs_ctx)
   in
   {
     Sp_core.Stackable.sfs_name = name;
@@ -243,6 +231,7 @@ let make_server ?(node = "local") ~net ~vmm ~name () =
         Sp_core.Stackable.sync (coh_of s);
         Sp_core.Stackable.sync (lower_of s));
     sfs_drop_caches = (fun () -> Sp_core.Stackable.drop_caches (coh_of s));
+    sfs_exten = [];
   }
 
 let creator ?(node = "local") ~net ~vmm () =
@@ -358,4 +347,5 @@ let import ~net ~client_node server_sfs =
       (fun path -> rpc_to_server 64 (fun () -> Sp_core.Stackable.remove (coh_now ()) path));
     sfs_sync = (fun () -> rpc_to_server 16 (fun () -> Sp_core.Stackable.sync (coh_now ())));
     sfs_drop_caches = (fun () -> ());
+    sfs_exten = [];
   }

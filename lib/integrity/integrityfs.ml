@@ -13,12 +13,12 @@ type layer = {
 (* Each file's own state: page index -> FNV-1a of the padded page. *)
 type sums = (int, int) Hashtbl.t
 
-let instances : (string, layer) Hashtbl.t = Hashtbl.create 4
+type Sp_obj.Exten.t += Layer of layer
 
-let layer_of (sfs : Sp_core.Stackable.t) =
-  match Hashtbl.find_opt instances sfs.Sp_core.Stackable.sfs_name with
-  | Some l -> l
-  | None -> invalid_arg (sfs.Sp_core.Stackable.sfs_name ^ ": not an integrityfs layer")
+let layer_of =
+  Sp_core.Stackable.narrow ~what:"an integrityfs layer" (function
+    | Layer l -> Some l
+    | _ -> None)
 
 (* Read one lower page, zero-padded to a full page. *)
 let read_lower_page (e : sums T.t) page =
@@ -106,7 +106,6 @@ let make ?(node = "local") ?domain ~vmm ~name () =
     match domain with Some d -> d | None -> Sp_obj.Sdomain.create ~node name
   in
   let l = { l_name = name; l_verified = 0; l_failures = 0 } in
-  Hashtbl.replace instances name l;
   let over = Sp_core.Over_one.create ~name in
   let channels = Sp_vm.Pager_lib.create () in
   let ops = { T.page_in = page_in l; store; set_len } in
@@ -117,7 +116,7 @@ let make ?(node = "local") ?domain ~vmm ~name () =
     T.make ~vmm ~domain ~channels ops ~key:(file_key lower) (Hashtbl.create 16) lower
   in
   Sp_core.Over_one.stackable over ~sfs_type:"integrityfs" ~domain
-    ~wrap:(Sp_core.Over_one.file over build)
+    ~exten:[ Layer l ] ~wrap:(Sp_core.Over_one.file over build)
     ~forget:(fun lower -> Sp_vm.Pager_lib.destroy_key channels ~key:(file_key lower))
     ~sync:(fun () -> Sp_core.Over_one.iter over Sp_core.File.sync)
     ~drop_caches:(fun () ->

@@ -26,12 +26,12 @@ type layer = {
   l_pairs : (string, pair) Hashtbl.t;  (* same keys; for [repair] *)
 }
 
-let instances : (string, layer) Hashtbl.t = Hashtbl.create 4
+type Sp_obj.Exten.t += Layer of layer
 
-let layer_of (sfs : Sp_core.Stackable.t) =
-  match Hashtbl.find_opt instances sfs.Sp_core.Stackable.sfs_name with
-  | Some l -> l
-  | None -> invalid_arg (sfs.Sp_core.Stackable.sfs_name ^ ": not a mirrorfs layer")
+let layer_of =
+  Sp_core.Stackable.narrow ~what:"a mirrorfs layer" (function
+    | Layer l -> Some l
+    | _ -> None)
 
 let replicas l =
   match (l.l_primary, l.l_secondary) with
@@ -374,7 +374,6 @@ let make ?(node = "local") ?domain ~vmm ~name () =
       l_pairs = Hashtbl.create 16;
     }
   in
-  Hashtbl.replace instances name l;
   let ctx = make_ctx l ~path:(Sp_naming.Sname.of_components []) in
   {
     Sp_core.Stackable.sfs_name = name;
@@ -472,6 +471,7 @@ let make ?(node = "local") ?domain ~vmm ~name () =
             when l.l_degraded = None
             ->
               note_failover l Secondary reason));
+    sfs_exten = [ Layer l ];
   }
 
 let creator ?(node = "local") ~vmm () =

@@ -52,6 +52,20 @@ let make ~domain ~label ?(acl = Acl.open_acl) () =
     ctx_readdir1 = readdir1;
   }
 
+let forward ~domain ~label target =
+  {
+    ctx_domain = domain;
+    ctx_label = label;
+    ctx_acl = (fun () -> Acl.open_acl);
+    ctx_set_acl = (fun _ -> ());
+    ctx_resolve1 = (fun c -> (target ()).ctx_resolve1 c);
+    ctx_bind1 = (fun c o -> (target ()).ctx_bind1 c o);
+    ctx_rebind1 = (fun c o -> (target ()).ctx_rebind1 c o);
+    ctx_unbind1 = (fun c -> (target ()).ctx_unbind1 c);
+    ctx_list = (fun () -> (target ()).ctx_list ());
+    ctx_readdir1 = (fun ~cookie ~limit -> (target ()).ctx_readdir1 ~cookie ~limit);
+  }
+
 let check ctx ~principal perm =
   if not (Acl.permits (ctx.ctx_acl ()) ~principal perm) then
     raise

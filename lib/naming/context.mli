@@ -42,6 +42,13 @@ exception Denied of string
     served by [domain].  [acl] defaults to {!Acl.open_acl}. *)
 val make : domain:Sp_obj.Sdomain.t -> label:string -> ?acl:Acl.t -> unit -> t
 
+(** [forward ~domain ~label target] is a context served by [domain]
+    whose every one-component operation runs on [target ()], found anew
+    at each call — so the context can exist before its target does.  Its
+    ACL is {!Acl.open_acl} and setting it does nothing: the target's own
+    ACL is not consulted, as no door is crossed into it. *)
+val forward : domain:Sp_obj.Sdomain.t -> label:string -> (unit -> t) -> t
+
 (** {1 Compound-name operations}
 
     These walk the context chain one component at a time, performing a door

@@ -16,6 +16,9 @@ let () = Sp_sched.register_tls current_domain
    unserialized, since layers are internally re-entrant in the
    simulation and serializing bodies would deadlock nested calls. *)
 let door_servers = 4
+
+(* Keyed by [node/name] so that a restarted domain shares its
+   predecessor's station (see [station_by_id]). *)
 let stations : (string, Sp_sched.Station.t) Hashtbl.t = Hashtbl.create 32
 
 (* Crossings look their station up by domain id, which neither builds

@@ -53,14 +53,14 @@ type fs = {
   mutable gc : gc_window option;  (* the currently open window, if any *)
 }
 
-(* Registry linking exported stackable_fs values back to their state, for
-   the introspection API. *)
-let instances : (string, fs) Hashtbl.t = Hashtbl.create 4
+(* Links the exported stackable_fs back to its state, for the
+   introspection API. *)
+type Sp_obj.Exten.t += Layer of fs
 
-let fs_of (sfs : Sp_core.Stackable.t) =
-  match Hashtbl.find_opt instances sfs.Sp_core.Stackable.sfs_name with
-  | Some fs -> fs
-  | None -> invalid_arg (sfs.Sp_core.Stackable.sfs_name ^ ": not a disk layer")
+let fs_of =
+  Sp_core.Stackable.narrow ~what:"a disk layer" (function
+    | Layer fs -> Some fs
+    | _ -> None)
 
 let locked fs f = Sp_sched.Mutex.with_lock fs.lock f
 
@@ -1087,7 +1087,6 @@ let mount ?(node = "local") ?domain ?(dir_index = true) ?(group_commit = true)
       gc = None;
     }
   in
-  Hashtbl.replace instances name fs;
   {
     Sp_core.Stackable.sfs_name = name;
     sfs_type = "sfs_disk";
@@ -1124,6 +1123,7 @@ let mount ?(node = "local") ?domain ?(dir_index = true) ?(group_commit = true)
         Hashtbl.reset fs.dcache;
         Itbl.reset fs.dirblk;
         Hashtbl.reset fs.indcache);
+    sfs_exten = [ Layer fs ];
   }
 
 let creator ?(node = "local") ?(journal = false) ?(checksums = true) ~get_disk () =

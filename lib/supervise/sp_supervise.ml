@@ -31,11 +31,11 @@ type t = {
   mutable s_restarting : bool;
 }
 
-(* Domain name -> owning supervisor.  [Dead_domain] carries the domain
-   name, and a layer's serving domain is named after its instance, so the
-   name is the join point between the raised exception and the restart
-   recipe.  Level names must therefore be globally unique (they already
-   are: layer instance registries are keyed the same way). *)
+(* Domain name -> owning supervisor.  Keyed by name because
+   [Dead_domain] carries only the domain name, and a layer's serving
+   domain is named after its instance: the name is the join point
+   between the raised exception and the restart recipe of every
+   incarnation.  Level names must therefore be globally unique. *)
 let registry : (string, t) Hashtbl.t = Hashtbl.create 8
 
 let register_entry t e =
@@ -241,6 +241,7 @@ let make_proxy t =
     sfs_remove = (fun path -> call (fun () -> S.remove (cur ()) path));
     sfs_sync = (fun () -> call (fun () -> S.sync (cur ())));
     sfs_drop_caches = (fun () -> call (fun () -> S.drop_caches (cur ())));
+    sfs_exten = [];
   }
 
 let handle t =

@@ -12,12 +12,12 @@ type layer = {
   l_wrapped : (string, Sp_core.File.t) Hashtbl.t;  (* by full path *)
 }
 
-let instances : (string, layer) Hashtbl.t = Hashtbl.create 4
+type Sp_obj.Exten.t += Layer of layer
 
-let layer_of (sfs : Sp_core.Stackable.t) =
-  match Hashtbl.find_opt instances sfs.Sp_core.Stackable.sfs_name with
-  | Some l -> l
-  | None -> invalid_arg (sfs.Sp_core.Stackable.sfs_name ^ ": not a unionfs layer")
+let layer_of =
+  Sp_core.Stackable.narrow ~what:"a unionfs layer" (function
+    | Layer l -> Some l
+    | _ -> None)
 
 let top_of l =
   match l.l_top with
@@ -303,7 +303,6 @@ let make ?(node = "local") ?domain ~vmm ~name () =
       l_wrapped = Hashtbl.create 16;
     }
   in
-  Hashtbl.replace instances name l;
   {
     Sp_core.Stackable.sfs_name = name;
     sfs_type = "unionfs";
@@ -359,6 +358,7 @@ let make ?(node = "local") ?domain ~vmm ~name () =
       (fun () ->
         Sp_core.Stackable.drop_caches (top_of l);
         List.iter Sp_core.Stackable.drop_caches l.l_lowers);
+    sfs_exten = [ Layer l ];
   }
 
 let creator ?(node = "local") ~vmm () =

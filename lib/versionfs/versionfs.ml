@@ -1,23 +1,14 @@
 let version_prefix = ".v"
 
-type layer = {
-  l_name : string;
-  l_domain : Sp_obj.Sdomain.t;
-  mutable l_lower : Sp_core.Stackable.t option;
-  l_wrapped : (string, Sp_core.File.t) Hashtbl.t;
-}
+type layer = { l_over : Sp_core.Over_one.t; l_domain : Sp_obj.Sdomain.t }
+type Sp_obj.Exten.t += Layer of layer
 
-let instances : (string, layer) Hashtbl.t = Hashtbl.create 4
+let layer_of =
+  Sp_core.Stackable.narrow ~what:"a versionfs layer" (function
+    | Layer l -> Some l
+    | _ -> None)
 
-let layer_of (sfs : Sp_core.Stackable.t) =
-  match Hashtbl.find_opt instances sfs.Sp_core.Stackable.sfs_name with
-  | Some l -> l
-  | None -> invalid_arg (sfs.Sp_core.Stackable.sfs_name ^ ": not a versionfs layer")
-
-let lower_of l =
-  match l.l_lower with
-  | Some fs -> fs
-  | None -> raise (Sp_core.Stackable.Stack_error (l.l_name ^ ": not stacked yet"))
+let lower_of l = Sp_core.Over_one.lower l.l_over
 
 (* ".v<digits>.<rest>" *)
 let is_version_name name =
@@ -104,106 +95,15 @@ let drop_version sfs path n =
   Sp_core.Stackable.remove (lower_of l) (version_path path n)
 
 (* The exported file forwards everything (data path untouched). *)
-let wrap_file l path (lower : Sp_core.File.t) =
-  let key =
-    Printf.sprintf "versionfs:%s:%s" l.l_name (Sp_naming.Sname.to_string path)
-  in
-  match Hashtbl.find_opt l.l_wrapped key with
-  | Some f -> f
-  | None ->
-      let f = { lower with Sp_core.File.f_id = key } in
-      Hashtbl.replace l.l_wrapped key f;
-      f
-
-let rec make_ctx l ~path =
-  let label =
-    if Sp_naming.Sname.is_empty path then l.l_name
-    else l.l_name ^ "/" ^ Sp_naming.Sname.to_string path
-  in
-  let resolve1 component =
-    if is_version_name component then
-      raise (Sp_naming.Context.Unbound (label ^ "/" ^ component));
-    let lower = lower_of l in
-    let sub = Sp_naming.Sname.append path component in
-    match Sp_naming.Context.resolve lower.Sp_core.Stackable.sfs_ctx sub with
-    | Sp_core.File.File f ->
-        Sp_sim.Simclock.advance (Sp_sim.Cost_model.current ()).open_state_ns;
-        Sp_core.File.File (wrap_file l sub f)
-    | Sp_naming.Context.Context _ -> Sp_naming.Context.Context (make_ctx l ~path:sub)
-    | other -> other
-  in
-  (* Stream the lower directory and drop version sidecars per batch:
-     filtered batches may come back short, so consumers follow the
-     cookie. *)
-  let readdir1 ~cookie ~limit =
-    Sp_dir.Cursor.filter
-      (fun n -> not (is_version_name n))
-      (fun ~cookie ~limit ->
-        Sp_core.Stackable.readdir (lower_of l) path ~cookie ~limit)
-      ~cookie ~limit
-  in
-  let list () =
-    List.sort String.compare
-      (Sp_dir.Cursor.drain (fun ~cookie ~limit -> readdir1 ~cookie ~limit))
-  in
-  {
-    Sp_naming.Context.ctx_domain = l.l_domain;
-    ctx_label = label;
-    ctx_acl = (fun () -> Sp_naming.Acl.open_acl);
-    ctx_set_acl = (fun _ -> ());
-    ctx_resolve1 = resolve1;
-    ctx_bind1 =
-      (fun c o ->
-        Sp_naming.Context.bind (lower_of l).Sp_core.Stackable.sfs_ctx
-          (Sp_naming.Sname.append path c) o);
-    ctx_rebind1 =
-      (fun c o ->
-        Sp_naming.Context.rebind (lower_of l).Sp_core.Stackable.sfs_ctx
-          (Sp_naming.Sname.append path c) o);
-    ctx_unbind1 =
-      (fun c ->
-        Sp_naming.Context.unbind (lower_of l).Sp_core.Stackable.sfs_ctx
-          (Sp_naming.Sname.append path c));
-    ctx_list = list;
-    ctx_readdir1 = readdir1;
-  }
-
 let make ?(node = "local") ?domain ~name () =
   let domain =
     match domain with Some d -> d | None -> Sp_obj.Sdomain.create ~node name
   in
-  let l =
-    { l_name = name; l_domain = domain; l_lower = None; l_wrapped = Hashtbl.create 16 }
-  in
-  Hashtbl.replace instances name l;
-  {
-    Sp_core.Stackable.sfs_name = name;
-    sfs_type = "versionfs";
-    sfs_domain = domain;
-    sfs_ctx = make_ctx l ~path:(Sp_naming.Sname.of_components []);
-    sfs_stack_on =
-      (fun under ->
-        match l.l_lower with
-        | Some _ ->
-            raise
-              (Sp_core.Stackable.Stack_error
-                 (name ^ ": versionfs stacks on exactly one file system"))
-        | None -> l.l_lower <- Some under);
-    sfs_unders = (fun () -> Option.to_list l.l_lower);
-    sfs_create =
-      (fun path -> wrap_file l path (Sp_core.Stackable.create (lower_of l) path));
-    sfs_mkdir = (fun path -> Sp_core.Stackable.mkdir (lower_of l) path);
-    sfs_remove =
-      (fun path ->
-        let l' = l in
-        (* Removing the current file keeps its history; versions are
-           dropped explicitly. *)
-        Hashtbl.remove l'.l_wrapped
-          (Printf.sprintf "versionfs:%s:%s" l.l_name (Sp_naming.Sname.to_string path));
-        Sp_core.Stackable.remove (lower_of l) path);
-    sfs_sync = (fun () -> Sp_core.Stackable.sync (lower_of l));
-    sfs_drop_caches = (fun () -> Sp_core.Stackable.drop_caches (lower_of l));
-  }
+  let l = { l_over = Sp_core.Over_one.create ~name; l_domain = domain } in
+  Sp_core.Over_one.pass_through l.l_over ~sfs_type:"versionfs" ~domain
+    ~exten:[ Layer l ] ~hidden:is_version_name
+    ~wrap:(fun ~key _ lower -> { lower with Sp_core.File.f_id = key })
+    ~on_remove:ignore
 
 let creator ?(node = "local") () =
   {

@@ -161,6 +161,37 @@ let test_fail_repair_fail_other_twin () =
       Util.check_str "served after the second failover" "v3"
         (F.read (S.open_file mirror (Util.name "t")) ~pos:0 ~len:2))
 
+(* A layer's introspection narrows the stackable it is given, so two
+   instances that share a name never read each other's state. *)
+let test_same_name_instances_apart () =
+  Util.in_world (fun () ->
+      let small = Sp_sfs.Disk_layer.mount ~name:"twin" (Util.fresh_disk ~blocks:1024 ()) in
+      let large = Sp_sfs.Disk_layer.mount ~name:"twin" (Util.fresh_disk ~blocks:4096 ()) in
+      let ref_small =
+        Sp_sfs.Disk_layer.mount ~name:"twin-ref-small" (Util.fresh_disk ~blocks:1024 ())
+      in
+      let ref_large =
+        Sp_sfs.Disk_layer.mount ~name:"twin-ref-large" (Util.fresh_disk ~blocks:4096 ())
+      in
+      Alcotest.(check int) "first twin: its own free blocks"
+        (Sp_sfs.Disk_layer.free_blocks ref_small)
+        (Sp_sfs.Disk_layer.free_blocks small);
+      Alcotest.(check int) "second twin: its own free blocks"
+        (Sp_sfs.Disk_layer.free_blocks ref_large)
+        (Sp_sfs.Disk_layer.free_blocks large);
+      let vmm = Sp_vm.Vmm.create ~node:"local" "vmm0" in
+      let m1 = M.make ~vmm ~name:"twin-mirror" () in
+      let m2 = M.make ~vmm ~name:"twin-mirror" () in
+      M.set_degraded m1 (Some M.Primary);
+      Alcotest.(check bool) "first mirror degraded" true (M.degraded m1 = Some M.Primary);
+      Alcotest.(check bool) "second mirror untouched" true (M.degraded m2 = None);
+      Alcotest.check_raises "narrowing the wrong layer"
+        (Invalid_argument "twin: not a mirrorfs layer") (fun () ->
+          ignore (M.degraded small));
+      Alcotest.check_raises "and the other way round"
+        (Invalid_argument "twin-mirror: not a disk layer") (fun () ->
+          ignore (Sp_sfs.Disk_layer.free_blocks m1)))
+
 let suite =
   [
     Alcotest.test_case "fig3: stacks on two underlays" `Quick test_fig3_two_underlays;
@@ -172,4 +203,6 @@ let suite =
     Alcotest.test_case "dirs and remove" `Quick test_dirs_and_remove;
     Alcotest.test_case "truncate both" `Quick test_truncate_both;
     Alcotest.test_case "mapped access" `Quick test_mapped_access;
+    Alcotest.test_case "same-named instances keep their own state" `Quick
+      test_same_name_instances_apart;
   ]

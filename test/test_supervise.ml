@@ -85,9 +85,7 @@ let test_epoch_fencing_and_reconcile () =
         ignore (F.write f ~pos:(p * ps) (Bytes.make ps (Char.chr (65 + p))))
       done;
       S.sync fs;
-      let epoch0 =
-        Sp_coherency.Coherency_layer.recovery_epoch (Sup.current sup "ef.coh")
-      in
+      let coh0 = Sup.current sup "ef.coh" in
       let clean0, _ = Sp_vm.Vmm.reconciled vmm in
       Sup.kill sup "ef.coh";
       (* Reading through the handle restarts the layer; the restarted
@@ -101,10 +99,10 @@ let test_epoch_fencing_and_reconcile () =
           (Char.chr (65 + p))
           (Bytes.get got (p * ps))
       done;
-      let epoch1 =
-        Sp_coherency.Coherency_layer.recovery_epoch (Sup.current sup "ef.coh")
-      in
-      Alcotest.(check int) "recovery epoch bumped" (epoch0 + 1) epoch1;
+      Alcotest.(check int) "coherency level restarted once" 1
+        (Sup.level_restarts sup "ef.coh");
+      Alcotest.(check bool) "a new incarnation" false
+        (Sup.current sup "ef.coh" == coh0);
       let clean1, _ = Sp_vm.Vmm.reconciled vmm in
       Alcotest.(check bool) "clean pages reconciled" true (clean1 > clean0))
 
