@@ -8,7 +8,6 @@ type t = {
   c_vmm : Sp_vm.Vmm.t;
   c_files : (string, entry) Hashtbl.t;  (* by bind key *)
   c_wrapped : (string, Sp_core.File.t) Hashtbl.t;
-  mutable c_pending : entry option;  (* entry being bound right now *)
 }
 
 let make ?(node = "local") ~vmm ~name () =
@@ -18,7 +17,6 @@ let make ?(node = "local") ~vmm ~name () =
     c_vmm = vmm;
     c_files = Hashtbl.create 16;
     c_wrapped = Hashtbl.create 16;
-    c_pending = None;
   }
 
 (* CFS holds no page data (the VMM does), so its cache object only has to
@@ -37,22 +35,15 @@ let cache_object t e =
     c_exten = [ Sp_vm.Attr_cache.fs_cache e.e_attrs ];
   }
 
-let manager t =
+(* The cache manager of one remote file's channel: the handshake
+   records the entry under the bind key. *)
+let manager t e =
   {
     V.cm_id = "cfs:" ^ t.c_name;
     cm_domain = t.c_domain;
     cm_connect =
       (fun ~key pager ->
-        let e =
-          match Hashtbl.find_opt t.c_files key with
-          | Some e -> e
-          | None -> (
-              match t.c_pending with
-              | Some e ->
-                  Hashtbl.replace t.c_files key e;
-                  e
-              | None -> failwith (t.c_name ^ ": connect for unknown file " ^ key))
-        in
+        Hashtbl.replace t.c_files key e;
         Sp_vm.Attr_cache.connect e.e_attrs pager;
         cache_object t e);
   }
@@ -61,19 +52,13 @@ let interpose t (remote : Sp_core.File.t) =
   match Hashtbl.find_opt t.c_wrapped remote.Sp_core.File.f_id with
   | Some f -> f
   | None ->
-      (* The key the remote bind yields identifies the file at the server;
-         we index the entry the same way [cm_connect] will see it. *)
       let attrs =
         Sp_vm.Attr_cache.create ~stat:Sp_core.File.stat ~store:Sp_core.File.set_attr
           remote
       in
       let e = { e_remote = remote; e_attrs = attrs } in
-      (* Bind as cache manager for the remote file; [cm_connect] installs
-         the entry under the bind key during the handshake. *)
-      t.c_pending <- Some e;
-      Fun.protect
-        ~finally:(fun () -> t.c_pending <- None)
-        (fun () -> ignore (V.bind remote.Sp_core.File.f_mem (manager t) V.Read_write));
+      (* Bind as cache manager for the remote file. *)
+      ignore (V.bind remote.Sp_core.File.f_mem (manager t e) V.Read_write);
       let mapped =
         Sp_core.File.mapped_ops ~vmm:t.c_vmm ~mem:remote.Sp_core.File.f_mem
           ~get_attr:(fun () -> Sp_vm.Attr_cache.fetch attrs)

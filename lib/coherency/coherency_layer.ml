@@ -46,18 +46,6 @@ let store cf ~retain ~offset data =
 
 let write_down cf x = store cf ~retain:`Read_only ~offset:x.V.ext_offset x.V.ext_data
 
-let upper_pager l cf ~id =
-  Mrsw.pager cf.state ~channels:l.l_channels ~id ~domain:l.l_domain ~label:cf.key
-    ~produce:(fun ~offset ~size ~access ->
-      V.page_in (lower_pager_of cf) ~offset ~size ~access)
-    ~store:(store cf)
-    ~sync_v:(fun extents ->
-      (* Vectored sync: callers retain their mode, so there is no block
-         state to update — forward the whole batch to the lower pager in
-         a single vectored crossing, without the lock. *)
-      V.sync_v (lower_pager_of cf) extents)
-    (Sp_vm.Attr_cache.fs_pager cf.attrs ~id)
-
 (* ------------------------------------------------------------------ *)
 (* Acting as cache manager for the lower layer                          *)
 (* ------------------------------------------------------------------ *)
@@ -86,18 +74,16 @@ let lower_cache_object l cf =
     c_exten = [ Sp_vm.Attr_cache.fs_cache cf.attrs ];
   }
 
-let manager l =
+(* The cache manager of one file's channel to its lower file. *)
+let manager l cf =
   {
     V.cm_id = "coh:" ^ l.l_name;
     cm_domain = l.l_domain;
     cm_connect =
-      (fun ~key pager ->
-        match Hashtbl.find_opt l.l_files key with
-        | None -> failwith (l.l_name ^ ": connect for unknown file " ^ key)
-        | Some cf ->
-            cf.lower_pager <- Some pager;
-            Sp_vm.Attr_cache.connect cf.attrs pager;
-            lower_cache_object l cf);
+      (fun ~key:_ pager ->
+        cf.lower_pager <- Some pager;
+        Sp_vm.Attr_cache.connect cf.attrs pager;
+        lower_cache_object l cf);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -168,50 +154,42 @@ let make_cfile l (lower : Sp_core.File.t) =
   in
   Hashtbl.replace l.l_files lower.Sp_core.File.f_id cf;
   (* Establish our cache-manager channel to the lower file eagerly. *)
-  ignore (V.bind lower.Sp_core.File.f_mem (manager l) V.Read_write);
+  ignore (V.bind lower.Sp_core.File.f_mem (manager l cf) V.Read_write);
   cf
-
-let make_memory_object l cf =
-  {
-    V.m_domain = l.l_domain;
-    m_label = cf.key;
-    m_bind =
-      (fun mgr _access ->
-        Sp_vm.Pager_lib.bind l.l_channels ~key:cf.key
-          ~make_pager:(fun ~id -> upper_pager l cf ~id)
-          mgr);
-    m_get_length = (fun () -> (Sp_vm.Attr_cache.fetch cf.attrs).Sp_vm.Attr.len);
-    m_set_length = (fun len -> truncate_cfile l cf len);
-  }
 
 let build_file l ~fresh:_ (lower : Sp_core.File.t) =
   let cf = make_cfile l lower in
-  let mem = make_memory_object l cf in
-  let mapped =
-    Sp_core.File.mapped_ops ~vmm:l.l_vmm ~mem
-      ~get_attr:(fun () -> Sp_vm.Attr_cache.fetch cf.attrs)
-      ~set_attr_len:(fun len ->
+  let stat () = Sp_vm.Attr_cache.fetch cf.attrs in
+  let f =
+    Mrsw.export_file ~vmm:l.l_vmm ~domain:l.l_domain ~channels:l.l_channels ~key:cf.key
+      ~produce:(fun ~offset ~size ~access ->
+        V.page_in (lower_pager_of cf) ~offset ~size ~access)
+      ~store:(store cf)
+      ~sync_v:(fun extents ->
+        (* Vectored sync: callers retain their mode, so there is no block
+           state to update — forward the whole batch to the lower pager in
+           a single vectored crossing, without the lock. *)
+        V.sync_v (lower_pager_of cf) extents)
+      ~fs_pager:(Sp_vm.Attr_cache.fs_pager cf.attrs)
+      ~stat
+      ~length:(fun () -> (stat ()).Sp_vm.Attr.len)
+      ~set_attr:(Sp_vm.Attr_cache.set cf.attrs)
+      ~grow:(fun len ->
         Sp_vm.Attr_cache.update cf.attrs (fun a ->
             Sp_vm.Attr.touch_mtime (Sp_vm.Attr.with_len a (max len a.Sp_vm.Attr.len))))
+      ~truncate:(truncate_cfile l cf)
+      ~sync:(fun () ->
+        sync_cfile l cf;
+        Sp_core.File.sync lower)
+      cf.state
   in
+  let read = f.Sp_core.File.f_read in
   {
-    Sp_core.File.f_id = cf.key;
-    f_domain = l.l_domain;
-    f_mem = mem;
+    f with
     f_read =
       (fun ~pos ~len ->
         Sp_vm.Attr_cache.update cf.attrs Sp_vm.Attr.touch_atime;
-        mapped.Sp_core.File.mo_read ~pos ~len);
-    f_write = mapped.Sp_core.File.mo_write;
-    f_stat = (fun () -> Sp_vm.Attr_cache.fetch cf.attrs);
-    f_set_attr = Sp_vm.Attr_cache.set cf.attrs;
-    f_truncate = (fun len -> truncate_cfile l cf len);
-    f_sync =
-      (fun () ->
-        mapped.Sp_core.File.mo_sync ();
-        sync_cfile l cf;
-        Sp_core.File.sync lower);
-    f_exten = [];
+        read ~pos ~len);
   }
 
 (* ------------------------------------------------------------------ *)

@@ -147,6 +147,40 @@ let pager t ~channels ~id ~domain ~label ?around ?sync_v ~produce ~store fs_page
     p_exten = [ V.Fs_pager fs_pager ];
   }
 
+let export_file ?around ?sync_v ~vmm ~domain ~channels ~key ~produce ~store ~fs_pager
+    ~stat ~length ~set_attr ~grow ~truncate ~sync t =
+  let mem =
+    {
+      V.m_domain = domain;
+      m_label = key;
+      m_bind =
+        (fun mgr _access ->
+          Sp_vm.Pager_lib.bind channels ~key
+            ~make_pager:(fun ~id ->
+              pager t ~channels ~id ~domain ~label:key ?around ?sync_v ~produce ~store
+                (fs_pager ~id))
+            mgr);
+      m_get_length = length;
+      m_set_length = truncate;
+    }
+  in
+  let mapped = Sp_core.File.mapped_ops ~vmm ~mem ~get_attr:stat ~set_attr_len:grow in
+  {
+    Sp_core.File.f_id = key;
+    f_domain = domain;
+    f_mem = mem;
+    f_read = mapped.Sp_core.File.mo_read;
+    f_write = mapped.Sp_core.File.mo_write;
+    f_stat = stat;
+    f_set_attr = set_attr;
+    f_truncate = truncate;
+    f_sync =
+      (fun () ->
+        mapped.Sp_core.File.mo_sync ();
+        sync ());
+    f_exten = [];
+  }
+
 let sweep t ~channels action ~write_down =
   granting t ~access:V.Read_write @@ fun () ->
   apply t ~channels ~except:(-1) (populated_blocks t) action write_down

@@ -6,10 +6,11 @@
     INTEGRITYFS each keep one [t] per exported file.  It records, for every
     block, which pager–cache channels hold it and in which mode, and
     keeps the invariant: at most one read-write holder, and a read-write
-    holder is the only holder.  {!pager} builds a layer's whole upper
-    pager object around it; the layer supplies how bytes are produced for
-    a grant and how pushed or revoked extents are stored (compressing,
-    encrypting, replicating... as it pleases). *)
+    holder is the only holder.  {!export_file} builds a layer's whole
+    exported file around it; the layer supplies how bytes are produced
+    for a grant and how pushed or revoked extents are stored
+    (compressing, encrypting, replicating... as it pleases), and its own
+    attribute, length and sync operations. *)
 
 type t
 
@@ -18,7 +19,7 @@ val create : unit -> t
 (** [granting t ~access f] runs [f] holding the protocol's
     readers/writer lock: read-only grants overlap, read-write grants and
     pushes are exclusive.  Reentrant per task; outside an [Sp_sched] run
-    this is just [f ()].  {!pager}'s sections and {!sweep} take it
+    this is just [f ()].  {!export_file}'s sections and {!sweep} take it
     themselves; a layer takes it to write back outside them. *)
 val granting : t -> access:Sp_vm.Vm_types.access -> (unit -> 'a) -> 'a
 
@@ -30,8 +31,14 @@ type retain = [ `Drop | `Read_only | `Same ]
     protocol's lock (a layer lock that must be taken first). *)
 type around = { around : 'a. (unit -> 'a) -> 'a }
 
-(** [pager t ~channels ~id ~domain ~label ~produce ~store fs_pager] is
-    the pager object of upper channel [id]:
+(** [export_file ~vmm ~domain ~channels ~key ~produce ~store ~fs_pager
+    ~stat ~length ~set_attr ~grow ~truncate ~sync t] is the exported file
+    of a layer that exports pages, kept coherent by [t].  Its [f_id], the
+    label of its memory object and of every upper pager, and the key of
+    its channels in [channels] are all [key].
+
+    Its memory object's bind is {!Sp_vm.Pager_lib.bind}, which makes the
+    pager of upper channel [id]:
 
     - [p_page_in] runs, under {!granting}, the revokes (flush every other
       holder for a read-write grant, deny writes to a read-write holder
@@ -43,21 +50,36 @@ type around = { around : 'a. (unit -> 'a) -> 'a }
       [id]'s holder state to match;
     - [p_sync_v] is [sync_v] if given, else {!Sp_vm.Vm_types.sync_each}
       of [p_sync];
-    - [p_done_with] forgets [id] and removes it from [channels].
+    - [p_done_with] forgets [id] and removes it from [channels];
+    - its [Fs_pager] extension is [fs_pager ~id].
 
-    [around], if given, wraps each grant and push section. *)
-val pager :
-  t ->
-  channels:Sp_vm.Pager_lib.t ->
-  id:int ->
-  domain:Sp_obj.Sdomain.t ->
-  label:string ->
+    [around], if given, wraps each grant and push section.
+
+    Its read and write map the memory object through [vmm]
+    ({!Sp_core.File.mapped_ops}): [stat] gives the length a read clips
+    to, and each non-empty write ends with [grow n], [n] the larger of
+    the old length and the write's end.  [stat],
+    [set_attr] and [truncate] are the file's own operations; [length] and
+    [truncate] are also its memory object's.  [f_sync] syncs the mapping,
+    then runs [sync]. *)
+val export_file :
   ?around:around ->
   ?sync_v:(Sp_vm.Vm_types.extent list -> unit) ->
+  vmm:Sp_vm.Vmm.t ->
+  domain:Sp_obj.Sdomain.t ->
+  channels:Sp_vm.Pager_lib.t ->
+  key:string ->
   produce:(offset:int -> size:int -> access:Sp_vm.Vm_types.access -> bytes) ->
   store:(retain:retain -> offset:int -> bytes -> unit) ->
-  Sp_vm.Vm_types.fs_pager_ops ->
-  Sp_vm.Vm_types.pager_object
+  fs_pager:(id:int -> Sp_vm.Vm_types.fs_pager_ops) ->
+  stat:(unit -> Sp_vm.Attr.t) ->
+  length:(unit -> int) ->
+  set_attr:(Sp_vm.Attr.t -> unit) ->
+  grow:(int -> unit) ->
+  truncate:(int -> unit) ->
+  sync:(unit -> unit) ->
+  t ->
+  Sp_core.File.t
 
 (** Collect dirty data from every holder under the write side
     ([`Write_back] retains the caches, [`Flush] empties them), handing

@@ -29,20 +29,6 @@ let read ops e ~offset ~size =
   go 0;
   out
 
-let upper_pager ~domain ~channels ops e ~id =
-  Mrsw.pager e.state ~channels ~id ~domain ~label:e.key
-    ~produce:(fun ~offset ~size ~access:_ -> read ops e ~offset ~size)
-    ~store:(fun ~retain:_ ~offset data -> ops.store e ~offset data)
-    {
-      V.fp_get_attr = (fun () -> Sp_core.File.stat e.lower);
-      fp_set_attr = (fun a -> Sp_core.File.set_attr e.lower a);
-      fp_attr_sync =
-        (fun a ->
-          let len = a.Sp_vm.Attr.len in
-          if len <> lower_len e then ops.set_len e len;
-          Sp_core.File.set_attr e.lower a);
-    }
-
 (* A shrink writes back outside any grant section, so it takes the
    protocol's write side as a push does. *)
 let truncate ~channels ops e len =
@@ -53,36 +39,27 @@ let truncate ~channels ops e len =
 
 let make ~vmm ~domain ~channels ops ~key own lower =
   let e = { key; lower; state = Mrsw.create (); own } in
-  let mem =
+  let stat () = Sp_core.File.stat lower in
+  let set_attr = Sp_core.File.set_attr lower in
+  let fs_pager =
     {
-      V.m_domain = domain;
-      m_label = key;
-      m_bind =
-        (fun mgr _access ->
-          Sp_vm.Pager_lib.bind channels ~key
-            ~make_pager:(fun ~id -> upper_pager ~domain ~channels ops e ~id)
-            mgr);
-      m_get_length = (fun () -> lower_len e);
-      m_set_length = (fun len -> truncate ~channels ops e len);
+      V.fp_get_attr = stat;
+      fp_set_attr = set_attr;
+      fp_attr_sync =
+        (fun a ->
+          let len = a.Sp_vm.Attr.len in
+          if len <> lower_len e then ops.set_len e len;
+          set_attr a);
     }
   in
-  let mapped =
-    Sp_core.File.mapped_ops ~vmm ~mem
-      ~get_attr:(fun () -> Sp_core.File.stat lower)
-      ~set_attr_len:(fun len -> if len > lower_len e then ops.set_len e len)
-  in
-  {
-    Sp_core.File.f_id = key;
-    f_domain = domain;
-    f_mem = mem;
-    f_read = mapped.Sp_core.File.mo_read;
-    f_write = mapped.Sp_core.File.mo_write;
-    f_stat = (fun () -> Sp_core.File.stat lower);
-    f_set_attr = (fun a -> Sp_core.File.set_attr lower a);
-    f_truncate = (fun len -> truncate ~channels ops e len);
-    f_sync =
-      (fun () ->
-        mapped.Sp_core.File.mo_sync ();
-        Sp_core.File.sync lower);
-    f_exten = [];
-  }
+  Mrsw.export_file ~vmm ~domain ~channels ~key
+    ~produce:(fun ~offset ~size ~access:_ -> read ops e ~offset ~size)
+    ~store:(fun ~retain:_ ~offset data -> ops.store e ~offset data)
+    ~fs_pager:(fun ~id:_ -> fs_pager)
+    ~stat
+    ~length:(fun () -> lower_len e)
+    ~set_attr
+    ~grow:(fun len -> if len > lower_len e then ops.set_len e len)
+    ~truncate:(truncate ~channels ops e)
+    ~sync:(fun () -> Sp_core.File.sync lower)
+    e.state

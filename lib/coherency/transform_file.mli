@@ -2,11 +2,10 @@
     page by page, at the same offsets and with the same length (CRYPTFS,
     INTEGRITYFS).
 
-    {!make} builds the whole upper file around one {!Mrsw} state: the
-    memory object, the upper pager (whose attributes are the lower
-    file's), the shrink path, the mapped read/write path and the
-    {!Sp_core.File.t}.  The layer supplies only how a page comes up, how a
-    pushed extent goes down, and how the lower file's length is set. *)
+    {!make} hands {!Mrsw.export_file} what such a layer shares: whole
+    transformed pages assembled into grants, the lower file's attributes,
+    and the shrink path.  The layer supplies only how a page comes up, how
+    a pushed extent goes down, and how the lower file's length is set. *)
 
 (** One exported file.  ['a] is the layer's own per-file state. *)
 type 'a t = private {

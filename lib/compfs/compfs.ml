@@ -284,17 +284,15 @@ let lower_cache_object l e =
     c_exten = [];
   }
 
-let manager l =
+(* The cache manager of one file's channel to its container. *)
+let manager l e =
   {
     V.cm_id = "compfs:" ^ l.l_name;
     cm_domain = l.l_domain;
     cm_connect =
-      (fun ~key pager ->
-        match Hashtbl.find_opt l.l_files key with
-        | None -> failwith (l.l_name ^ ": connect for unknown file " ^ key)
-        | Some e ->
-            e.e_pager <- Some pager;
-            lower_cache_object l e);
+      (fun ~key:_ pager ->
+        e.e_pager <- Some pager;
+        lower_cache_object l e);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -348,37 +346,6 @@ let read_logical l e ~offset ~size =
   go 0;
   out
 
-(* The layer lock is taken, and a stale view refreshed, around the whole
-   grant or push section: revoked extents land in the chunk log, so they
-   must run under the lock like any other container update. *)
-let upper_pager l e ~id =
-  Sp_coherency.Mrsw.pager e.e_state ~channels:l.l_channels ~id ~domain:l.l_domain
-    ~label:e.e_key
-    ~around:
-      {
-        Sp_coherency.Mrsw.around =
-          (fun f ->
-            locked l @@ fun () ->
-            refresh_if_stale l e;
-            f ());
-      }
-    ~produce:(fun ~offset ~size ~access:_ -> read_logical l e ~offset ~size)
-    ~store:(fun ~retain:_ ~offset data -> write_logical l e ~offset data)
-    {
-      V.fp_get_attr = (fun () -> get_attr l e);
-      fp_set_attr = (fun a -> Sp_core.File.set_attr e.e_lower a);
-      fp_attr_sync =
-        (fun a ->
-          locked l @@ fun () ->
-          let len = a.Sp_vm.Attr.len in
-          if len < e.logical_len then truncate_entry l e len
-          else if len > e.logical_len then begin
-            e.logical_len <- len;
-            e.header_dirty <- true
-          end;
-          Sp_core.File.set_attr e.e_lower a);
-    }
-
 let make_entry l (lower : Sp_core.File.t) ~fresh =
   let e =
     {
@@ -396,7 +363,7 @@ let make_entry l (lower : Sp_core.File.t) ~fresh =
   in
   Hashtbl.replace l.l_files lower.Sp_core.File.f_id e;
   if l.l_coherent then
-    ignore (V.bind lower.Sp_core.File.f_mem (manager l) V.Read_write);
+    ignore (V.bind lower.Sp_core.File.f_mem (manager l e) V.Read_write);
   (try if fresh then write_header l e else load_header l e
    with ex ->
      (* Unreadable container: forget the half-built entry so a later
@@ -406,61 +373,70 @@ let make_entry l (lower : Sp_core.File.t) ~fresh =
      raise ex);
   e
 
-let make_memory_object l e =
-  {
-    V.m_domain = l.l_domain;
-    m_label = e.e_key;
-    m_bind =
-      (fun mgr _access ->
-        Sp_vm.Pager_lib.bind l.l_channels ~key:e.e_key
-          ~make_pager:(fun ~id -> upper_pager l e ~id)
-          mgr);
-    m_get_length =
-      (fun () ->
-        locked l @@ fun () ->
-        refresh_if_stale l e;
-        e.logical_len);
-    m_set_length = (fun len -> truncate_entry l e len);
-  }
-
 let sync_entry l e =
   locked l @@ fun () ->
   Sp_coherency.Mrsw.sweep e.e_state ~channels:l.l_channels `Write_back
     ~write_down:(write_down l e);
   compact l e
 
-let wrap_entry l e =
-  let mem = make_memory_object l e in
-  let mapped =
-    Sp_core.File.mapped_ops ~vmm:l.l_vmm ~mem
-      ~get_attr:(fun () -> get_attr l e)
-      ~set_attr_len:(fun len ->
-        if len > e.logical_len then begin
-          e.logical_len <- len;
-          e.header_dirty <- true
-        end)
+(* The layer lock is taken, and a stale view refreshed, around the whole
+   grant or push section: revoked extents land in the chunk log, so they
+   must run under the lock like any other container update. *)
+let build_file l ~fresh lower =
+  let e = make_entry l lower ~fresh in
+  let stat () = get_attr l e in
+  let set_attr = Sp_core.File.set_attr e.e_lower in
+  let fs_pager =
+    {
+      V.fp_get_attr = stat;
+      fp_set_attr = set_attr;
+      fp_attr_sync =
+        (fun a ->
+          locked l @@ fun () ->
+          let len = a.Sp_vm.Attr.len in
+          if len < e.logical_len then truncate_entry l e len
+          else if len > e.logical_len then begin
+            e.logical_len <- len;
+            e.header_dirty <- true
+          end;
+          set_attr a);
+    }
   in
-  {
-    Sp_core.File.f_id = e.e_key;
-    f_domain = l.l_domain;
-    f_mem = mem;
-    f_read = mapped.Sp_core.File.mo_read;
-    f_write = mapped.Sp_core.File.mo_write;
-    f_stat = (fun () -> get_attr l e);
-    f_set_attr = (fun a -> Sp_core.File.set_attr e.e_lower a);
-    f_truncate = (fun len -> truncate_entry l e len);
-    f_sync =
-      (fun () ->
-        mapped.Sp_core.File.mo_sync ();
-        sync_entry l e;
-        Sp_core.File.sync e.e_lower);
-    f_exten = [];
-  }
+  Sp_coherency.Mrsw.export_file ~vmm:l.l_vmm ~domain:l.l_domain ~channels:l.l_channels
+    ~key:e.e_key
+    ~around:
+      {
+        Sp_coherency.Mrsw.around =
+          (fun f ->
+            locked l @@ fun () ->
+            refresh_if_stale l e;
+            f ());
+      }
+    ~produce:(fun ~offset ~size ~access:_ -> read_logical l e ~offset ~size)
+    ~store:(fun ~retain:_ ~offset data -> write_logical l e ~offset data)
+    ~fs_pager:(fun ~id:_ -> fs_pager)
+    ~stat
+    ~length:(fun () ->
+      locked l @@ fun () ->
+      refresh_if_stale l e;
+      e.logical_len)
+    ~set_attr
+    ~grow:(fun len ->
+      if len > e.logical_len then begin
+        e.logical_len <- len;
+        e.header_dirty <- true
+      end)
+    ~truncate:(truncate_entry l e)
+    ~sync:(fun () ->
+      sync_entry l e;
+      Sp_core.File.sync e.e_lower)
+    e.e_state
 
-let build_file l ~fresh lower = wrap_entry l (make_entry l lower ~fresh)
-
-(* Memo hits take the lock too, so an open waits out a container
-   operation in flight. *)
+(* An open that misses the exported context's memo but hits the layer's
+   (a file created through the layer, first opened through the context)
+   takes the lock, so it waits out a container operation in flight.
+   Repeated opens through the context are served by [Mapped_context]'s
+   memo and never reach here, so they take no lock. *)
 let wrap_file l ~fresh lower =
   locked l @@ fun () -> Sp_core.Over_one.file l.l_over (build_file l) ~fresh lower
 

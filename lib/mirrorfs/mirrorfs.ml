@@ -22,8 +22,8 @@ type layer = {
   mutable l_failovers : int;
   mutable l_repairs : int;
   l_channels : Sp_vm.Pager_lib.t;
-  l_wrapped : (string, Sp_core.File.t) Hashtbl.t;  (* by path-independent key *)
-  l_pairs : (string, pair) Hashtbl.t;  (* same keys; for [repair] *)
+  l_files : (string, pair * Sp_core.File.t) Hashtbl.t;
+      (* each pair with its exported file, by {!file_key} *)
 }
 
 type Sp_obj.Exten.t += Layer of layer
@@ -40,6 +40,9 @@ let replicas l =
 
 let read_source l pair =
   match l.l_degraded with Some Primary -> pair.p_sec | _ -> pair.p_prim
+
+let file_key l path =
+  Printf.sprintf "mirrorfs:%s:%s" l.l_name (Sp_naming.Sname.to_string path)
 
 let replica_name = function Primary -> "primary" | Secondary -> "secondary"
 
@@ -177,28 +180,6 @@ let store l pair ~retain:_ ~offset data =
     each_target l pair (fun f ->
         ignore (Sp_core.File.write f ~pos:offset (Bytes.sub data 0 keep)))
 
-let upper_pager l pair ~id =
-  Sp_coherency.Mrsw.pager pair.p_state ~channels:l.l_channels ~id ~domain:l.l_domain
-    ~label:pair.p_key
-    ~produce:(fun ~offset ~size ~access:_ ->
-      let data = with_read l pair (fun f -> Sp_core.File.read f ~pos:offset ~len:size) in
-      if Bytes.length data = size then data
-      else begin
-        let padded = Bytes.make size '\000' in
-        Bytes.blit data 0 padded 0 (Bytes.length data);
-        padded
-      end)
-    ~store:(store l pair)
-    {
-      V.fp_get_attr = (fun () -> with_read l pair (fun f -> Sp_core.File.stat f));
-      fp_set_attr = (fun a -> each_target l pair (fun f -> Sp_core.File.set_attr f a));
-      fp_attr_sync =
-        (fun a ->
-          each_target l pair (fun f ->
-              V.set_length f.Sp_core.File.f_mem a.Sp_vm.Attr.len;
-              Sp_core.File.set_attr f a));
-    }
-
 let truncate_pair l pair len =
   Sp_coherency.Mrsw.shrink pair.p_state ~channels:l.l_channels ~key:pair.p_key
     ~old:(pair_len l pair) ~len ~write_down:(fun x ->
@@ -206,44 +187,61 @@ let truncate_pair l pair len =
           ignore (Sp_core.File.write f ~pos:x.V.ext_offset x.V.ext_data)));
   each_target l pair (fun f -> Sp_core.File.truncate f len)
 
-let wrap_pair l pair =
-  Hashtbl.replace l.l_pairs pair.p_key pair;
-  let mem =
+(* Export the pair of lower files [p_prim], [p_sec] opened or created at
+   [path], and record it for {!repair}. *)
+let export_pair l path (p_prim, p_sec) =
+  let pair =
+    { p_key = file_key l path; p_prim; p_sec; p_state = Sp_coherency.Mrsw.create () }
+  in
+  let stat () = with_read l pair Sp_core.File.stat in
+  let set_attr a = each_target l pair (fun f -> Sp_core.File.set_attr f a) in
+  let fs_pager =
     {
-      V.m_domain = l.l_domain;
-      m_label = pair.p_key;
-      m_bind =
-        (fun mgr _access ->
-          Sp_vm.Pager_lib.bind l.l_channels ~key:pair.p_key
-            ~make_pager:(fun ~id -> upper_pager l pair ~id)
-            mgr);
-      m_get_length = (fun () -> pair_len l pair);
-      m_set_length = (fun len -> truncate_pair l pair len);
+      V.fp_get_attr = stat;
+      fp_set_attr = set_attr;
+      fp_attr_sync =
+        (fun a ->
+          each_target l pair (fun f ->
+              V.set_length f.Sp_core.File.f_mem a.Sp_vm.Attr.len;
+              Sp_core.File.set_attr f a));
     }
   in
-  let mapped =
-    Sp_core.File.mapped_ops ~vmm:l.l_vmm ~mem
-      ~get_attr:(fun () -> with_read l pair (fun f -> Sp_core.File.stat f))
-      ~set_attr_len:(fun len ->
+  let f =
+    Sp_coherency.Mrsw.export_file ~vmm:l.l_vmm ~domain:l.l_domain ~channels:l.l_channels
+      ~key:pair.p_key
+      ~produce:(fun ~offset ~size ~access:_ ->
+        let data = with_read l pair (fun f -> Sp_core.File.read f ~pos:offset ~len:size) in
+        if Bytes.length data = size then data
+        else begin
+          let padded = Bytes.make size '\000' in
+          Bytes.blit data 0 padded 0 (Bytes.length data);
+          padded
+        end)
+      ~store:(store l pair)
+      ~fs_pager:(fun ~id:_ -> fs_pager)
+      ~stat
+      ~length:(fun () -> pair_len l pair)
+      ~set_attr
+      ~grow:(fun len ->
         each_target l pair (fun f ->
             if (Sp_core.File.stat f).Sp_vm.Attr.len < len then
               V.set_length f.Sp_core.File.f_mem len))
+      ~truncate:(truncate_pair l pair)
+      ~sync:(fun () -> each_target l pair Sp_core.File.sync)
+      pair.p_state
   in
-  {
-    Sp_core.File.f_id = pair.p_key;
-    f_domain = l.l_domain;
-    f_mem = mem;
-    f_read = mapped.Sp_core.File.mo_read;
-    f_write = mapped.Sp_core.File.mo_write;
-    f_stat = (fun () -> with_read l pair (fun f -> Sp_core.File.stat f));
-    f_set_attr = (fun a -> each_target l pair (fun f -> Sp_core.File.set_attr f a));
-    f_truncate = (fun len -> truncate_pair l pair len);
-    f_sync =
-      (fun () ->
-        mapped.Sp_core.File.mo_sync ();
-        each_target l pair Sp_core.File.sync);
-    f_exten = [];
-  }
+  Hashtbl.replace l.l_files pair.p_key (pair, f);
+  f
+
+(* Run [op] on replica [which] unless it is degraded.  While both are
+   live, a device or checksum failure degrades it. *)
+let on_replica l which fs op =
+  if l.l_degraded <> Some which then
+    try op fs
+    with (Sp_core.Fserr.Io_error reason | Sp_core.Fserr.Checksum_error reason)
+    when l.l_degraded = None
+    ->
+      note_failover l which reason
 
 (* The exported context resolves in BOTH lower file systems by path, so it
    is built per-directory from the primary's listing. *)
@@ -270,21 +268,17 @@ let rec make_ctx l ~path =
     | Sp_naming.Context.Context _ ->
         Sp_naming.Context.Context (make_ctx l ~path:sub)
     | Sp_core.File.File _ -> (
-        let key =
-          Printf.sprintf "mirrorfs:%s:%s" l.l_name (Sp_naming.Sname.to_string sub)
-        in
-        match Hashtbl.find_opt l.l_wrapped key with
-        | Some f ->
+        match Hashtbl.find_opt l.l_files (file_key l sub) with
+        | Some (_, f) ->
             Sp_sim.Simclock.advance (Sp_sim.Cost_model.current ()).open_state_ns;
             Sp_core.File.File f
         | None ->
-            let p_prim, p_sec =
-              dual_acquire l
-                ~prim_op:(fun () -> Sp_core.Stackable.open_file prim sub)
-                ~sec_op:(fun () -> Sp_core.Stackable.open_file sec sub)
+            let f =
+              export_pair l sub
+                (dual_acquire l
+                   ~prim_op:(fun () -> Sp_core.Stackable.open_file prim sub)
+                   ~sec_op:(fun () -> Sp_core.Stackable.open_file sec sub))
             in
-            let f = wrap_pair l { p_key = key; p_prim; p_sec; p_state = Sp_coherency.Mrsw.create () } in
-            Hashtbl.replace l.l_wrapped key f;
             Sp_sim.Simclock.advance (Sp_sim.Cost_model.current ()).open_state_ns;
             Sp_core.File.File f)
     | other -> other
@@ -327,30 +321,12 @@ let rec make_ctx l ~path =
       (fun component ->
         let prim, sec = replicas l in
         let sub = Sp_naming.Sname.append path component in
-        let key =
-          Printf.sprintf "mirrorfs:%s:%s" l.l_name (Sp_naming.Sname.to_string sub)
-        in
+        let key = file_key l sub in
         Sp_vm.Pager_lib.destroy_key l.l_channels ~key;
-        Hashtbl.remove l.l_wrapped key;
-        Hashtbl.remove l.l_pairs key;
-        (match l.l_degraded with
-        | Some Primary -> ()
-        | _ -> (
-            try Sp_core.Stackable.remove prim sub
-            with
-            | (Sp_core.Fserr.Io_error reason | Sp_core.Fserr.Checksum_error reason)
-            when l.l_degraded = None
-            ->
-              note_failover l Primary reason));
-        match l.l_degraded with
-        | Some Secondary -> ()
-        | _ -> (
-            try Sp_core.Stackable.remove sec sub with
-            | Sp_core.Fserr.No_such_file _ -> ()
-            | (Sp_core.Fserr.Io_error reason | Sp_core.Fserr.Checksum_error reason)
-            when l.l_degraded = None
-            ->
-              note_failover l Secondary reason));
+        Hashtbl.remove l.l_files key;
+        on_replica l Primary prim (fun fs -> Sp_core.Stackable.remove fs sub);
+        on_replica l Secondary sec (fun fs ->
+            try Sp_core.Stackable.remove fs sub with Sp_core.Fserr.No_such_file _ -> ()));
     ctx_list = list;
     ctx_readdir1 = readdir1;
   }
@@ -370,8 +346,7 @@ let make ?(node = "local") ?domain ~vmm ~name () =
       l_failovers = 0;
       l_repairs = 0;
       l_channels = Sp_vm.Pager_lib.create ();
-      l_wrapped = Hashtbl.create 16;
-      l_pairs = Hashtbl.create 16;
+      l_files = Hashtbl.create 16;
     }
   in
   let ctx = make_ctx l ~path:(Sp_naming.Sname.of_components []) in
@@ -394,17 +369,10 @@ let make ?(node = "local") ?domain ~vmm ~name () =
     sfs_create =
       (fun path ->
         let prim, sec = replicas l in
-        let key =
-          Printf.sprintf "mirrorfs:%s:%s" l.l_name (Sp_naming.Sname.to_string path)
-        in
-        let p_prim, p_sec =
-          dual_acquire l
-            ~prim_op:(fun () -> Sp_core.Stackable.create prim path)
-            ~sec_op:(fun () -> Sp_core.Stackable.create sec path)
-        in
-        let f = wrap_pair l { p_key = key; p_prim; p_sec; p_state = Sp_coherency.Mrsw.create () } in
-        Hashtbl.replace l.l_wrapped key f;
-        f);
+        export_pair l path
+          (dual_acquire l
+             ~prim_op:(fun () -> Sp_core.Stackable.create prim path)
+             ~sec_op:(fun () -> Sp_core.Stackable.create sec path)));
     sfs_mkdir =
       (fun path ->
         let prim, sec = replicas l in
@@ -415,62 +383,27 @@ let make ?(node = "local") ?domain ~vmm ~name () =
     sfs_remove =
       (fun path ->
         let prim, sec = replicas l in
-        let key =
-          Printf.sprintf "mirrorfs:%s:%s" l.l_name (Sp_naming.Sname.to_string path)
-        in
+        let key = file_key l path in
         Sp_vm.Pager_lib.destroy_key l.l_channels ~key;
-        Hashtbl.remove l.l_wrapped key;
-        Hashtbl.remove l.l_pairs key;
+        Hashtbl.remove l.l_files key;
         ignore
           (dual_acquire l
              ~prim_op:(fun () -> Sp_core.Stackable.remove prim path)
              ~sec_op:(fun () -> Sp_core.Stackable.remove sec path)));
     sfs_sync =
       (fun () ->
-        Hashtbl.iter (fun _ f -> Sp_core.File.sync f) l.l_wrapped;
+        Hashtbl.iter (fun _ (_, f) -> Sp_core.File.sync f) l.l_files;
         let prim, sec = replicas l in
-        (match l.l_degraded with
-        | Some Primary -> ()
-        | _ -> (
-            try Sp_core.Stackable.sync prim
-            with
-            | (Sp_core.Fserr.Io_error reason | Sp_core.Fserr.Checksum_error reason)
-            when l.l_degraded = None
-            ->
-              note_failover l Primary reason));
-        match l.l_degraded with
-        | Some Secondary -> ()
-        | _ -> (
-            try Sp_core.Stackable.sync sec
-            with
-            | (Sp_core.Fserr.Io_error reason | Sp_core.Fserr.Checksum_error reason)
-            when l.l_degraded = None
-            ->
-              note_failover l Secondary reason));
+        on_replica l Primary prim Sp_core.Stackable.sync;
+        on_replica l Secondary sec Sp_core.Stackable.sync);
     sfs_drop_caches =
       (fun () ->
         (* A degraded replica is out of service: flushing its caches would
            touch the very metadata that failed, so route around it until
            [repair] brings it back. *)
         let prim, sec = replicas l in
-        (match l.l_degraded with
-        | Some Primary -> ()
-        | _ -> (
-            try Sp_core.Stackable.drop_caches prim
-            with
-            | (Sp_core.Fserr.Io_error reason | Sp_core.Fserr.Checksum_error reason)
-            when l.l_degraded = None
-            ->
-              note_failover l Primary reason));
-        match l.l_degraded with
-        | Some Secondary -> ()
-        | _ -> (
-            try Sp_core.Stackable.drop_caches sec
-            with
-            | (Sp_core.Fserr.Io_error reason | Sp_core.Fserr.Checksum_error reason)
-            when l.l_degraded = None
-            ->
-              note_failover l Secondary reason));
+        on_replica l Primary prim Sp_core.Stackable.drop_caches;
+        on_replica l Secondary sec Sp_core.Stackable.drop_caches);
     sfs_exten = [ Layer l ];
   }
 
@@ -563,11 +496,8 @@ let repair sfs path =
   (* A pair opened or created while the twin was down carries the
      survivor's handle in the failed slot; now that the twin holds the
      file again, swap the real lower handles back in. *)
-  (match
-     Hashtbl.find_opt l.l_pairs
-       (Printf.sprintf "mirrorfs:%s:%s" l.l_name (Sp_naming.Sname.to_string path))
-   with
-  | Some pair ->
+  (match Hashtbl.find_opt l.l_files (file_key l path) with
+  | Some (pair, _) ->
       pair.p_prim <- Sp_core.Stackable.open_file prim path;
       pair.p_sec <- Sp_core.Stackable.open_file sec path
   | None -> ());

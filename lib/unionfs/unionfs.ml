@@ -107,31 +107,6 @@ let store l u ~retain:_ ~offset data =
   if keep > 0 then
     ignore (Sp_core.File.write u.u_backing ~pos:offset (Bytes.sub data 0 keep))
 
-let upper_pager l u ~id =
-  Sp_coherency.Mrsw.pager u.u_state ~channels:l.l_channels ~id ~domain:l.l_domain
-    ~label:u.u_key
-    ~produce:(fun ~offset ~size ~access:_ ->
-      let data = Sp_core.File.read u.u_backing ~pos:offset ~len:size in
-      if Bytes.length data = size then data
-      else begin
-        let padded = Bytes.make size '\000' in
-        Bytes.blit data 0 padded 0 (Bytes.length data);
-        padded
-      end)
-    ~store:(store l u)
-    {
-      V.fp_get_attr = (fun () -> Sp_core.File.stat u.u_backing);
-      fp_set_attr =
-        (fun a ->
-          copy_up l u;
-          Sp_core.File.set_attr u.u_backing a);
-      fp_attr_sync =
-        (fun a ->
-          copy_up l u;
-          V.set_length u.u_backing.Sp_core.File.f_mem a.Sp_vm.Attr.len;
-          Sp_core.File.set_attr u.u_backing a);
-    }
-
 let truncate_ufile l u len =
   copy_up l u;
   Sp_coherency.Mrsw.shrink u.u_state ~channels:l.l_channels ~key:u.u_key ~old:(backing_len u)
@@ -139,8 +114,11 @@ let truncate_ufile l u len =
       ignore (Sp_core.File.write u.u_backing ~pos:x.V.ext_offset x.V.ext_data));
   Sp_core.File.truncate u.u_backing len
 
+let file_key l path =
+  Printf.sprintf "unionfs:%s:%s" l.l_name (Sp_naming.Sname.to_string path)
+
 let wrap_file l path ~in_top (backing : Sp_core.File.t) =
-  let key = Printf.sprintf "unionfs:%s:%s" l.l_name (Sp_naming.Sname.to_string path) in
+  let key = file_key l path in
   match Hashtbl.find_opt l.l_wrapped key with
   | Some f -> f
   | None ->
@@ -153,48 +131,53 @@ let wrap_file l path ~in_top (backing : Sp_core.File.t) =
           u_state = Sp_coherency.Mrsw.create ();
         }
       in
-      let mem =
+      let stat () = Sp_core.File.stat u.u_backing in
+      let set_attr a =
+        copy_up l u;
+        Sp_core.File.set_attr u.u_backing a
+      in
+      let fs_pager =
         {
-          V.m_domain = l.l_domain;
-          m_label = key;
-          m_bind =
-            (fun mgr _access ->
-              Sp_vm.Pager_lib.bind l.l_channels ~key
-                ~make_pager:(fun ~id -> upper_pager l u ~id)
-                mgr);
-          m_get_length = (fun () -> backing_len u);
-          m_set_length = (fun len -> truncate_ufile l u len);
+          V.fp_get_attr = stat;
+          fp_set_attr = set_attr;
+          fp_attr_sync =
+            (fun a ->
+              copy_up l u;
+              V.set_length u.u_backing.Sp_core.File.f_mem a.Sp_vm.Attr.len;
+              Sp_core.File.set_attr u.u_backing a);
         }
       in
-      let mapped =
-        Sp_core.File.mapped_ops ~vmm:l.l_vmm ~mem
-          ~get_attr:(fun () -> Sp_core.File.stat u.u_backing)
-          ~set_attr_len:(fun len ->
+      let f =
+        Sp_coherency.Mrsw.export_file ~vmm:l.l_vmm ~domain:l.l_domain
+          ~channels:l.l_channels ~key
+          ~produce:(fun ~offset ~size ~access:_ ->
+            let data = Sp_core.File.read u.u_backing ~pos:offset ~len:size in
+            if Bytes.length data = size then data
+            else begin
+              let padded = Bytes.make size '\000' in
+              Bytes.blit data 0 padded 0 (Bytes.length data);
+              padded
+            end)
+          ~store:(store l u)
+          ~fs_pager:(fun ~id:_ -> fs_pager)
+          ~stat
+          ~length:(fun () -> backing_len u)
+          ~set_attr
+          ~grow:(fun len ->
             copy_up l u;
-            if len > backing_len u then
-              V.set_length u.u_backing.Sp_core.File.f_mem len)
+            if len > backing_len u then V.set_length u.u_backing.Sp_core.File.f_mem len)
+          ~truncate:(truncate_ufile l u)
+          ~sync:(fun () -> Sp_core.File.sync u.u_backing)
+          u.u_state
       in
+      let write = f.Sp_core.File.f_write in
       let f =
         {
-          Sp_core.File.f_id = key;
-          f_domain = l.l_domain;
-          f_mem = mem;
-          f_read = mapped.Sp_core.File.mo_read;
+          f with
           f_write =
             (fun ~pos data ->
               copy_up l u;
-              mapped.Sp_core.File.mo_write ~pos data);
-          f_stat = (fun () -> Sp_core.File.stat u.u_backing);
-          f_set_attr =
-            (fun a ->
-              copy_up l u;
-              Sp_core.File.set_attr u.u_backing a);
-          f_truncate = (fun len -> truncate_ufile l u len);
-          f_sync =
-            (fun () ->
-              mapped.Sp_core.File.mo_sync ();
-              Sp_core.File.sync u.u_backing);
-          f_exten = [];
+              write ~pos data);
         }
       in
       Hashtbl.replace l.l_wrapped key f;
@@ -349,10 +332,9 @@ let make ?(node = "local") ?domain ~vmm ~name () =
           mkdir_p_top l path;
           ignore (Sp_core.Stackable.create top (whiteout_path path))
         end;
-        Sp_vm.Pager_lib.destroy_key l.l_channels
-          ~key:(Printf.sprintf "unionfs:%s:%s" l.l_name (Sp_naming.Sname.to_string path));
-        Hashtbl.remove l.l_wrapped
-          (Printf.sprintf "unionfs:%s:%s" l.l_name (Sp_naming.Sname.to_string path)));
+        let key = file_key l path in
+        Sp_vm.Pager_lib.destroy_key l.l_channels ~key;
+        Hashtbl.remove l.l_wrapped key);
     sfs_sync = (fun () -> Sp_core.Stackable.sync (top_of l));
     sfs_drop_caches =
       (fun () ->

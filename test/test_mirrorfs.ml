@@ -78,6 +78,26 @@ let test_degraded_write_and_repair () =
       Util.check_str "secondary healed" "v2"
         (F.read (S.open_file sfs_b (Util.name "heal")) ~pos:0 ~len:2))
 
+(* A file created while the secondary is down carries the primary's
+   handle in both slots; [repair] must swap the real secondary handle into
+   the pair the open file writes through. *)
+let test_created_degraded_then_repaired () =
+  Util.in_world (fun () ->
+      let _vmm, sfs_a, sfs_b, mirror = make_stack () in
+      M.set_degraded mirror (Some M.Secondary);
+      let f = S.create mirror (Util.name "late") in
+      ignore (F.write f ~pos:0 (Util.bytes_of_string "one"));
+      F.sync f;
+      M.repair mirror (Util.name "late");
+      Alcotest.(check bool) "repair clears the degraded mark" true (M.degraded mirror = None);
+      ignore (F.write f ~pos:0 (Util.bytes_of_string "two"));
+      F.sync f;
+      Util.check_str "primary has the later write" "two"
+        (F.read (S.open_file sfs_a (Util.name "late")) ~pos:0 ~len:3);
+      Util.check_str "secondary has the later write" "two"
+        (F.read (S.open_file sfs_b (Util.name "late")) ~pos:0 ~len:3);
+      Alcotest.(check bool) "verify" true (M.verify mirror (Util.name "late")))
+
 let test_dirs_and_remove () =
   Util.in_world (fun () ->
       let _vmm, sfs_a, sfs_b, mirror = make_stack () in
@@ -200,6 +220,8 @@ let suite =
     Alcotest.test_case "writes reach both replicas" `Quick test_writes_reach_both;
     Alcotest.test_case "failover on primary loss" `Quick test_failover_on_primary_loss;
     Alcotest.test_case "degraded write + repair" `Quick test_degraded_write_and_repair;
+    Alcotest.test_case "created while degraded, written after repair" `Quick
+      test_created_degraded_then_repaired;
     Alcotest.test_case "dirs and remove" `Quick test_dirs_and_remove;
     Alcotest.test_case "truncate both" `Quick test_truncate_both;
     Alcotest.test_case "mapped access" `Quick test_mapped_access;
