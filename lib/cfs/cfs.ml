@@ -20,8 +20,10 @@ let make ?(node = "local") ~vmm ~name () =
   }
 
 (* CFS holds no page data (the VMM does), so its cache object only has to
-   answer the attribute subclass; data ranges are empty. *)
-let cache_object t e =
+   answer the attribute subclass; data ranges are empty.  Destroying the
+   channel forgets the entry under the bind [key] it was recorded by,
+   which differs from the remote file's [f_id] for a DFS import. *)
+let cache_object t e ~key =
   {
     V.c_domain = t.c_domain;
     c_label = "cfs-cache:" ^ e.e_remote.Sp_core.File.f_id;
@@ -31,7 +33,7 @@ let cache_object t e =
     c_delete_range = (fun ~offset:_ ~size:_ -> ());
     c_zero_fill = (fun ~offset:_ ~size:_ -> ());
     c_populate = (fun ~offset:_ ~access:_ _ -> ());
-    c_destroy = (fun () -> Hashtbl.remove t.c_files e.e_remote.Sp_core.File.f_id);
+    c_destroy = (fun () -> Hashtbl.remove t.c_files key);
     c_exten = [ Sp_vm.Attr_cache.fs_cache e.e_attrs ];
   }
 
@@ -45,7 +47,7 @@ let manager t e =
       (fun ~key pager ->
         Hashtbl.replace t.c_files key e;
         Sp_vm.Attr_cache.connect e.e_attrs pager;
-        cache_object t e);
+        cache_object t e ~key);
   }
 
 let interpose t (remote : Sp_core.File.t) =

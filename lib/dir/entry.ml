@@ -34,16 +34,20 @@ let name_len b off = Bytes.get_uint8 b (off + 5)
 let is_free b off = name_len b off = 0
 let damaged b off = name_len b off > max_name
 
-let decode b off =
+let is_live b off =
   let len = name_len b off in
-  if len = 0 || len > max_name then None
-  else
-    Some
-      {
-        ino = Int32.to_int (Bytes.get_int32_le b off);
-        is_dir = Bytes.get_uint8 b (off + 4) = 1;
-        name = Bytes.sub_string b (off + 6) len;
-      }
+  len > 0 && len <= max_name
+
+let live_name b off = Bytes.sub_string b (off + 6) (name_len b off)
+
+let decode_live b off =
+  {
+    ino = Int32.to_int (Bytes.get_int32_le b off);
+    is_dir = Bytes.get_uint8 b (off + 4) = 1;
+    name = live_name b off;
+  }
+
+let decode b off = if is_live b off then Some (decode_live b off) else None
 
 (* Top-level and closure-free, so a scan compares names without
    allocating. *)

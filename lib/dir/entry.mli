@@ -25,6 +25,17 @@ val encode : t -> bytes
     free slot (name length byte = 0) and for a {!damaged} one. *)
 val decode : bytes -> int -> t option
 
+(** [is_live b off]: the slot at [off] holds an entry ({!decode} gives
+    [Some]).  Allocates nothing. *)
+val is_live : bytes -> int -> bool
+
+(** [decode_live b off] is the entry {!decode} gives for a slot that
+    {!is_live}, without the option. *)
+val decode_live : bytes -> int -> t
+
+(** [live_name b off] is the name alone of a slot that {!is_live}. *)
+val live_name : bytes -> int -> string
+
 (** [is_free b off]: the slot at [off] is free (name length byte = 0).
     Allocates nothing. *)
 val is_free : bytes -> int -> bool

@@ -171,10 +171,11 @@ let lookup io name =
   let b = Hash.bucket name ~buckets:h.buckets in
   walk_chain io name (slot_get io root b) 0 h.nblocks ~absent:None found
 
-(* Entries in file-block order; the cookie is [fblock * 64 + slot].
-   Non-leaf blocks inside the extent (the root, continuation blocks,
-   holes left by rebuilds) are skipped by their trailer. *)
-let fold_page io ~cookie ~limit =
+(* [f leaf off] of each live slot in file-block order; the cookie is
+   [fblock * 64 + slot].  Non-leaf blocks inside the extent (the root,
+   continuation blocks, holes left by rebuilds) are skipped by their
+   trailer. *)
+let fold_page io f ~cookie ~limit =
   if limit <= 0 then invalid_arg "Sp_dir.Index.fold_page: limit must be positive";
   let h = read_header io in
   let acc = ref [] in
@@ -189,15 +190,14 @@ let fold_page io ~cookie ~limit =
        if is_leaf leaf then begin
          let s = ref !s0 in
          while !s < entries_per_leaf do
-           (match Entry.decode leaf (!s * es) with
-           | Some e ->
-               if !count >= limit then begin
-                 resume := Some ((!fb * 64) + !s);
-                 raise Exit
-               end;
-               acc := e :: !acc;
-               incr count
-           | None -> ());
+           if Entry.is_live leaf (!s * es) then begin
+             if !count >= limit then begin
+               resume := Some ((!fb * 64) + !s);
+               raise Exit
+             end;
+             acc := f leaf (!s * es) :: !acc;
+             incr count
+           end;
            incr s
          done
        end;
@@ -209,13 +209,13 @@ let fold_page io ~cookie ~limit =
 
 let iter io f =
   let rec go cookie =
-    let page, next = fold_page io ~cookie ~limit:256 in
+    let page, next = fold_page io Entry.decode_live ~cookie ~limit:256 in
     List.iter f page;
     match next with None -> () | Some c -> go c
   in
   go 0
 
-let entries io = fst (fold_page io ~cookie:0 ~limit:max_int)
+let entries io = fst (fold_page io Entry.decode_live ~cookie:0 ~limit:max_int)
 
 (* ------------------------------------------------------------------ *)
 (* Mutation                                                            *)
@@ -355,7 +355,7 @@ let clean_report =
 let leaf_live leaf =
   let n = ref 0 in
   for s = 0 to entries_per_leaf - 1 do
-    match Entry.decode leaf (s * es) with Some _ -> incr n | None -> ()
+    if Entry.is_live leaf (s * es) then incr n
   done;
   !n
 

@@ -53,10 +53,13 @@ val add : io -> Entry.t -> unit
 (** [remove io name] is [true] if the entry was present. *)
 val remove : io -> string -> bool
 
-(** One bounded batch in file-block order; the cookie encodes the
-    resume position ([None] = exhausted).  Raises [Invalid_argument]
-    when [limit <= 0]. *)
-val fold_page : io -> cookie:int -> limit:int -> Entry.t list * int option
+(** [fold_page io f ~cookie ~limit] is one bounded batch in file-block
+    order: [f leaf off] of each live slot, read straight from the leaf
+    ([Entry.live_name] for names alone, [Entry.decode_live] for whole
+    entries).  The cookie encodes the resume position ([None] =
+    exhausted).  Raises [Invalid_argument] when [limit <= 0]. *)
+val fold_page :
+  io -> (bytes -> int -> 'a) -> cookie:int -> limit:int -> 'a list * int option
 
 val iter : io -> (Entry.t -> unit) -> unit
 

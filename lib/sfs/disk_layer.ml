@@ -10,6 +10,10 @@ type gc_window = {
   mutable gw_sealed : bool;
 }
 
+(* One indexed directory's cached blocks: slot [fb] holds file block
+   [fb], and [Bytes.empty] marks a block not cached. *)
+type dir_blocks = { mutable blocks : bytes array }
+
 type fs = {
   name : string;
   disk : Sp_blockdev.Disk.t;
@@ -26,14 +30,19 @@ type fs = {
       (* flat-directory entry cache: with the i-node cache, lets open and
          stat run without disk I/O (paper Table 2 note).  Indexed
          directories bypass it and use [dirblk] instead. *)
-  dirblk : bytes Itbl.t Itbl.t;
-      (* dir inode -> file block -> block cache for indexed directories,
-         write-through: warm index lookups cost no disk I/O, and freeing
-         an inode drops only its own blocks *)
+  dirblk : dir_blocks Itbl.t;
+      (* dir inode -> its block array, the write-through block cache for
+         indexed directories: warm index lookups cost no disk I/O, an
+         [io] finds its array once and then reads a slot per block, and
+         freeing an inode drops only its own blocks.  Forgetting a
+         directory empties its array in place, so an [io] already handed
+         out never serves a block the volume has dropped. *)
   indcache : (int, bytes) Hashtbl.t;
       (* indirect-block cache (write-through): metadata, like the i-node
          cache, so sequential data I/O does not thrash the head between
-         indirect and data blocks *)
+         indirect and data blocks.  A cached table is never patched in
+         place: a change copies it first ([set_ptr]), so a lookup or an
+         already-mapped [ensure_block] copies nothing. *)
   dir_index : bool;
       (* mount-time policy switch: when false, flat directories never
          upgrade to the hashed index (directories already indexed on
@@ -117,6 +126,26 @@ let file_block fs inode n =
         if l2_block = 0 then 0
         else ptr_get (read_indirect fs l2_block) (n mod ppb)
 
+(* [block]'s pointer [i] set to [v], written through: the cached table
+   is never patched, so a copy is made only here, when a pointer in it
+   changes. *)
+let set_ptr fs b block i v =
+  let table = Bytes.copy block in
+  ptr_set table i v;
+  write_indirect fs b table
+
+(* Pointer [i] of indirect block [b], allocating a data block for it
+   when it is 0. *)
+let ensure_ptr fs b i =
+  let table = read_indirect fs b in
+  let p = ptr_get table i in
+  if p <> 0 then p
+  else begin
+    let fresh = alloc_block fs in
+    set_ptr fs b table i fresh;
+    fresh
+  end
+
 (* Like [file_block] but allocates missing blocks (and indirect blocks). *)
 let ensure_block fs ino inode n =
   let dirty () = Inode.mark_dirty fs.icache ino in
@@ -134,15 +163,7 @@ let ensure_block fs ino inode n =
         inode.Inode.indirect <- alloc_block fs;
         dirty ()
       end;
-      let table = Bytes.copy (read_indirect fs inode.Inode.indirect) in
-      let b = ptr_get table n' in
-      if b <> 0 then b
-      else begin
-        let fresh = alloc_block fs in
-        ptr_set table n' fresh;
-        write_indirect fs inode.Inode.indirect table;
-        fresh
-      end
+      ensure_ptr fs inode.Inode.indirect n'
     end
     else begin
       let n' = n' - ppb in
@@ -152,73 +173,73 @@ let ensure_block fs ino inode n =
         inode.Inode.double_indirect <- alloc_block fs;
         dirty ()
       end;
-      let l1 = Bytes.copy (read_indirect fs inode.Inode.double_indirect) in
-      let l2_block =
-        let b = ptr_get l1 (n' / ppb) in
-        if b <> 0 then b
-        else begin
-          let fresh = alloc_block fs in
-          ptr_set l1 (n' / ppb) fresh;
-          write_indirect fs inode.Inode.double_indirect l1;
-          fresh
-        end
-      in
-      let l2 = Bytes.copy (read_indirect fs l2_block) in
-      let b = ptr_get l2 (n' mod ppb) in
-      if b <> 0 then b
-      else begin
-        let fresh = alloc_block fs in
-        ptr_set l2 (n' mod ppb) fresh;
-        write_indirect fs l2_block l2;
-        fresh
-      end
+      let l2_block = ensure_ptr fs inode.Inode.double_indirect (n' / ppb) in
+      ensure_ptr fs l2_block (n' mod ppb)
     end
+
+(* Free the data block behind pointer [i] of indirect block [b], if
+   any, and zero the pointer. *)
+let punch_ptr fs b i =
+  let table = read_indirect fs b in
+  let p = ptr_get table i in
+  if p <> 0 then begin
+    free_block fs p;
+    set_ptr fs b table i 0
+  end
 
 (* Free file block [fb]'s disk block and zero its mapping pointer,
    leaving a hole (reads return zeros).  Index rebuilds punch the old
    extent out this way after the root flips. *)
 let punch_file_block fs ino inode fb =
   (match Itbl.find fs.dirblk ino with
-   | blks -> Itbl.remove blks fb
+   | d -> if fb < Array.length d.blocks then d.blocks.(fb) <- Bytes.empty
    | exception Not_found -> ());
-  let dirty () = Inode.mark_dirty fs.icache ino in
   if fb < Layout.n_direct then begin
     let b = inode.Inode.direct.(fb) in
     if b <> 0 then begin
       free_block fs b;
       inode.Inode.direct.(fb) <- 0;
-      dirty ()
+      Inode.mark_dirty fs.icache ino
     end
   end
   else
     let n = fb - Layout.n_direct in
     if n < ppb then begin
-      if inode.Inode.indirect <> 0 then begin
-        let table = Bytes.copy (read_indirect fs inode.Inode.indirect) in
-        let b = ptr_get table n in
-        if b <> 0 then begin
-          free_block fs b;
-          ptr_set table n 0;
-          write_indirect fs inode.Inode.indirect table
-        end
-      end
+      if inode.Inode.indirect <> 0 then punch_ptr fs inode.Inode.indirect n
     end
     else begin
       let n = n - ppb in
       if inode.Inode.double_indirect <> 0 then begin
-        let l1 = read_indirect fs inode.Inode.double_indirect in
-        let l2_block = ptr_get l1 (n / ppb) in
-        if l2_block <> 0 then begin
-          let l2 = Bytes.copy (read_indirect fs l2_block) in
-          let b = ptr_get l2 (n mod ppb) in
-          if b <> 0 then begin
-            free_block fs b;
-            ptr_set l2 (n mod ppb) 0;
-            write_indirect fs l2_block l2
-          end
-        end
+        let l2_block = ptr_get (read_indirect fs inode.Inode.double_indirect) (n / ppb) in
+        if l2_block <> 0 then punch_ptr fs l2_block (n mod ppb)
       end
     end
+
+(* Free the data blocks behind pointers [first..] of indirect block [b].
+   From pointer 0 the table itself goes too, unpatched; otherwise it is
+   copied once, at the first pointer that changes, and written back if
+   any did. *)
+let free_ptrs_from fs b first =
+  let cached = read_indirect fs b in
+  if first = 0 then begin
+    for i = 0 to ppb - 1 do
+      free_block fs (ptr_get cached i)
+    done;
+    Hashtbl.remove fs.indcache b;
+    free_block fs b
+  end
+  else begin
+    let table = ref cached in
+    for i = first to ppb - 1 do
+      let p = ptr_get cached i in
+      if p <> 0 then begin
+        free_block fs p;
+        if !table == cached then table := Bytes.copy cached;
+        ptr_set !table i 0
+      end
+    done;
+    if !table != cached then write_indirect fs b !table
+  end
 
 (* Free all blocks of file block index >= [from_block]. *)
 let free_blocks_from fs ino inode ~from_block =
@@ -233,50 +254,26 @@ let free_blocks_from fs ino inode ~from_block =
   if inode.Inode.indirect <> 0 then begin
     let first = max 0 (from_block - Layout.n_direct) in
     if first < ppb then begin
-      let table = Bytes.copy (read_indirect fs inode.Inode.indirect) in
-      let changed = ref false in
-      for i = first to ppb - 1 do
-        let b = ptr_get table i in
-        if b <> 0 then begin
-          free_block fs b;
-          ptr_set table i 0;
-          changed := true
-        end
-      done;
+      free_ptrs_from fs inode.Inode.indirect first;
       if first = 0 then begin
-        Hashtbl.remove fs.indcache inode.Inode.indirect;
-        free_block fs inode.Inode.indirect;
         inode.Inode.indirect <- 0;
         dirty ()
       end
-      else if !changed then write_indirect fs inode.Inode.indirect table
     end
   end;
   if inode.Inode.double_indirect <> 0 then begin
     let first = max 0 (from_block - Layout.n_direct - ppb) in
-    let l1 = Bytes.copy (read_indirect fs inode.Inode.double_indirect) in
-    let l1_changed = ref false in
+    let l1 = read_indirect fs inode.Inode.double_indirect in
+    let l1' = ref l1 in
     for i = (if first = 0 then 0 else first / ppb) to ppb - 1 do
       let l2_block = ptr_get l1 i in
       if l2_block <> 0 then begin
         let lo = if i * ppb >= first then 0 else first mod ppb in
-        let l2 = Bytes.copy (read_indirect fs l2_block) in
-        let l2_changed = ref false in
-        for j = lo to ppb - 1 do
-          let b = ptr_get l2 j in
-          if b <> 0 then begin
-            free_block fs b;
-            ptr_set l2 j 0;
-            l2_changed := true
-          end
-        done;
-        if lo = 0 then begin
-          Hashtbl.remove fs.indcache l2_block;
-          free_block fs l2_block;
-          ptr_set l1 i 0;
-          l1_changed := true
+        free_ptrs_from fs l2_block lo;
+        if lo = 0 && first <> 0 then begin
+          if !l1' == l1 then l1' := Bytes.copy l1;
+          ptr_set !l1' i 0
         end
-        else if !l2_changed then write_indirect fs l2_block l2
       end
     done;
     if first = 0 then begin
@@ -285,8 +282,7 @@ let free_blocks_from fs ino inode ~from_block =
       inode.Inode.double_indirect <- 0;
       dirty ()
     end
-    else if !l1_changed then
-      write_indirect fs inode.Inode.double_indirect l1
+    else if !l1' != l1 then write_indirect fs inode.Inode.double_indirect !l1'
   end
 
 (* ------------------------------------------------------------------ *)
@@ -435,6 +431,13 @@ let set_length fs ino len =
 
 let file_key fs ino = Printf.sprintf "%s/ino%d" fs.name ino
 
+let forget_dir_blocks fs ino =
+  match Itbl.find fs.dirblk ino with
+  | d ->
+      d.blocks <- [||];
+      Itbl.remove fs.dirblk ino
+  | exception Not_found -> ()
+
 let free_inode fs ino =
   (* The file's identity dies here: tear down every pager-cache channel so
      a later file reusing this inode cannot alias stale caches. *)
@@ -449,7 +452,7 @@ let free_inode fs ino =
   Hashtbl.remove fs.files ino;
   Hashtbl.remove fs.ctxs ino;
   Hashtbl.remove fs.dcache ino;
-  Itbl.remove fs.dirblk ino
+  forget_dir_blocks fs ino
 
 (* ------------------------------------------------------------------ *)
 (* Directories                                                         *)
@@ -491,29 +494,41 @@ let dir_entries_at fs ino inode =
    mutations. *)
 let dir_blocks fs ino =
   match Itbl.find fs.dirblk ino with
-  | blks -> blks
+  | d -> d
   | exception Not_found ->
-      let blks = Itbl.create 8 in
-      Itbl.replace fs.dirblk ino blks;
-      blks
+      let d = { blocks = [||] } in
+      Itbl.replace fs.dirblk ino d;
+      d
 
-let dir_block fs ino inode fb =
-  let blks = dir_blocks fs ino in
-  match Itbl.find blks fb with
-  | data -> data
-  | exception Not_found ->
-      let b = file_block fs inode fb in
-      let data = if b = 0 then Bytes.make bs '\000' else Journal.read fs.dev b in
-      Itbl.replace blks fb data;
-      data
+let cache_dir_block d fb data =
+  let n = Array.length d.blocks in
+  if fb >= n then begin
+    let grown = Array.make (max (fb + 1) (2 * n)) Bytes.empty in
+    Array.blit d.blocks 0 grown 0 n;
+    d.blocks <- grown
+  end;
+  d.blocks.(fb) <- data
+
+(* A miss caches into [d] itself: once the directory's blocks are
+   forgotten, an [io] still holding [d] reloads what it reads and keeps
+   it to itself. *)
+let dir_block_in fs inode d fb =
+  if fb < Array.length d.blocks && Bytes.length d.blocks.(fb) = bs then d.blocks.(fb)
+  else begin
+    let b = file_block fs inode fb in
+    let data = if b = 0 then Bytes.make bs '\000' else Journal.read fs.dev b in
+    cache_dir_block d fb data;
+    data
+  end
 
 let dir_io fs ino inode =
+  let d = dir_blocks fs ino in
   {
-    Sp_dir.Index.read = (fun fb -> dir_block fs ino inode fb);
+    Sp_dir.Index.read = (fun fb -> dir_block_in fs inode d fb);
     write =
       (fun fb data ->
         let b = ensure_block fs ino inode fb in
-        Itbl.replace (dir_blocks fs ino) fb data;
+        cache_dir_block d fb data;
         Journal.write fs.dev b data);
   }
 
@@ -521,7 +536,8 @@ let dir_io fs ino inode =
    flat block, and flat directories under 64 entries short-circuit on
    length alone. *)
 let dir_indexed fs ino inode =
-  inode.Inode.len >= bs && Sp_dir.Index.is_index_root (dir_block fs ino inode 0)
+  inode.Inode.len >= bs
+  && Sp_dir.Index.is_index_root (dir_block_in fs inode (dir_blocks fs ino) 0)
 
 (* On a journalled volume a shadow rebuild must fit one commit batch,
    so bucket growth stops at 64 (chains then deepen instead — lookups
@@ -918,10 +934,8 @@ and make_ctx fs ino =
      materialises more than [limit] names. *)
   let readdir1 ~cookie ~limit =
     let inode = dir () in
-    if dir_indexed fs ino inode then begin
-      let page, next = Sp_dir.Index.fold_page (dir_io fs ino inode) ~cookie ~limit in
-      (List.map (fun e -> e.Dirent.name) page, next)
-    end
+    if dir_indexed fs ino inode then
+      Sp_dir.Index.fold_page (dir_io fs ino inode) Sp_dir.Entry.live_name ~cookie ~limit
     else
       Sp_dir.Cursor.of_list
         (List.map (fun e -> e.Dirent.name) (dir_entries_at fs ino inode))
@@ -1121,6 +1135,7 @@ let mount ?(node = "local") ?domain ?(dir_index = true) ?(group_commit = true)
         Hashtbl.reset fs.files;
         Inode.drop fs.icache;
         Hashtbl.reset fs.dcache;
+        Itbl.iter (fun _ d -> d.blocks <- [||]) fs.dirblk;
         Itbl.reset fs.dirblk;
         Hashtbl.reset fs.indcache);
     sfs_exten = [ Layer fs ];

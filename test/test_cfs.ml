@@ -210,6 +210,21 @@ let test_recall_through_stacked_layers () =
       Alcotest.(check bool) "the recall crosses the network" true
         ((Sp_dfs.Net.stats net).Sp_dfs.Net.messages > m0))
 
+(* Dropping the server stack's caches destroys the DFS's channel to the
+   client, and the destroy reaches CFS through the forwarded cache
+   object: CFS must forget the entry its bind recorded, whose key is the
+   server's, not the remote file's id. *)
+let test_destroy_forgets_entry () =
+  Util.in_world (fun () ->
+      let _net, _sfs, dfs, import, cfs = make_world () in
+      ignore (S.create dfs (Util.name "gone"));
+      let local = Sp_cfs.Cfs.interpose cfs (S.open_file import (Util.name "gone")) in
+      ignore (F.stat local);
+      Alcotest.(check int) "the stat is cached" 1 (Sp_cfs.Cfs.cached_attrs cfs);
+      S.drop_caches dfs;
+      Alcotest.(check int) "the destroyed channel's entry is gone" 0
+        (Sp_cfs.Cfs.cached_attrs cfs))
+
 let suite =
   [
     Alcotest.test_case "interposed io" `Quick test_interposed_io;
@@ -226,4 +241,6 @@ let suite =
       test_synced_change_invalidates_peer;
     Alcotest.test_case "recall through stacked layers" `Quick
       test_recall_through_stacked_layers;
+    Alcotest.test_case "channel destroy forgets the entry" `Quick
+      test_destroy_forgets_entry;
   ]

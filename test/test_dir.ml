@@ -272,6 +272,107 @@ let test_add_remove_allocation () =
     (Sp_dir.Index.read_header io).Sp_dir.Index.entries
 
 (* ------------------------------------------------------------------ *)
+(* The disk layer's directory path                                     *)
+(* ------------------------------------------------------------------ *)
+
+let link_name i = Printf.sprintf "l%04d" i
+
+(* A volume whose directory "d" holds [n] hard links to one file "f",
+   so its size costs no inodes.  Past 1024 names the index has been
+   rebuilt twice (the upgrade at 129 names, growth at 1025): every leaf
+   then lies past the 12 direct blocks, behind the indirect block, and
+   the extents before it are punched holes. *)
+let linked_dir ?journal n =
+  let disk, fs = fresh_fs ?journal "ln" in
+  let f = F.File (S.create fs (N.of_string "f")) in
+  let d = C.resolve_context fs.S.sfs_ctx (N.of_string "d") in
+  for i = 0 to n - 1 do
+    C.bind d (N.of_string (link_name i)) f
+  done;
+  (disk, fs, f, d)
+
+(* A create + remove pair through the disk layer's own block cache and
+   block map: the leaf each writes lies past file block 12, and mapping
+   an already-mapped block copies no indirect table (one 4 KiB copy
+   alone is 513 words). *)
+let test_churn_allocation () =
+  Util.in_world (fun () ->
+      let _disk, fs, f, d = linked_dir ~journal:true 1100 in
+      S.sync fs;
+      let churn = N.of_string "churn" in
+      let words =
+        Util.words_per_call (fun () ->
+            C.bind d churn f;
+            C.unbind d churn)
+      in
+      if words > 512. then
+        Alcotest.failf "bind + unbind allocates %.0f words (bound 512)" words)
+
+(* One 32-name readdir page from cookie 0 skips the punched holes by a
+   slot read each and builds the names straight from the leaf. *)
+let test_readdir_page_allocation () =
+  Util.in_world (fun () ->
+      let _disk, fs, _f, _d = linked_dir ~journal:true 1100 in
+      let dir = N.of_string "d" in
+      let words =
+        Util.words_per_call (fun () ->
+            let page, next = S.readdir fs dir ~cookie:0 ~limit:32 in
+            if List.length page <> 32 || next = None then
+              Alcotest.fail "a page of 32 names and a cookie")
+      in
+      if words > 480. then
+        Alcotest.failf "a 32-name readdir page allocates %.0f words (bound 480)" words)
+
+(* Every name in "d", read in cookie-resumed pages of 7. *)
+let paged fs =
+  let dir = N.of_string "d" in
+  let rec go cookie acc =
+    let batch, next = S.readdir fs dir ~cookie ~limit:7 in
+    let acc = List.rev_append batch acc in
+    match next with Some c -> go c acc | None -> acc
+  in
+  List.sort compare (go 0 [])
+
+(* The block cache against a model, through three rebuilds (the
+   upgrade, growth at 1025 and at 2049 names) and removals that leave
+   free slots: live, after [drop_caches] and after a cold remount.  A
+   directory made after the emptied one is removed reuses its inode and
+   must see none of its blocks, also once it passes one flat block and
+   its block 0 is read for the format test. *)
+let test_dir_cache_model () =
+  Util.in_world (fun () ->
+      let n = 2100 in
+      let disk, fs, _f, d = linked_dir ~journal:true n in
+      for i = 0 to n - 1 do
+        if i mod 3 = 0 then C.unbind d (N.of_string (link_name i))
+      done;
+      let model =
+        List.filter (fun s -> int_of_string (String.sub s 1 4) mod 3 <> 0)
+          (List.init n link_name)
+      in
+      Alcotest.(check (list string)) "live pages" model (paged fs);
+      S.drop_caches fs;
+      Alcotest.(check (list string)) "after drop_caches" model (paged fs);
+      S.sync fs;
+      let fs' = DL.mount ~name:(tag "ln-re") disk in
+      Alcotest.(check (list string)) "after a cold remount" model (paged fs');
+      Alcotest.(check bool) "fsck is clean" true (Sp_sfs.Fsck.check disk = []);
+      let label path = (C.resolve_context fs'.S.sfs_ctx (N.of_string path)).C.ctx_label in
+      let old_label = label "d" in
+      List.iter (fun s -> S.remove fs' (N.of_string ("d/" ^ s))) model;
+      S.remove fs' (N.of_string "d");
+      S.mkdir fs' (N.of_string "e");
+      Alcotest.(check string) "the new directory reuses the inode" old_label (label "e");
+      Alcotest.(check (list string)) "a reused inode lists nothing" []
+        (S.listdir fs' (N.of_string "e"));
+      let f' = F.File (S.open_file fs' (N.of_string "f")) in
+      let e = C.resolve_context fs'.S.sfs_ctx (N.of_string "e") in
+      let fresh = List.init 70 (fun i -> Printf.sprintf "m%02d" i) in
+      List.iter (fun s -> C.bind e (N.of_string s) f') fresh;
+      Alcotest.(check (list string)) "and lists only its own names" fresh
+        (S.listdir fs' (N.of_string "e")))
+
+(* ------------------------------------------------------------------ *)
 (* Crash sweep over the htree split                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -515,6 +616,12 @@ let suite =
       test_lookup_miss_allocation;
     Alcotest.test_case "index add + remove allocation bound" `Quick
       test_add_remove_allocation;
+    Alcotest.test_case "disk-layer churn allocation bound" `Quick
+      test_churn_allocation;
+    Alcotest.test_case "readdir page allocation bound" `Quick
+      test_readdir_page_allocation;
+    Alcotest.test_case "directory block cache matches a model" `Quick
+      test_dir_cache_model;
     Alcotest.test_case "htree split crash sweep (journaled)" `Slow
       test_split_crash_journaled;
     Alcotest.test_case "htree split crash control (unjournaled)" `Slow
