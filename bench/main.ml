@@ -1,86 +1,28 @@
 (* Benchmark harness.
 
-   Part 1 regenerates every table and figure of the paper's evaluation
-   over the deterministic simulated clock (the substitute for the paper's
+   Regenerates every table and figure of the paper's evaluation over the
+   deterministic simulated clock (the substitute for the paper's
    SPARCstation 10 — see DESIGN.md): Table 2, Table 3, the Figure 2
-   channel observables, the Figure 5/6 COMPFS modes, and the ablations.
-
-   Part 2 runs Bechamel wall-clock microbenchmarks of the same code paths
-   (one Test.make per table/figure group) under the near-zero cost model,
-   measuring the OCaml implementation itself. *)
+   channel observables, the Figure 5/6 COMPFS modes, the ablations and
+   the extension tables, all from the one list in [Sp_benchlib.Tables].
+   [--json FILE] writes the rows of the tables in BENCH_10.json;
+   [--check-perf FILE] compares a fresh run against such a file exactly;
+   [--profile] adds a per-layer breakdown of the Table 2 hot paths. *)
 
 module F = Sp_core.File
 module S = Sp_core.Stackable
 module W = Sp_benchlib.Workload
+module PJ = Sp_benchlib.Perf_json
+module Tables = Sp_benchlib.Tables
 
 let ps = Sp_vm.Vm_types.page_size
 
-let reset_world () =
-  Sp_sim.Simclock.reset ();
-  Sp_sim.Metrics.reset ()
-
-(* ------------------------------------------------------------------ *)
-(* Part 1: simulated tables                                            *)
-(* ------------------------------------------------------------------ *)
-
-let simulated_tables () =
-  let ppf = Format.std_formatter in
-  reset_world ();
-  Table_header.print ppf;
-  reset_world ();
-  let t2 = Sp_benchlib.Table2.run () in
-  Sp_benchlib.Table2.print ppf t2;
-  Format.fprintf ppf "@.";
-  reset_world ();
-  let t3 = Sp_benchlib.Table3.run () in
-  Sp_benchlib.Table3.print ppf t3;
-  Format.fprintf ppf "@.";
-  reset_world ();
-  Sp_benchlib.Figures.print ppf ();
-  Format.fprintf ppf "@.";
-  reset_world ();
-  Sp_benchlib.Ablations.print ppf (Sp_benchlib.Ablations.run_all ());
-  Format.fprintf ppf "@.";
-  reset_world ();
-  Sp_benchlib.Bulk_bench.print ppf (Sp_benchlib.Bulk_bench.run ());
-  Format.fprintf ppf "@.";
-  reset_world ();
-  Sp_benchlib.Ablations.print_depth_sweep ppf (Sp_benchlib.Ablations.depth_sweep ());
-  Format.fprintf ppf "@.";
-  reset_world ();
-  Sp_benchlib.Macro.print ppf (Sp_benchlib.Macro.run ());
-  Format.fprintf ppf "@.";
-  reset_world ();
-  Sp_benchlib.Faults.print ppf (Sp_benchlib.Faults.run ());
-  Format.fprintf ppf "@.";
-  reset_world ();
-  Sp_benchlib.Failover.print ppf (Sp_benchlib.Failover.run ());
-  Format.fprintf ppf "@.";
-  reset_world ();
-  Sp_benchlib.Failover.print_avail ppf (Sp_benchlib.Failover.avail ());
-  Format.fprintf ppf "@.";
-  reset_world ();
-  Sp_benchlib.Scrub.print ppf (Sp_benchlib.Scrub.run ());
-  Format.fprintf ppf "@.";
-  reset_world ();
-  Sp_benchlib.Scale.print ppf (Sp_benchlib.Scale.run ());
-  Format.fprintf ppf "@.";
-  reset_world ();
-  Sp_benchlib.Namespace.print ppf (Sp_benchlib.Namespace.run ());
-  Format.fprintf ppf "@.";
-  reset_world ();
-  Sp_benchlib.Dfs_bench.print ppf (Sp_benchlib.Dfs_bench.run ());
-  Format.fprintf ppf "@.";
-  reset_world ();
-  Sp_benchlib.Journal_bench.print ppf (Sp_benchlib.Journal_bench.run ());
-  Format.fprintf ppf "@."
-
 (* Optional per-layer breakdown (--profile): attribute the simulated time
    of the Table 2 stacked hot paths to individual layer instances via
-   Sp_trace, alongside the aggregate tables above. *)
+   Sp_trace, alongside the tables. *)
 let per_layer_breakdown () =
   let ppf = Format.std_formatter in
-  reset_world ();
+  Tables.reset_world ();
   Sp_sim.Cost_model.with_model Sp_sim.Cost_model.paper_1993 (fun () ->
       let inst = Sp_benchlib.Workload.make_instance ~tag:"prof" Sp_benchlib.Workload.Stacked_two_domains in
       let data = Bytes.make ps 'p' in
@@ -98,290 +40,8 @@ let per_layer_breakdown () =
          two-domain stack (paper_1993)@.%a@."
         Sp_trace.pp_profile trace)
 
-(* ------------------------------------------------------------------ *)
-(* Part 2: Bechamel wall-clock benches                                 *)
-(* ------------------------------------------------------------------ *)
-
-open Bechamel
-open Toolkit
-module SS = Sp_core.Stackable
-module FF = Sp_core.File
-
-(* Table 2 paths: warm open / read / write / stat on the two-domain SFS. *)
-let bench_table2 =
-  let inst =
-    lazy
-      (Sp_sim.Cost_model.set Sp_sim.Cost_model.fast;
-       W.make_instance W.Stacked_two_domains)
-  in
-  let name = Sp_naming.Sname.of_string "bench" in
-  let data = Bytes.make ps 'b' in
-  Test.make_grouped ~name:"table2_sfs_paths"
-    [
-      Test.make ~name:"open"
-        (Staged.stage (fun () -> ignore (SS.open_file (Lazy.force inst).W.i_fs name)));
-      Test.make ~name:"read4k"
-        (Staged.stage (fun () ->
-             ignore (FF.read (Lazy.force inst).W.i_file ~pos:0 ~len:ps)));
-      Test.make ~name:"write4k"
-        (Staged.stage (fun () -> ignore (FF.write (Lazy.force inst).W.i_file ~pos:0 data)));
-      Test.make ~name:"stat"
-        (Staged.stage (fun () -> ignore (FF.stat (Lazy.force inst).W.i_file)));
-    ]
-
-(* Table 3 paths: the monolithic baseline. *)
-let bench_table3 =
-  let state =
-    lazy
-      (Sp_sim.Cost_model.set Sp_sim.Cost_model.fast;
-       let disk = Sp_blockdev.Disk.create ~blocks:2048 () in
-       let ufs = Sp_baseline.Unixfs.mkfs_and_mount disk in
-       let fd = Sp_baseline.Unixfs.creat ufs "bench" in
-       ignore (Sp_baseline.Unixfs.write ufs fd ~pos:0 (Bytes.make ps 'u'));
-       (ufs, fd))
-  in
-  let data = Bytes.make ps 'u' in
-  Test.make_grouped ~name:"table3_unixfs_paths"
-    [
-      Test.make ~name:"open"
-        (Staged.stage (fun () ->
-             let ufs, _ = Lazy.force state in
-             ignore (Sp_baseline.Unixfs.openf ufs "bench")));
-      Test.make ~name:"read4k"
-        (Staged.stage (fun () ->
-             let ufs, fd = Lazy.force state in
-             ignore (Sp_baseline.Unixfs.read ufs fd ~pos:0 ~len:ps)));
-      Test.make ~name:"write4k"
-        (Staged.stage (fun () ->
-             let ufs, fd = Lazy.force state in
-             ignore (Sp_baseline.Unixfs.write ufs fd ~pos:0 data)));
-      Test.make ~name:"fstat"
-        (Staged.stage (fun () ->
-             let ufs, fd = Lazy.force state in
-             ignore (Sp_baseline.Unixfs.fstat ufs fd)));
-    ]
-
-(* Figure 5/6 paths: COMPFS write+sync in both container modes. *)
-let bench_fig56 =
-  let make coherent tag =
-    lazy
-      (Sp_sim.Cost_model.set Sp_sim.Cost_model.fast;
-       let vmm = Sp_vm.Vmm.create ~node:tag ("vmm-" ^ tag) in
-       let disk = Sp_blockdev.Disk.create ~blocks:4096 () in
-       Sp_sfs.Disk_layer.mkfs disk;
-       let sfs =
-         Sp_coherency.Spring_sfs.make_split ~node:tag ~vmm ~name:("sfs-" ^ tag)
-           ~same_domain:false disk
-       in
-       let comp =
-         Sp_compfs.Compfs.make ~node:tag ~coherent ~vmm ~name:("comp-" ^ tag) ()
-       in
-       SS.stack_on comp sfs;
-       let f = SS.create comp (Sp_naming.Sname.of_string "bench") in
-       ignore (FF.write f ~pos:0 (Bytes.make ps 'c'));
-       FF.sync f;
-       f)
-  in
-  let fig5 = make false "wfig5" in
-  let fig6 = make true "wfig6" in
-  let data = Bytes.make ps 'c' in
-  Test.make_grouped ~name:"fig56_compfs_modes"
-    [
-      Test.make ~name:"incoherent_write_sync"
-        (Staged.stage (fun () ->
-             let f = Lazy.force fig5 in
-             ignore (FF.write f ~pos:0 data);
-             FF.sync f));
-      Test.make ~name:"coherent_write_sync"
-        (Staged.stage (fun () ->
-             let f = Lazy.force fig6 in
-             ignore (FF.write f ~pos:0 data);
-             FF.sync f));
-    ]
-
-(* Figure 7 / DFS paths: remote stat and read over the simulated network,
-   with and without CFS. *)
-let bench_dfs =
-  let state =
-    lazy
-      (Sp_sim.Cost_model.set Sp_sim.Cost_model.fast;
-       let net = Sp_dfs.Net.create () in
-       let vmm_a = Sp_vm.Vmm.create ~node:"wsrv" "vmm-wsrv" in
-       let disk = Sp_blockdev.Disk.create ~blocks:2048 () in
-       Sp_sfs.Disk_layer.mkfs disk;
-       let sfs =
-         Sp_coherency.Spring_sfs.make_split ~node:"wsrv" ~vmm:vmm_a ~name:"wsfs"
-           ~same_domain:false disk
-       in
-       let dfs = Sp_dfs.Dfs.make_server ~node:"wsrv" ~net ~vmm:vmm_a ~name:"wdfs" () in
-       SS.stack_on dfs sfs;
-       ignore (SS.create dfs (Sp_naming.Sname.of_string "bench"));
-       let import = Sp_dfs.Dfs.import ~net ~client_node:"wcli" dfs in
-       let remote = SS.open_file import (Sp_naming.Sname.of_string "bench") in
-       ignore (FF.write remote ~pos:0 (Bytes.make ps 'r'));
-       let vmm_b = Sp_vm.Vmm.create ~node:"wcli" "vmm-wcli" in
-       let cfs = Sp_cfs.Cfs.make ~node:"wcli" ~vmm:vmm_b ~name:"wcfs" () in
-       let local = Sp_cfs.Cfs.interpose cfs remote in
-       ignore (FF.stat local);
-       ignore (FF.read local ~pos:0 ~len:ps);
-       (remote, local))
-  in
-  Test.make_grouped ~name:"dfs_remote_paths"
-    [
-      Test.make ~name:"remote_stat_rpc"
-        (Staged.stage (fun () -> ignore (FF.stat (fst (Lazy.force state)))));
-      Test.make ~name:"remote_read4k_rpc"
-        (Staged.stage (fun () ->
-             ignore (FF.read (fst (Lazy.force state)) ~pos:0 ~len:ps)));
-      Test.make ~name:"cfs_stat_cached"
-        (Staged.stage (fun () -> ignore (FF.stat (snd (Lazy.force state)))));
-      Test.make ~name:"cfs_read4k_cached"
-        (Staged.stage (fun () ->
-             ignore (FF.read (snd (Lazy.force state)) ~pos:0 ~len:ps)));
-    ]
-
-let run_bechamel () =
-  let benchmark test =
-    let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:(Some 500) () in
-    Benchmark.all cfg Instance.[ monotonic_clock ] test
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-    in
-    Analyze.all ols Instance.monotonic_clock results
-  in
-  let print_results name tbl =
-    Format.printf "@.Bechamel (wall clock): %s@." name;
-    Hashtbl.iter
-      (fun key result ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> Format.printf "  %-45s %12.0f ns/run@." key est
-        | _ -> Format.printf "  %-45s (no estimate)@." key)
-      tbl
-  in
-  List.iter
-    (fun test ->
-      let results = analyze (benchmark test) in
-      print_results (Test.name test) results)
-    [ bench_table2; bench_table3; bench_fig56; bench_dfs ]
-
-(* ------------------------------------------------------------------ *)
-(* Machine-readable rows (--json) and the perf guard (--check-perf)    *)
-(* ------------------------------------------------------------------ *)
-
-module PJ = Sp_benchlib.Perf_json
-
-(* Every deterministic simulated table as flat {table, label, ns} rows.
-   The simulation is exact, so the CI tolerance only absorbs deliberate
-   cost-model churn, never measurement noise. *)
-let collect_rows () =
-  let rows = ref [] in
-  let add table label ns = rows := { PJ.table; label; ns } :: !rows in
-  let config_names = [| "not stacked"; "one domain"; "two domains" |] in
-  reset_world ();
-  List.iter
-    (fun (r : Sp_benchlib.Table2.row) ->
-      let cached =
-        match r.cached with
-        | None -> ""
-        | Some true -> " cached"
-        | Some false -> " uncached"
-      in
-      Array.iteri
-        (fun i ns ->
-          add "table2"
-            (Printf.sprintf "%s%s, %s" r.operation cached config_names.(i))
-            ns)
-        r.ns)
-    (Sp_benchlib.Table2.run ());
-  reset_world ();
-  List.iter
-    (fun (r : Sp_benchlib.Table3.row) ->
-      add "table3" (r.operation ^ ", sunos") r.sunos_ns;
-      add "table3" (r.operation ^ ", spring") r.spring_ns)
-    (Sp_benchlib.Table3.run ());
-  reset_world ();
-  List.iter
-    (fun (r : Sp_benchlib.Ablations.result) ->
-      add "ablations" (r.label ^ ", baseline") r.baseline_ns;
-      add "ablations" (r.label ^ ", variant") r.variant_ns)
-    (Sp_benchlib.Ablations.run_all ());
-  reset_world ();
-  List.iter
-    (fun (r : Sp_benchlib.Bulk_bench.row) ->
-      add "bulk" (r.label ^ ", off") r.off_ns;
-      add "bulk" (r.label ^ ", on") r.on_ns)
-    (Sp_benchlib.Bulk_bench.run ());
-  reset_world ();
-  List.iter
-    (fun (r : Sp_benchlib.Macro.result) ->
-      add "macro" (Sp_benchlib.Workload.config_label r.config) r.total_ns)
-    (Sp_benchlib.Macro.run ());
-  reset_world ();
-  List.iter
-    (fun (r : Sp_benchlib.Scale.row) ->
-      let label fmt = Printf.sprintf "%d clients, %s" r.sc_clients fmt in
-      add "scale" (label "p50") r.sc_p50_ns;
-      add "scale" (label "p99") r.sc_p99_ns;
-      add "scale" (label "p999") r.sc_p999_ns;
-      add "scale" (label "elapsed") r.sc_elapsed_ns)
-    (Sp_benchlib.Scale.run ());
-  reset_world ();
-  List.iter
-    (fun (r : Sp_benchlib.Failover.avail_row) ->
-      let label fmt = Printf.sprintf "%d clients, %s" r.a_clients fmt in
-      add "availability" (label "worst recover") r.a_recover_ns;
-      add "availability" (label "ops served") r.a_op_served;
-      add "availability" (label "retried") r.a_retried)
-    (Sp_benchlib.Failover.avail ());
-  reset_world ();
-  let ns = Sp_benchlib.Namespace.run () in
-  List.iter
-    (fun (r : Sp_benchlib.Namespace.open_row) ->
-      (match r.no_flat_ns with
-      | Some flat ->
-          add "namespace"
-            (Printf.sprintf "cold open, flat, %d entries" r.no_entries)
-            flat
-      | None -> ());
-      add "namespace"
-        (Printf.sprintf "cold open, indexed, %d entries" r.no_entries)
-        r.no_indexed_ns)
-    ns.Sp_benchlib.Namespace.t_opens;
-  let c = ns.Sp_benchlib.Namespace.t_cache in
-  add "namespace" "open, two domains, name-cache miss" c.nc_cold_ns;
-  add "namespace" "open, two domains, name-cache hit" c.nc_warm_ns;
-  add "namespace" "name-cache hit ratio (percent)" c.nc_hit_pct;
-  let r = ns.Sp_benchlib.Namespace.t_readdir in
-  add "namespace"
-    (Printf.sprintf "readdir stream, %d entries" r.nr_entries)
-    r.nr_ns;
-  reset_world ();
-  List.iter
-    (fun (r : Sp_benchlib.Dfs_bench.row) ->
-      let label fmt = Printf.sprintf "%d nodes, %s" r.d_nodes fmt in
-      add "dfs" (label "elapsed") r.d_elapsed_ns;
-      add "dfs" (label "control elapsed") r.d_ctl_elapsed_ns;
-      add "dfs" (label "warm hits") r.d_warm_hits;
-      add "dfs"
-        (label "control messages per 32 opens")
-        (int_of_float (r.d_ctl_open_msgs *. 32.)))
-    (Sp_benchlib.Dfs_bench.run ());
-  reset_world ();
-  List.iter
-    (fun (r : Sp_benchlib.Journal_bench.row) ->
-      let label fmt = Printf.sprintf "%d clients, %s" r.sc_clients fmt in
-      add "journal" (label "syncs") r.sc_syncs;
-      add "journal" (label "commits") r.sc_commits;
-      add "journal" (label "absorbed") r.sc_absorbed;
-      add "journal" (label "sync p99") r.sc_sync_p99_ns;
-      add "journal" (label "elapsed") r.sc_elapsed_ns)
-    (Sp_benchlib.Journal_bench.run ());
-  List.rev !rows
-
 let write_json file =
-  let rows = collect_rows () in
+  let rows = Tables.rows () in
   let oc = open_out file in
   output_string oc (PJ.to_string rows);
   close_out oc;
@@ -394,32 +54,23 @@ let check_perf baseline_file =
     close_in ic;
     PJ.parse s
   in
-  let fresh = collect_rows () in
-  let tolerance = 0.10 in
-  let verdicts = PJ.check ~tolerance ~baseline ~fresh in
-  let regressions = ref 0 in
+  let fresh = Tables.rows () in
+  let verdicts = PJ.check ~baseline ~fresh in
   List.iter
     (function
-      | PJ.Regression (r, base) ->
-          incr regressions;
-          Printf.printf "REGRESSION %s/%s: %d ns -> %d ns (+%.1f%%)\n" r.table
-            r.label base r.ns
-            (100. *. (float_of_int r.ns /. float_of_int base -. 1.))
+      | PJ.Changed (r, base) ->
+          Printf.printf "CHANGED %s/%s: %d ns -> %d ns\n" r.table r.label base r.ns
       | PJ.Missing r ->
-          incr regressions;
-          Printf.printf "MISSING    %s/%s: baseline row absent from this run\n"
-            r.table r.label
-      | PJ.Improvement (r, base) ->
-          Printf.printf
-            "improved   %s/%s: %d ns -> %d ns (%.1f%%); refresh %s to lock in\n"
-            r.table r.label base r.ns
-            (100. *. (1. -. float_of_int r.ns /. float_of_int base))
+          Printf.printf "MISSING %s/%s: baseline row absent from this run\n" r.table
+            r.label
+      | PJ.Added r ->
+          Printf.printf "ADDED   %s/%s: %d ns, absent from %s\n" r.table r.label r.ns
             baseline_file)
     verdicts;
-  Printf.printf "PERF status=%s rows=%d baseline=%d tolerance=%.0f%%\n"
-    (if !regressions = 0 then "ok" else "regressed")
-    (List.length fresh) (List.length baseline) (100. *. tolerance);
-  if !regressions > 0 then exit 1
+  Printf.printf "PERF status=%s rows=%d baseline=%d\n"
+    (if verdicts = [] then "ok" else "changed")
+    (List.length fresh) (List.length baseline);
+  if verdicts <> [] then exit 1
 
 let arg_value flag =
   let rec find i =
@@ -434,6 +85,5 @@ let () =
   | Some file, _ -> write_json file
   | None, Some baseline -> check_perf baseline
   | None, None ->
-      simulated_tables ();
-      if Array.exists (String.equal "--profile") Sys.argv then per_layer_breakdown ();
-      run_bechamel ()
+      Tables.print Format.std_formatter [];
+      if Array.exists (String.equal "--profile") Sys.argv then per_layer_breakdown ()

@@ -58,38 +58,7 @@ let run_stack layers ops size verbose =
 (* --- springfs tables --- *)
 
 let run_tables which =
-  let ppf = Format.std_formatter in
-  let all = which = [] in
-  let want name = all || List.mem name which in
-  if want "table2" then begin
-    Sp_benchlib.Table2.print ppf (Sp_benchlib.Table2.run ());
-    Format.fprintf ppf "@."
-  end;
-  if want "table3" then begin
-    Sp_benchlib.Table3.print ppf (Sp_benchlib.Table3.run ());
-    Format.fprintf ppf "@."
-  end;
-  if want "figures" then Sp_benchlib.Figures.print ppf ();
-  if want "ablations" then begin
-    Sp_benchlib.Ablations.print ppf (Sp_benchlib.Ablations.run_all ());
-    Sp_benchlib.Ablations.print_depth_sweep ppf (Sp_benchlib.Ablations.depth_sweep ())
-  end;
-  if want "macro" then begin
-    Sp_benchlib.Macro.print ppf (Sp_benchlib.Macro.run ());
-    Format.fprintf ppf "@."
-  end;
-  if want "faults" then begin
-    Sp_benchlib.Faults.print ppf (Sp_benchlib.Faults.run ());
-    Format.fprintf ppf "@."
-  end;
-  if want "failover" then begin
-    Sp_benchlib.Failover.print ppf (Sp_benchlib.Failover.run ());
-    Format.fprintf ppf "@."
-  end;
-  if want "scrub" then begin
-    Sp_benchlib.Scrub.print ppf (Sp_benchlib.Scrub.run ());
-    Format.fprintf ppf "@."
-  end;
+  Sp_benchlib.Tables.print Format.std_formatter which;
   0
 
 (* --- springfs demo --- *)
@@ -438,37 +407,44 @@ let run_ls layers dir files =
 
 (* --- springfs profile --- *)
 
+(* Each table of [profile tables] runs under its own trace root, opened
+   after the table's world reset: a reset inside an open root would
+   restart the clock and the counters under it.  With [--trace-out], each
+   table's trace goes to its own file, the table name put before FILE's
+   extension. *)
 let run_profile scenario layers ops size trace_out capacity =
   at_least 2 ("--capacity", capacity);
   let layers = if layers = [] then [ "coherency"; "compfs" ] else layers in
-  let run () =
-    match scenario with
-    | `Demo -> ignore (run_demo ())
-    | `Stack -> ignore (run_stack layers ops size false)
-    | `Tables -> ignore (run_tables [])
+  let profile name out run =
+    let (), trace = Sp_trace.with_tracing ~capacity ~root:("springfs " ^ name) run in
+    Format.printf "@.per-layer profile (%s, %d spans, %a simulated):@.%a@." name
+      (List.length trace.Sp_trace.tr_spans)
+      Sp_sim.Simclock.pp_duration trace.Sp_trace.tr_total_ns Sp_trace.pp_profile
+      trace;
+    match out with
+    | Some file -> (
+        try
+          Sp_trace.write_chrome_json file trace;
+          Format.printf
+            "chrome trace written to %s (open in chrome://tracing or Perfetto)@."
+            file
+        with Sys_error msg ->
+          Format.eprintf "springfs: cannot write trace: %s@." msg;
+          exit 2)
+    | None -> ()
   in
-  let scenario_name =
-    match scenario with `Demo -> "demo" | `Stack -> "stack" | `Tables -> "tables"
-  in
-  let (), trace =
-    Sp_trace.with_tracing ~capacity ~root:("springfs " ^ scenario_name) run
-  in
-  Format.printf "@.per-layer profile (%s, %d spans, %a simulated):@.%a@."
-    scenario_name
-    (List.length trace.Sp_trace.tr_spans)
-    Sp_sim.Simclock.pp_duration trace.Sp_trace.tr_total_ns Sp_trace.pp_profile
-    trace;
-  (match trace_out with
-  | Some file -> (
-      try
-        Sp_trace.write_chrome_json file trace;
-        Format.printf
-          "chrome trace written to %s (open in chrome://tracing or Perfetto)@."
-          file
-      with Sys_error msg ->
-        Format.eprintf "springfs: cannot write trace: %s@." msg;
-        exit 2)
-  | None -> ());
+  (match scenario with
+  | `Demo -> profile "demo" trace_out (fun () -> ignore (run_demo ()))
+  | `Stack ->
+      profile "stack" trace_out (fun () -> ignore (run_stack layers ops size false))
+  | `Tables ->
+      let table_file name file =
+        Filename.remove_extension file ^ "." ^ name ^ Filename.extension file
+      in
+      Sp_benchlib.Tables.iter [] (fun name print ->
+          profile ("tables " ^ name)
+            (Option.map (table_file name) trace_out)
+            (fun () -> print Format.std_formatter)));
   0
 
 (* ------------------------------------------------------------------ *)
@@ -498,13 +474,15 @@ let stack_cmd =
     Term.(const run_stack $ layers_arg $ ops $ size $ verbose)
 
 let tables_cmd =
+  let names = Sp_benchlib.Tables.names in
   let which =
     Arg.(
-      value & pos_all string []
+      value
+      & pos_all (enum (List.map (fun n -> (n, n)) names)) []
       & info [] ~docv:"TABLE"
           ~doc:
-            "Subset to print: table2, table3, figures, ablations, macro, faults, \
-             failover, scrub (default all).")
+            ("Tables to print, in this order: " ^ String.concat ", " names
+           ^ " (default all, as bench/main.exe prints them)."))
   in
   let doc = "regenerate the paper's evaluation tables (simulated)" in
   Cmd.v (Cmd.info "tables" ~doc) Term.(const run_tables $ which)
@@ -806,13 +784,18 @@ let profile_cmd =
       value
       & opt (some string) None
       & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Also write a Chrome trace-event JSON file (chrome://tracing, Perfetto).")
+          ~doc:
+            "Also write a Chrome trace-event JSON file (chrome://tracing, \
+             Perfetto).  For tables, one file per table, named FILE with the \
+             table name before its extension.")
   in
   let capacity =
     Arg.(
       value & opt int 262144
       & info [ "capacity" ] ~docv:"SPANS"
-          ~doc:"Span ring-buffer capacity; oldest spans drop beyond this.")
+          ~doc:
+            "Span ring-buffer capacity (per table, for tables); oldest spans \
+             drop beyond this.")
   in
   let doc =
     "run a scenario under span tracing and print the per-layer time attribution"
@@ -829,4 +812,10 @@ let main =
       versions_cmd; profile_cmd;
     ]
 
-let () = exit (Cmd.eval' main)
+(* A command line cmdliner rejects is a usage error: exit 2, like the
+   subcommands' own argument checks. *)
+let () =
+  exit
+    (match Cmd.eval' main with
+    | code when code = Cmd.Exit.cli_error -> 2
+    | code -> code)

@@ -44,6 +44,7 @@ let compfs_write_ns ~coherent tag =
       ignore (F.write f ~pos:0 data);
       F.sync f)
 
+(* Figures 5/6: [(incoherent_write_ns, coherent_write_ns)]. *)
 let fig56_compfs_modes () =
   Sp_sim.Cost_model.with_model Sp_sim.Cost_model.paper_1993 (fun () ->
       let incoherent = compfs_write_ns ~coherent:false "fig5" in

@@ -134,24 +134,22 @@ let parse s =
 
 let key r = r.table ^ "/" ^ r.label
 
-type verdict =
-  | Regression of row * int  (** fresh row, baseline ns *)
-  | Improvement of row * int  (** fresh row faster than baseline beyond tolerance *)
-  | Missing of row  (** baseline row absent from the fresh run *)
+type verdict = Changed of row * int | Missing of row | Added of row
 
-let check ~tolerance ~baseline ~fresh =
-  let fresh_tbl = Hashtbl.create 64 in
-  List.iter (fun r -> Hashtbl.replace fresh_tbl (key r) r) fresh;
-  let verdicts = ref [] in
-  List.iter
+let check ~baseline ~fresh =
+  let index rows =
+    let tbl = Hashtbl.create 128 in
+    List.iter (fun r -> Hashtbl.replace tbl (key r) r) rows;
+    tbl
+  in
+  let base_tbl = index baseline and fresh_tbl = index fresh in
+  List.filter_map
     (fun base ->
       match Hashtbl.find_opt fresh_tbl (key base) with
-      | None -> verdicts := Missing base :: !verdicts
-      | Some f ->
-          let hi = float_of_int base.ns *. (1. +. tolerance) in
-          let lo = float_of_int base.ns *. (1. -. tolerance) in
-          if float_of_int f.ns > hi then verdicts := Regression (f, base.ns) :: !verdicts
-          else if float_of_int f.ns < lo then
-            verdicts := Improvement (f, base.ns) :: !verdicts)
-    baseline;
-  List.rev !verdicts
+      | None -> Some (Missing base)
+      | Some f when f.ns <> base.ns -> Some (Changed (f, base.ns))
+      | Some _ -> None)
+    baseline
+  @ List.filter_map
+      (fun f -> if Hashtbl.mem base_tbl (key f) then None else Some (Added f))
+      fresh

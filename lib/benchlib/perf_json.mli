@@ -1,9 +1,12 @@
-(** Machine-readable benchmark rows and the perf-regression guard.
+(** Machine-readable benchmark rows and the exact perf guard.
 
-    [bench/main.exe -- --json FILE] serialises every simulated table to
-    [FILE] as a JSON array of [{table, label, ns}] objects; the committed
-    snapshot (BENCH_10.json) is the baseline CI compares fresh runs
-    against with [--check-perf]. *)
+    [bench/main.exe -- --json FILE] serialises the rows of the simulated
+    tables ({!Tables.rows}) to [FILE] as a JSON array of
+    [{table, label, ns}] objects; the committed snapshot (BENCH_10.json)
+    is the baseline CI compares fresh runs against with [--check-perf].
+    The simulated clock is deterministic, so the comparison is exact: a
+    row that moves either way, a baseline row the run lacks and a run row
+    the baseline lacks each fail it. *)
 
 type row = { table : string; label : string; ns : int }
 
@@ -16,15 +19,11 @@ exception Bad_json of string
 val parse : string -> row list
 
 type verdict =
-  | Regression of row * int
-      (** fresh row slower than baseline beyond tolerance; [int] is the
-          baseline ns *)
-  | Improvement of row * int
-      (** fresh row faster than baseline beyond tolerance — refresh the
-          committed snapshot to lock the gain in *)
+  | Changed of row * int  (** fresh row whose ns differs; [int] is the baseline ns *)
   | Missing of row  (** baseline row absent from the fresh run *)
+  | Added of row  (** fresh row absent from the baseline *)
 
-(** Compare a fresh run against the committed baseline.  [tolerance] is a
-    fraction (0.10 = ±10%).  Rows only present in the fresh run are new
-    benchmarks and pass silently. *)
-val check : tolerance:float -> baseline:row list -> fresh:row list -> verdict list
+(** Compare a fresh run against the committed baseline, exactly.  Every
+    verdict is a failure: an empty list means the run reproduced the
+    baseline.  Baseline-order verdicts come first, then the added rows. *)
+val check : baseline:row list -> fresh:row list -> verdict list

@@ -74,19 +74,8 @@ let bump i = add_to i 1
 
 let cross_domain_calls () = get 0
 let net_messages () = get 8
-let net_bytes () = get 9
 let faults_injected () = get 12
 let net_retries () = get 13
-let checksum_failures () = get 14
-let integrity_repairs () = get 15
-let bulk_handoffs () = get 16
-let bulk_copies () = get 17
-let bulk_setups () = get 18
-let readahead_hits () = get 19
-let readahead_wasted () = get 20
-let name_cache_hits () = get 21
-let name_cache_misses () = get 22
-let name_cache_negative_hits () = get 23
 let queue_ns () = get 24
 let avail_shed () = get 25
 let avail_retried () = get 26

@@ -55,11 +55,8 @@ val cross_domain_calls : unit -> int
     {!cross_domain_calls}). *)
 val net_messages : unit -> int
 
-val net_bytes : unit -> int
 val faults_injected : unit -> int
 val net_retries : unit -> int
-val checksum_failures : unit -> int
-val integrity_repairs : unit -> int
 val incr_cross_domain_calls : unit -> unit
 val incr_local_calls : unit -> unit
 val incr_kernel_calls : unit -> unit
@@ -76,19 +73,11 @@ val incr_faults_injected : unit -> unit
 val incr_net_retries : unit -> unit
 val incr_checksum_failures : unit -> unit
 val incr_integrity_repairs : unit -> unit
-val bulk_handoffs : unit -> int
-val bulk_copies : unit -> int
-val bulk_setups : unit -> int
-val readahead_hits : unit -> int
-val readahead_wasted : unit -> int
 val incr_bulk_handoffs : unit -> unit
 val incr_bulk_copies : unit -> unit
 val incr_bulk_setups : unit -> unit
 val incr_readahead_hits : unit -> unit
 val incr_readahead_wasted : unit -> unit
-val name_cache_hits : unit -> int
-val name_cache_misses : unit -> int
-val name_cache_negative_hits : unit -> int
 val incr_name_cache_hits : unit -> unit
 val incr_name_cache_misses : unit -> unit
 val incr_name_cache_negative_hits : unit -> unit

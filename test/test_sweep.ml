@@ -222,10 +222,12 @@ let test_pinned_edges () =
 
 let springfs = Filename.concat ".." (Filename.concat "bin" "springfs.exe")
 
-(* Every sweep runs at seed 7; [stack] has no seed to set.  Returns the
-   exit code, stdout and stderr. *)
+(* Every sweep runs at seed 7; [stack] and [tables] have no seed to set.
+   Returns the exit code, stdout and stderr. *)
 let run_cli args =
-  let args = match args with "stack" :: _ -> args | _ -> args @ [ "--seed"; "7" ] in
+  let args =
+    match args with ("stack" | "tables") :: _ -> args | _ -> args @ [ "--seed"; "7" ]
+  in
   let out = Filename.temp_file "springfs" ".out" in
   let err = Filename.temp_file "springfs" ".err" in
   let code = Sys.command (Filename.quote_command springfs args ~stdout:out ~stderr:err) in
@@ -384,6 +386,22 @@ let test_cli_stack_error () =
           "stack error: mirrorfs0: needs two underlays\n" );
       ]
 
+(* [tables] selects from Sp_benchlib.Tables by name; a name the list
+   lacks is a usage error, not an empty run. *)
+let test_cli_tables () =
+  if not (Sys.file_exists springfs) then Alcotest.skip ()
+  else begin
+    let code, out, _ = run_cli [ "tables"; "table2" ] in
+    Alcotest.(check int) "tables table2: exit code" 0 code;
+    Alcotest.(check bool) "tables table2 prints Table 2" true
+      (List.exists
+         (String.starts_with ~prefix:"Table 2:")
+         (String.split_on_char '\n' out));
+    let code, out, _ = run_cli [ "tables"; "tabel2" ] in
+    Alcotest.(check int) "tables tabel2: exit code" 2 code;
+    Alcotest.(check string) "tables tabel2: stdout" "" out
+  end
+
 let suite =
   [
     Alcotest.test_case "stride enumeration per axis" `Quick test_stride_enumeration;
@@ -401,4 +419,5 @@ let suite =
     Alcotest.test_case "cli verdicts" `Quick test_cli_verdicts;
     Alcotest.test_case "cli usage errors exit 2" `Quick test_cli_usage_error;
     Alcotest.test_case "cli stack errors exit 1" `Quick test_cli_stack_error;
+    Alcotest.test_case "cli tables: unknown name exits 2" `Quick test_cli_tables;
   ]

@@ -187,6 +187,75 @@ let test_macro_claim () =
             true (overhead < 1.25)
       | _ -> Alcotest.fail "expected three configurations")
 
+(* --- the perf guard ---
+
+   BENCH_10.json's rows are simulated, so [--check-perf] compares them
+   exactly: any move, either way, fails, and so does a row present on one
+   side only. *)
+
+module PJ = Sp_benchlib.Perf_json
+
+let guard_rows =
+  [
+    { PJ.table = "table2"; label = "open, two domains"; ns = 386000 };
+    { PJ.table = "availability"; label = "64 clients, ops served"; ns = 1024 };
+    { PJ.table = "namespace"; label = "a \"quoted\"\tlabel \\"; ns = 7 };
+  ]
+
+let with_ns label ns =
+  List.map (fun (r : PJ.row) -> if r.label = label then { r with ns } else r) guard_rows
+
+let test_perf_rows_round_trip () =
+  Alcotest.(check bool) "parse (to_string rows) = rows" true
+    (PJ.parse (PJ.to_string guard_rows) = guard_rows);
+  Alcotest.(check bool) "a run equal to its baseline passes" true
+    (PJ.check ~baseline:guard_rows ~fresh:guard_rows = [])
+
+let test_perf_guard_exact () =
+  let verdict name fresh want =
+    Alcotest.(check bool) name true (PJ.check ~baseline:guard_rows ~fresh = want)
+  in
+  let served = with_ns "64 clients, ops served" 819 in
+  verdict "a 20% drop in ops served fails" served [ PJ.Changed (List.nth served 1, 1024) ];
+  let opened = with_ns "open, two domains" 386001 in
+  verdict "a 1 ns move fails" opened [ PJ.Changed (List.hd opened, 386000) ];
+  verdict "a baseline row the run lacks fails" (List.tl guard_rows)
+    [ PJ.Missing (List.hd guard_rows) ];
+  let extra = { PJ.table = "scale"; label = "new row"; ns = 1 } in
+  verdict "a run row the baseline lacks fails" (guard_rows @ [ extra ]) [ PJ.Added extra ]
+
+(* --- profiling the tables ---
+
+   [springfs profile tables] traces each table under its own root, opened
+   after the table's world reset.  A reset inside an open root restarts
+   the clock and the counters under it, and the root row reads negative
+   counts.  Two tables, so a reset falls between them. *)
+
+let test_tables_trace_per_root () =
+  let null = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  Sp_benchlib.Tables.iter [ "table2"; "table3" ] (fun name print ->
+      let (), trace = Sp_trace.with_tracing ~root:name (fun () -> print null) in
+      let root =
+        List.find (fun sp -> sp.Sp_trace.sp_id = trace.Sp_trace.tr_root) trace.tr_spans
+      in
+      let m = root.sp_self_metrics in
+      List.iter
+        (fun (what, n) ->
+          Alcotest.(check bool) (Printf.sprintf "%s: root %s >= 0" name what) true (n >= 0))
+        [
+          ("crossings", m.cross_domain_calls);
+          ("local calls", m.local_calls);
+          ("kernel calls", m.kernel_calls);
+          ("disk reads", m.disk_reads);
+          ("disk writes", m.disk_writes);
+        ];
+      Alcotest.(check int) (name ^ ": root starts at the reset") 0 root.sp_start;
+      Alcotest.(check int) (name ^ ": no span dropped") 0 trace.tr_dropped;
+      Alcotest.(check int)
+        (name ^ ": self times sum to the total")
+        trace.tr_total_ns
+        (List.fold_left (fun acc sp -> acc + sp.Sp_trace.sp_self_ns) 0 trace.tr_spans))
+
 let suite =
   [
     Alcotest.test_case "table2: open overheads" `Quick test_open_overheads;
@@ -199,4 +268,8 @@ let suite =
     Alcotest.test_case "6.4: name cache kills open overhead" `Quick
       test_name_cache_removes_open_overhead;
     Alcotest.test_case "6.4: macro workload overhead small" `Slow test_macro_claim;
+    Alcotest.test_case "perf guard: rows round-trip" `Quick test_perf_rows_round_trip;
+    Alcotest.test_case "perf guard: any move fails" `Quick test_perf_guard_exact;
+    Alcotest.test_case "profile tables: one trace root per table" `Quick
+      test_tables_trace_per_root;
   ]
