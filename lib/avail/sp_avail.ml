@@ -135,8 +135,6 @@ module Breaker = struct
     let b = get name in
     if b.br_state <> Closed then b.br_state <- Closed
 
-  let trips name = (get name).br_trips
-
   let reset name =
     let b = get name in
     b.br_state <- Closed;

@@ -35,9 +35,8 @@ module Backoff : sig
     jitter : float;  (** in [0,1]: delay drawn from [(1-j)*raw, raw] *)
   }
 
-  (** 200µs base, 5ms cap, 8 attempts, 0.5 jitter. *)
-  val default : policy
-
+  (** Defaults: 200µs base, 5ms cap, 8 attempts, 0.5 jitter; {!call}
+      uses them when given no policy. *)
   val make :
     ?base_ns:int ->
     ?max_delay_ns:int ->
@@ -92,9 +91,6 @@ module Breaker : sig
 
   (** Record a successful probe: closes the breaker if open. *)
   val note_ok : string -> unit
-
-  (** Times tripped since the last {!reset}. *)
-  val trips : string -> int
 
   (** Close and zero the counter (sweeps call this between points). *)
   val reset : string -> unit

@@ -328,10 +328,6 @@ let sync t =
   Sp_sfs.Bitmap.flush t.ibitmap;
   Sp_sfs.Bitmap.flush t.bbitmap
 
-let fsync t fd =
-  ignore fd;
-  sync t
-
 let drop_caches t =
   sync t;
   Hashtbl.reset t.bufcache;

@@ -31,7 +31,6 @@ val write : t -> fd -> pos:int -> bytes -> int
 val fstat : t -> fd -> Sp_vm.Attr.t
 val mkdir : t -> string -> unit
 val unlink : t -> string -> unit
-val fsync : t -> fd -> unit
 val sync : t -> unit
 
 (** Drop the buffer/name caches (cold-cache benchmark rows). *)

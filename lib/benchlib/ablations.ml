@@ -92,6 +92,8 @@ let dfs_map_vs_rpc () =
         note = "binding forwards to the remote pager once; later reads hit the VMM";
       })
 
+(* §8 extension: cold sequential read of a 128 KB file with the VMM's
+   adaptive read-ahead off vs on (no manual window). *)
 let readahead () =
   with_paper_model (fun () ->
       (* Where read-ahead pays in this architecture: bulk transfer over a

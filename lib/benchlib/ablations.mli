@@ -6,10 +6,6 @@ type result = { label : string; baseline_ns : int; variant_ns : int; note : stri
     the remote-path ablations and {!Bulk_bench}). *)
 val make_remote : string -> Sp_core.File.t * Sp_cfs.Cfs.t * Sp_vm.Vmm.t
 
-(** §8 extension: cold sequential read of a 128 KB file with the VMM's
-    adaptive read-ahead off vs on (no manual window). *)
-val readahead : unit -> result
-
 (** Stacking-depth sweep: warm open and cached 4KB read cost for towers of
     1..4 layers (the "without sacrificing performance" claim).  Returns
     [(depth, open_ns, read_ns)] rows. *)

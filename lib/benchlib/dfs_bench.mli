@@ -16,8 +16,6 @@ type row = {
   d_ctl_open_msgs : float;  (** messages per reopen, leaseless *)
 }
 
-val run_row : nodes:int -> seed:int -> row
-
 (** The dfs table (default 1 / 2 / 4 / 8 nodes). *)
 val run : ?nodes:int list -> ?seed:int -> unit -> row list
 

@@ -6,8 +6,6 @@
 
 type row = Scale.row
 
-val run_row : clients:int -> seed:int -> unit -> row
-
 (** The journal table (default 1 / 64 / 1000 clients). *)
 val run : ?clients:int list -> ?seed:int -> unit -> row list
 

@@ -1,6 +1,10 @@
 module V = Sp_vm.Vm_types
 
-type entry = { e_remote : Sp_core.File.t; e_attrs : Sp_core.File.t Sp_vm.Attr_cache.t }
+type entry = {
+  e_remote : Sp_core.File.t;
+  e_attrs : Sp_core.File.t Sp_vm.Attr_cache.t;
+  mutable e_bound : bool;  (* a live channel to the remote file *)
+}
 
 type t = {
   c_name : string;
@@ -22,7 +26,9 @@ let make ?(node = "local") ~vmm ~name () =
 (* CFS holds no page data (the VMM does), so its cache object only has to
    answer the attribute subclass; data ranges are empty.  Destroying the
    channel forgets the entry under the bind [key] it was recorded by,
-   which differs from the remote file's [f_id] for a DFS import. *)
+   which differs from the remote file's [f_id] for a DFS import, and the
+   attributes it cached: with no channel, no invalidation would reach
+   them.  The file's next operation binds again. *)
 let cache_object t e ~key =
   {
     V.c_domain = t.c_domain;
@@ -33,7 +39,11 @@ let cache_object t e ~key =
     c_delete_range = (fun ~offset:_ ~size:_ -> ());
     c_zero_fill = (fun ~offset:_ ~size:_ -> ());
     c_populate = (fun ~offset:_ ~access:_ _ -> ());
-    c_destroy = (fun () -> Hashtbl.remove t.c_files key);
+    c_destroy =
+      (fun () ->
+        Hashtbl.remove t.c_files key;
+        Sp_vm.Attr_cache.drop e.e_attrs;
+        e.e_bound <- false);
     c_exten = [ Sp_vm.Attr_cache.fs_cache e.e_attrs ];
   }
 
@@ -47,8 +57,14 @@ let manager t e =
       (fun ~key pager ->
         Hashtbl.replace t.c_files key e;
         Sp_vm.Attr_cache.connect e.e_attrs pager;
+        e.e_bound <- true;
         cache_object t e ~key);
   }
+
+(* Bind as cache manager for the remote file, unless a channel is live. *)
+let bind t e =
+  if not e.e_bound then
+    ignore (V.bind e.e_remote.Sp_core.File.f_mem (manager t e) V.Read_write)
 
 let interpose t (remote : Sp_core.File.t) =
   match Hashtbl.find_opt t.c_wrapped remote.Sp_core.File.f_id with
@@ -58,9 +74,8 @@ let interpose t (remote : Sp_core.File.t) =
         Sp_vm.Attr_cache.create ~stat:Sp_core.File.stat ~store:Sp_core.File.set_attr
           remote
       in
-      let e = { e_remote = remote; e_attrs = attrs } in
-      (* Bind as cache manager for the remote file. *)
-      ignore (V.bind remote.Sp_core.File.f_mem (manager t e) V.Read_write);
+      let e = { e_remote = remote; e_attrs = attrs; e_bound = false } in
+      bind t e;
       let mapped =
         Sp_core.File.mapped_ops ~vmm:t.c_vmm ~mem:remote.Sp_core.File.f_mem
           ~get_attr:(fun () -> Sp_vm.Attr_cache.fetch attrs)
@@ -81,17 +96,29 @@ let interpose t (remote : Sp_core.File.t) =
           f_mem = remote.Sp_core.File.f_mem;
           f_read =
             (fun ~pos ~len ->
+              bind t e;
               Sp_vm.Attr_cache.update attrs Sp_vm.Attr.touch_atime;
               mapped.Sp_core.File.mo_read ~pos ~len);
-          f_write = mapped.Sp_core.File.mo_write;
-          f_stat = (fun () -> Sp_vm.Attr_cache.fetch attrs);
-          f_set_attr = Sp_vm.Attr_cache.set attrs;
+          f_write =
+            (fun ~pos data ->
+              bind t e;
+              mapped.Sp_core.File.mo_write ~pos data);
+          f_stat =
+            (fun () ->
+              bind t e;
+              Sp_vm.Attr_cache.fetch attrs);
+          f_set_attr =
+            (fun a ->
+              bind t e;
+              Sp_vm.Attr_cache.set attrs a);
           f_truncate =
             (fun len ->
+              bind t e;
               V.set_length remote.Sp_core.File.f_mem len;
               Sp_vm.Attr_cache.drop attrs);
           f_sync =
             (fun () ->
+              bind t e;
               mapped.Sp_core.File.mo_sync ();
               Sp_vm.Attr_cache.sync_down attrs;
               Sp_core.File.sync e.e_remote);

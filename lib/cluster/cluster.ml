@@ -35,10 +35,6 @@ module DL = Sp_sfs.Disk_layer
    and retry. *)
 exception Wrong_shard of string
 
-(* Same-shard renames only: a cross-shard rename would be a migration,
-   which is {!rebalance}'s job. *)
-exception Cross_shard of string
-
 (* ------------------------------------------------------------------ *)
 (* Types                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -360,7 +356,6 @@ let nodes t = Array.length t.cl_shards
 let shard_node t i = t.cl_shards.(i).sh_node
 let shard_disks t i = (t.cl_shards.(i).sh_disk_a, t.cl_shards.(i).sh_disk_b)
 let owner t path = owner_of t (top_component path)
-let lease_ns t = t.cl_lease_ns
 let stats t =
   {
     s_inval_sent = t.cl_inval_sent;
@@ -642,52 +637,6 @@ let remove c path =
         with_placement c path ~bytes:64 (fun sh -> Stackable.remove (top sh) path)
       in
       cache_store c key s None)
-
-let rename c ~src ~dst =
-  let s_own = client_owner c (top_component src)
-  and d_own = client_owner c (top_component dst) in
-  if s_own <> d_own then
-    raise
-      (Cross_shard
-         (Printf.sprintf "rename %s -> %s crosses shards %d -> %d"
-            (Sname.to_string src) (Sname.to_string dst) s_own d_own));
-  as_mutator c (fun () ->
-      ignore
-        (with_placement c src ~bytes:64 (fun sh ->
-             check_owner c.c_cluster sh dst;
-             Stackable.rename (top sh) ~src ~dst)));
-  Hashtbl.remove c.c_cache (Sname.to_string src);
-  Hashtbl.remove c.c_cache (Sname.to_string dst)
-
-(* Cursor readdir over the owning shard (one RPC per batch, like the
-   DFS import).  Root readdir merges the shards' root listings,
-   filtered by ownership so a rebalance husk never shows through. *)
-let readdir c path ~cookie ~limit =
-  let _, r =
-    with_placement c path ~bytes:64 (fun sh ->
-        Stackable.readdir (top sh) path ~cookie ~limit)
-  in
-  r
-
-let listdir c path =
-  match Sname.components path with
-  | [] ->
-      let t = c.c_cluster in
-      let all = ref [] in
-      Array.iter
-        (fun sh ->
-          let names =
-            Net.rpc_retry t.cl_net ~src:c.c_node ~dst:sh.sh_node ~bytes:64
-              (fun () -> Stackable.listdir (top sh) path)
-          in
-          List.iter
-            (fun nm -> if client_owner c nm = sh.sh_id then all := nm :: !all)
-            names)
-        t.cl_shards;
-      List.sort String.compare !all
-  | _ ->
-      List.sort String.compare
-        (Sp_dir.Cursor.drain (fun ~cookie ~limit -> readdir c path ~cookie ~limit))
 
 (* Durable cut on the shard owning [path]. *)
 let sync_path c path =

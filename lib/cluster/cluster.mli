@@ -20,10 +20,6 @@ type client
     faster than the retry bound). *)
 exception Wrong_shard of string
 
-(** Raised by {!rename} when source and destination hash to different
-    shards; cross-shard moves are {!rebalance}'s job. *)
-exception Cross_shard of string
-
 (** {1 Cluster lifecycle} *)
 
 val default_lease_ns : int
@@ -50,7 +46,6 @@ val shutdown : t -> unit
 
 val nodes : t -> int
 val shard_node : t -> int -> string
-val lease_ns : t -> int
 
 (** The shard's twin disks, for direct fsck in sweeps. *)
 val shard_disks : t -> int -> Sp_blockdev.Disk.t * Sp_blockdev.Disk.t
@@ -97,17 +92,6 @@ val remove : client -> Sp_naming.Sname.t -> unit
     on a shard: after this instant the client refuses its cached
     entries for that shard.  0 until the first contact. *)
 val lease_deadline : client -> int -> int
-
-(** Same-shard rename (raises {!Cross_shard} otherwise). *)
-val rename : client -> src:Sp_naming.Sname.t -> dst:Sp_naming.Sname.t -> unit
-
-(** One cursor batch from the owning shard (one RPC per batch). *)
-val readdir :
-  client -> Sp_naming.Sname.t -> cookie:int -> limit:int -> string list * int option
-
-(** Sorted listing; the root merges every shard's view filtered by
-    ownership (rebalance husks never show through). *)
-val listdir : client -> Sp_naming.Sname.t -> string list
 
 (** Durable cut on the shard owning [path] / on every shard. *)
 val sync_path : client -> Sp_naming.Sname.t -> unit

@@ -24,6 +24,15 @@ let read f ~pos ~len =
   Sp_obj.Door.charge_transfer f.f_domain (Bytes.length data);
   data
 
+let read_padded f ~pos ~len =
+  let data = read f ~pos ~len in
+  if Bytes.length data = len then data
+  else begin
+    let padded = Bytes.make len '\000' in
+    Bytes.blit data 0 padded 0 (Bytes.length data);
+    padded
+  end
+
 let write f ~pos data =
   Sp_obj.Door.charge_transfer f.f_domain (Bytes.length data);
   Sp_obj.Door.data_call ~op:"file.write" f.f_domain (fun () -> f.f_write ~pos data)

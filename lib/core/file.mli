@@ -30,6 +30,10 @@ type Sp_naming.Context.obj += File of t
 (** {1 Call helpers} — door invocations on the file's serving domain. *)
 
 val read : t -> pos:int -> len:int -> bytes
+
+(** [read], zero-padded to [len] bytes where the file ends first. *)
+val read_padded : t -> pos:int -> len:int -> bytes
+
 val write : t -> pos:int -> bytes -> int
 val stat : t -> Sp_vm.Attr.t
 val set_attr : t -> Sp_vm.Attr.t -> unit

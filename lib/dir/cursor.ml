@@ -54,5 +54,3 @@ let fold ?(batch = default_batch) (read : source) f init =
     match next with None -> acc | Some c -> go c acc
   in
   go 0 init
-
-let iter ?batch read f = fold ?batch read (fun () name -> f name) ()

@@ -10,9 +10,6 @@ type batch = string list * int option
 (** One readdir implementation. *)
 type source = cookie:int -> limit:int -> batch
 
-(** Default batch size used by {!drain}, {!fold} and {!iter} (256). *)
-val default_batch : int
-
 (** Cursor view over a materialised listing; the cookie indexes the
     list.  Raises [Invalid_argument] when [limit <= 0]. *)
 val of_list : string list -> cookie:int -> limit:int -> batch
@@ -28,5 +25,3 @@ val drain : ?batch:int -> source -> string list
 
 (** Fold over all names in bounded batches. *)
 val fold : ?batch:int -> source -> ('a -> string -> 'a) -> 'a -> 'a
-
-val iter : ?batch:int -> source -> (string -> unit) -> unit

@@ -3,20 +3,17 @@
     checkers.
 
     No reader looks outside the 64 bytes of the slot it was given.  A
-    name length byte above {!max_name} cannot be written by {!encode},
+    name length byte above the 58-byte maximum cannot be written by {!encode},
     so it can only come from damage: such a slot is {!damaged}, {!decode}
     returns [None] for it, it is not {!is_free}, and {!name_equal}
     matches nothing in it. *)
 
 val entry_size : int
 
-(** Longest representable name (58 bytes). *)
-val max_name : int
-
 type t = { ino : int; is_dir : bool; name : string }
 
 (** Raises [Invalid_argument] on names that cannot be stored: empty,
-    longer than {!max_name}, or containing ['/'] or NUL. *)
+    longer than the 58-byte maximum, or containing ['/'] or NUL. *)
 val check_name : string -> unit
 
 val encode : t -> bytes
@@ -40,7 +37,7 @@ val live_name : bytes -> int -> string
     Allocates nothing. *)
 val is_free : bytes -> int -> bool
 
-(** [damaged b off]: the slot's name length byte exceeds {!max_name}. *)
+(** [damaged b off]: the slot's name length byte exceeds the 58-byte maximum. *)
 val damaged : bytes -> int -> bool
 
 (** [name_equal b off name]: the slot at [off] holds an entry named

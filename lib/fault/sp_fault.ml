@@ -88,7 +88,6 @@ let plan ?(seed = 0) rules =
     p_fired = 0;
   }
 
-let seed p = p.p_seed
 let fired p = p.p_fired
 
 let armed : plan option ref = ref None

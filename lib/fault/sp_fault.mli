@@ -94,8 +94,6 @@ type plan
 val plan : ?seed:int -> rule list -> plan
 (** Fresh plan; [seed] defaults to 0. *)
 
-val seed : plan -> int
-
 val fired : plan -> int
 (** Total faults this plan has injected. *)
 

@@ -20,16 +20,6 @@ let layer_of =
     | Layer l -> Some l
     | _ -> None)
 
-(* Read one lower page, zero-padded to a full page. *)
-let read_lower_page (e : sums T.t) page =
-  let data = Sp_core.File.read e.T.lower ~pos:(page * ps) ~len:ps in
-  if Bytes.length data = ps then data
-  else begin
-    let padded = Bytes.make ps '\000' in
-    Bytes.blit data 0 padded 0 (Bytes.length data);
-    padded
-  end
-
 (* Verify a padded page against the recorded checksum.  Pages never seen
    before are trusted on first read (the layer has no store of its own to
    persist sums in); once recorded, any later divergence of the lower
@@ -55,8 +45,9 @@ let verify_page l (e : sums T.t) page data =
            (Printf.sprintf "%s: page %d from below does not match its recorded checksum"
               e.T.key page))
 
-let page_in l e page =
-  let data = read_lower_page e page in
+(* One lower page, zero-padded to a full page. *)
+let page_in l (e : sums T.t) page =
+  let data = Sp_core.File.read_padded e.T.lower ~pos:(page * ps) ~len:ps in
   verify_page l e page data;
   data
 

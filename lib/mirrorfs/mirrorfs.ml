@@ -210,13 +210,7 @@ let export_pair l path (p_prim, p_sec) =
     Sp_coherency.Mrsw.export_file ~vmm:l.l_vmm ~domain:l.l_domain ~channels:l.l_channels
       ~key:pair.p_key
       ~produce:(fun ~offset ~size ~access:_ ->
-        let data = with_read l pair (fun f -> Sp_core.File.read f ~pos:offset ~len:size) in
-        if Bytes.length data = size then data
-        else begin
-          let padded = Bytes.make size '\000' in
-          Bytes.blit data 0 padded 0 (Bytes.length data);
-          padded
-        end)
+        with_read l pair (fun f -> Sp_core.File.read_padded f ~pos:offset ~len:size))
       ~store:(store l pair)
       ~fs_pager:(fun ~id:_ -> fs_pager)
       ~stat

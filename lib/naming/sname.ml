@@ -16,10 +16,4 @@ let components t = t
 let split = function [] -> None | c :: rest -> Some (c, rest)
 let is_empty t = t = []
 
-let single = function
-  | [ c ] -> c
-  | t -> invalid_arg ("Sname.single: " ^ to_string t)
-
 let append t c = t @ [ c ]
-let equal a b = List.equal String.equal a b
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -20,10 +20,4 @@ val split : t -> (string * t) option
 
 val is_empty : t -> bool
 
-(** [single name] is the sole component, raising [Invalid_argument] if the
-    name has zero or several components. *)
-val single : t -> string
-
 val append : t -> string -> t
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

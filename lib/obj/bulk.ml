@@ -21,8 +21,6 @@ let channel_key a b =
 
 let established a b = Hashtbl.mem channels (channel_key a b)
 let establish a b = Hashtbl.replace channels (channel_key a b) ()
-let channel_count () = Hashtbl.length channels
-let reset () = Hashtbl.reset channels
 
 (* Depth of nested cross-domain data calls.  While positive, payload
    copies at data *sources* are elided: the source writes straight into

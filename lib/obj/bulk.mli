@@ -34,12 +34,6 @@ val established : Sdomain.t -> Sdomain.t -> bool
 (** Record a channel between two domains (idempotent). *)
 val establish : Sdomain.t -> Sdomain.t -> unit
 
-(** Number of live channels. *)
-val channel_count : unit -> int
-
-(** Drop every channel (tests; the next data call pays setup again). *)
-val reset : unit -> unit
-
 (** {1 Transfer scope}
 
     While a cross-domain data call is executing, payload copies at data

@@ -1,4 +1,3 @@
 type t = ..
 
 let narrow extens project = List.find_map project extens
-let has extens project = Option.is_some (narrow extens project)

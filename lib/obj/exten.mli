@@ -12,6 +12,3 @@ type t = ..
 (** [narrow extens project] returns the first extension accepted by
     [project], if any. *)
 val narrow : t list -> (t -> 'a option) -> 'a option
-
-(** [has extens project] is [true] iff [narrow] would succeed. *)
-val has : t list -> (t -> 'a option) -> bool

@@ -14,5 +14,3 @@ let id t = t.id
 let alive t = t.alive
 let kill t = t.alive <- false
 let equal a b = a.id = b.id
-let compare a b = Int.compare a.id b.id
-let pp ppf t = Format.fprintf ppf "%s@%s#%d" t.name t.node t.id

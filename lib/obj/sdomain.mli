@@ -36,6 +36,3 @@ val kill : t -> unit
 
 (** Structural equality of domain identities. *)
 val equal : t -> t -> bool
-
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

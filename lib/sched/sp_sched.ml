@@ -303,11 +303,10 @@ type sched = {
 }
 
 let cur : sched option ref = ref None
+(* [true] while a [run] is executing (even from the scheduler's own main
+   loop, where no task is current). *)
 let active () = match !cur with Some _ -> true | None -> false
 let in_task () = active () && Sp_sim.Sched_hook.in_task ()
-
-let current () =
-  if in_task () then Some (Sp_sim.Sched_hook.current ()) else None
 
 let sched () =
   match !cur with

@@ -38,15 +38,8 @@ exception Aborted
     depending on this library. *)
 exception Deadline_exceeded of string
 
-(** [true] while a [run] is executing (even from the scheduler's own
-    main loop, where no task is current). *)
-val active : unit -> bool
-
 (** [true] iff the caller is executing inside a scheduler task. *)
 val in_task : unit -> bool
-
-(** The current task's id, when [in_task ()]. *)
-val current : unit -> int option
 
 (** Generation counter, bumped at every [run].  Long-lived queueing
     resources built on {!suspend} compare it to lazily drop queue state

@@ -1,7 +1,7 @@
 (** Directory entries.
 
     A directory's data is an array of fixed-size 64-byte entries: inode
-    number, kind tag, and a name of up to {!max_name} bytes.  Free slots
+    number, kind tag, and a name of up to 58 bytes.  Free slots
     have inode number 0 *and* an empty name.  The codec itself lives in
     {!Sp_dir.Entry}, shared with the hash index and the offline
     checkers; this module aliases it so disk-layer code keeps saying
@@ -9,9 +9,6 @@
 
 (** Entry size in bytes. *)
 val entry_size : int
-
-(** Maximum name length in bytes. *)
-val max_name : int
 
 type t = Sp_dir.Entry.t = { ino : int; is_dir : bool; name : string }
 

@@ -1163,7 +1163,6 @@ let recover disk =
   else 0
 
 let journaled sfs = (fs_of sfs).layout.Layout.journal_blocks > 0
-let checksummed sfs = (fs_of sfs).layout.Layout.csum_blocks > 0
 
 let journal_stats sfs =
   match Journal.journal (fs_of sfs).dev with

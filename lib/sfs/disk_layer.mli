@@ -92,9 +92,6 @@ val channel_count : Sp_core.Stackable.t -> int
 (** Whether the mounted volume has a journal. *)
 val journaled : Sp_core.Stackable.t -> bool
 
-(** Whether the mounted volume has a checksum region. *)
-val checksummed : Sp_core.Stackable.t -> bool
-
 (** Journal counters ([None] on unjournaled volumes). *)
 val journal_stats : Sp_core.Stackable.t -> Journal.stats option
 

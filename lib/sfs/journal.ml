@@ -136,9 +136,9 @@ let make ?journal ?csum disk =
   { d_disk = disk; d_journal = journal; d_csum = csum; d_fence = (fun () -> ()) }
 
 let fence dev f = dev.d_fence <- f
-let disk dev = dev.d_disk
 let journal dev = dev.d_journal
-let checksums dev = dev.d_csum <> None
+(* Blocks one transaction can hold given the area size passed to
+   [attach] (the commit header block is not counted). *)
 let capacity t = min max_entries (t.blocks - 1)
 
 let read dev n =

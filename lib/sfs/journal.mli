@@ -73,14 +73,8 @@ val make : ?journal:t -> ?csum:Csum.t -> Sp_blockdev.Disk.t -> dev
     tolerates.  Default: no-op. *)
 val fence : dev -> (unit -> unit) -> unit
 
-(** The underlying device (journaled or not). *)
-val disk : dev -> Sp_blockdev.Disk.t
-
 (** The attached journal, if any. *)
 val journal : dev -> t option
-
-(** Whether a checksum region is attached. *)
-val checksums : dev -> bool
 
 (** [read dev n]: dirty buffered blocks are served from memory (free,
     like a cache); everything else comes from the device and, when a
@@ -139,7 +133,3 @@ type stats = {
 }
 
 val stats : t -> stats
-
-(** Blocks one transaction can hold given the area size passed to
-    {!attach} (the commit header block is not counted). *)
-val capacity : t -> int

@@ -42,35 +42,8 @@ let paper_1993 =
     commit_delay_ns = 2_000_000;
   }
 
-let fast =
-  {
-    local_call_ns = 0;
-    cross_domain_call_ns = 1;
-    kernel_call_ns = 0;
-    page_fault_ns = 0;
-    copy_per_byte_ns = 0;
-    cpu_op_ns = 0;
-    open_state_ns = 0;
-    disk_seek_ns = 1;
-    disk_rotate_ns = 1;
-    disk_per_block_ns = 1;
-    net_rtt_ns = 1;
-    net_per_byte_ns = 0;
-    (* bulk_call_ns must equal cross_domain_call_ns and bulk_setup_ns must
-       be zero so the bulk path leaves fast-model totals unchanged;
-       readahead_max_pages = 0 keeps adaptive read-ahead windowless so
-       tests see deterministic page-in counts. *)
-    bulk_setup_ns = 0;
-    bulk_call_ns = 1;
-    readahead_max_pages = 0;
-    (* commit_delay_ns = 0 keeps the group-commit leader from sleeping, so
-       fast-model tests see deterministic single-task sync behaviour. *)
-    commit_delay_ns = 0;
-  }
-
 let model = ref paper_1993
 let current () = !model
-let set m = model := m
 
 let with_model m f =
   let saved = !model in

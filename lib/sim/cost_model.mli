@@ -42,14 +42,8 @@ type t = {
     424 MB 4400 RPM disk and a 10 Mb/s-era network. *)
 val paper_1993 : t
 
-(** Near-zero costs: simulated time stays close to zero so that Bechamel
-    wall-clock measurements reflect only the OCaml code paths. *)
-val fast : t
-
 (** The model consulted by all subsystems.  Defaults to [paper_1993]. *)
 val current : unit -> t
-
-val set : t -> unit
 
 (** [with_model m f] runs [f ()] with [m] installed, restoring the previous
     model afterwards (also on exceptions). *)

@@ -72,15 +72,8 @@ let get i = counters.(i)
 let add_to i n = counters.(i) <- counters.(i) + n
 let bump i = add_to i 1
 
-let cross_domain_calls () = get 0
 let net_messages () = get 8
-let faults_injected () = get 12
-let net_retries () = get 13
 let queue_ns () = get 24
-let avail_shed () = get 25
-let avail_retried () = get 26
-let avail_failed () = get 27
-let avail_degraded () = get 28
 
 let incr_cross_domain_calls () = bump 0
 let incr_local_calls () = bump 1

@@ -49,14 +49,9 @@ type snapshot = {
   avail_degraded : int;  (** ops served by a degraded (read-only) fallback *)
 }
 
-val cross_domain_calls : unit -> int
-
-(** Read a single counter without taking a full snapshot (symmetric with
-    {!cross_domain_calls}). *)
+(** Read a single counter without taking a full snapshot. *)
 val net_messages : unit -> int
 
-val faults_injected : unit -> int
-val net_retries : unit -> int
 val incr_cross_domain_calls : unit -> unit
 val incr_local_calls : unit -> unit
 val incr_kernel_calls : unit -> unit
@@ -83,10 +78,6 @@ val incr_name_cache_misses : unit -> unit
 val incr_name_cache_negative_hits : unit -> unit
 val queue_ns : unit -> int
 val add_queue_ns : int -> unit
-val avail_shed : unit -> int
-val avail_retried : unit -> int
-val avail_failed : unit -> int
-val avail_degraded : unit -> int
 val incr_avail_shed : unit -> unit
 val incr_avail_retried : unit -> unit
 val incr_avail_failed : unit -> unit

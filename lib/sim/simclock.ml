@@ -15,11 +15,6 @@ let advance_raw ns = time_ns := !time_ns + ns
 
 let reset () = time_ns := 0
 
-let measure f =
-  let start = now () in
-  let result = f () in
-  (result, now () - start)
-
 let pp_duration ppf ns =
   if ns >= 1_000_000_000 then Format.fprintf ppf "%.2fs" (float_of_int ns /. 1e9)
   else if ns >= 1_000_000 then Format.fprintf ppf "%.2fms" (float_of_int ns /. 1e6)

@@ -26,10 +26,6 @@ val advance_raw : int -> unit
     between measurement runs. *)
 val reset : unit -> unit
 
-(** [measure f] runs [f ()] and returns its result together with the virtual
-    time it consumed. *)
-val measure : (unit -> 'a) -> 'a * int
-
 (** Render a duration in nanoseconds as a human-friendly string, e.g.
     ["1.20ms"], ["82us"]. *)
 val pp_duration : Format.formatter -> int -> unit

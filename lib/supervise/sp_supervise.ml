@@ -69,8 +69,6 @@ let current t name =
 
 let restarts t = t.s_restarts
 let level_restarts t name = (Option.get (entry_named t name)).e_restarts
-let name t = t.s_name
-let find who = Hashtbl.find_opt registry who
 
 let kill t name = Sp_obj.Sdomain.kill (current t name).S.sfs_domain
 

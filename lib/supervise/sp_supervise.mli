@@ -90,10 +90,3 @@ val level_restarts : t -> string -> int
 
 (** Deregister every level (test hygiene: the registry is global). *)
 val unsupervise : t -> unit
-
-(** The supervisor owning the named domain/level, if any ([Dead_domain]
-    payloads route here). *)
-val find : string -> t option
-
-(** The supervisor's name. *)
-val name : t -> string

@@ -151,13 +151,7 @@ let wrap_file l path ~in_top (backing : Sp_core.File.t) =
         Sp_coherency.Mrsw.export_file ~vmm:l.l_vmm ~domain:l.l_domain
           ~channels:l.l_channels ~key
           ~produce:(fun ~offset ~size ~access:_ ->
-            let data = Sp_core.File.read u.u_backing ~pos:offset ~len:size in
-            if Bytes.length data = size then data
-            else begin
-              let padded = Bytes.make size '\000' in
-              Bytes.blit data 0 padded 0 (Bytes.length data);
-              padded
-            end)
+            Sp_core.File.read_padded u.u_backing ~pos:offset ~len:size)
           ~store:(store l u)
           ~fs_pager:(fun ~id:_ -> fs_pager)
           ~stat

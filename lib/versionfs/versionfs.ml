@@ -90,10 +90,6 @@ let restore sfs path n =
   if Bytes.length data > 0 then ignore (Sp_core.File.write current ~pos:0 data);
   Sp_core.File.sync current
 
-let drop_version sfs path n =
-  let l = layer_of sfs in
-  Sp_core.Stackable.remove (lower_of l) (version_path path n)
-
 (* The exported file forwards everything (data path untouched). *)
 let make ?(node = "local") ?domain ~name () =
   let domain =

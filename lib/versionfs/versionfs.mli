@@ -36,6 +36,3 @@ val open_version :
 
 (** Overwrite the current file with version [n]'s contents. *)
 val restore : Sp_core.Stackable.t -> Sp_naming.Sname.t -> int -> unit
-
-(** Delete version [n]. *)
-val drop_version : Sp_core.Stackable.t -> Sp_naming.Sname.t -> int -> unit

@@ -24,8 +24,3 @@ let with_len t len = { t with len }
 let equal a b =
   a.kind = b.kind && a.len = b.len && a.atime = b.atime && a.mtime = b.mtime
   && a.ctime = b.ctime && a.nlink = b.nlink
-
-let pp ppf t =
-  let kind = match t.kind with Regular -> "file" | Directory -> "dir" in
-  Format.fprintf ppf "{%s len=%d atime=%d mtime=%d nlink=%d}" kind t.len t.atime
-    t.mtime t.nlink

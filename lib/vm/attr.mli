@@ -23,4 +23,3 @@ val touch_atime : t -> t
 val touch_mtime : t -> t
 val with_len : t -> int -> t
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

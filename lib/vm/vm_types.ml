@@ -173,7 +173,6 @@ let fs_populate_attr c ops attr =
 
 let page_size = 4096
 let page_index off = off / page_size
-let page_base off = off - (off mod page_size)
 
 let pages_covering ~offset ~size =
   if size <= 0 then []

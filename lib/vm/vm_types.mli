@@ -191,9 +191,6 @@ val page_size : int
 (** [page_index off] is the page number containing byte [off]. *)
 val page_index : int -> int
 
-(** [page_base off] is the byte offset of the start of [off]'s page. *)
-val page_base : int -> int
-
 (** [pages_covering ~offset ~size] enumerates the page indices that
     intersect the byte range. *)
 val pages_covering : offset:int -> size:int -> int list

@@ -622,7 +622,6 @@ let unmap m =
     m.m_entry.mapped <- max 0 (m.m_entry.mapped - 1)
   end
 
-let memory_object m = m.m_mem
 let cached_pages m = Hashtbl.length m.m_entry.pages
 
 let resident_pages m =
@@ -657,11 +656,8 @@ let set_readahead t ~pages =
   if pages < 0 then invalid_arg "Vmm.set_readahead";
   t.readahead_pages <- pages
 
-let readahead t = t.readahead_pages
 let set_adaptive t on = t.adaptive <- on
-let adaptive t = t.adaptive
 let set_clustered t on = t.clustered <- on
-let clustered t = t.clustered
 
 let set_capacity t ~pages =
   match pages with

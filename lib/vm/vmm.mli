@@ -58,11 +58,6 @@ val msync : mapping -> unit
     one-[sync]-per-dirty-page behaviour. *)
 val set_clustered : t -> bool -> unit
 
-val clustered : t -> bool
-
-(** The memory object backing this mapping. *)
-val memory_object : mapping -> Vm_types.memory_object
-
 (** Number of pages currently cached under the mapping's cache key. *)
 val cached_pages : mapping -> int
 
@@ -98,13 +93,9 @@ val entry_count : t -> int
     (0 restores adaptive behaviour; the default). *)
 val set_readahead : t -> pages:int -> unit
 
-val readahead : t -> int
-
 (** Enable/disable the adaptive window (on by default; only consulted when
     no manual window is set). *)
 val set_adaptive : t -> bool -> unit
-
-val adaptive : t -> bool
 
 (** {1 Memory pressure}
 

@@ -130,7 +130,7 @@ let test_deadline_times_out_op () =
       let disk = Sp_blockdev.Disk.create ~label:"to.dev" ~blocks:512 () in
       DL.mkfs disk;
       let fs = DL.mount ~name:"to.fs" disk in
-      let failed0 = Sp_sim.Metrics.avail_failed () in
+      let before = Sp_sim.Metrics.snapshot () in
       Alcotest.(check bool) "deadline surfaces as Fserr.Timed_out" true
         (try
            A.call ~name:"to" ~deadline_ns:1_000 (fun () ->
@@ -139,7 +139,7 @@ let test_deadline_times_out_op () =
            false
          with Sp_core.Fserr.Timed_out _ -> true);
       Alcotest.(check int) "counted as a loud failure" 1
-        (Sp_sim.Metrics.avail_failed () - failed0))
+        (Util.metrics_since before).Sp_sim.Metrics.avail_failed)
 
 (* --- retry through a restart window --- *)
 
@@ -152,7 +152,7 @@ let test_retried_through_restart () =
       ignore (F.write f ~pos:0 (Util.bytes_of_string "live"));
       S.sync fs;
       A.Breaker.reset "ar";
-      let retried0 = Sp_sim.Metrics.avail_retried () in
+      let before = Sp_sim.Metrics.snapshot () in
       let got1 = ref Bytes.empty and got2 = ref Bytes.empty in
       let read () = F.read_all (S.open_file fs (Util.name "a")) in
       ignore
@@ -171,7 +171,7 @@ let test_retried_through_restart () =
       Util.check_str "concurrent caller served" "live" !got2;
       Alcotest.(check bool) "at least one op needed an availability retry"
         true
-        (Sp_sim.Metrics.avail_retried () - retried0 >= 1))
+        ((Util.metrics_since before).Sp_sim.Metrics.avail_retried >= 1))
 
 (* --- breaker: exhaustion trips, shed, degraded --- *)
 
@@ -185,9 +185,7 @@ let test_breaker_shed_and_degraded () =
       Sp_obj.Sdomain.kill fs.S.sfs_domain;
       A.Breaker.reset "bk";
       let quick = A.Backoff.make ~base_ns:100 ~max_attempts:3 () in
-      let failed0 = Sp_sim.Metrics.avail_failed () in
-      let shed0 = Sp_sim.Metrics.avail_shed () in
-      let degraded0 = Sp_sim.Metrics.avail_degraded () in
+      let before = Sp_sim.Metrics.snapshot () in
       (* Unsupervised dead domain: retries exhaust, the call fails
          loudly and trips the breaker for a cooldown. *)
       Alcotest.(check bool) "retry exhaustion raises Unavailable" true
@@ -198,7 +196,7 @@ let test_breaker_shed_and_degraded () =
            false
          with A.Unavailable _ -> true);
       Alcotest.(check int) "counted failed" 1
-        (Sp_sim.Metrics.avail_failed () - failed0);
+        (Util.metrics_since before).Sp_sim.Metrics.avail_failed;
       Alcotest.(check bool) "breaker now open" true
         (A.Breaker.blocking "bk" <> None);
       (* While open: shed without touching the corpse... *)
@@ -210,7 +208,7 @@ let test_breaker_shed_and_degraded () =
            false
          with A.Unavailable _ -> true);
       Alcotest.(check int) "counted shed" 1
-        (Sp_sim.Metrics.avail_shed () - shed0);
+        (Util.metrics_since before).Sp_sim.Metrics.avail_shed;
       (* ...or serve the caller-supplied degraded fallback. *)
       let served =
         A.call ~name:"bk" ~policy:quick
@@ -221,7 +219,7 @@ let test_breaker_shed_and_degraded () =
       in
       Alcotest.(check string) "degraded fallback served" "frozen view" served;
       Alcotest.(check int) "counted degraded" 1
-        (Sp_sim.Metrics.avail_degraded () - degraded0))
+        (Util.metrics_since before).Sp_sim.Metrics.avail_degraded)
 
 (* The half-open protocol under contention: once the cooldown elapses,
    exactly one of N concurrent tasks is admitted as the probe (the

@@ -104,12 +104,10 @@ let test_fast_model_readahead_windowless () =
   (* Under the fast model the adaptive window must stay at zero so the
      ~300 existing tests keep their deterministic page-in counts. *)
   Util.in_world (fun () ->
-      let ram = Sp_vm.Ram_pager.create ~label:(fresh_tag "ram") () in
-      Sp_vm.Ram_pager.poke ram ~pos:0 (Util.pattern_bytes (8 * ps));
+      let ram = Ram_pager.create ~label:(fresh_tag "ram") () in
+      Ram_pager.poke ram ~pos:0 (Util.pattern_bytes (8 * ps));
       let vmm = Sp_vm.Vmm.create ~node:"local" (fresh_tag "vmmfast") in
-      Alcotest.(check bool) "adaptive is on by default" true
-        (Sp_vm.Vmm.adaptive vmm);
-      let m = Sp_vm.Vmm.map vmm (Sp_vm.Ram_pager.memory_object ram) in
+      let m = Sp_vm.Vmm.map vmm (Ram_pager.memory_object ram) in
       let before = M.snapshot () in
       for i = 0 to 7 do
         ignore (Sp_vm.Vmm.read m ~pos:(i * ps) ~len:ps)
@@ -121,10 +119,10 @@ let test_fast_model_readahead_windowless () =
 
 let test_adaptive_readahead_batches_and_collapses () =
   Util.in_world ~model:paper (fun () ->
-      let ram = Sp_vm.Ram_pager.create ~label:(fresh_tag "ram") () in
-      Sp_vm.Ram_pager.poke ram ~pos:0 (Util.pattern_bytes (32 * ps));
+      let ram = Ram_pager.create ~label:(fresh_tag "ram") () in
+      Ram_pager.poke ram ~pos:0 (Util.pattern_bytes (32 * ps));
       let vmm = Sp_vm.Vmm.create ~node:"local" (fresh_tag "vmmada") in
-      let m = Sp_vm.Vmm.map vmm (Sp_vm.Ram_pager.memory_object ram) in
+      let m = Sp_vm.Vmm.map vmm (Ram_pager.memory_object ram) in
       let before = M.snapshot () in
       for i = 0 to 31 do
         ignore (Sp_vm.Vmm.read m ~pos:(i * ps) ~len:ps)

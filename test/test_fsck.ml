@@ -161,16 +161,13 @@ let test_detects_unreachable_inode () =
 
    README documents: [springfs fsck] exits 1 when the image is damaged
    and 0 when it is clean (including clean-after-recovery).  Pin both
-   sides against the real binary.  Tests run from [_build/default/test/],
-   so the driver lives one directory up. *)
-
-let springfs = Filename.concat ".." (Filename.concat "bin" "springfs.exe")
+   sides against the real binary. *)
 
 let run_cli args =
-  Sys.command (Filename.quote_command springfs args ~stdout:Filename.null)
+  Sys.command (Filename.quote_command Util.springfs_exe args ~stdout:Filename.null)
 
 let test_cli_exit_codes () =
-  if not (Sys.file_exists springfs) then
+  if not (Sys.file_exists Util.springfs_exe) then
     Alcotest.skip ()
   else begin
     (* Crash write 26 lands mid-flush of the second (journaled)

@@ -13,7 +13,7 @@ module Rng = Sp_fault.Rng
    the leader suspends and concurrent syncs get a window to pile into
    while everything else stays zero-cost and count-deterministic. *)
 let delay_model =
-  { Sp_sim.Cost_model.fast with Sp_sim.Cost_model.commit_delay_ns = 20_000 }
+  { Util.fast_model with Sp_sim.Cost_model.commit_delay_ns = 20_000 }
 
 let jstats fs =
   match DL.journal_stats fs with

@@ -155,8 +155,8 @@ let test_unionfs () =
 
 let test_ram_pager () =
   Util.in_world (fun () ->
-      let r = Sp_vm.Ram_pager.create ~label:"own-ram" () in
-      let mem = Sp_vm.Ram_pager.memory_object r in
+      let r = Ram_pager.create ~label:"own-ram" () in
+      let mem = Ram_pager.memory_object r in
       let vmm = Sp_vm.Vmm.create ~node:"local" "own-ram-vmm" in
       let m = Sp_vm.Vmm.map vmm mem in
       Sp_vm.Vmm.write m ~pos:0 page0;
@@ -184,7 +184,7 @@ let test_dfs_proxy () =
 
 (* Every disk access seeks for 5 ms, so a writeback parks in [Disk.write]
    before the block is stored. *)
-let slow_disk = { Sp_sim.Cost_model.fast with Sp_sim.Cost_model.disk_seek_ns = 5_000_000 }
+let slow_disk = { Util.fast_model with Sp_sim.Cost_model.disk_seek_ns = 5_000_000 }
 
 let test_write_during_writeback () =
   Util.in_world ~model:slow_disk (fun () ->
@@ -462,9 +462,9 @@ let transform_read_bounds =
    is allocated (81 words).  Copying it for the push would cost 600. *)
 let test_msync_allocation () =
   Util.in_world (fun () ->
-      let r = Sp_vm.Ram_pager.create ~label:"own-ms-ram" () in
+      let r = Ram_pager.create ~label:"own-ms-ram" () in
       let vmm = Sp_vm.Vmm.create ~node:"local" "own-ms-vmm" in
-      let m = Sp_vm.Vmm.map vmm (Sp_vm.Ram_pager.memory_object r) in
+      let m = Sp_vm.Vmm.map vmm (Ram_pager.memory_object r) in
       let one = Bytes.make 1 'x' in
       let words =
         Util.words_per_call (fun () ->

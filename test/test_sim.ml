@@ -10,16 +10,6 @@ let test_clock_rejects_negative () =
     (Invalid_argument "Simclock.advance: negative duration") (fun () ->
       Sp_sim.Simclock.advance (-1))
 
-let test_measure () =
-  Sp_sim.Simclock.reset ();
-  let result, elapsed =
-    Sp_sim.Simclock.measure (fun () ->
-        Sp_sim.Simclock.advance 42;
-        "done")
-  in
-  Alcotest.(check string) "result" "done" result;
-  Alcotest.(check int) "elapsed" 42 elapsed
-
 let test_pp_duration () =
   let s ns = Format.asprintf "%a" Sp_sim.Simclock.pp_duration ns in
   Alcotest.(check string) "ns" "999ns" (s 999);
@@ -30,7 +20,7 @@ let test_pp_duration () =
 let test_cost_model_with_model () =
   let before = Sp_sim.Cost_model.current () in
   let inner =
-    Sp_sim.Cost_model.with_model Sp_sim.Cost_model.fast (fun () ->
+    Sp_sim.Cost_model.with_model Util.fast_model (fun () ->
         (Sp_sim.Cost_model.current ()).Sp_sim.Cost_model.cross_domain_call_ns)
   in
   Alcotest.(check int) "fast model installed" 1 inner;
@@ -39,7 +29,7 @@ let test_cost_model_with_model () =
 let test_cost_model_restores_on_exn () =
   let before = Sp_sim.Cost_model.current () in
   (try
-     Sp_sim.Cost_model.with_model Sp_sim.Cost_model.fast (fun () ->
+     Sp_sim.Cost_model.with_model Util.fast_model (fun () ->
          failwith "boom")
    with Failure _ -> ());
   Alcotest.(check bool) "restored after exception" true
@@ -120,8 +110,8 @@ let test_metrics_counters_distinct () =
     (List.init (List.length bumps) (fun i -> i + 1))
     fields;
   Alcotest.(check (list int)) "getters agree"
-    [ s.cross_domain_calls; s.net_messages; s.queue_ns; s.avail_degraded ]
-    [ M.cross_domain_calls (); M.net_messages (); M.queue_ns (); M.avail_degraded () ];
+    [ s.net_messages; s.queue_ns ]
+    [ M.net_messages (); M.queue_ns () ];
   let d = M.diff ~before:s ~after:(M.add s s) in
   Alcotest.(check bool) "add then diff round-trips" true (d = s);
   let printed = Format.asprintf "%a" M.pp s in
@@ -138,7 +128,6 @@ let suite =
   [
     Alcotest.test_case "clock advances" `Quick test_clock_advances;
     Alcotest.test_case "clock rejects negative" `Quick test_clock_rejects_negative;
-    Alcotest.test_case "measure" `Quick test_measure;
     Alcotest.test_case "pp_duration" `Quick test_pp_duration;
     Alcotest.test_case "with_model scopes" `Quick test_cost_model_with_model;
     Alcotest.test_case "with_model restores on exn" `Quick

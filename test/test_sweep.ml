@@ -217,28 +217,13 @@ let test_pinned_edges () =
    Each sweep subcommand, normal and inverted arm, at a size that runs
    in well under a second: both arms must exit 0, and everything printed
    on stdout (verdict lines plus the single FIRST-FAILURE line) is
-   pinned.  Tests run
-   from [_build/default/test/], so the binary lives one directory up. *)
-
-let springfs = Filename.concat ".." (Filename.concat "bin" "springfs.exe")
+   pinned. *)
 
 (* Every sweep runs at seed 7; [stack] and [tables] have no seed to set.
    Returns the exit code, stdout and stderr. *)
 let run_cli args =
-  let args =
-    match args with ("stack" | "tables") :: _ -> args | _ -> args @ [ "--seed"; "7" ]
-  in
-  let out = Filename.temp_file "springfs" ".out" in
-  let err = Filename.temp_file "springfs" ".err" in
-  let code = Sys.command (Filename.quote_command springfs args ~stdout:out ~stderr:err) in
-  let slurp file =
-    let ic = open_in file in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Sys.remove file;
-    text
-  in
-  (code, slurp out, slurp err)
+  Util.run_springfs
+    (match args with ("stack" | "tables") :: _ -> args | _ -> args @ [ "--seed"; "7" ])
 
 let cli_cases =
   [
@@ -349,7 +334,7 @@ let cli_cases =
   ]
 
 let test_cli_verdicts () =
-  if not (Sys.file_exists springfs) then Alcotest.skip ()
+  if not (Sys.file_exists Util.springfs_exe) then Alcotest.skip ()
   else
     List.iter
       (fun (args, want) ->
@@ -359,7 +344,7 @@ let test_cli_verdicts () =
       cli_cases
 
 let test_cli_usage_error () =
-  if not (Sys.file_exists springfs) then Alcotest.skip ()
+  if not (Sys.file_exists Util.springfs_exe) then Alcotest.skip ()
   else
     List.iter
       (fun args ->
@@ -371,7 +356,7 @@ let test_cli_usage_error () =
 (* A stack that fails only once the workload runs ends like one that
    cannot be built: one [stack error:] line on stderr and exit 1. *)
 let test_cli_stack_error () =
-  if not (Sys.file_exists springfs) then Alcotest.skip ()
+  if not (Sys.file_exists Util.springfs_exe) then Alcotest.skip ()
   else
     List.iter
       (fun (args, out, err) ->
@@ -389,7 +374,7 @@ let test_cli_stack_error () =
 (* [tables] selects from Sp_benchlib.Tables by name; a name the list
    lacks is a usage error, not an empty run. *)
 let test_cli_tables () =
-  if not (Sys.file_exists springfs) then Alcotest.skip ()
+  if not (Sys.file_exists Util.springfs_exe) then Alcotest.skip ()
   else begin
     let code, out, _ = run_cli [ "tables"; "table2" ] in
     Alcotest.(check int) "tables table2: exit code" 0 code;

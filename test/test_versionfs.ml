@@ -73,21 +73,6 @@ let test_versions_hidden () =
         (Sp_core.Fserr.No_such_file ".v1.h") (fun () ->
           ignore (S.open_file ver (Util.name ".v1.h"))))
 
-let test_drop_version () =
-  Util.in_world (fun () ->
-      let _vmm, _sfs, ver = make_stack () in
-      let f = S.create ver (Util.name "p") in
-      ignore (F.write f ~pos:0 (Util.bytes_of_string "a"));
-      F.sync f;
-      ignore (Vn.snapshot ver (Util.name "p"));
-      ignore (Vn.snapshot ver (Util.name "p"));
-      ignore (Vn.snapshot ver (Util.name "p"));
-      Vn.drop_version ver (Util.name "p") 2;
-      Alcotest.(check (list int)) "sparse history" [ 1; 3 ]
-        (Vn.versions ver (Util.name "p"));
-      (* Next snapshot continues after the highest survivor. *)
-      Alcotest.(check int) "next number" 4 (Vn.snapshot ver (Util.name "p")))
-
 let test_history_survives_remove () =
   Util.in_world (fun () ->
       let _vmm, _sfs, ver = make_stack () in
@@ -122,7 +107,6 @@ let suite =
     Alcotest.test_case "versions are read-only" `Quick test_versions_read_only;
     Alcotest.test_case "restore" `Quick test_restore;
     Alcotest.test_case "version files hidden" `Quick test_versions_hidden;
-    Alcotest.test_case "drop version" `Quick test_drop_version;
     Alcotest.test_case "history survives remove" `Quick test_history_survives_remove;
     Alcotest.test_case "nested paths" `Quick test_nested_paths;
   ]

@@ -4,13 +4,12 @@ let ps = V.page_size
 
 let setup () =
   let vmm = Sp_vm.Vmm.create ~node:"local" "test" in
-  let ram = Sp_vm.Ram_pager.create ~label:"obj" () in
+  let ram = Ram_pager.create ~label:"obj" () in
   (vmm, ram)
 
 let test_page_geometry () =
   Alcotest.(check int) "index" 0 (V.page_index 4095);
   Alcotest.(check int) "index 2" 1 (V.page_index 4096);
-  Alcotest.(check int) "base" 4096 (V.page_base 5000);
   Alcotest.(check (list int)) "covering" [ 0; 1 ]
     (V.pages_covering ~offset:4000 ~size:200);
   Alcotest.(check (list int)) "covering exact" [ 1 ]
@@ -20,8 +19,8 @@ let test_page_geometry () =
 let test_map_read_write () =
   Util.in_world (fun () ->
       let vmm, ram = setup () in
-      Sp_vm.Ram_pager.poke ram ~pos:0 (Util.bytes_of_string "hello world");
-      let m = Sp_vm.Vmm.map vmm (Sp_vm.Ram_pager.memory_object ram) in
+      Ram_pager.poke ram ~pos:0 (Util.bytes_of_string "hello world");
+      let m = Sp_vm.Vmm.map vmm (Ram_pager.memory_object ram) in
       Util.check_str "reads backing store" "hello"
         (Sp_vm.Vmm.read m ~pos:0 ~len:5);
       Sp_vm.Vmm.write m ~pos:6 (Util.bytes_of_string "spring");
@@ -29,16 +28,16 @@ let test_map_read_write () =
         (Sp_vm.Vmm.read m ~pos:0 ~len:12);
       (* Not yet pushed to the pager. *)
       Util.check_str "store unchanged before msync" "world"
-        (Sp_vm.Ram_pager.peek ram ~pos:6 ~len:5);
+        (Ram_pager.peek ram ~pos:6 ~len:5);
       Sp_vm.Vmm.msync m;
       Util.check_str "store updated after msync" "spring"
-        (Sp_vm.Ram_pager.peek ram ~pos:6 ~len:6))
+        (Ram_pager.peek ram ~pos:6 ~len:6))
 
 let test_faults_and_hits () =
   Util.in_world (fun () ->
       let vmm, ram = setup () in
-      Sp_vm.Ram_pager.poke ram ~pos:0 (Util.pattern_bytes (3 * ps));
-      let m = Sp_vm.Vmm.map vmm (Sp_vm.Ram_pager.memory_object ram) in
+      Ram_pager.poke ram ~pos:0 (Util.pattern_bytes (3 * ps));
+      let m = Sp_vm.Vmm.map vmm (Ram_pager.memory_object ram) in
       let before = Sp_sim.Metrics.snapshot () in
       ignore (Sp_vm.Vmm.read m ~pos:0 ~len:(2 * ps));
       let mid = Sp_sim.Metrics.snapshot () in
@@ -53,8 +52,8 @@ let test_faults_and_hits () =
 let test_write_upgrades_mode () =
   Util.in_world (fun () ->
       let vmm, ram = setup () in
-      Sp_vm.Ram_pager.poke ram ~pos:0 (Util.pattern_bytes ps);
-      let m = Sp_vm.Vmm.map vmm (Sp_vm.Ram_pager.memory_object ram) in
+      Ram_pager.poke ram ~pos:0 (Util.pattern_bytes ps);
+      let m = Sp_vm.Vmm.map vmm (Ram_pager.memory_object ram) in
       ignore (Sp_vm.Vmm.read m ~pos:0 ~len:16);
       (* page now cached read-only *)
       let before = Sp_sim.Metrics.snapshot () in
@@ -71,34 +70,34 @@ let test_cache_unification () =
   (* Two equivalent memory objects must share the same cached pages. *)
   Util.in_world (fun () ->
       let vmm, ram = setup () in
-      let m1 = Sp_vm.Vmm.map vmm (Sp_vm.Ram_pager.memory_object ram) in
-      let m2 = Sp_vm.Vmm.map vmm (Sp_vm.Ram_pager.memory_object ram) in
+      let m1 = Sp_vm.Vmm.map vmm (Ram_pager.memory_object ram) in
+      let m2 = Sp_vm.Vmm.map vmm (Ram_pager.memory_object ram) in
       Sp_vm.Vmm.write m1 ~pos:0 (Util.bytes_of_string "shared!");
       Util.check_str "visible through second mapping without sync" "shared!"
         (Sp_vm.Vmm.read m2 ~pos:0 ~len:7);
       Alcotest.(check int) "one VMM entry" 1 (Sp_vm.Vmm.entry_count vmm);
       Alcotest.(check int) "one channel at the pager" 1
-        (List.length (Sp_vm.Ram_pager.channels ram)))
+        (List.length (Ram_pager.channels ram)))
 
 let test_two_vmms_two_channels () =
   (* Figure 2: one memory object cached at two VMMs -> one channel per VMM. *)
   Util.in_world (fun () ->
       let vmm1 = Sp_vm.Vmm.create ~node:"n1" "vmm1" in
       let vmm2 = Sp_vm.Vmm.create ~node:"n2" "vmm2" in
-      let ram = Sp_vm.Ram_pager.create ~label:"obj" () in
-      let _m1 = Sp_vm.Vmm.map vmm1 (Sp_vm.Ram_pager.memory_object ram) in
-      let _m2 = Sp_vm.Vmm.map vmm2 (Sp_vm.Ram_pager.memory_object ram) in
+      let ram = Ram_pager.create ~label:"obj" () in
+      let _m1 = Sp_vm.Vmm.map vmm1 (Ram_pager.memory_object ram) in
+      let _m2 = Sp_vm.Vmm.map vmm2 (Ram_pager.memory_object ram) in
       Alcotest.(check int) "two channels" 2
-        (List.length (Sp_vm.Ram_pager.channels ram)))
+        (List.length (Ram_pager.channels ram)))
 
 let with_channel f =
   Util.in_world (fun () ->
       let vmm, ram = setup () in
-      Sp_vm.Ram_pager.poke ram ~pos:0 (Util.pattern_bytes (2 * ps));
-      let m = Sp_vm.Vmm.map vmm (Sp_vm.Ram_pager.memory_object ram) in
+      Ram_pager.poke ram ~pos:0 (Util.pattern_bytes (2 * ps));
+      let m = Sp_vm.Vmm.map vmm (Ram_pager.memory_object ram) in
       ignore (Sp_vm.Vmm.read m ~pos:0 ~len:(2 * ps));
       let ch =
-        match Sp_vm.Ram_pager.channels ram with
+        match Ram_pager.channels ram with
         | [ ch ] -> ch
         | _ -> Alcotest.fail "expected one channel"
       in
@@ -164,7 +163,7 @@ let test_delete_range_discards () =
       Sp_vm.Vmm.write m ~pos:0 (Util.bytes_of_string "DOOMED");
       V.delete_range ch.Sp_vm.Pager_lib.ch_cache ~offset:0 ~size:ps;
       (* Dirty data was discarded, not written back. *)
-      let store = Sp_vm.Ram_pager.peek ram ~pos:0 ~len:6 in
+      let store = Ram_pager.peek ram ~pos:0 ~len:6 in
       Alcotest.(check bool) "store does not contain DOOMED" false
         (Bytes.to_string store = "DOOMED"))
 
@@ -183,11 +182,11 @@ let test_populate_and_zero_fill () =
 let test_unmap_pushes_dirty () =
   Util.in_world (fun () ->
       let vmm, ram = setup () in
-      let m = Sp_vm.Vmm.map vmm (Sp_vm.Ram_pager.memory_object ram) in
+      let m = Sp_vm.Vmm.map vmm (Ram_pager.memory_object ram) in
       Sp_vm.Vmm.write m ~pos:0 (Util.bytes_of_string "persist");
       Sp_vm.Vmm.unmap m;
       Util.check_str "dirty data reached pager" "persist"
-        (Sp_vm.Ram_pager.peek ram ~pos:0 ~len:7);
+        (Ram_pager.peek ram ~pos:0 ~len:7);
       Alcotest.check_raises "use after unmap"
         (Failure "Vmm: access through unmapped mapping") (fun () ->
           ignore (Sp_vm.Vmm.read m ~pos:0 ~len:1)))
@@ -195,11 +194,11 @@ let test_unmap_pushes_dirty () =
 let test_drop_caches () =
   Util.in_world (fun () ->
       let vmm, ram = setup () in
-      let m = Sp_vm.Vmm.map vmm (Sp_vm.Ram_pager.memory_object ram) in
+      let m = Sp_vm.Vmm.map vmm (Ram_pager.memory_object ram) in
       Sp_vm.Vmm.write m ~pos:0 (Util.bytes_of_string "save me");
       Sp_vm.Vmm.drop_caches vmm;
       Util.check_str "dirty pushed before drop" "save me"
-        (Sp_vm.Ram_pager.peek ram ~pos:0 ~len:7);
+        (Ram_pager.peek ram ~pos:0 ~len:7);
       Alcotest.(check int) "pages dropped" 0 (Sp_vm.Vmm.cached_pages m);
       (* Mapping still valid; next access faults data back in. *)
       Util.check_str "refault works" "save me" (Sp_vm.Vmm.read m ~pos:0 ~len:7))
@@ -207,15 +206,15 @@ let test_drop_caches () =
 let test_set_length () =
   Util.in_world (fun () ->
       let _vmm, ram = setup () in
-      let mem = Sp_vm.Ram_pager.memory_object ram in
+      let mem = Ram_pager.memory_object ram in
       V.set_length mem 100;
       Alcotest.(check int) "grown" 100 (V.get_length mem);
-      Sp_vm.Ram_pager.poke ram ~pos:0 (Util.bytes_of_string "0123456789");
+      Ram_pager.poke ram ~pos:0 (Util.bytes_of_string "0123456789");
       V.set_length mem 4;
       Alcotest.(check int) "shrunk" 4 (V.get_length mem);
       V.set_length mem 10;
       Util.check_str "tail zeroed by shrink" "0123\000\000"
-        (Sp_vm.Ram_pager.peek ram ~pos:0 ~len:6))
+        (Ram_pager.peek ram ~pos:0 ~len:6))
 
 (* qcheck property: any sequence of aligned writes through the mapping,
    followed by msync, leaves the backing store equal to a model byte
@@ -230,7 +229,7 @@ let prop_writes_match_model =
     (fun writes ->
       Util.in_world (fun () ->
           let vmm, ram = setup () in
-          let m = Sp_vm.Vmm.map vmm (Sp_vm.Ram_pager.memory_object ram) in
+          let m = Sp_vm.Vmm.map vmm (Ram_pager.memory_object ram) in
           let model = Bytes.make ((4 * ps) + 64) '\000' in
           List.iteri
             (fun i (pos, len) ->
@@ -240,7 +239,7 @@ let prop_writes_match_model =
             writes;
           Sp_vm.Vmm.msync m;
           let stored =
-            Sp_vm.Ram_pager.peek ram ~pos:0 ~len:(Bytes.length model)
+            Ram_pager.peek ram ~pos:0 ~len:(Bytes.length model)
           in
           (* Compare only written regions: unwritten pager bytes are zero in
              both. *)
@@ -432,10 +431,9 @@ let prop_pager_lib_model =
 let test_readahead () =
   Util.in_world (fun () ->
       let vmm, ram = setup () in
-      Sp_vm.Ram_pager.poke ram ~pos:0 (Util.pattern_bytes (16 * ps));
+      Ram_pager.poke ram ~pos:0 (Util.pattern_bytes (16 * ps));
       Sp_vm.Vmm.set_readahead vmm ~pages:7;
-      Alcotest.(check int) "window" 7 (Sp_vm.Vmm.readahead vmm);
-      let m = Sp_vm.Vmm.map vmm (Sp_vm.Ram_pager.memory_object ram) in
+      let m = Sp_vm.Vmm.map vmm (Ram_pager.memory_object ram) in
       let before = Sp_sim.Metrics.snapshot () in
       (* Sequential read of 16 pages: first fault is not part of a run;
          the second triggers an 8-page batch; etc. *)
@@ -455,9 +453,9 @@ let test_readahead () =
 let test_readahead_random_access_not_triggered () =
   Util.in_world (fun () ->
       let vmm, ram = setup () in
-      Sp_vm.Ram_pager.poke ram ~pos:0 (Util.pattern_bytes (16 * ps));
+      Ram_pager.poke ram ~pos:0 (Util.pattern_bytes (16 * ps));
       Sp_vm.Vmm.set_readahead vmm ~pages:7;
-      let m = Sp_vm.Vmm.map vmm (Sp_vm.Ram_pager.memory_object ram) in
+      let m = Sp_vm.Vmm.map vmm (Ram_pager.memory_object ram) in
       let before = Sp_sim.Metrics.snapshot () in
       (* Stride-2 access never continues a run. *)
       for i = 0 to 7 do
@@ -471,9 +469,9 @@ let test_readahead_writes_stay_coherent () =
      pager like any other page. *)
   Util.in_world (fun () ->
       let vmm, ram = setup () in
-      Sp_vm.Ram_pager.poke ram ~pos:0 (Util.pattern_bytes (4 * ps));
+      Ram_pager.poke ram ~pos:0 (Util.pattern_bytes (4 * ps));
       Sp_vm.Vmm.set_readahead vmm ~pages:3;
-      let m = Sp_vm.Vmm.map vmm (Sp_vm.Ram_pager.memory_object ram) in
+      let m = Sp_vm.Vmm.map vmm (Ram_pager.memory_object ram) in
       ignore (Sp_vm.Vmm.read m ~pos:0 ~len:ps);
       ignore (Sp_vm.Vmm.read m ~pos:ps ~len:ps);
       (* pages 1..3 now cached read-only via read-ahead *)
@@ -482,14 +480,14 @@ let test_readahead_writes_stay_coherent () =
       let d = Sp_sim.Metrics.diff ~before ~after:(Sp_sim.Metrics.snapshot ()) in
       Alcotest.(check int) "upgrade faulted" 1 d.Sp_sim.Metrics.page_faults;
       Sp_vm.Vmm.msync m;
-      Util.check_str "write landed" "RW" (Sp_vm.Ram_pager.peek ram ~pos:(2 * ps) ~len:2))
+      Util.check_str "write landed" "RW" (Ram_pager.peek ram ~pos:(2 * ps) ~len:2))
 
 let test_capacity_bound () =
   Util.in_world (fun () ->
       let vmm, ram = setup () in
-      Sp_vm.Ram_pager.poke ram ~pos:0 (Util.pattern_bytes (16 * ps));
+      Ram_pager.poke ram ~pos:0 (Util.pattern_bytes (16 * ps));
       Sp_vm.Vmm.set_capacity vmm ~pages:(Some 4);
-      let m = Sp_vm.Vmm.map vmm (Sp_vm.Ram_pager.memory_object ram) in
+      let m = Sp_vm.Vmm.map vmm (Ram_pager.memory_object ram) in
       for i = 0 to 15 do
         ignore (Sp_vm.Vmm.read m ~pos:(i * ps) ~len:16)
       done;
@@ -507,7 +505,7 @@ let test_eviction_preserves_dirty () =
   Util.in_world (fun () ->
       let vmm, ram = setup () in
       Sp_vm.Vmm.set_capacity vmm ~pages:(Some 2);
-      let m = Sp_vm.Vmm.map vmm (Sp_vm.Ram_pager.memory_object ram) in
+      let m = Sp_vm.Vmm.map vmm (Ram_pager.memory_object ram) in
       (* Dirty several pages; eviction must push them to the pager, so no
          update is lost even without msync. *)
       for i = 0 to 7 do
@@ -518,15 +516,15 @@ let test_eviction_preserves_dirty () =
         Util.check_bytes
           (Printf.sprintf "page %d survived eviction" i)
           (Util.pattern_bytes ~seed:(i + 1) 64)
-          (Sp_vm.Ram_pager.peek ram ~pos:(i * ps) ~len:64)
+          (Ram_pager.peek ram ~pos:(i * ps) ~len:64)
       done)
 
 let test_lru_order () =
   Util.in_world (fun () ->
       let vmm, ram = setup () in
-      Sp_vm.Ram_pager.poke ram ~pos:0 (Util.pattern_bytes (8 * ps));
+      Ram_pager.poke ram ~pos:0 (Util.pattern_bytes (8 * ps));
       Sp_vm.Vmm.set_capacity vmm ~pages:(Some 3);
-      let m = Sp_vm.Vmm.map vmm (Sp_vm.Ram_pager.memory_object ram) in
+      let m = Sp_vm.Vmm.map vmm (Ram_pager.memory_object ram) in
       ignore (Sp_vm.Vmm.read m ~pos:0 ~len:4);        (* page 0 *)
       ignore (Sp_vm.Vmm.read m ~pos:ps ~len:4);       (* page 1 *)
       ignore (Sp_vm.Vmm.read m ~pos:(2 * ps) ~len:4); (* page 2 *)
@@ -542,8 +540,8 @@ let test_lru_order () =
 let test_readahead_replaced_counts_wasted () =
   Util.in_world ~model:Sp_sim.Cost_model.paper_1993 (fun () ->
       let vmm, ram = setup () in
-      Sp_vm.Ram_pager.poke ram ~pos:0 (Util.pattern_bytes (8 * ps));
-      let m = Sp_vm.Vmm.map vmm (Sp_vm.Ram_pager.memory_object ram) in
+      Ram_pager.poke ram ~pos:0 (Util.pattern_bytes (8 * ps));
+      let m = Sp_vm.Vmm.map vmm (Ram_pager.memory_object ram) in
       let before = Sp_sim.Metrics.snapshot () in
       ignore (Sp_vm.Vmm.read m ~pos:0 ~len:ps);
       ignore (Sp_vm.Vmm.read m ~pos:ps ~len:ps);
@@ -561,11 +559,11 @@ let test_eviction_allocation () =
   Util.in_world (fun () ->
       let cap = 32 and rounds = 200 in
       let vmm, ram = setup () in
-      Sp_vm.Ram_pager.poke ram ~pos:0 (Util.pattern_bytes ((cap + (2 * rounds) + 2) * ps));
+      Ram_pager.poke ram ~pos:0 (Util.pattern_bytes ((cap + (2 * rounds) + 2) * ps));
       Sp_vm.Vmm.set_capacity vmm ~pages:(Some cap);
-      let m = Sp_vm.Vmm.map vmm (Sp_vm.Ram_pager.memory_object ram) in
+      let m = Sp_vm.Vmm.map vmm (Ram_pager.memory_object ram) in
       let cache =
-        match Sp_vm.Ram_pager.channels ram with
+        match Ram_pager.channels ram with
         | [ ch ] -> ch.Sp_vm.Pager_lib.ch_cache
         | _ -> Alcotest.fail "expected one channel"
       in
@@ -715,13 +713,13 @@ let prop_vmm_eviction_model =
              (* each file's pager can be replaced by a fresh incarnation
                 (same label, so same cache key) to force a reconnect *)
              let pager f =
-               let ram = Sp_vm.Ram_pager.create ~label:(Printf.sprintf "f%d" f) () in
-               Sp_vm.Ram_pager.poke ram ~pos:0 (Util.pattern_bytes ~seed:(f + 1) (vm_pages * ps));
-               (ram, Vmm.map vmm (Sp_vm.Ram_pager.memory_object ram))
+               let ram = Ram_pager.create ~label:(Printf.sprintf "f%d" f) () in
+               Ram_pager.poke ram ~pos:0 (Util.pattern_bytes ~seed:(f + 1) (vm_pages * ps));
+               (ram, Vmm.map vmm (Ram_pager.memory_object ram))
              in
              let files = Array.init vm_files pager in
              let cache f =
-               match Sp_vm.Ram_pager.channels (fst files.(f)) with
+               match Ram_pager.channels (fst files.(f)) with
                | [ ch ] -> ch.Sp_vm.Pager_lib.ch_cache
                | _ -> QCheck2.Test.fail_reportf "file %d: expected one channel" f
              in

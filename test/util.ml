@@ -1,12 +1,44 @@
 (* Shared helpers for the test suites. *)
 
+(* Near-zero costs: simulated time stays close to zero, and every price
+   a test depends on is 0 or 1. *)
+let fast_model =
+  {
+    Sp_sim.Cost_model.local_call_ns = 0;
+    cross_domain_call_ns = 1;
+    kernel_call_ns = 0;
+    page_fault_ns = 0;
+    copy_per_byte_ns = 0;
+    cpu_op_ns = 0;
+    open_state_ns = 0;
+    disk_seek_ns = 1;
+    disk_rotate_ns = 1;
+    disk_per_block_ns = 1;
+    net_rtt_ns = 1;
+    net_per_byte_ns = 0;
+    (* bulk_call_ns must equal cross_domain_call_ns and bulk_setup_ns must
+       be zero so the bulk path leaves fast-model totals unchanged;
+       readahead_max_pages = 0 keeps adaptive read-ahead windowless so
+       tests see deterministic page-in counts. *)
+    bulk_setup_ns = 0;
+    bulk_call_ns = 1;
+    readahead_max_pages = 0;
+    (* commit_delay_ns = 0 keeps the group-commit leader from sleeping, so
+       fast-model tests see deterministic single-task sync behaviour. *)
+    commit_delay_ns = 0;
+  }
+
 (* Run [f] in a clean simulated world: fresh clock, metrics, fast cost
    model (tests assert on event counts, not simulated time, unless they
    install a model themselves). *)
-let in_world ?(model = Sp_sim.Cost_model.fast) f =
+let in_world ?(model = fast_model) f =
   Sp_sim.Simclock.reset ();
   Sp_sim.Metrics.reset ();
   Sp_sim.Cost_model.with_model model f
+
+(* The counters moved since the snapshot [before]. *)
+let metrics_since before =
+  Sp_sim.Metrics.diff ~before ~after:(Sp_sim.Metrics.snapshot ())
 
 let check_bytes msg expected actual =
   Alcotest.(check string) msg (Bytes.to_string expected) (Bytes.to_string actual)
@@ -85,3 +117,23 @@ let words_per_call ?(n = 100) f =
 
 let qcheck_case ?count name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ?count ~name gen prop)
+
+(* The springfs CLI.  Tests run from [_build/default/test/], so the
+   binary lives one directory up. *)
+let springfs_exe = Filename.concat ".." (Filename.concat "bin" "springfs.exe")
+
+(* Run the CLI with [args]; returns the exit code, stdout and stderr. *)
+let run_springfs args =
+  let out = Filename.temp_file "springfs" ".out" in
+  let err = Filename.temp_file "springfs" ".err" in
+  let code =
+    Sys.command (Filename.quote_command springfs_exe args ~stdout:out ~stderr:err)
+  in
+  let slurp file =
+    let ic = open_in file in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Sys.remove file;
+    text
+  in
+  (code, slurp out, slurp err)
