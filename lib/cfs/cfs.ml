@@ -10,8 +10,8 @@ type t = {
   c_name : string;
   c_domain : Sp_obj.Sdomain.t;
   c_vmm : Sp_vm.Vmm.t;
-  c_files : (string, entry) Hashtbl.t;  (* by bind key *)
-  c_wrapped : (string, Sp_core.File.t) Hashtbl.t;
+  c_wrapped : (string, entry * Sp_core.File.t) Hashtbl.t;
+      (* by remote file id: each interposed file and its entry *)
 }
 
 let make ?(node = "local") ~vmm ~name () =
@@ -19,17 +19,15 @@ let make ?(node = "local") ~vmm ~name () =
     c_name = name;
     c_domain = Sp_obj.Sdomain.create ~node ("cfs:" ^ name);
     c_vmm = vmm;
-    c_files = Hashtbl.create 16;
     c_wrapped = Hashtbl.create 16;
   }
 
 (* CFS holds no page data (the VMM does), so its cache object only has to
    answer the attribute subclass; data ranges are empty.  Destroying the
-   channel forgets the entry under the bind [key] it was recorded by,
-   which differs from the remote file's [f_id] for a DFS import, and the
-   attributes it cached: with no channel, no invalidation would reach
-   them.  The file's next operation binds again. *)
-let cache_object t e ~key =
+   channel forgets the attributes the entry cached: with no channel, no
+   invalidation would reach them.  The file's next operation binds
+   again. *)
+let cache_object t e =
   {
     V.c_domain = t.c_domain;
     c_label = "cfs-cache:" ^ e.e_remote.Sp_core.File.f_id;
@@ -41,24 +39,21 @@ let cache_object t e ~key =
     c_populate = (fun ~offset:_ ~access:_ _ -> ());
     c_destroy =
       (fun () ->
-        Hashtbl.remove t.c_files key;
         Sp_vm.Attr_cache.drop e.e_attrs;
         e.e_bound <- false);
     c_exten = [ Sp_vm.Attr_cache.fs_cache e.e_attrs ];
   }
 
-(* The cache manager of one remote file's channel: the handshake
-   records the entry under the bind key. *)
+(* The cache manager of one remote file's channel. *)
 let manager t e =
   {
     V.cm_id = "cfs:" ^ t.c_name;
     cm_domain = t.c_domain;
     cm_connect =
-      (fun ~key pager ->
-        Hashtbl.replace t.c_files key e;
+      (fun ~key:_ pager ->
         Sp_vm.Attr_cache.connect e.e_attrs pager;
         e.e_bound <- true;
-        cache_object t e ~key);
+        cache_object t e);
   }
 
 (* Bind as cache manager for the remote file, unless a channel is live. *)
@@ -68,7 +63,7 @@ let bind t e =
 
 let interpose t (remote : Sp_core.File.t) =
   match Hashtbl.find_opt t.c_wrapped remote.Sp_core.File.f_id with
-  | Some f -> f
+  | Some (_, f) -> f
   | None ->
       let attrs =
         Sp_vm.Attr_cache.create ~stat:Sp_core.File.stat ~store:Sp_core.File.set_attr
@@ -125,14 +120,14 @@ let interpose t (remote : Sp_core.File.t) =
           f_exten = remote.Sp_core.File.f_exten;
         }
       in
-      Hashtbl.replace t.c_wrapped remote.Sp_core.File.f_id f;
+      Hashtbl.replace t.c_wrapped remote.Sp_core.File.f_id (e, f);
       f
 
 let wrap_import t (import : Sp_core.Stackable.t) =
   let ctx =
     Sp_core.Mapped_context.make ~domain:t.c_domain
       ~label:("cfs:" ^ t.c_name ^ ":" ^ import.Sp_core.Stackable.sfs_name)
-      ~lower:import.Sp_core.Stackable.sfs_ctx ~wrap_file:(interpose t) ()
+      ~lower:import.Sp_core.Stackable.sfs_ctx ~wrap_file:(interpose t)
   in
   {
     import with
@@ -144,11 +139,11 @@ let wrap_import t (import : Sp_core.Stackable.t) =
       (fun path -> interpose t (Sp_core.Stackable.create import path));
     sfs_sync =
       (fun () ->
-        Hashtbl.iter (fun _ f -> Sp_core.File.sync f) t.c_wrapped;
+        Hashtbl.iter (fun _ (_, f) -> Sp_core.File.sync f) t.c_wrapped;
         Sp_core.Stackable.sync import);
   }
 
 let cached_attrs t =
   Hashtbl.fold
-    (fun _ e n -> if Sp_vm.Attr_cache.cached e.e_attrs then n + 1 else n)
-    t.c_files 0
+    (fun _ (e, _) n -> if Sp_vm.Attr_cache.cached e.e_attrs then n + 1 else n)
+    t.c_wrapped 0

@@ -17,7 +17,9 @@ type layer = {
   l_vmm : Sp_vm.Vmm.t;
   l_over : Sp_core.Over_one.t;
   l_channels : Sp_vm.Pager_lib.t;  (* upper channels, all files *)
-  l_files : (string, cfile) Hashtbl.t;  (* keyed by lower file id *)
+  l_files : (string, cfile) Hashtbl.t;
+      (* keyed by lower file id: the layer's one table of files, read by
+         opens, [sync], [drop_caches] and the introspection below *)
 }
 
 type Sp_obj.Exten.t += Layer of layer
@@ -78,8 +80,7 @@ let lower_cache_object l cf =
            is too — unless [drop_caches] already evicted it. *)
         if current l cf then begin
           Sp_vm.Pager_lib.destroy_key l.l_channels ~key:cf.key;
-          Hashtbl.remove l.l_files cf.lower.Sp_core.File.f_id;
-          Sp_core.Over_one.forget l.l_over cf.lower
+          Hashtbl.remove l.l_files cf.lower.Sp_core.File.f_id
         end);
     c_exten = [ Sp_vm.Attr_cache.fs_cache cf.attrs ];
   }
@@ -185,9 +186,7 @@ let route l cf =
   | Some c when c == cf -> None
   | Some c -> Some (exported_of c).Sp_core.File.f_mem
   | None ->
-      let f = exported_of cf in
       Hashtbl.replace l.l_files cf.lower.Sp_core.File.f_id cf;
-      ignore (Sp_core.Over_one.file l.l_over (fun ~fresh:_ _ -> f) ~fresh:false cf.lower);
       ignore (V.bind cf.lower.Sp_core.File.f_mem (manager l cf) V.Read_write);
       None
 
@@ -245,10 +244,12 @@ let export l cf =
   cf.exported <- Some exported;
   exported
 
-(* A lower file that already has a file here — one an evicted object's
-   holder took back — keeps it, though the lower layer now returns a new
-   object for it. *)
-let build_file l ~fresh:_ (lower : Sp_core.File.t) =
+(* The layer's file for [lower], built on a miss.  [l_files] takes a
+   file's entry before its export finishes, so an entry without one is
+   not served.  A lower file that already has a file here — one an
+   evicted object's holder took back — keeps it, though the lower layer
+   now returns a new object for it. *)
+let file_of l ~fresh:_ (lower : Sp_core.File.t) =
   match Hashtbl.find_opt l.l_files lower.Sp_core.File.f_id with
   | Some { exported = Some f; _ } -> f
   | Some _ | None -> export l (make_cfile l lower)
@@ -275,7 +276,7 @@ let make ?(node = "local") ?domain ?(embedded = false) ~vmm ~name () =
   in
   Sp_core.Over_one.stackable l.l_over ~sfs_type:"coherency" ~domain
     ~exten:[ Layer l ]
-    ~wrap:(Sp_core.Over_one.file l.l_over (build_file l))
+    ~wrap:(file_of l)
     ~forget:(fun lower ->
       match Hashtbl.find_opt l.l_files lower.Sp_core.File.f_id with
       | Some cf ->
@@ -294,7 +295,6 @@ let make ?(node = "local") ?domain ?(embedded = false) ~vmm ~name () =
           drop_cfile_caches l cf;
           Sp_vm.Pager_lib.destroy_key l.l_channels ~key:cf.key);
       Hashtbl.reset l.l_files;
-      Sp_core.Over_one.clear l.l_over;
       Sp_vm.Vmm.drop_caches l.l_vmm;
       Sp_core.Stackable.drop_caches (Sp_core.Over_one.lower l.l_over))
     ~charge_open:(if embedded then ignore else Sp_core.Over_one.charge_open_state)

@@ -21,6 +21,7 @@ type centry = {
   mutable self_op : bool;
       (* a container operation of our own is in flight: coherency echoes
          it triggers below must not mark us stale *)
+  mutable e_file : Sp_core.File.t option;  (* set once [build_file] made it *)
 }
 
 type layer = {
@@ -30,7 +31,9 @@ type layer = {
   l_coherent : bool;
   l_over : Sp_core.Over_one.t;
   l_channels : Sp_vm.Pager_lib.t;
-  l_files : (string, centry) Hashtbl.t;  (* by lower file id *)
+  l_files : (string, centry) Hashtbl.t;
+      (* by lower file id: the layer's one table of files, read by opens,
+         [sync] and [drop_caches] *)
   l_lock : Sp_sched.Mutex.t;
       (* Container operations are multi-step read-modify-write cycles
          (append, compact, rescan) whose container I/O suspends the task
@@ -279,8 +282,7 @@ let lower_cache_object l e =
     c_destroy =
       (fun () ->
         Sp_vm.Pager_lib.destroy_key l.l_channels ~key:e.e_key;
-        Hashtbl.remove l.l_files e.e_lower.Sp_core.File.f_id;
-        Sp_core.Over_one.forget l.l_over e.e_lower);
+        Hashtbl.remove l.l_files e.e_lower.Sp_core.File.f_id);
     c_exten = [];
   }
 
@@ -359,6 +361,7 @@ let make_entry l (lower : Sp_core.File.t) ~fresh =
       stale = false;
       e_state = Sp_coherency.Mrsw.create ();
       self_op = false;
+      e_file = None;
     }
   in
   Hashtbl.replace l.l_files lower.Sp_core.File.f_id e;
@@ -402,43 +405,56 @@ let build_file l ~fresh lower =
           set_attr a);
     }
   in
-  Sp_coherency.Mrsw.export_file ~vmm:l.l_vmm ~domain:l.l_domain ~channels:l.l_channels
-    ~key:e.e_key
-    ~around:
-      {
-        Sp_coherency.Mrsw.around =
-          (fun f ->
-            locked l @@ fun () ->
-            refresh_if_stale l e;
-            f ());
-      }
-    ~produce:(fun ~offset ~size ~access:_ -> read_logical l e ~offset ~size)
-    ~store:(fun ~retain:_ ~offset data -> write_logical l e ~offset data)
-    ~fs_pager:(fun ~id:_ -> fs_pager)
-    ~stat
-    ~length:(fun () ->
-      locked l @@ fun () ->
-      refresh_if_stale l e;
-      e.logical_len)
-    ~set_attr
-    ~grow:(fun len ->
-      if len > e.logical_len then begin
-        e.logical_len <- len;
-        e.header_dirty <- true
-      end)
-    ~truncate:(truncate_entry l e)
-    ~sync:(fun () ->
-      sync_entry l e;
-      Sp_core.File.sync e.e_lower)
-    e.e_state
+  let f =
+    Sp_coherency.Mrsw.export_file ~vmm:l.l_vmm ~domain:l.l_domain ~channels:l.l_channels
+      ~key:e.e_key
+      ~around:
+        {
+          Sp_coherency.Mrsw.around =
+            (fun f ->
+              locked l @@ fun () ->
+              refresh_if_stale l e;
+              f ());
+        }
+      ~produce:(fun ~offset ~size ~access:_ -> read_logical l e ~offset ~size)
+      ~store:(fun ~retain:_ ~offset data -> write_logical l e ~offset data)
+      ~fs_pager:(fun ~id:_ -> fs_pager)
+      ~stat
+      ~length:(fun () ->
+        locked l @@ fun () ->
+        refresh_if_stale l e;
+        e.logical_len)
+      ~set_attr
+      ~grow:(fun len ->
+        if len > e.logical_len then begin
+          e.logical_len <- len;
+          e.header_dirty <- true
+        end)
+      ~truncate:(truncate_entry l e)
+      ~sync:(fun () ->
+        sync_entry l e;
+        Sp_core.File.sync e.e_lower)
+      e.e_state
+  in
+  e.e_file <- Some f;
+  f
 
-(* An open that misses the exported context's memo but hits the layer's
-   (a file created through the layer, first opened through the context)
-   takes the lock, so it waits out a container operation in flight.
-   Repeated opens through the context are served by [Mapped_context]'s
-   memo and never reach here, so they take no lock. *)
+(* The file [l_files] holds for this very lower object, once its build
+   has finished: [make_entry] enters a file before its header loads. *)
+let built l (lower : Sp_core.File.t) =
+  match Hashtbl.find_opt l.l_files lower.Sp_core.File.f_id with
+  | Some { e_lower; e_file = Some f; _ } when e_lower == lower -> Some f
+  | Some _ | None -> None
+
+(* A hit takes no lock.  A miss takes it, so it waits out a container
+   operation in flight, and looks again: another open may have built the
+   file meanwhile. *)
 let wrap_file l ~fresh lower =
-  locked l @@ fun () -> Sp_core.Over_one.file l.l_over (build_file l) ~fresh lower
+  match built l lower with
+  | Some f -> f
+  | None -> (
+      locked l @@ fun () ->
+      match built l lower with Some f -> f | None -> build_file l ~fresh lower)
 
 (* ------------------------------------------------------------------ *)
 (* The stackable layer                                                 *)

@@ -1,33 +1,14 @@
-let rec make ~domain ~label ~lower ~wrap_file ?on_miss ?on_file () =
-  (* The memo stores the lower file alongside the wrapper: a hit is valid
-     only while the lower layer still returns the SAME object.  When a file
-     is removed and its identity reused, lower layers mint a fresh object,
-     so the stale wrapper is discarded and rebuilt. *)
-  let file_memo : (string, File.t * File.t) Hashtbl.t = Hashtbl.create 16 in
+let rec make ~domain ~label ~lower ~wrap_file =
   let ctx_memo : (string, Sp_naming.Context.t) Hashtbl.t = Hashtbl.create 4 in
   let wrap component obj =
     match obj with
-    | File.File f -> (
-        let deliver wrapped =
-          (match on_file with None -> () | Some hook -> hook wrapped);
-          File.File wrapped
-        in
-        let fresh () =
-          let wrapped = wrap_file f in
-          Hashtbl.replace file_memo f.File.f_id (f, wrapped);
-          deliver wrapped
-        in
-        match Hashtbl.find_opt file_memo f.File.f_id with
-        | Some (stored_lower, wrapped) when stored_lower == f -> deliver wrapped
-        | Some _ | None -> fresh ())
+    | File.File f -> File.File (wrap_file f)
     | Sp_naming.Context.Context sub -> (
         match Hashtbl.find_opt ctx_memo component with
         | Some wrapped -> Sp_naming.Context.Context wrapped
         | None ->
             let wrapped =
-              make ~domain
-                ~label:(label ^ "/" ^ component)
-                ~lower:sub ~wrap_file ?on_miss ?on_file ()
+              make ~domain ~label:(label ^ "/" ^ component) ~lower:sub ~wrap_file
             in
             Hashtbl.replace ctx_memo component wrapped;
             Sp_naming.Context.Context wrapped)
@@ -35,13 +16,7 @@ let rec make ~domain ~label ~lower ~wrap_file ?on_miss ?on_file () =
   in
   let single component = Sp_naming.Sname.of_components [ component ] in
   let resolve1 component =
-    match Sp_naming.Context.resolve lower (single component) with
-    | obj -> wrap component obj
-    | exception (Sp_naming.Context.Unbound _ as e) -> (
-        match on_miss with
-        | None -> raise e
-        | Some synth -> (
-            match synth component with Some obj -> obj | None -> raise e))
+    wrap component (Sp_naming.Context.resolve lower (single component))
   in
   {
     Sp_naming.Context.ctx_domain = domain;

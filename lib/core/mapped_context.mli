@@ -4,29 +4,19 @@
     context that resolves names in the underlying file system's context
     and wraps the resulting file objects.  {!Over_one} builds one for the
     coherency layer, COMPFS, CRYPTFS and INTEGRITYFS; CFS builds its own.
-    Each context memoises wrapping on the underlying file identity, so
-    repeated opens return the same upper file (and therefore reuse the
-    same pager–cache channels and attribute caches) without calling
-    [wrap_file] again, nor taking any lock the layer takes there.  The
-    memo belongs to the context alone: nothing global refers to it. *)
+    The context keeps no table of files: every resolution that returns a
+    file calls [wrap_file], and the layer's own table of files, the one
+    its [sync] and [drop_caches] walk, makes repeated opens return the
+    same upper file (and therefore reuse the same pager–cache channels
+    and attribute caches).  Only sub-contexts are memoised, per
+    component. *)
 
-(** [make ~domain ~label ~lower ~wrap_file ()] builds such a context.
+(** [make ~domain ~label ~lower ~wrap_file] builds such a context.
     Sub-contexts (directories) of [lower] are wrapped recursively.  Binds,
-    rebinds and unbinds are forwarded to [lower] unchanged.
-
-    [on_miss], if given, is consulted when [lower] has no binding for a
-    component — letting a layer synthesise files that "do not actually
-    exist" in the underlying file system (paper §4.1).
-
-    [on_file], if given, is invoked on {e every} resolution that returns a
-    (wrapped) file, memoised or not — layers use it to account per-open
-    work. *)
+    rebinds and unbinds are forwarded to [lower] unchanged. *)
 val make :
   domain:Sp_obj.Sdomain.t ->
   label:string ->
   lower:Sp_naming.Context.t ->
   wrap_file:(File.t -> File.t) ->
-  ?on_miss:(string -> Sp_naming.Context.obj option) ->
-  ?on_file:(File.t -> unit) ->
-  unit ->
   Sp_naming.Context.t

@@ -23,8 +23,6 @@ let file t build ~fresh (lower : File.t) =
       f
 
 let iter t f = Hashtbl.iter (fun _ (_, upper) -> f upper) t.files
-let forget t (lower : File.t) = Hashtbl.remove t.files lower.File.f_id
-let clear t = Hashtbl.reset t.files
 
 let charge_open_state (_ : File.t) =
   Sp_sim.Simclock.advance (Sp_sim.Cost_model.current ()).open_state_ns
@@ -49,8 +47,11 @@ let stackable t ~sfs_type ~domain ~exten ~wrap ~forget ~sync ~drop_caches
     | None ->
         let c =
           Mapped_context.make ~domain ~label:name
-            ~lower:(lower t).Stackable.sfs_ctx ~wrap_file:(wrap ~fresh:false)
-            ~on_file:charge_open ()
+            ~lower:(lower t).Stackable.sfs_ctx
+            ~wrap_file:(fun lf ->
+              let f = wrap ~fresh:false lf in
+              charge_open f;
+              f)
         in
         ctx := Some c;
         c

@@ -5,13 +5,19 @@
 
     It owns what those layers share: the slot for the one lower file
     system, the exported naming context, [stack_on], [unders], [create],
-    [mkdir], [remove], [sync], and the memo of upper files.  A layer
-    passes in only what differs — how a file is wrapped, its own
-    extensions ([sfs_exten], through which its introspection functions
-    {!Stackable.narrow} the stackable back to their state) — plus, for
-    {!stackable}, how a file is forgotten, its own sync and cache drop,
-    and the charge of each open; for {!pass_through}, which names it
-    hides and what a remove does first. *)
+    [mkdir], [remove] and [sync].  A layer passes in only what differs —
+    how a file is looked up or built, its own extensions ([sfs_exten],
+    through which its introspection functions {!Stackable.narrow} the
+    stackable back to their state) — plus, for {!stackable}, how a file
+    is forgotten, its own sync and cache drop, and the charge of each
+    open; for {!pass_through}, which names it hides and what a remove
+    does first.
+
+    A layer keeps one table from lower file to its per-file state.  The
+    coherency layer and COMPFS keep their own, the one their [sync] and
+    [drop_caches] walk; CRYPTFS, INTEGRITYFS and {!pass_through} keep
+    theirs here, as the memo of upper files that {!file} and {!iter}
+    read. *)
 
 type t
 
@@ -23,7 +29,7 @@ val create : name:string -> t
 val lower : t -> Stackable.t
 
 (** [file t build ~fresh lower] is the upper file of [lower]: the
-    memoised one when it was built for this very lower object, else
+    one in [t]'s memo when it was built for this very lower object, else
     [build ~fresh lower], which is memoised.  A lower layer mints a fresh
     object when a file is removed and its identity reused, so a stale
     upper file is never returned.  [fresh] is true when [lower] was just
@@ -31,15 +37,8 @@ val lower : t -> Stackable.t
 val file :
   t -> (fresh:bool -> File.t -> File.t) -> fresh:bool -> File.t -> File.t
 
-(** Every memoised upper file. *)
+(** Every upper file in [t]'s memo. *)
 val iter : t -> (File.t -> unit) -> unit
-
-(** [forget t lower] drops [lower]'s memo entry (its backing identity is
-    gone). *)
-val forget : t -> File.t -> unit
-
-(** Drop every memo entry. *)
-val clear : t -> unit
 
 (** The per-open charge of a layer that keeps open state:
     [open_state_ns] of the current cost model. *)
@@ -52,14 +51,14 @@ val charge_open_state : File.t -> unit
     the first use after [stack_on].
 
     - [wrap ~fresh lower] returns the upper file of [lower] on [create]
-      and on every open that the context's own memo misses.  It is
-      [file t build], or that inside a lock the layer's opens take;
+      and on every open through the exported context, which keeps no
+      files of its own.  It is [file t build], or a lookup in the
+      layer's own table that builds on a miss;
     - [remove] hands the lower file, if it opens, to [forget] and drops
-      its memo entry, then removes it below;
+      its entry from [t]'s memo, if any, then removes it below;
     - [sync] runs the layer's [sync], then the lower file system's;
     - [drop_caches] is the layer's own, whole;
-    - [charge_open] runs on every open through the exported context,
-      memoised or not.
+    - [charge_open] runs on every open through the exported context.
 
     A second [stack_on] raises {!Stackable.Stack_error}. *)
 val stackable :

@@ -190,38 +190,10 @@ let test_interpose_names_requires_bind_permission () =
         Alcotest.fail "unauthenticated interposition must fail"
       with Sp_naming.Context.Denied _ | Sp_naming.Context.Unbound _ -> ())
 
-(* --- Mapped context --- *)
-
-let test_mapped_context_on_miss () =
-  (* Layers "may even export files that do not actually exist" (§4.1). *)
-  Util.in_world (fun () ->
-      let _vmm, sfs = make_sfs () in
-      let domain = Sp_obj.Sdomain.create "synth" in
-      let synthesized = ref 0 in
-      let ctx =
-        Sp_core.Mapped_context.make ~domain ~label:"synth"
-          ~lower:sfs.S.sfs_ctx ~wrap_file:Fun.id
-          ~on_miss:(fun component ->
-            if component = "virtual" then begin
-              incr synthesized;
-              Some (Test_naming.Leaf 42)
-            end
-            else None)
-          ()
-      in
-      (match Sp_naming.Context.resolve ctx (N.of_string "virtual") with
-      | Test_naming.Leaf 42 -> ()
-      | _ -> Alcotest.fail "synthesised object expected");
-      Alcotest.(check int) "on_miss consulted" 1 !synthesized;
-      (try
-         ignore (Sp_naming.Context.resolve ctx (N.of_string "absent"));
-         Alcotest.fail "other misses must propagate"
-       with Sp_naming.Context.Unbound _ -> ()))
-
 (* The four layers built on [Over_one]: the exported context works only
    once stacked, even after an open that failed before [stack_on]; the
-   one lower slot takes one [stack_on]; and the memo gives one upper file
-   per lower file until a remove. *)
+   one lower slot takes one [stack_on]; and each layer's one table of
+   files gives one upper file per lower file until a remove. *)
 let test_over_one_layers () =
   Util.in_world (fun () ->
       let vmm, sfs = make_sfs () in
@@ -346,7 +318,6 @@ let suite =
     Alcotest.test_case "interpose at name resolution" `Quick test_interpose_names;
     Alcotest.test_case "interposition needs authentication" `Quick
       test_interpose_names_requires_bind_permission;
-    Alcotest.test_case "mapped context on_miss" `Quick test_mapped_context_on_miss;
     Alcotest.test_case "one-lower layers: stack_on and the file memo" `Quick
       test_over_one_layers;
     Alcotest.test_case "rename through stack" `Quick test_rename;

@@ -305,15 +305,15 @@ let cli_cases =
        byte(s) differing from what was written\n" );
     ( "failover --clients 4 --ops 16 --stride 2",
       "LAYER-CRASH-SWEEP supervised=on clients=4 layers=4 points=32 served=32 \
-       unavailable=0 lost=0 corrupt=0 restarts=80 reconciled=97+92 \
-       op_served=512 retried=80 shed=0 failed=0 deadline_misses=0 \
+       unavailable=0 lost=0 corrupt=0 restarts=80 reconciled=91+91 \
+       op_served=512 retried=83 shed=0 failed=0 deadline_misses=0 \
        worst_gap_ns=227557325 seed=7 ops=16\n" );
     ( "failover --clients 4 --ops 16 --stride 2 --no-supervisor \
        --expect-unavailable",
       "LAYER-CRASH-SWEEP supervised=off clients=4 layers=4 points=32 served=0 \
        unavailable=32 lost=0 corrupt=0 restarts=0 reconciled=0+0 \
-       op_served=155 retried=0 shed=231 failed=126 deadline_misses=0 \
-       worst_gap_ns=530488575 seed=7 ops=16\n\
+       op_served=156 retried=0 shed=229 failed=127 deadline_misses=0 \
+       worst_gap_ns=402919000 seed=7 ops=16\n\
        FIRST-FAILURE axis=lcs.disk at=1 class=unavailable: lcs.disk\n" );
     (* Four protocol layers, each the cache manager of the one below. *)
     ( "stack -l cryptfs,compfs,integrityfs,coherency --ops 50",

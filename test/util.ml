@@ -118,9 +118,13 @@ let words_per_call ?(n = 100) f =
 let qcheck_case ?count name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ?count ~name gen prop)
 
-(* The springfs CLI.  Tests run from [_build/default/test/], so the
-   binary lives one directory up. *)
-let springfs_exe = Filename.concat ".." (Filename.concat "bin" "springfs.exe")
+(* The springfs CLI, found from this test binary and not from the
+   current directory: [_build/default/test/main.exe] runs
+   [_build/default/bin/springfs.exe] from wherever it is started. *)
+let springfs_exe =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    (Filename.concat "bin" "springfs.exe")
 
 (* Run the CLI with [args]; returns the exit code, stdout and stderr. *)
 let run_springfs args =
